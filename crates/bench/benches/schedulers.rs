@@ -21,8 +21,7 @@
 //! renders the whole `BENCH_*.json` series as a trend table. `--quick`
 //! shrinks every budget for CI smoke runs.
 //!
-//! Run with `cargo bench -p bench` — or directly:
-//! `cargo run --release -p bench --bench schedulers -- [--quick] [--json PATH]`.
+//! Run with `cargo bench -p bench --bench schedulers -- [--quick] [--json PATH]`.
 
 use std::time::{Duration, Instant};
 

@@ -29,77 +29,36 @@
 //! pct`, `--scheduler delay`, `--scheduler prob` and `--portfolio` runs
 //! stay clean on the fixed systems at the default bounds.
 
-use bench::{parse_scheduler, verify_fixed_config};
+use bench::{parse_scheduler, usage_error, verify_fixed_config, EngineArgs, FaultArg};
 use psharp::prelude::*;
 
-/// How the check injects faults into the fixed systems.
-#[derive(Clone, Copy)]
-enum FaultMode {
-    /// No faults (the historical behavior).
-    None,
-    /// Each harness's own designed budget (`--faults default`).
-    PerHarness,
-    /// One explicit global plan.
-    Global(FaultPlan),
-}
-
 fn main() {
-    let mut iterations: u64 = 2_000;
-    let mut workers: usize = 1;
-    let mut scheduler = SchedulerKind::Random;
-    let mut portfolio = false;
-    let mut prefix_share = false;
-    let mut trace_mode: Option<TraceMode> = None;
-    let mut fault_mode = FaultMode::None;
+    let mut args = EngineArgs::new(TestConfig::new().with_iterations(2_000).with_seed(99));
     let mut argv = std::env::args().skip(1);
     while let Some(flag) = argv.next() {
+        if args
+            .accept(&flag, &mut argv)
+            .unwrap_or_else(|message| usage_error(&message))
+        {
+            continue;
+        }
         match flag.as_str() {
-            "--faults" => {
-                let spec = argv.next().expect("--faults requires a plan or 'default'");
-                fault_mode = if spec == "default" {
-                    FaultMode::PerHarness
-                } else {
-                    FaultMode::Global(
-                        FaultPlan::parse(&spec)
-                            .unwrap_or_else(|| panic!("unknown fault plan {spec:?}")),
-                    )
-                };
-            }
-            "--trace-mode" => {
-                let name = argv.next().expect("--trace-mode requires a mode");
-                trace_mode = Some(
-                    TraceMode::parse(&name)
-                        .unwrap_or_else(|| panic!("unknown trace mode {name:?}")),
-                );
-            }
-            "--iterations" => {
-                iterations = argv
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--iterations requires a number");
-            }
             "--scheduler" => {
-                let name = argv.next().expect("--scheduler requires a name");
-                scheduler =
-                    parse_scheduler(&name).unwrap_or_else(|| panic!("unknown scheduler {name:?}"));
+                let name = argv
+                    .next()
+                    .unwrap_or_else(|| usage_error("--scheduler requires a name"));
+                args.config.scheduler = parse_scheduler(&name).unwrap_or_else(|| {
+                    usage_error(&format!("--scheduler: {name:?} is not a scheduler"))
+                });
             }
-            "--portfolio" => portfolio = true,
-            "--prefix-share" => prefix_share = true,
-            "--workers" => {
-                workers = match argv.next().as_deref() {
-                    Some("max") => std::thread::available_parallelism()
-                        .map(|n| n.get())
-                        .unwrap_or(1),
-                    Some(value) => value
-                        .parse::<usize>()
-                        .expect("--workers requires a number or 'max'")
-                        .max(1),
-                    None => panic!("--workers requires a number or 'max'"),
-                };
-            }
-            other => panic!("unknown argument {other:?}"),
+            other => usage_error(&format!("unknown argument {other:?}")),
         }
     }
+    let EngineArgs {
+        config: base,
+        faults,
+    } = args;
+    let iterations = base.iterations;
 
     type Build = Box<dyn Fn(&mut psharp::runtime::Runtime) + Send + Sync>;
     let checks: Vec<(&str, Build, usize, FaultPlan)> = vec![
@@ -145,40 +104,31 @@ fn main() {
         ),
     ];
 
-    let mode = if portfolio {
+    let mode = if base.portfolio.is_some() {
         "portfolio".to_string()
     } else {
-        scheduler.describe()
+        base.scheduler.describe()
     };
-    let fault_label = match fault_mode {
-        FaultMode::None => "no faults".to_string(),
-        FaultMode::PerHarness => "per-harness fault budgets".to_string(),
-        FaultMode::Global(plan) => format!("faults {plan}"),
+    let fault_label = match faults {
+        None => "no faults".to_string(),
+        Some(FaultArg::PerHarness) => "per-harness fault budgets".to_string(),
+        Some(FaultArg::Global(plan)) => format!("faults {plan}"),
     };
     println!(
-        "Fixed-system verification over {iterations} executions each ({workers} worker(s), {mode}, {fault_label}):\n"
+        "Fixed-system verification over {iterations} executions each ({} worker(s), {mode}, {fault_label}):\n",
+        base.workers
     );
     let mut clean = true;
     for (name, build, max_steps, harness_faults) in checks {
         let start = std::time::Instant::now();
-        let mut config = TestConfig::new()
-            .with_iterations(iterations)
+        let config = base
+            .clone()
             .with_max_steps(max_steps)
-            .with_seed(99)
-            .with_scheduler(scheduler)
-            .with_workers(workers)
-            .with_prefix_sharing(prefix_share)
-            .with_faults(match fault_mode {
-                FaultMode::None => FaultPlan::none(),
-                FaultMode::PerHarness => harness_faults,
-                FaultMode::Global(plan) => plan,
+            .with_faults(match faults {
+                None => FaultPlan::none(),
+                Some(FaultArg::PerHarness) => harness_faults,
+                Some(FaultArg::Global(plan)) => plan,
             });
-        if portfolio {
-            config = config.with_default_portfolio();
-        }
-        if let Some(trace_mode) = trace_mode {
-            config = config.with_trace_mode(trace_mode);
-        }
         match verify_fixed_config(|rt| build(rt), config) {
             None => println!(
                 "  {name:<32} clean ({iterations} executions, {}s)",

@@ -55,57 +55,52 @@
 
 use std::fs;
 
-use bench::{bug_cases, hunt_with_fault_override, parse_scheduler, BugHuntResult};
+use bench::{
+    bug_cases, hunt_with_fault_override, parse_scheduler, usage_error, BugHuntResult, EngineArgs,
+    FaultArg,
+};
 use psharp::json::{Json, ToJson};
-use psharp::prelude::{FaultPlan, SchedulerKind, TestConfig, TraceMode};
+use psharp::prelude::{SchedulerKind, TestConfig};
 
 struct Args {
-    iterations: u64,
-    seed: u64,
+    engine: EngineArgs,
     schedulers: Vec<SchedulerKind>,
     json: Option<String>,
-    workers: usize,
-    portfolio: bool,
-    prefix_share: bool,
-    shrink: bool,
-    trace_mode: Option<TraceMode>,
-    faults: Option<FaultPlan>,
 }
 
 fn parse_args() -> Args {
     let mut args = Args {
-        iterations: 2_000,
-        seed: 2016,
+        engine: EngineArgs::new(TestConfig::new().with_iterations(2_000).with_seed(2016)),
         schedulers: vec![
             SchedulerKind::Random,
             SchedulerKind::Pct { change_points: 2 },
         ],
         json: None,
-        workers: 1,
-        portfolio: false,
-        prefix_share: false,
-        shrink: false,
-        trace_mode: None,
-        faults: None,
     };
     let mut argv = std::env::args().skip(1);
     while let Some(flag) = argv.next() {
+        if args
+            .engine
+            .accept(&flag, &mut argv)
+            .unwrap_or_else(|message| usage_error(&message))
+        {
+            continue;
+        }
+        let mut value = || {
+            argv.next()
+                .unwrap_or_else(|| usage_error(&format!("{flag} requires a value")))
+        };
         match flag.as_str() {
-            "--iterations" => {
-                args.iterations = argv
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--iterations requires a number");
-            }
+            "--shrink" => args.engine.config.shrink = true,
             "--seed" => {
-                args.seed = argv
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--seed requires a number");
+                let seed = value();
+                args.engine.config.seed = seed
+                    .parse()
+                    .unwrap_or_else(|_| usage_error(&format!("--seed: {seed:?} is not a number")));
             }
-            "--scheduler" => match argv.next().as_deref() {
-                Some("both") => {}
-                Some("all") => {
+            "--scheduler" => match value().as_str() {
+                "both" => {}
+                "all" => {
                     // One source of truth for the default parameterizations:
                     // the same parser the single-name path uses.
                     args.schedulers = ["random", "pct", "delay", "prob", "round-robin"]
@@ -113,43 +108,13 @@ fn parse_args() -> Args {
                         .map(|name| parse_scheduler(name).expect("known scheduler name"))
                         .collect();
                 }
-                Some(name) => match parse_scheduler(name) {
+                name => match parse_scheduler(name) {
                     Some(kind) => args.schedulers = vec![kind],
-                    None => panic!("unknown scheduler {name:?}"),
+                    None => usage_error(&format!("--scheduler: {name:?} is not a scheduler")),
                 },
-                None => panic!("--scheduler requires a name"),
             },
-            "--json" => args.json = argv.next(),
-            "--faults" => {
-                let spec = argv.next().expect("--faults requires a plan");
-                args.faults = Some(
-                    FaultPlan::parse(&spec)
-                        .unwrap_or_else(|| panic!("unknown fault plan {spec:?}")),
-                );
-            }
-            "--portfolio" => args.portfolio = true,
-            "--prefix-share" => args.prefix_share = true,
-            "--shrink" => args.shrink = true,
-            "--trace-mode" => {
-                let name = argv.next().expect("--trace-mode requires a mode");
-                args.trace_mode = Some(
-                    TraceMode::parse(&name)
-                        .unwrap_or_else(|| panic!("unknown trace mode {name:?}")),
-                );
-            }
-            "--workers" => {
-                args.workers = match argv.next().as_deref() {
-                    Some("max") => std::thread::available_parallelism()
-                        .map(|n| n.get())
-                        .unwrap_or(1),
-                    Some(value) => value
-                        .parse::<usize>()
-                        .expect("--workers requires a number or 'max'")
-                        .max(1),
-                    None => panic!("--workers requires a number or 'max'"),
-                };
-            }
-            other => panic!("unknown argument {other:?}"),
+            "--json" => args.json = Some(value()),
+            other => usage_error(&format!("unknown argument {other:?}")),
         }
     }
     args
@@ -157,32 +122,23 @@ fn parse_args() -> Args {
 
 fn main() {
     let args = parse_args();
+    let base_config = args.engine.config;
+    // `--faults` with a plan (including `none`) replaces every case's own
+    // fault budget; without it, or with `default`, each case's applies.
+    let fault_override = match args.engine.faults {
+        Some(FaultArg::Global(plan)) => Some(plan),
+        Some(FaultArg::PerHarness) | None => None,
+    };
     println!(
         "Table 2: systematic testing results ({} executions per bug and scheduler, seed {}, {} worker(s))\n",
-        args.iterations, args.seed, args.workers
+        base_config.iterations, base_config.seed, base_config.workers
     );
     println!("{}", BugHuntResult::table_header());
 
-    let mut base_config = TestConfig::new()
-        .with_iterations(args.iterations)
-        .with_seed(args.seed)
-        .with_workers(args.workers)
-        .with_shrink(args.shrink)
-        .with_prefix_sharing(args.prefix_share);
-    if let Some(trace_mode) = args.trace_mode {
-        base_config = base_config.with_trace_mode(trace_mode);
-    }
-
     let mut results: Vec<BugHuntResult> = Vec::new();
     for case in bug_cases() {
-        if args.portfolio {
-            // `--faults` (including `none`) replaces every case's own fault
-            // budget with one global plan; without it each case's applies.
-            let result = hunt_with_fault_override(
-                &case,
-                base_config.clone().with_default_portfolio(),
-                args.faults,
-            );
+        if base_config.portfolio.is_some() {
+            let result = hunt_with_fault_override(&case, base_config.clone(), fault_override);
             println!("{}", result.table_row());
             results.push(result);
         } else {
@@ -190,7 +146,7 @@ fn main() {
                 let result = hunt_with_fault_override(
                     &case,
                     base_config.clone().with_scheduler(scheduler),
-                    args.faults,
+                    fault_override,
                 );
                 println!("{}", result.table_row());
                 results.push(result);

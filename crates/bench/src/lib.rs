@@ -375,6 +375,104 @@ pub fn parse_scheduler(name: &str) -> Option<SchedulerKind> {
     }
 }
 
+/// What `--faults` asked for: every harness's own designed budget
+/// (`--faults default`), or one plan applied to all of them.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum FaultArg {
+    /// Each harness's own budget.
+    PerHarness,
+    /// One explicit global plan (`none` disables injection).
+    Global(FaultPlan),
+}
+
+/// The engine configuration `table2` and `fixed_check` assemble from their
+/// command lines: both feed every flag to [`EngineArgs::accept`] first and
+/// handle only what it declines themselves.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct EngineArgs {
+    /// The configuration built so far; binaries seed it with their defaults
+    /// and write their own flags (`--seed`, `--scheduler`, ...) into it.
+    pub config: TestConfig,
+    /// The `--faults` choice, `None` when the flag was not given. It is not
+    /// part of `config` because the binaries apply it per harness.
+    pub faults: Option<FaultArg>,
+}
+
+impl EngineArgs {
+    /// Starts from the binary's default configuration.
+    pub fn new(config: TestConfig) -> Self {
+        EngineArgs {
+            config,
+            faults: None,
+        }
+    }
+
+    /// Applies `flag` when it is one of the shared engine flags —
+    /// `--iterations N`, `--workers N|max`, `--trace-mode full|ring:N|decisions`,
+    /// `--faults default|none|crash=N,restart=N,drop=N,dup=N`, `--portfolio`,
+    /// `--prefix-share` — taking its value from `values`. Returns `Ok(false)`
+    /// for any other flag, and an error naming the flag and the offending
+    /// value when the value is missing or malformed.
+    pub fn accept(
+        &mut self,
+        flag: &str,
+        values: &mut impl Iterator<Item = String>,
+    ) -> Result<bool, String> {
+        let mut value = |expected: &str| {
+            values
+                .next()
+                .ok_or_else(|| format!("{flag} requires {expected}"))
+        };
+        let malformed =
+            |value: &str, expected: &str| format!("{flag}: {value:?} is not {expected}");
+        match flag {
+            "--iterations" => {
+                let text = value("a number")?;
+                self.config.iterations = text.parse().map_err(|_| malformed(&text, "a number"))?;
+            }
+            "--workers" => {
+                let text = value("a number or 'max'")?;
+                self.config.workers = if text == "max" {
+                    std::thread::available_parallelism().map_or(1, |n| n.get())
+                } else {
+                    let workers: usize = text
+                        .parse()
+                        .map_err(|_| malformed(&text, "a number or 'max'"))?;
+                    workers.max(1)
+                };
+            }
+            "--trace-mode" => {
+                let text = value("a mode (full|ring:N|decisions)")?;
+                let mode = TraceMode::parse(&text)
+                    .ok_or_else(|| malformed(&text, "a trace mode (full|ring:N|decisions)"))?;
+                self.config = std::mem::take(&mut self.config).with_trace_mode(mode);
+            }
+            "--faults" => {
+                let text = value("a plan or 'default'")?;
+                self.faults = Some(if text == "default" {
+                    FaultArg::PerHarness
+                } else {
+                    FaultArg::Global(FaultPlan::parse(&text).ok_or_else(|| {
+                        malformed(&text, "a fault plan (crash=N,restart=N,drop=N,dup=N|none)")
+                    })?)
+                });
+            }
+            "--portfolio" => {
+                self.config = std::mem::take(&mut self.config).with_default_portfolio();
+            }
+            "--prefix-share" => self.config.prefix_sharing = true,
+            _ => return Ok(false),
+        }
+        Ok(true)
+    }
+}
+
+/// Reports a malformed command line and exits with status 2.
+pub fn usage_error(message: &str) -> ! {
+    eprintln!("error: {message}");
+    std::process::exit(2)
+}
+
 /// Shared hunt runner under an arbitrary configuration (scheduler,
 /// portfolio, worker count, trace mode, shrinking): the result's `scheduler`
 /// column is the report's label (the configured strategy, or the winning
@@ -550,6 +648,71 @@ mod tests {
         assert_eq!(parse_scheduler("dpor"), Some(SchedulerKind::Dpor));
         assert_eq!(parse_scheduler("nope"), None);
         assert_eq!(parse_scheduler("sleep-set:x"), None);
+    }
+
+    fn accept(args: &mut EngineArgs, line: &[&str]) -> Result<bool, String> {
+        let mut values = line[1..].iter().map(|value| value.to_string());
+        args.accept(line[0], &mut values)
+    }
+
+    #[test]
+    fn engine_args_build_the_config_both_binaries_run() {
+        let mut args = EngineArgs::new(TestConfig::new().with_seed(99));
+        for line in [
+            &["--iterations", "321"][..],
+            &["--workers", "0"],
+            &["--trace-mode", "ring:64"],
+            &["--faults", "crash=1,drop=2"],
+            &["--portfolio"],
+            &["--prefix-share"],
+        ] {
+            assert_eq!(accept(&mut args, line), Ok(true), "{line:?}");
+        }
+        let expected = TestConfig::new()
+            .with_seed(99)
+            .with_iterations(321)
+            .with_workers(1)
+            .with_trace_mode(TraceMode::RingBuffer(64))
+            .with_default_portfolio()
+            .with_prefix_sharing(true);
+        assert_eq!(args.config, expected);
+        let plan = FaultPlan::parse("crash=1,drop=2").expect("well-formed plan");
+        assert_eq!(args.faults, Some(FaultArg::Global(plan)));
+
+        assert_eq!(accept(&mut args, &["--faults", "default"]), Ok(true));
+        assert_eq!(args.faults, Some(FaultArg::PerHarness));
+        assert_eq!(accept(&mut args, &["--workers", "max"]), Ok(true));
+        assert!(args.config.workers >= 1);
+        // Not a shared flag: left to the binary, nothing consumed or changed.
+        let before = args.clone();
+        assert_eq!(accept(&mut args, &["--seed", "5"]), Ok(false));
+        assert_eq!(args, before);
+    }
+
+    #[test]
+    fn malformed_engine_args_name_the_flag_and_the_value() {
+        let mut args = EngineArgs::new(TestConfig::new());
+        for (line, flag, value) in [
+            (&["--iterations", "many"][..], "--iterations", "\"many\""),
+            (&["--iterations", "-3"], "--iterations", "\"-3\""),
+            (&["--workers", "lots"], "--workers", "\"lots\""),
+            (&["--trace-mode", "ring"], "--trace-mode", "\"ring\""),
+            (&["--trace-mode", "ring:x"], "--trace-mode", "\"ring:x\""),
+            (&["--faults", "crash"], "--faults", "\"crash\""),
+            (&["--faults", "meteor=1"], "--faults", "\"meteor=1\""),
+            // A missing value names the flag and what it wants.
+            (&["--iterations"], "--iterations", "requires a number"),
+            (&["--workers"], "--workers", "requires a number or 'max'"),
+            (&["--trace-mode"], "--trace-mode", "requires a mode"),
+            (&["--faults"], "--faults", "requires a plan"),
+        ] {
+            let message = accept(&mut args, line).expect_err("malformed input is rejected");
+            assert!(
+                message.contains(flag) && message.contains(value),
+                "{line:?} -> {message:?}"
+            );
+        }
+        assert_eq!(args, EngineArgs::new(TestConfig::new()), "nothing applied");
     }
 
     #[test]

@@ -1,32 +1,37 @@
-//! The systematic testing engine.
+//! The systematic testing engine: one explorer, three entry points.
 //!
-//! A [`TestEngine`] repeatedly executes a test harness from start to
-//! completion, each time exploring a potentially different set of
-//! nondeterministic choices, until it either reaches a user-supplied bound
-//! (number of executions) or it hits a safety or liveness property violation.
-//! On a violation it returns a [`BugReport`] containing the replayable
-//! [`Trace`] of the buggy execution.
+//! The paper's engine is a single loop — execute the test harness from start
+//! to completion under a controlled scheduler, again and again, each time
+//! exploring a potentially different set of nondeterministic choices, until
+//! the user-supplied bound (number of executions) or the first safety or
+//! liveness violation, which comes back as a [`BugReport`] with the
+//! replayable [`Trace`] of the buggy execution. This module holds that loop
+//! once, in a private explorer over a *frontier* of start states:
 //!
-//! A [`ParallelTestEngine`] multiplies throughput by the host's core count:
-//! worker threads pull adaptive chunks of the iteration space from a shared
-//! work-stealing queue (each execution keeps the exact seed it would have had
-//! serially, so results are reproducible at any worker count) and can run a
-//! *portfolio* of scheduling strategies side by side, the parallel testing
-//! mode popularized by P#/Coyote. First-bug selection is deterministic: the
-//! bug at the lowest iteration index wins, regardless of which worker's
-//! execution finished first, and doomed executions above that index are
-//! cancelled step-by-step instead of running to their bound.
+//! * workers claim adaptive chunks of the iteration space from a shared
+//!   counter; the iteration index alone determines the execution's seed
+//!   ([`TestConfig::seed_for_iteration`]) and, in portfolio mode, its
+//!   strategy ([`TestConfig::strategy_for_iteration`]);
+//! * an iteration starts either from `reset` + `setup` or by restoring one of
+//!   the frontier's snapshots (the post-setup root under
+//!   [`TestConfig::prefix_sharing`], the leaves of a prefix tree otherwise)
+//!   and running only the suffix;
+//! * the bug at the **lowest iteration index** wins, regardless of which
+//!   worker finished first, and executions above that index are skipped or
+//!   cancelled step-by-step;
+//! * the winner is rehydrated, shrunk and reported once.
 //!
-//! Both engines drive the same per-iteration path,
-//! [`TestConfig::run_iteration`]: the iteration index determines the seed
-//! ([`TestConfig::seed_for_iteration`]) *and*, in portfolio mode, the
-//! scheduling strategy ([`TestConfig::strategy_for_iteration`]), so a
-//! portfolio run reports the identical (iteration, seed, strategy, bug)
-//! result at any worker count — including the serial engine.
+//! So every face reports the identical (iteration, seed, strategy, trace,
+//! bug) result for a [`TestConfig`] at any worker count. The three public
+//! faces differ only in what they add: [`TestEngine`] drains the iteration
+//! space inline on the calling thread, so `setup` need not be `Send`;
+//! [`ParallelTestEngine`] drains it on [`TestConfig::workers`] threads;
+//! [`PrefixForkEngine`] first grows the frontier into a bounded-depth prefix
+//! tree.
 
 use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use crate::error::Bug;
@@ -62,9 +67,9 @@ pub struct TestConfig {
     pub check_liveness_at_quiescence: bool,
     /// Whether machine panics are caught and reported as bugs.
     pub catch_panics: bool,
-    /// Number of worker threads a [`ParallelTestEngine`] lets steal from the
-    /// shared iteration queue. `1` (the default) reproduces the serial
-    /// [`TestEngine`] bit for bit.
+    /// Number of worker threads a [`ParallelTestEngine`] or
+    /// [`PrefixForkEngine`] lets steal from the shared iteration queue. `1`
+    /// (the default) reproduces the serial [`TestEngine`] bit for bit.
     pub workers: usize,
     /// Optional scheduler portfolio: iteration `i` runs the strategy
     /// [`TestConfig::strategy_for_iteration`] picks from this list (a
@@ -98,8 +103,9 @@ pub struct TestConfig {
     pub faults: FaultPlan,
     /// Whether engines share the post-setup state across iterations via
     /// [`Runtime::snapshot`]: the harness's `setup` closure runs once per
-    /// worker, each subsequent iteration forks from the captured snapshot
-    /// instead of re-running setup. Requires every machine and monitor the
+    /// run, and every iteration, on every worker, forks from the captured
+    /// snapshot instead of re-running setup — the depth-0 case of the
+    /// [`PrefixForkEngine`]'s tree. Requires every machine and monitor the
     /// setup creates to implement `clone_state` (and any event it enqueues
     /// to be [`Event::replicable`](crate::event::Event::replicable));
     /// otherwise the engine silently falls back to straight-line execution.
@@ -210,8 +216,8 @@ impl TestConfig {
     }
 
     /// Enables (or disables) prefix sharing ([`TestConfig::prefix_sharing`]):
-    /// the harness setup executes once per worker and every subsequent
-    /// iteration forks from a snapshot of the post-setup state.
+    /// the harness setup executes once per run and every iteration forks
+    /// from a snapshot of the post-setup state.
     pub fn with_prefix_sharing(mut self, prefix_sharing: bool) -> Self {
         self.prefix_sharing = prefix_sharing;
         self
@@ -336,6 +342,17 @@ impl TestConfig {
         }
     }
 
+    /// A runtime holding no iteration yet — the one `setup` runs in before
+    /// the root snapshot, or a worker's pooled runtime before its first
+    /// [`Runtime::restore_from`], which replaces scheduler, seed and state.
+    fn blank_runtime(&self) -> Runtime {
+        Runtime::new(
+            self.scheduler.build(self.seed, self.max_steps),
+            self.runtime_config(),
+            self.seed,
+        )
+    }
+
     fn runtime_config(&self) -> RuntimeConfig {
         RuntimeConfig {
             max_steps: self.max_steps,
@@ -358,216 +375,12 @@ impl TestConfig {
         Self::derive_seed(mix64(self.seed), iteration)
     }
 
-    /// Batch seed derivation for a contiguous chunk of the iteration space,
-    /// used by the work-stealing engine after each chunk pop: `out` is
-    /// cleared and filled with the seeds of `range`, mixing the base seed
-    /// once for the whole chunk instead of once per iteration.
-    pub fn seeds_for_chunk(&self, range: Range<u64>, out: &mut Vec<u64>) {
-        out.clear();
-        let base = mix64(self.seed);
-        out.extend(range.map(|iteration| Self::derive_seed(base, iteration)));
-    }
-
+    /// [`TestConfig::seed_for_iteration`] with `mix64(self.seed)` supplied by
+    /// the caller, so a worker loop mixes the base seed once, not once per
+    /// iteration.
     fn derive_seed(mixed_base: u64, iteration: u64) -> u64 {
         mix64(mixed_base.wrapping_add(iteration.wrapping_add(1).wrapping_mul(GOLDEN_GAMMA)))
     }
-
-    /// Runs one iteration of this configuration's exploration space: builds
-    /// the iteration's scheduler ([`TestConfig::strategy_for_iteration`]) and
-    /// seed ([`TestConfig::seed_for_iteration`]), executes the harness built
-    /// by `setup` once, and classifies the result.
-    ///
-    /// This is the single execution path shared by [`TestEngine`] and
-    /// [`ParallelTestEngine`]; `cancel` is the parallel engine's step-level
-    /// cancellation handle.
-    pub fn run_iteration<F>(
-        &self,
-        iteration: u64,
-        cancel: Option<CancelToken>,
-        setup: &F,
-    ) -> IterationOutcome
-    where
-        F: Fn(&mut Runtime),
-    {
-        self.run_iteration_seeded(
-            iteration,
-            self.seed_for_iteration(iteration),
-            cancel,
-            setup,
-            &mut IterationPool::new(),
-        )
-    }
-
-    /// [`TestConfig::run_iteration`] with the seed precomputed by
-    /// [`TestConfig::seeds_for_chunk`] (must equal
-    /// `seed_for_iteration(iteration)`) and a worker-local
-    /// [`IterationPool`]: engines thread the previous iteration's whole
-    /// `Runtime` back in through the pool, so steady-state iterations
-    /// [`Runtime::reset`] the pooled instance — machines, mailboxes, name
-    /// table, trace and the enabled/fault buffers all keep their grown
-    /// storage — instead of constructing a fresh runtime per execution.
-    ///
-    /// Under [`TestConfig::prefix_sharing`] the pool additionally caches a
-    /// snapshot of the post-setup state: the first iteration runs `setup`
-    /// and captures it, every later iteration [`Runtime::restore_from`]s the
-    /// snapshot (then installs its own scheduler and seed) instead of
-    /// re-running setup. Restoring a depth-0 snapshot is observationally
-    /// identical to `reset` + `setup` — setup is deterministic and takes no
-    /// scheduler decisions — so results stay byte-identical, at any worker
-    /// count. When the harness state is not snapshotable the pool remembers
-    /// the failure and every iteration takes the straight-line path.
-    fn run_iteration_seeded<F>(
-        &self,
-        iteration: u64,
-        seed: u64,
-        cancel: Option<CancelToken>,
-        setup: &F,
-        pool: &mut IterationPool,
-    ) -> IterationOutcome
-    where
-        F: Fn(&mut Runtime),
-    {
-        debug_assert_eq!(seed, self.seed_for_iteration(iteration));
-        let portfolio_entry = self.portfolio_index_for_iteration(iteration);
-        let strategy = match portfolio_entry {
-            Some(entry) => self.portfolio.as_ref().expect("entry implies portfolio")[entry],
-            None => self.scheduler,
-        };
-        let scheduler = strategy.build(seed, self.max_steps);
-        let share = self.prefix_sharing && !pool.snapshot_failed;
-        let (mut runtime, needs_setup) = match (share, &pool.snapshot, pool.runtime.take()) {
-            (true, Some(snapshot), Some(mut pooled)) => {
-                pooled.restore_from(snapshot);
-                pooled.set_scheduler(scheduler);
-                pooled.reseed(seed);
-                (pooled, false)
-            }
-            (_, _, Some(mut pooled)) => {
-                pooled.reset(scheduler, self.runtime_config(), seed);
-                (pooled, true)
-            }
-            (_, _, None) => (Runtime::new(scheduler, self.runtime_config(), seed), true),
-        };
-        if let Some(token) = cancel {
-            runtime.set_cancel_token(token);
-        }
-        if needs_setup {
-            setup(&mut runtime);
-            if share {
-                match runtime.snapshot() {
-                    Some(snapshot) => pool.snapshot = Some(snapshot),
-                    None => pool.snapshot_failed = true,
-                }
-            }
-        }
-        let status = match runtime.run() {
-            ExecutionOutcome::BugFound(bug) => IterationStatus::BugFound {
-                bug,
-                ndc: runtime.trace().decision_count(),
-                trace: Box::new(runtime.take_trace()),
-            },
-            ExecutionOutcome::Cancelled => IterationStatus::Cancelled,
-            ExecutionOutcome::Quiescent | ExecutionOutcome::MaxStepsReached => {
-                IterationStatus::Completed
-            }
-        };
-        let steps = runtime.steps() as u64;
-        let pruned = runtime.pruned_equivalents();
-        let races = runtime.races_detected();
-        let backtracks = runtime.backtracks_scheduled();
-        // Hand the runtime back for the next iteration. (After a bug the
-        // recorded trace went into the outcome and the runtime carries an
-        // empty replacement — pooling it is still correct, just cheaper.)
-        pool.runtime = Some(runtime);
-        IterationOutcome {
-            iteration,
-            seed,
-            strategy,
-            portfolio_entry,
-            steps,
-            pruned,
-            races,
-            backtracks,
-            status,
-        }
-    }
-}
-
-/// Worker-local execution state threaded through consecutive iterations:
-/// the pooled [`Runtime`] ([`Runtime::reset`] keeps its grown storage) and,
-/// under [`TestConfig::prefix_sharing`], the cached post-setup
-/// [`RuntimeSnapshot`] iterations fork from (or the memo that snapshotting
-/// failed, so the fallback is decided once, not per iteration).
-struct IterationPool {
-    runtime: Option<Runtime>,
-    snapshot: Option<RuntimeSnapshot>,
-    snapshot_failed: bool,
-}
-
-impl IterationPool {
-    fn new() -> Self {
-        IterationPool {
-            runtime: None,
-            snapshot: None,
-            snapshot_failed: false,
-        }
-    }
-}
-
-/// How one iteration of the exploration space ended.
-#[derive(Debug)]
-pub enum IterationStatus {
-    /// The execution ran to quiescence or its step bound without a violation.
-    Completed,
-    /// The parallel engine cancelled the execution mid-flight (a lower
-    /// iteration already holds a bug); its partial step count still tallies.
-    Cancelled,
-    /// The execution violated a property. The trace is boxed so the common
-    /// `Completed` outcome stays a few machine words.
-    BugFound {
-        /// The violation.
-        bug: Bug,
-        /// Number of nondeterministic choices in the buggy execution.
-        ndc: usize,
-        /// The replayable trace of the buggy execution.
-        trace: Box<Trace>,
-    },
-}
-
-/// The classified result of [`TestConfig::run_iteration`]: which iteration
-/// ran, with which seed and strategy, how many steps it took and how it
-/// ended.
-#[derive(Debug)]
-pub struct IterationOutcome {
-    /// The iteration index.
-    pub iteration: u64,
-    /// The seed that drove the execution
-    /// ([`TestConfig::seed_for_iteration`]).
-    pub seed: u64,
-    /// The strategy that drove the execution
-    /// ([`TestConfig::strategy_for_iteration`]).
-    pub strategy: SchedulerKind,
-    /// The portfolio index the strategy came from
-    /// ([`TestConfig::portfolio_index_for_iteration`]), `None` without a
-    /// portfolio — carried so attribution never re-derives the selection
-    /// hash.
-    pub portfolio_entry: Option<usize>,
-    /// Machine steps the execution performed (partial for cancelled ones).
-    pub steps: u64,
-    /// Schedule-equivalents the iteration's scheduler pruned
-    /// ([`Scheduler::pruned_equivalents`](crate::scheduler::Scheduler::pruned_equivalents));
-    /// zero for non-reducing strategies.
-    pub pruned: u64,
-    /// Racing step pairs the iteration's scheduler detected
-    /// ([`Scheduler::races_detected`](crate::scheduler::Scheduler::races_detected));
-    /// zero for strategies without vector-clock tracking.
-    pub races: u64,
-    /// Scheduling points the iteration's scheduler resolved from a DPOR
-    /// backtrack
-    /// ([`Scheduler::backtracks_scheduled`](crate::scheduler::Scheduler::backtracks_scheduled)).
-    pub backtracks: u64,
-    /// How the execution ended.
-    pub status: IterationStatus,
 }
 
 /// The first property violation found by a testing run, together with
@@ -584,7 +397,9 @@ pub struct BugReport {
     /// The replayable trace of the buggy execution, as originally recorded
     /// (see [`BugReport::original`]).
     pub trace: Trace,
-    /// Time elapsed from the start of the run until the bug was found.
+    /// Time elapsed from the start of the run until the buggy execution was
+    /// found: the clock stops at discovery, before the winner is rehydrated
+    /// and shrunk (that tail is part of [`TestReport::elapsed`] only).
     pub time_to_bug: Duration,
     /// The schedule-shrinking result, when the run was configured with
     /// [`TestConfig::with_shrink`]: reduction statistics plus the minimized,
@@ -616,13 +431,17 @@ pub struct TestReport {
     /// The first violation found, if any.
     pub bug: Option<BugReport>,
     /// Number of executions explored to completion (including the buggy
-    /// one); executions cancelled mid-flight by the parallel engine are not
-    /// counted.
+    /// one); executions cancelled mid-flight by another worker's lower bug
+    /// are not counted.
     pub iterations_run: u64,
     /// Total machine steps executed, including the partial work of
-    /// executions the parallel engine cancelled mid-flight.
+    /// executions cancelled mid-flight and the forced steps a prefix tree
+    /// spent growing its frontier.
     pub total_steps: u64,
-    /// Wall-clock time of the whole run.
+    /// Wall-clock time of the whole `run()` call, on every engine: the
+    /// exploration plus, when a bug was found, rehydrating its annotated
+    /// schedule and the shrink pass. [`BugReport::time_to_bug`] is the part
+    /// up to discovery.
     pub elapsed: Duration,
     /// Label of the scheduler that drove the run. For a portfolio run this is
     /// the strategy that found the bug, or `"portfolio"` when no bug was
@@ -686,7 +505,10 @@ impl TestReport {
     }
 }
 
-/// Systematically tests a harness by exploring many executions.
+/// The serial face of the explorer: systematically tests a harness by
+/// exploring many executions inline on the calling thread — no worker is
+/// spawned, so `setup` need not be `Send` or `Sync`
+/// ([`TestConfig::workers`] is ignored).
 ///
 /// # Examples
 ///
@@ -731,70 +553,19 @@ impl TestEngine {
     /// Runs up to `iterations` executions of the harness built by `setup`,
     /// stopping at the first property violation.
     ///
-    /// The `setup` closure is invoked once per execution with a fresh
-    /// [`Runtime`]; it must create the machines and monitors of the test and
-    /// may send initial events.
+    /// The `setup` closure is invoked once per execution with an empty
+    /// [`Runtime`] (once per run under [`TestConfig::prefix_sharing`]); it
+    /// must create the machines and monitors of the test and may send
+    /// initial events.
     pub fn run<F>(&self, setup: F) -> TestReport
     where
         F: Fn(&mut Runtime),
     {
-        let start = Instant::now();
-        let config = &self.config;
-        let mut tally = StrategyTally::new(config);
-        let mut total_steps: u64 = 0;
-        // The runtime (and, under prefix sharing, the post-setup snapshot)
-        // pooled from one iteration to the next ([`Runtime::reset`] /
-        // [`Runtime::restore_from`]): machines, mailboxes, name table and
-        // trace keep their grown storage across the whole run.
-        let mut pool = IterationPool::new();
-        for iteration in 0..config.iterations {
-            let outcome = config.run_iteration_seeded(
-                iteration,
-                config.seed_for_iteration(iteration),
-                None,
-                &setup,
-                &mut pool,
-            );
-            total_steps += outcome.steps;
-            let row = tally.row_mut(outcome.portfolio_entry);
-            row.total_steps += outcome.steps;
-            row.pruned_schedules += outcome.pruned;
-            row.races_detected += outcome.races;
-            row.backtracks_scheduled += outcome.backtracks;
-            row.iterations_run += 1;
-            if let IterationStatus::BugFound { bug, ndc, trace } = outcome.status {
-                row.bugs_found += 1;
-                let elapsed = start.elapsed();
-                let mut report = BugReport {
-                    bug,
-                    iteration,
-                    ndc,
-                    trace: *trace,
-                    time_to_bug: elapsed,
-                    shrink: None,
-                };
-                config.rehydrate_report(&mut report, &setup);
-                config.attach_shrink(&mut report, &setup);
-                return TestReport {
-                    bug: Some(report),
-                    iterations_run: iteration + 1,
-                    total_steps,
-                    elapsed,
-                    scheduler: outcome.strategy.label(),
-                    workers: 1,
-                    per_strategy: tally.rows,
-                };
-            }
-        }
-        TestReport {
-            bug: None,
-            iterations_run: config.iterations,
-            total_steps,
-            elapsed: start.elapsed(),
-            scheduler: no_bug_label(config),
-            workers: 1,
-            per_strategy: tally.rows,
-        }
+        let explorer = Explorer::new(&self.config, &setup, 1, 1);
+        let mut pooled = None;
+        let leaves = explorer.root_frontier(false, &mut pooled);
+        let tally = explorer.drain(Start::over(&leaves), &mut pooled);
+        explorer.finish(vec![tally], 0)
     }
 
     /// Replays a previously recorded trace against the harness built by
@@ -819,8 +590,8 @@ impl TestEngine {
 /// Per-strategy attribution rows in *canonical order* — one row per distinct
 /// portfolio strategy in portfolio order ([`SchedulerKind::describe`] keys
 /// the rows, so differently-parameterized PCT entries stay separate), or a
-/// single row for the base scheduler. Both engines and every worker build
-/// the same skeleton, so rows merge index-wise and
+/// single row for the base scheduler. Every worker builds the same
+/// skeleton, so rows merge index-wise and
 /// [`TestReport::per_strategy`] comes out identical at any worker count.
 struct StrategyTally {
     rows: Vec<StrategyStats>,
@@ -853,7 +624,7 @@ impl StrategyTally {
     }
 
     /// The attribution row of the portfolio entry an iteration ran
-    /// ([`IterationOutcome::portfolio_entry`]).
+    /// ([`TestConfig::portfolio_index_for_iteration`]).
     fn row_mut(&mut self, portfolio_entry: Option<usize>) -> &mut StrategyStats {
         let row = match portfolio_entry {
             Some(entry) => self.row_of_entry[entry],
@@ -893,35 +664,393 @@ struct FirstBug {
 /// balances across workers instead of sitting in one worker's last chunk.
 ///
 /// The divisor keeps ~8 future claims per worker outstanding — with pooled
-/// runtimes a chunk claim costs one atomic RMW plus a batched seed
-/// derivation, so smaller chunks (better tail balance, tighter reaction to a
-/// published bug bound) are cheap — and the cap bounds how much work the
-/// last pre-tail claim can hoard.
+/// runtimes a chunk claim costs one atomic RMW, so smaller chunks (better
+/// tail balance, tighter reaction to a published bug bound) are cheap — and
+/// the cap bounds how much work the last pre-tail claim can hoard.
 fn chunk_size(remaining: u64, workers: u64) -> u64 {
     (remaining / (workers * 8)).clamp(1, 32)
 }
 
-/// Parallel portfolio testing engine with a work-stealing iteration queue.
+/// Claims the next chunk of `0..total` from the shared counter `next`, or
+/// `None` when nothing claimable remains below `bound` (the published bug
+/// bound for the iteration space, `total` itself otherwise).
+fn claim_chunk(next: &AtomicU64, bound: u64, total: u64, workers: u64) -> Option<Range<u64>> {
+    let claimed = next.load(Ordering::Relaxed);
+    if claimed >= bound {
+        return None;
+    }
+    let chunk = chunk_size(bound - claimed, workers);
+    let start = next.fetch_add(chunk, Ordering::Relaxed);
+    (start < total).then(|| start..(start + chunk).min(total))
+}
+
+/// Runs `work` once per pooled-runtime slot and collects the results: inline
+/// on the calling thread for a single slot, on one scoped thread per slot
+/// otherwise.
+fn on_workers<T: Send>(
+    pool: &mut [Option<Runtime>],
+    work: impl Fn(&mut Option<Runtime>) -> T + Sync,
+) -> Vec<T> {
+    if let [only] = pool {
+        return vec![work(only)];
+    }
+    std::thread::scope(|scope| {
+        let work = &work;
+        let handles: Vec<_> = pool
+            .iter_mut()
+            .map(|pooled| scope.spawn(move || work(pooled)))
+            .collect();
+        handles
+            .into_iter()
+            .map(|handle| handle.join().expect("worker thread panicked"))
+            .collect()
+    })
+}
+
+/// One start state of the frontier: the snapshot iterations fork from, keyed
+/// by the path of forced decisions that reached it (empty for the post-setup
+/// root).
+type Leaf = (Vec<u64>, Arc<RuntimeSnapshot>);
+
+/// Where an iteration's execution starts — the only difference between a
+/// flat run and the suffix phase of a prefix tree.
+#[derive(Clone, Copy)]
+enum Start<'a> {
+    /// From an empty runtime: [`Runtime::reset`], then the harness `setup`.
+    Setup,
+    /// From a snapshot: iteration `i` restores leaf `i % leaves.len()`
+    /// ([`Runtime::restore_from`]) and runs only the suffix.
+    Leaves(&'a [Leaf]),
+}
+
+impl<'a> Start<'a> {
+    /// Forks from `leaves`; an empty frontier (the harness is not
+    /// snapshotable, or sharing is off) means every iteration runs `setup`.
+    fn over(leaves: &'a [Leaf]) -> Self {
+        if leaves.is_empty() {
+            Start::Setup
+        } else {
+            Start::Leaves(leaves)
+        }
+    }
+}
+
+/// The one exploration loop behind [`TestEngine`], [`ParallelTestEngine`]
+/// and [`PrefixForkEngine`]: the state the workers of a run share. A face
+/// builds the frontier ([`Explorer::root_frontier`], [`Explorer::expand`]),
+/// has every worker [`Explorer::drain`] the iteration space over it, and
+/// assembles the report with [`Explorer::finish`].
+struct Explorer<'a, F> {
+    config: &'a TestConfig,
+    setup: &'a F,
+    started: Instant,
+    /// Logical workers, as reported in [`TestReport::workers`].
+    workers: usize,
+    /// OS threads draining the iteration space (sizes the chunks).
+    threads: u64,
+    /// Work-stealing queue: the next unclaimed iteration index.
+    next: AtomicU64,
+    /// Lowest iteration index known to contain a bug. Doubles as the
+    /// step-level cancellation bound polled inside every runtime's step loop
+    /// via a [`CancelToken`].
+    bug_bound: Arc<AtomicU64>,
+    first_bug: Mutex<Option<FirstBug>>,
+}
+
+impl<'a, F: Fn(&mut Runtime)> Explorer<'a, F> {
+    fn new(config: &'a TestConfig, setup: &'a F, workers: usize, threads: usize) -> Self {
+        Explorer {
+            config,
+            setup,
+            started: Instant::now(),
+            workers,
+            threads: threads as u64,
+            next: AtomicU64::new(0),
+            bug_bound: Arc::new(AtomicU64::new(u64::MAX)),
+            first_bug: Mutex::new(None),
+        }
+    }
+
+    /// The depth-0 frontier. When `share` or [`TestConfig::prefix_sharing`]
+    /// asks for it, runs `setup` once and snapshots the post-setup state as
+    /// the root; the warm runtime becomes the first worker's pooled runtime,
+    /// so its first `restore_from` is the O(dirty) path with nothing dirty.
+    /// The frontier stays empty when sharing is off or the harness state is
+    /// not snapshotable: every iteration then runs `setup` itself.
+    fn root_frontier(&self, share: bool, pooled: &mut Option<Runtime>) -> Vec<Leaf> {
+        if !(share || self.config.prefix_sharing) {
+            return Vec::new();
+        }
+        let runtime = pooled.insert(self.config.blank_runtime());
+        (self.setup)(runtime);
+        let root = runtime.snapshot();
+        root.map(|root| (Vec::new(), Arc::new(root)))
+            .into_iter()
+            .collect()
+    }
+
+    /// One worker's loop: claims chunks of the iteration space until none
+    /// remain below the bug bound, runs each claimed iteration from `start`
+    /// in the pooled runtime — machines, mailboxes, name table, trace and the
+    /// enabled/fault buffers all keep their grown storage across iterations —
+    /// and tallies it into worker-local rows.
+    fn drain(&self, start: Start<'_>, pooled: &mut Option<Runtime>) -> StrategyTally {
+        let config = self.config;
+        let total = config.iterations;
+        let mixed_seed = mix64(config.seed);
+        let mut tally = StrategyTally::new(config);
+        // Work remains only below the bug bound: once a bug at iteration `k`
+        // is published, iterations `>= k` can no longer win.
+        while let Some(chunk) = claim_chunk(
+            &self.next,
+            self.bug_bound.load(Ordering::Relaxed).min(total),
+            total,
+            self.threads,
+        ) {
+            for iteration in chunk {
+                if iteration >= self.bug_bound.load(Ordering::Relaxed) {
+                    // Doomed: a lower iteration already has a bug.
+                    continue;
+                }
+                let seed = TestConfig::derive_seed(mixed_seed, iteration);
+                let portfolio_entry = config.portfolio_index_for_iteration(iteration);
+                let strategy = match portfolio_entry {
+                    Some(entry) => {
+                        config.portfolio.as_ref().expect("entry implies portfolio")[entry]
+                    }
+                    None => config.scheduler,
+                };
+                let scheduler = strategy.build(seed, config.max_steps);
+                let mut runtime = match (start, pooled.take()) {
+                    (Start::Setup, None) => Runtime::new(scheduler, config.runtime_config(), seed),
+                    (Start::Setup, Some(mut runtime)) => {
+                        runtime.reset(scheduler, config.runtime_config(), seed);
+                        runtime
+                    }
+                    (Start::Leaves(leaves), pooled) => {
+                        let mut runtime = pooled.unwrap_or_else(|| config.blank_runtime());
+                        runtime.restore_from(&leaves[(iteration % leaves.len() as u64) as usize].1);
+                        runtime.set_scheduler(scheduler);
+                        runtime.reseed(seed);
+                        runtime
+                    }
+                };
+                if let Start::Setup = start {
+                    (self.setup)(&mut runtime);
+                }
+                runtime.set_cancel_token(CancelToken::new(Arc::clone(&self.bug_bound), iteration));
+                // Zero after `setup`, the prefix's steps after a restore.
+                let steps_before = runtime.steps();
+                let outcome = runtime.run();
+                let row = tally.row_mut(portfolio_entry);
+                row.total_steps += (runtime.steps() - steps_before) as u64;
+                row.pruned_schedules += runtime.pruned_equivalents();
+                row.races_detected += runtime.races_detected();
+                row.backtracks_scheduled += runtime.backtracks_scheduled();
+                match outcome {
+                    // The partial work stays in the step total, but the
+                    // iteration did not complete.
+                    ExecutionOutcome::Cancelled => {}
+                    ExecutionOutcome::Quiescent | ExecutionOutcome::MaxStepsReached => {
+                        row.iterations_run += 1;
+                    }
+                    ExecutionOutcome::BugFound(bug) => {
+                        self.record_bug(&mut tally, iteration, bug, runtime.take_trace());
+                    }
+                }
+                *pooled = Some(runtime);
+            }
+        }
+        tally
+    }
+
+    /// Tallies a buggy `iteration` and installs it as the run's winner unless
+    /// a lower iteration already holds the slot.
+    fn record_bug(&self, tally: &mut StrategyTally, iteration: u64, bug: Bug, trace: Trace) {
+        let config = self.config;
+        let row = tally.row_mut(config.portfolio_index_for_iteration(iteration));
+        row.iterations_run += 1;
+        row.bugs_found += 1;
+        // Publish the bound first so other workers stop wasting steps on
+        // higher iterations immediately. The previous bound decides whether
+        // the mutex is worth touching at all: a bound already at (or below)
+        // this iteration means a lower iteration owns — or will own — the
+        // slot, so the candidate is dropped without ever taking the lock.
+        if self.bug_bound.fetch_min(iteration, Ordering::Relaxed) <= iteration {
+            return;
+        }
+        let mut slot = self.first_bug.lock().expect("bug slot lock poisoned");
+        // Re-checked under the lock: two workers can both improve the bound
+        // before either installs.
+        if slot.as_ref().is_none_or(|f| iteration < f.report.iteration) {
+            *slot = Some(FirstBug {
+                report: BugReport {
+                    bug,
+                    iteration,
+                    ndc: trace.decision_count(),
+                    trace,
+                    time_to_bug: self.started.elapsed(),
+                    shrink: None,
+                },
+                scheduler: config.strategy_for_iteration(iteration).label(),
+            });
+        }
+    }
+
+    /// Merges the workers' tallies, then rehydrates and shrinks the winner —
+    /// serially, over the deterministic lowest-iteration bug, so the reported
+    /// trace and minimized counterexample are identical at any worker count.
+    /// `expansion_steps` are the forced steps a prefix tree spent growing the
+    /// frontier; they count toward [`TestReport::total_steps`] only.
+    fn finish(self, tallies: Vec<StrategyTally>, expansion_steps: u64) -> TestReport {
+        let config = self.config;
+        let mut merged = StrategyTally::new(config);
+        for tally in tallies {
+            merged.merge(tally);
+        }
+        let winner = self.first_bug.into_inner().expect("bug slot lock poisoned");
+        let scheduler = match &winner {
+            Some(first) => first.scheduler,
+            None => no_bug_label(config),
+        };
+        let bug = winner.map(|first| {
+            let mut report = first.report;
+            config.rehydrate_report(&mut report, self.setup);
+            config.attach_shrink(&mut report, self.setup);
+            report
+        });
+        TestReport {
+            bug,
+            iterations_run: merged.rows.iter().map(|row| row.iterations_run).sum(),
+            total_steps: expansion_steps
+                + merged.rows.iter().map(|row| row.total_steps).sum::<u64>(),
+            elapsed: self.started.elapsed(),
+            scheduler,
+            workers: self.workers,
+            per_strategy: merged.rows,
+        }
+    }
+}
+
+impl<F: Fn(&mut Runtime) + Send + Sync> Explorer<'_, F> {
+    /// The run of the two threaded faces: [`ParallelTestEngine`] (`depth`
+    /// `None`) and [`PrefixForkEngine`] (`Some(depth)`, which always shares
+    /// the root and grows it `depth` levels).
+    fn run(config: &TestConfig, depth: Option<usize>, setup: &F) -> TestReport {
+        let workers = config.workers.max(1);
+        // Results are worker-count-independent by construction, so `workers`
+        // logical workers may run on fewer OS threads: more threads than the
+        // host has cores only add time-slicing churn. The report still says
+        // `workers`.
+        let threads = workers.min(
+            std::thread::available_parallelism()
+                .map(|cores| cores.get())
+                .unwrap_or(workers),
+        );
+        let explorer = Explorer::new(config, setup, workers, threads);
+        let mut pool: Vec<Option<Runtime>> = (0..threads).map(|_| None).collect();
+        let mut leaves = explorer.root_frontier(depth.is_some(), &mut pool[0]);
+        let mut tallies = Vec::new();
+        let mut expansion_steps = 0;
+        // Only a snapshotable root can grow; depth 0 is the root itself.
+        if let (Some(depth @ 1..), [(_, root)]) = (depth, &leaves[..]) {
+            let tree = explorer.expand(Arc::clone(root), depth, &mut pool);
+            (leaves, expansion_steps) = (tree.leaves, tree.steps);
+            tallies.push(tree.tally);
+        }
+        tallies.extend(on_workers(&mut pool, |pooled| {
+            explorer.drain(Start::over(&leaves), pooled)
+        }));
+        explorer.finish(tallies, expansion_steps)
+    }
+
+    /// Grows the root into a prefix tree `depth` levels deep, one level per
+    /// barrier: workers claim the level's nodes chunk-wise and fork each
+    /// claimed node's copy-on-write snapshot into their pooled runtime
+    /// ([`expand_node`]), so expansion parallelizes without any shared
+    /// mutable machine state; the children they collect are the next level.
+    fn expand(
+        &self,
+        root: Arc<RuntimeSnapshot>,
+        depth: usize,
+        pool: &mut [Option<Runtime>],
+    ) -> PrefixTree {
+        let mut grown = ExpandOut::default();
+        grown.children.push(PrefixNode {
+            snapshot: Arc::clone(&root),
+            path: Vec::new(),
+            sleep: Vec::new(),
+            depth,
+        });
+        while !grown.children.is_empty() {
+            let level = std::mem::take(&mut grown.children);
+            let width = level.len() as u64;
+            let crew = &mut pool[..self.threads.min(width) as usize];
+            let threads = crew.len() as u64;
+            let next = AtomicU64::new(0);
+            let outs = on_workers(crew, |pooled| {
+                let runtime = pooled.get_or_insert_with(|| self.config.blank_runtime());
+                let mut out = ExpandOut::default();
+                while let Some(chunk) = claim_chunk(&next, width, width, threads) {
+                    for index in chunk {
+                        expand_node(runtime, &level[index as usize], &mut out);
+                    }
+                }
+                out
+            });
+            for out in outs {
+                grown.absorb(out);
+            }
+        }
+        let mut tally = StrategyTally::new(self.config);
+        tally.rows[0].pruned_schedules += grown.pruned;
+        if let Some(found) = grown.bug {
+            // A shared prefix itself violates a property: every iteration
+            // assigned below the buggy branch would hit it, so it enters the
+            // first-bug rule as iteration 0 and nothing is left to drain.
+            self.record_bug(&mut tally, 0, found.bug, found.trace);
+        }
+        // Canonical leaf order: the tree is a pure function of the config,
+        // but discovery order depends on which worker expanded what. Sorting
+        // by decision-path key makes the iteration→leaf assignment identical
+        // at any worker count.
+        grown.leaves.sort_by(|a, b| a.0.cmp(&b.0));
+        if grown.leaves.is_empty() {
+            // Degenerate: every branch vanished into a sleep set. Suffix the
+            // root itself.
+            grown.leaves.push((Vec::new(), root));
+        }
+        PrefixTree {
+            leaves: grown.leaves,
+            steps: grown.steps,
+            tally,
+        }
+    }
+}
+
+/// The parallel face of the explorer: drains the iteration space on
+/// [`TestConfig::workers`] threads, optionally mixing a portfolio of
+/// scheduling strategies (the parallel testing mode popularized by
+/// P#/Coyote).
 ///
-/// Workers claim adaptively sized chunks of the iteration space of a
-/// [`TestConfig`] from a shared atomic counter: a fast worker that drains a
-/// cheap stretch of the space simply claims the next chunk, so skewed
-/// harnesses (where some seeds run 100× longer than others) no longer starve
-/// `W - 1` workers the way fixed striping did. Every iteration keeps the seed
-/// [`TestConfig::seed_for_iteration`] assigns it — a single-worker parallel
-/// run explores the identical sequence of executions as the serial
-/// [`TestEngine`], and an `N`-worker run explores the identical *set* of
-/// (iteration, seed) pairs, just faster.
+/// Workers claim adaptively sized chunks of the iteration space from a shared
+/// atomic counter: a fast worker that drains a cheap stretch of the space
+/// simply claims the next chunk, so skewed harnesses (where some seeds run
+/// 100× longer than others) do not starve `W - 1` workers the way fixed
+/// striping would. Every iteration keeps the seed
+/// [`TestConfig::seed_for_iteration`] assigns it — a single-worker run (which
+/// spawns no thread at all) explores the identical sequence of executions as
+/// the serial [`TestEngine`], and an `N`-worker run explores the identical
+/// *set* of (iteration, seed) pairs, just faster.
 ///
-/// Each worker pools one [`Runtime`] across its iterations
-/// ([`Runtime::reset`]) and tallies statistics into worker-local
-/// [`StrategyStats`] rows merged once at the end, so the per-iteration hot
-/// path touches exactly two shared atomics (the work counter, amortized over
-/// a chunk, and the bug bound) and allocates nothing in the steady state.
-/// Because results are worker-count-independent by construction, the engine
-/// also caps the spawned OS threads at the host's available parallelism —
-/// requesting more workers than cores changes nothing about the report and
-/// no longer pays for time-sliced thread churn.
+/// Each worker pools one [`Runtime`] across its iterations and tallies
+/// statistics into worker-local [`StrategyStats`] rows merged once at the
+/// end, so the per-iteration hot path touches exactly two shared atomics (the
+/// work counter, amortized over a chunk, and the bug bound) and allocates
+/// nothing in the steady state. Because results are worker-count-independent
+/// by construction, the OS threads are capped at the host's available
+/// parallelism — requesting more workers than cores changes nothing about
+/// the report and does not pay for time-sliced thread churn.
 ///
 /// With [`TestConfig::with_portfolio`] the run additionally mixes scheduling
 /// strategies (portfolio testing): random, PCT with several priority-change
@@ -942,7 +1071,7 @@ fn chunk_size(remaining: u64, workers: u64) -> u64 {
 /// so a doomed execution stops within one machine step instead of running to
 /// its `max_steps` bound), and iterations below it always run to completion.
 /// The winning (iteration, seed, strategy, trace) tuple is therefore the same
-/// at any worker count — identical to what the serial engine reports — in
+/// at any worker count — identical to what the serial face reports — in
 /// portfolio mode exactly as in single-strategy mode.
 ///
 /// One caveat: determinism covers the *winning (iteration, seed, strategy,
@@ -1012,167 +1141,7 @@ impl ParallelTestEngine {
     where
         F: Fn(&mut Runtime) + Send + Sync,
     {
-        let workers = self.config.workers.max(1);
-        // Results are worker-count-independent by construction, so the
-        // engine is free to run `workers` logical workers on fewer OS
-        // threads: spawning more threads than the host has cores only adds
-        // time-slicing churn (the PR 5 dashboard measured an 8-worker run
-        // *below* serial on a small host for exactly this reason). The
-        // report still says `workers`.
-        let threads = workers.min(
-            std::thread::available_parallelism()
-                .map(|cores| cores.get())
-                .unwrap_or(workers),
-        );
-        let start = Instant::now();
-        // Work-stealing queue: the next unclaimed iteration index.
-        let next = AtomicU64::new(0);
-        // Lowest iteration index known to contain a bug. Doubles as the
-        // step-level cancellation bound polled inside every runtime's step
-        // loop via a [`CancelToken`].
-        let bug_bound = Arc::new(AtomicU64::new(u64::MAX));
-        let first_bug: Mutex<Option<FirstBug>> = Mutex::new(None);
-        let config = &self.config;
-        let total = config.iterations;
-
-        let tallies: Vec<StrategyTally> = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..threads)
-                .map(|_| {
-                    let setup = &setup;
-                    let next = &next;
-                    let first_bug = &first_bug;
-                    let bug_bound = Arc::clone(&bug_bound);
-                    scope.spawn(move || {
-                        let mut tally = StrategyTally::new(config);
-                        // Reused per-chunk seed buffer (batch derivation).
-                        let mut seeds: Vec<u64> = Vec::new();
-                        // The runtime (and post-setup snapshot, under prefix
-                        // sharing) pooled across this worker's iterations.
-                        let mut pool = IterationPool::new();
-                        loop {
-                            // Work remains only below the bug bound: once a
-                            // bug at iteration `k` is published, iterations
-                            // `>= k` can no longer win.
-                            let bound = bug_bound.load(Ordering::Relaxed).min(total);
-                            let claimed = next.load(Ordering::Relaxed);
-                            if claimed >= bound {
-                                break;
-                            }
-                            let chunk = chunk_size(bound - claimed, threads as u64);
-                            let chunk_start = next.fetch_add(chunk, Ordering::Relaxed);
-                            if chunk_start >= total {
-                                break;
-                            }
-                            let chunk_end = (chunk_start + chunk).min(total);
-                            config.seeds_for_chunk(chunk_start..chunk_end, &mut seeds);
-                            for (offset, iteration) in (chunk_start..chunk_end).enumerate() {
-                                if iteration >= bug_bound.load(Ordering::Relaxed) {
-                                    // Doomed: a lower iteration already has a
-                                    // bug. Skip without executing.
-                                    continue;
-                                }
-                                let outcome = config.run_iteration_seeded(
-                                    iteration,
-                                    seeds[offset],
-                                    Some(CancelToken::new(Arc::clone(&bug_bound), iteration)),
-                                    setup,
-                                    &mut pool,
-                                );
-                                let row = tally.row_mut(outcome.portfolio_entry);
-                                row.total_steps += outcome.steps;
-                                row.pruned_schedules += outcome.pruned;
-                                row.races_detected += outcome.races;
-                                row.backtracks_scheduled += outcome.backtracks;
-                                match outcome.status {
-                                    IterationStatus::Cancelled => {
-                                        // Keep the partial work in the step
-                                        // total, but the iteration did not
-                                        // complete.
-                                    }
-                                    IterationStatus::BugFound { bug, ndc, trace } => {
-                                        row.iterations_run += 1;
-                                        row.bugs_found += 1;
-                                        // Publish the bound first so other
-                                        // workers stop wasting steps on
-                                        // higher iterations immediately. The
-                                        // previous bound decides whether the
-                                        // mutex is worth touching at all: a
-                                        // bound already at (or below) this
-                                        // iteration means a lower iteration
-                                        // owns — or will own — the slot, so
-                                        // the candidate is dropped without
-                                        // ever taking the lock.
-                                        let previous =
-                                            bug_bound.fetch_min(iteration, Ordering::Relaxed);
-                                        if previous > iteration {
-                                            let mut slot =
-                                                first_bug.lock().expect("bug slot lock poisoned");
-                                            // Re-checked under the lock: two
-                                            // workers can both improve the
-                                            // bound before either installs.
-                                            let lower = slot
-                                                .as_ref()
-                                                .is_none_or(|f| iteration < f.report.iteration);
-                                            if lower {
-                                                *slot = Some(FirstBug {
-                                                    report: BugReport {
-                                                        bug,
-                                                        iteration,
-                                                        ndc,
-                                                        trace: *trace,
-                                                        time_to_bug: start.elapsed(),
-                                                        shrink: None,
-                                                    },
-                                                    scheduler: outcome.strategy.label(),
-                                                });
-                                            }
-                                        }
-                                    }
-                                    IterationStatus::Completed => {
-                                        row.iterations_run += 1;
-                                    }
-                                }
-                            }
-                        }
-                        tally
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|handle| handle.join().expect("worker thread panicked"))
-                .collect()
-        });
-
-        let mut merged = StrategyTally::new(config);
-        for tally in tallies {
-            merged.merge(tally);
-        }
-        let iterations_run = merged.rows.iter().map(|row| row.iterations_run).sum();
-        let total_steps = merged.rows.iter().map(|row| row.total_steps).sum();
-
-        let winner = first_bug.into_inner().expect("bug slot lock poisoned");
-        let scheduler = match &winner {
-            Some(first) => first.scheduler,
-            None => no_bug_label(config),
-        };
-        // Rehydration and shrinking run serially over the deterministic
-        // winner, so the reported trace and minimized counterexample are
-        // identical at any worker count.
-        let winner = winner.map(|mut first| {
-            config.rehydrate_report(&mut first.report, &setup);
-            config.attach_shrink(&mut first.report, &setup);
-            first
-        });
-        TestReport {
-            bug: winner.map(|first| first.report),
-            iterations_run,
-            total_steps,
-            elapsed: start.elapsed(),
-            scheduler,
-            workers,
-            per_strategy: merged.rows,
-        }
+        Explorer::run(&self.config, None, &setup)
     }
 }
 
@@ -1189,44 +1158,66 @@ struct PrefixNode {
     depth: usize,
 }
 
-/// The shared work queue of the parallel tree expansion: pending nodes plus
-/// the number of nodes currently being expanded by some worker. Expansion
-/// terminates when both hit zero — a worker holding a node may still push
-/// children, so an empty `nodes` list alone does not mean the tree is done.
-struct ExpandQueue {
-    nodes: Vec<PrefixNode>,
-    in_flight: usize,
-}
-
 /// A bug hit by a *forced prefix step* during tree expansion. Candidates
 /// race across workers; the lexicographically smallest path wins, so the
 /// reported bug is worker-count-independent.
 struct PrefixBug {
     path: Vec<u64>,
     bug: Bug,
-    ndc: usize,
     trace: Trace,
 }
 
-/// One expansion worker's private results, merged after the phase barrier.
+/// What expanding some nodes of the prefix tree produced: one worker's share
+/// of a level, or every level merged.
+#[derive(Default)]
 struct ExpandOut {
-    leaves: Vec<(Vec<u64>, Arc<RuntimeSnapshot>)>,
-    tree_pruned: u64,
+    leaves: Vec<Leaf>,
+    /// The next level's nodes.
+    children: Vec<PrefixNode>,
+    pruned: u64,
     steps: u64,
     bug: Option<PrefixBug>,
 }
 
-/// Parallel engine that organizes the iteration space as a **bounded-depth
-/// prefix tree** over snapshots, instead of running every execution from
-/// scratch.
+impl ExpandOut {
+    fn offer_bug(&mut self, candidate: PrefixBug) {
+        if self.bug.as_ref().is_none_or(|b| candidate.path < b.path) {
+            self.bug = Some(candidate);
+        }
+    }
+
+    fn absorb(&mut self, other: ExpandOut) {
+        self.leaves.extend(other.leaves);
+        self.children.extend(other.children);
+        self.pruned += other.pruned;
+        self.steps += other.steps;
+        if let Some(candidate) = other.bug {
+            self.offer_bug(candidate);
+        }
+    }
+}
+
+/// A grown prefix tree ([`Explorer::expand`]): the frontier in canonical
+/// order, the forced steps spent growing it, and the expansion's own tally
+/// (sibling orderings pruned; a prefix bug's row).
+struct PrefixTree {
+    leaves: Vec<Leaf>,
+    steps: u64,
+    tally: StrategyTally,
+}
+
+/// The prefix-tree face of the explorer: organizes the iteration space as a
+/// **bounded-depth prefix tree** over snapshots, instead of running every
+/// execution from scratch.
 ///
 /// The harness `setup` executes once; the resulting state is snapshotted as
-/// the tree's root. The engine then expands the tree `depth` levels deep
-/// across [`TestConfig::workers`] threads: pending nodes sit in a shared
-/// work-stealing queue, and each worker forks a claimed node's
-/// copy-on-write snapshot into its pooled runtime, executes one step of one
-/// enabled machine per branch (a forced, recorded schedule decision) and
-/// snapshots the result.
+/// the tree's root (at depth `0` that is the whole tree — the same code path
+/// as [`TestConfig::with_prefix_sharing`] on the flat faces). The engine then
+/// expands the tree `depth` levels deep across [`TestConfig::workers`]
+/// threads, level by level: each worker forks a claimed node's copy-on-write
+/// snapshot into its pooled runtime, executes one step of one enabled machine
+/// per branch (a forced, recorded schedule decision) and snapshots the
+/// result.
 ///
 /// Which siblings become branches is decided **DPOR-style** from the step
 /// footprints, not by blind enumeration of the enabled set. The first
@@ -1246,22 +1237,22 @@ struct ExpandOut {
 /// reaches a state equivalent to the already-explored `a·b`.
 ///
 /// The configured iterations are then distributed round-robin over the
-/// leaves (claimed chunk-wise from a second work-stealing queue); each
-/// iteration restores its leaf's snapshot, installs its own scheduler and
-/// seed ([`TestConfig::strategy_for_iteration`] /
+/// leaves by the same worker loop every face runs; each iteration restores
+/// its leaf's snapshot, installs its own scheduler and seed
+/// ([`TestConfig::strategy_for_iteration`] /
 /// [`TestConfig::seed_for_iteration`]) and runs only the suffix.
 ///
 /// Every recorded trace contains the forced prefix decisions, so bug traces
 /// replay (and shrink) from scratch exactly like straight-line recordings.
 /// The tree is a pure function of the [`TestConfig`] — node expansion
 /// depends only on the node — and leaves are sorted by their decision-path
-/// key at the phase barrier, so the leaf order, the iteration→leaf
+/// key before the suffix phase, so the leaf order, the iteration→leaf
 /// assignment and the whole report of a bug-free run are byte-identical at
 /// any worker count; runs that find a bug deterministically report the bug
-/// at the lowest iteration index (prefix bugs: the smallest decision path),
-/// exactly like [`ParallelTestEngine`]. When the harness state is not
-/// snapshotable the engine transparently falls back to the straight-line
-/// [`TestEngine`].
+/// at the lowest iteration index (a bug hit by a forced prefix step counts as
+/// iteration 0, the smallest decision path winning), exactly like
+/// [`ParallelTestEngine`]. When the harness state is not snapshotable the
+/// run is a flat [`ParallelTestEngine`] run.
 pub struct PrefixForkEngine {
     config: TestConfig,
     depth: usize,
@@ -1298,385 +1289,92 @@ impl PrefixForkEngine {
     where
         F: Fn(&mut Runtime) + Send + Sync,
     {
-        let start = Instant::now();
-        let config = &self.config;
-        let workers = config.workers.max(1);
-        // As in [`ParallelTestEngine`]: results are worker-count-independent
-        // by construction, so logical workers beyond the host's cores would
-        // only add time-slicing churn.
-        let threads = workers.min(
-            std::thread::available_parallelism()
-                .map(|cores| cores.get())
-                .unwrap_or(workers),
-        );
-        let mut runtime = Runtime::new(
-            config.scheduler.build(config.seed, config.max_steps),
-            config.runtime_config(),
-            config.seed,
-        );
-        setup(&mut runtime);
-        let Some(root) = runtime.snapshot() else {
-            // Not snapshotable: identical semantics, straight-line execution.
-            return TestEngine::new(config.clone()).run(setup);
-        };
-        drop(runtime);
-        let root = Arc::new(root);
-
-        // Phase 1: expand the tree across workers. The queue hands out
-        // pending nodes; a worker forks each claimed node's copy-on-write
-        // snapshot into its own pooled runtime, so expansion parallelizes
-        // without any shared mutable machine state.
-        let queue = Mutex::new(ExpandQueue {
-            nodes: vec![PrefixNode {
-                snapshot: Arc::clone(&root),
-                path: Vec::new(),
-                sleep: Vec::new(),
-                depth: self.depth,
-            }],
-            in_flight: 0,
-        });
-        let idle = Condvar::new();
-        let outs: Vec<ExpandOut> = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..threads)
-                .map(|_| {
-                    let queue = &queue;
-                    let idle = &idle;
-                    scope.spawn(move || {
-                        let mut out = ExpandOut {
-                            leaves: Vec::new(),
-                            tree_pruned: 0,
-                            steps: 0,
-                            bug: None,
-                        };
-                        let mut pooled: Option<Runtime> = None;
-                        loop {
-                            let node = {
-                                let mut q = queue.lock().expect("expansion queue poisoned");
-                                loop {
-                                    if let Some(node) = q.nodes.pop() {
-                                        q.in_flight += 1;
-                                        break node;
-                                    }
-                                    if q.in_flight == 0 {
-                                        // Nothing pending and nobody who
-                                        // could still push children.
-                                        return out;
-                                    }
-                                    q = idle.wait(q).expect("expansion queue poisoned");
-                                }
-                            };
-                            let runtime = pooled.get_or_insert_with(|| {
-                                Runtime::new(
-                                    config.scheduler.build(config.seed, config.max_steps),
-                                    config.runtime_config(),
-                                    config.seed,
-                                )
-                            });
-                            let children = Self::expand_node(runtime, node, &mut out);
-                            let mut q = queue.lock().expect("expansion queue poisoned");
-                            q.nodes.extend(children);
-                            q.in_flight -= 1;
-                            drop(q);
-                            // Wake everyone: pushed children mean work, and
-                            // the last decrement with an empty queue means
-                            // every waiter must exit.
-                            idle.notify_all();
-                        }
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|handle| handle.join().expect("expansion worker panicked"))
-                .collect()
-        });
-
-        let mut leaves: Vec<(Vec<u64>, Arc<RuntimeSnapshot>)> = Vec::new();
-        let mut tree_pruned: u64 = 0;
-        let mut expansion_steps: u64 = 0;
-        let mut prefix_bug: Option<PrefixBug> = None;
-        for out in outs {
-            leaves.extend(out.leaves);
-            tree_pruned += out.tree_pruned;
-            expansion_steps += out.steps;
-            if let Some(candidate) = out.bug {
-                if prefix_bug.as_ref().is_none_or(|b| candidate.path < b.path) {
-                    prefix_bug = Some(candidate);
-                }
-            }
-        }
-
-        let mut tally = StrategyTally::new(config);
-        if let Some(found) = prefix_bug {
-            // A shared prefix itself violates a property: every iteration
-            // assigned below the buggy branch would hit it, so report it as
-            // iteration 0.
-            let row = tally.row_mut(config.portfolio_index_for_iteration(0));
-            row.iterations_run += 1;
-            row.bugs_found += 1;
-            tally.rows[0].pruned_schedules += tree_pruned;
-            let mut report = BugReport {
-                bug: found.bug,
-                iteration: 0,
-                ndc: found.ndc,
-                trace: found.trace,
-                time_to_bug: start.elapsed(),
-                shrink: None,
-            };
-            config.rehydrate_report(&mut report, &setup);
-            config.attach_shrink(&mut report, &setup);
-            return TestReport {
-                bug: Some(report),
-                iterations_run: 1,
-                total_steps: expansion_steps,
-                elapsed: start.elapsed(),
-                scheduler: config.strategy_for_iteration(0).label(),
-                workers,
-                per_strategy: tally.rows,
-            };
-        }
-        // Canonical leaf order: the tree is a pure function of the config,
-        // but discovery order depends on which worker expanded what.
-        // Sorting by decision-path key makes the iteration→leaf assignment
-        // identical at any worker count.
-        leaves.sort_by(|a, b| a.0.cmp(&b.0));
-        if leaves.is_empty() {
-            // Degenerate: every branch vanished into a sleep set. Suffix the
-            // root itself.
-            leaves.push((Vec::new(), Arc::clone(&root)));
-        }
-
-        // Phase 2: distribute the iterations round-robin over the leaves,
-        // claimed chunk-wise from a work-stealing counter exactly like
-        // [`ParallelTestEngine::run`], with the same deterministic
-        // lowest-iteration first-bug selection and step-level cancellation.
-        let total = config.iterations;
-        let next = AtomicU64::new(0);
-        let bug_bound = Arc::new(AtomicU64::new(u64::MAX));
-        let first_bug: Mutex<Option<FirstBug>> = Mutex::new(None);
-        let leaves = &leaves;
-        let tallies: Vec<StrategyTally> = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..threads)
-                .map(|_| {
-                    let next = &next;
-                    let first_bug = &first_bug;
-                    let bug_bound = Arc::clone(&bug_bound);
-                    scope.spawn(move || {
-                        let mut tally = StrategyTally::new(config);
-                        let mut pooled: Option<Runtime> = None;
-                        loop {
-                            let bound = bug_bound.load(Ordering::Relaxed).min(total);
-                            let claimed = next.load(Ordering::Relaxed);
-                            if claimed >= bound {
-                                break;
-                            }
-                            let chunk = chunk_size(bound - claimed, threads as u64);
-                            let chunk_start = next.fetch_add(chunk, Ordering::Relaxed);
-                            if chunk_start >= total {
-                                break;
-                            }
-                            let chunk_end = (chunk_start + chunk).min(total);
-                            for iteration in chunk_start..chunk_end {
-                                if iteration >= bug_bound.load(Ordering::Relaxed) {
-                                    continue;
-                                }
-                                let seed = config.seed_for_iteration(iteration);
-                                let portfolio_entry =
-                                    config.portfolio_index_for_iteration(iteration);
-                                let strategy = config.strategy_for_iteration(iteration);
-                                let leaf = &leaves[(iteration % leaves.len() as u64) as usize].1;
-                                let runtime = pooled.get_or_insert_with(|| {
-                                    Runtime::new(
-                                        strategy.build(seed, config.max_steps),
-                                        config.runtime_config(),
-                                        seed,
-                                    )
-                                });
-                                runtime.restore_from(leaf);
-                                runtime.set_scheduler(strategy.build(seed, config.max_steps));
-                                runtime.reseed(seed);
-                                runtime.set_cancel_token(CancelToken::new(
-                                    Arc::clone(&bug_bound),
-                                    iteration,
-                                ));
-                                let prefix_steps = runtime.steps() as u64;
-                                let outcome = runtime.run();
-                                let suffix_steps = runtime.steps() as u64 - prefix_steps;
-                                let row = tally.row_mut(portfolio_entry);
-                                row.total_steps += suffix_steps;
-                                row.pruned_schedules += runtime.pruned_equivalents();
-                                row.races_detected += runtime.races_detected();
-                                row.backtracks_scheduled += runtime.backtracks_scheduled();
-                                match outcome {
-                                    ExecutionOutcome::Cancelled => {}
-                                    ExecutionOutcome::BugFound(bug) => {
-                                        row.iterations_run += 1;
-                                        row.bugs_found += 1;
-                                        let ndc = runtime.trace().decision_count();
-                                        let trace = runtime.take_trace();
-                                        let previous =
-                                            bug_bound.fetch_min(iteration, Ordering::Relaxed);
-                                        if previous > iteration {
-                                            let mut slot =
-                                                first_bug.lock().expect("bug slot lock poisoned");
-                                            let lower = slot
-                                                .as_ref()
-                                                .is_none_or(|f| iteration < f.report.iteration);
-                                            if lower {
-                                                *slot = Some(FirstBug {
-                                                    report: BugReport {
-                                                        bug,
-                                                        iteration,
-                                                        ndc,
-                                                        trace,
-                                                        time_to_bug: start.elapsed(),
-                                                        shrink: None,
-                                                    },
-                                                    scheduler: strategy.label(),
-                                                });
-                                            }
-                                        }
-                                    }
-                                    ExecutionOutcome::Quiescent
-                                    | ExecutionOutcome::MaxStepsReached => {
-                                        row.iterations_run += 1;
-                                    }
-                                }
-                            }
-                        }
-                        tally
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|handle| handle.join().expect("suffix worker panicked"))
-                .collect()
-        });
-        for worker_tally in tallies {
-            tally.merge(worker_tally);
-        }
-        tally.rows[0].pruned_schedules += tree_pruned;
-        let iterations_run = tally.rows.iter().map(|row| row.iterations_run).sum();
-        let total_steps =
-            expansion_steps + tally.rows.iter().map(|row| row.total_steps).sum::<u64>();
-
-        let winner = first_bug.into_inner().expect("bug slot lock poisoned");
-        let scheduler = match &winner {
-            Some(first) => first.scheduler,
-            None => no_bug_label(config),
-        };
-        let winner = winner.map(|mut first| {
-            config.rehydrate_report(&mut first.report, &setup);
-            config.attach_shrink(&mut first.report, &setup);
-            first
-        });
-        TestReport {
-            bug: winner.map(|first| first.report),
-            iterations_run,
-            total_steps,
-            elapsed: start.elapsed(),
-            scheduler,
-            workers,
-            per_strategy: tally.rows,
-        }
+        Explorer::run(&self.config, Some(self.depth), &setup)
     }
+}
 
-    /// Expands one node in a worker's pooled runtime: forces one step per
-    /// eligible enabled machine, returns children for branches that commit
-    /// to a genuinely different partial order, and turns the node into a
-    /// leaf at depth 0 (or when a branch's state can no longer be captured).
-    ///
-    /// Sibling selection is DPOR-style. The first non-sleeping branch always
-    /// expands; a later sibling expands only when its first step is
-    /// *dependent* with at least one already-expanded sibling's step — a
-    /// race, so the sibling is a backtrack point whose subtree reaches
-    /// states no explored ordering covers. A sibling whose step commutes
-    /// with every expanded sibling is pruned: executions starting with it
-    /// reach, state for state, configurations some expanded sibling's
-    /// subtree also reaches. Sleep sets carry the same commutation argument
-    /// down the tree exactly as before.
-    fn expand_node(
-        runtime: &mut Runtime,
-        node: PrefixNode,
-        out: &mut ExpandOut,
-    ) -> Vec<PrefixNode> {
+/// Expands one node in a worker's pooled runtime: forces one step per
+/// eligible enabled machine, collects children for branches that commit to a
+/// genuinely different partial order, and turns the node into a leaf at depth
+/// 0 (or when a branch's state can no longer be captured).
+///
+/// Sibling selection is DPOR-style. The first non-sleeping branch always
+/// expands; a later sibling expands only when its first step is *dependent*
+/// with at least one already-expanded sibling's step — a race, so the
+/// sibling is a backtrack point whose subtree reaches states no explored
+/// ordering covers. A sibling whose step commutes with every expanded
+/// sibling is pruned: executions starting with it reach, state for state,
+/// configurations some expanded sibling's subtree also reaches. Sleep sets
+/// carry the same commutation argument down the tree.
+fn expand_node(runtime: &mut Runtime, node: &PrefixNode, out: &mut ExpandOut) {
+    runtime.restore_from(&node.snapshot);
+    let enabled: Vec<MachineId> = runtime.enabled_machines().to_vec();
+    if node.depth == 0 || enabled.is_empty() {
+        out.leaves
+            .push((node.path.clone(), Arc::clone(&node.snapshot)));
+        return;
+    }
+    let mut explored: Vec<(MachineId, StepFootprint)> = Vec::new();
+    for &machine in &enabled {
+        if node.sleep.iter().any(|&(asleep, _)| asleep == machine) {
+            // An equivalent sibling ordering already covers this
+            // branch's entire subtree.
+            out.pruned += 1;
+            continue;
+        }
         runtime.restore_from(&node.snapshot);
-        let enabled: Vec<MachineId> = runtime.enabled_machines().to_vec();
-        if node.depth == 0 || enabled.is_empty() {
-            out.leaves.push((node.path, node.snapshot));
-            return Vec::new();
+        if !runtime.force_step(machine) {
+            continue;
         }
-        let mut children = Vec::new();
-        let mut explored: Vec<(MachineId, StepFootprint)> = Vec::new();
-        for &machine in &enabled {
-            if node.sleep.iter().any(|&(asleep, _)| asleep == machine) {
-                // An equivalent sibling ordering already covers this
-                // branch's entire subtree.
-                out.tree_pruned += 1;
-                continue;
-            }
-            runtime.restore_from(&node.snapshot);
-            if !runtime.force_step(machine) {
-                continue;
-            }
-            out.steps += 1;
-            if let Some(bug) = runtime.bug().cloned() {
-                // The forced prefix itself violates a property; the
-                // smallest decision path across all workers wins.
-                let mut path = node.path.clone();
-                path.push(machine.raw());
-                if out.bug.as_ref().is_none_or(|b| path < b.path) {
-                    out.bug = Some(PrefixBug {
-                        path,
-                        bug,
-                        ndc: runtime.trace().decision_count(),
-                        trace: runtime.take_trace(),
-                    });
-                }
-                continue;
-            }
-            let footprint = runtime.last_footprint().clone();
-            let backtrack_worthy = explored.is_empty()
-                || explored
-                    .iter()
-                    .any(|(_, other)| !other.independent(&footprint));
-            if !backtrack_worthy {
-                // Commutes with every expanded sibling: orderings starting
-                // here are explored inside their subtrees.
-                out.tree_pruned += 1;
-                continue;
-            }
-            let Some(child) = runtime.snapshot() else {
-                // The step enqueued a non-replicable event, so states below
-                // this branch cannot be captured. Keep the node itself as a
-                // leaf instead: its suffix executions still reach every
-                // child ordering through their schedulers.
-                out.leaves
-                    .push((node.path.clone(), Arc::clone(&node.snapshot)));
-                break;
-            };
-            // Sleep-set propagation: the child keeps every sleeping (or
-            // earlier-explored) machine whose step commutes with this
-            // branch's step; dependent ones wake.
-            let sleep = node
-                .sleep
-                .iter()
-                .chain(explored.iter())
-                .filter(|(_, other)| other.independent(&footprint))
-                .cloned()
-                .collect();
-            let mut path = node.path.clone();
-            path.push(machine.raw());
-            children.push(PrefixNode {
-                snapshot: Arc::new(child),
-                path,
-                sleep,
-                depth: node.depth - 1,
+        out.steps += 1;
+        let path = || [node.path.as_slice(), &[machine.raw()]].concat();
+        if let Some(bug) = runtime.bug().cloned() {
+            // The forced prefix itself violates a property; the
+            // smallest decision path across all workers wins.
+            out.offer_bug(PrefixBug {
+                path: path(),
+                bug,
+                trace: runtime.take_trace(),
             });
-            explored.push((machine, footprint));
+            continue;
         }
-        children
+        let footprint = runtime.last_footprint().clone();
+        let backtrack_worthy = explored.is_empty()
+            || explored
+                .iter()
+                .any(|(_, other)| !other.independent(&footprint));
+        if !backtrack_worthy {
+            // Commutes with every expanded sibling: orderings starting
+            // here are explored inside their subtrees.
+            out.pruned += 1;
+            continue;
+        }
+        let Some(child) = runtime.snapshot() else {
+            // The step enqueued a non-replicable event, so states below
+            // this branch cannot be captured. Keep the node itself as a
+            // leaf instead: its suffix executions still reach every
+            // child ordering through their schedulers.
+            out.leaves
+                .push((node.path.clone(), Arc::clone(&node.snapshot)));
+            break;
+        };
+        // Sleep-set propagation: the child keeps every sleeping (or
+        // earlier-explored) machine whose step commutes with this
+        // branch's step; dependent ones wake.
+        let sleep = node
+            .sleep
+            .iter()
+            .chain(explored.iter())
+            .filter(|(_, other)| other.independent(&footprint))
+            .cloned()
+            .collect();
+        out.children.push(PrefixNode {
+            snapshot: Arc::new(child),
+            path: path(),
+            sleep,
+            depth: node.depth - 1,
+        });
+        explored.push((machine, footprint));
     }
 }
 
@@ -1687,6 +1385,7 @@ mod tests {
     use crate::event::Event;
     use crate::machine::Machine;
     use crate::runtime::Context;
+    use crate::trace::Decision;
 
     /// Two writer machines race to update a shared flag machine. The flag
     /// starts `false` and asserts that it never observes a `SetFlag(false)`
@@ -1819,21 +1518,6 @@ mod tests {
     }
 
     #[test]
-    fn chunk_seed_derivation_matches_per_iteration_derivation() {
-        let config = TestConfig::new().with_seed(77);
-        let mut seeds = Vec::new();
-        config.seeds_for_chunk(13..57, &mut seeds);
-        assert_eq!(seeds.len(), 44);
-        for (offset, &seed) in seeds.iter().enumerate() {
-            assert_eq!(seed, config.seed_for_iteration(13 + offset as u64));
-        }
-        // The buffer is reusable: a second fill replaces the first.
-        config.seeds_for_chunk(0..3, &mut seeds);
-        assert_eq!(seeds.len(), 3);
-        assert_eq!(seeds[0], config.seed_for_iteration(0));
-    }
-
-    #[test]
     fn strategy_for_iteration_is_stable_and_covers_the_portfolio() {
         let config = TestConfig::new()
             .with_seed(5)
@@ -1915,38 +1599,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn run_iteration_classifies_completed_and_buggy_executions() {
-        let config = TestConfig::new().with_seed(1);
-        struct Quiet;
-        impl Machine for Quiet {
-            fn handle(&mut self, _ctx: &mut Context<'_>, _event: Event) {}
-        }
-        let outcome = config.run_iteration(7, None, &|rt: &mut Runtime| {
-            rt.create_machine(Quiet);
-        });
-        assert_eq!(outcome.iteration, 7);
-        assert_eq!(outcome.seed, config.seed_for_iteration(7));
-        assert!(matches!(outcome.status, IterationStatus::Completed));
-
-        // Find a buggy iteration of the racey harness and check the payload.
-        let mut bug_outcome = None;
-        for iteration in 0..500 {
-            let outcome = config.run_iteration(iteration, None, &racey_setup);
-            if matches!(outcome.status, IterationStatus::BugFound { .. }) {
-                bug_outcome = Some(outcome);
-                break;
-            }
-        }
-        let outcome = bug_outcome.expect("some iteration is buggy");
-        let IterationStatus::BugFound { bug, ndc, trace } = outcome.status else {
-            unreachable!()
-        };
-        assert_eq!(bug.kind, BugKind::SafetyViolation);
-        assert!(ndc > 0);
-        assert_eq!(trace.seed, outcome.seed);
-    }
-
     /// Clonable twin of the racey harness, used by the prefix-sharing tests
     /// (snapshots require `clone_state` on every machine).
     #[derive(Clone)]
@@ -2013,16 +1665,51 @@ mod tests {
         assert_eq!(a.trace.decisions, b.trace.decisions);
     }
 
+    /// Everything of a report that is deterministic at any worker count: the
+    /// winner, and on bug-free runs the counters and attribution rows too.
+    fn report_key(report: &TestReport) -> String {
+        match &report.bug {
+            Some(found) => format!(
+                "{} {} {:?} {:?} {:?}",
+                found.iteration,
+                report.scheduler,
+                found.trace.seed,
+                found.trace.decisions,
+                found.bug
+            ),
+            None => format!(
+                "{} {} {} {:?}",
+                report.iterations_run, report.total_steps, report.scheduler, report.per_strategy
+            ),
+        }
+    }
+
+    /// A bug-free harness whose machines keep the default `clone_state`
+    /// (None), so it is not snapshotable either.
+    fn quiet_setup(rt: &mut Runtime) {
+        struct Quiet;
+        impl Machine for Quiet {
+            fn handle(&mut self, _ctx: &mut Context<'_>, _event: Event) {}
+        }
+        rt.create_machine(Quiet);
+        rt.create_machine(Quiet);
+    }
+
     #[test]
     fn prefix_sharing_falls_back_for_non_snapshotable_harnesses() {
         // `racey_setup` machines keep the default `clone_state` (None).
         let base = TestConfig::new().with_iterations(300).with_seed(7);
-        let straight = TestEngine::new(base.clone()).run(racey_setup);
-        let shared = TestEngine::new(base.with_prefix_sharing(true)).run(racey_setup);
-        let a = straight.bug.as_ref().expect("bug");
-        let b = shared.bug.as_ref().expect("bug");
-        assert_eq!(a.iteration, b.iteration);
-        assert_eq!(a.trace.decisions, b.trace.decisions);
+        for setup in [racey_setup, quiet_setup] {
+            let straight = report_key(&TestEngine::new(base.clone()).run(setup));
+            let shared = base.clone().with_prefix_sharing(true);
+            assert_eq!(
+                report_key(&TestEngine::new(shared.clone()).run(setup)),
+                straight
+            );
+            let four_workers = ParallelTestEngine::new(shared.with_workers(4)).run(setup);
+            assert_eq!(report_key(&four_workers), straight);
+            assert_eq!(four_workers.workers, 4);
+        }
     }
 
     #[test]
@@ -2080,12 +1767,83 @@ mod tests {
     #[test]
     fn prefix_fork_falls_back_when_not_snapshotable() {
         let base = TestConfig::new().with_iterations(300).with_seed(7);
-        let straight = TestEngine::new(base.clone()).run(racey_setup);
-        let forked = PrefixForkEngine::new(base, 3).run(racey_setup);
-        let a = straight.bug.as_ref().expect("bug");
-        let b = forked.bug.as_ref().expect("bug");
-        assert_eq!(a.iteration, b.iteration);
-        assert_eq!(a.trace.decisions, b.trace.decisions);
+        for setup in [racey_setup, quiet_setup] {
+            let straight = report_key(&TestEngine::new(base.clone()).run(setup));
+            for workers in [1, 4] {
+                // The fallback is a flat run at the configured worker count.
+                let forked =
+                    PrefixForkEngine::new(base.clone().with_workers(workers), 3).run(setup);
+                assert_eq!(report_key(&forked), straight, "{workers} workers");
+                assert_eq!(forked.workers, workers);
+            }
+        }
+    }
+
+    #[test]
+    fn forced_prefix_step_bug_is_iteration_zero_at_any_worker_count() {
+        // Machines 1 and 3 violate a safety property in their very first
+        // step, so the tree hits the bug while *expanding*: under path [1] at
+        // level 1 and, below the quiet machine 0, under path [0, 1] at level
+        // 2. The smallest decision path wins, not the shallowest.
+        #[derive(Clone)]
+        struct Starter {
+            bomb: bool,
+        }
+        impl Machine for Starter {
+            fn on_start(&mut self, ctx: &mut Context<'_>) {
+                ctx.assert(!self.bomb, "exploded on start");
+            }
+            fn handle(&mut self, _ctx: &mut Context<'_>, _event: Event) {}
+            fn clone_state(&self) -> Option<Box<dyn Machine>> {
+                Some(Box::new(self.clone()))
+            }
+        }
+        fn setup(rt: &mut Runtime) {
+            for bomb in [false, true, false, true] {
+                rt.create_machine(Starter { bomb });
+            }
+        }
+        let single = TestConfig::new().with_iterations(50).with_seed(3);
+        // The portfolio run records decisions only, so its report also goes
+        // through the strict-replay rehydration.
+        for base in [single.clone(), single.with_default_portfolio()] {
+            let run =
+                |workers| PrefixForkEngine::new(base.clone().with_workers(workers), 2).run(setup);
+            let reference = run(1);
+            let found = reference
+                .bug
+                .as_ref()
+                .expect("the forced step hits the bug");
+            assert_eq!(found.iteration, 0);
+            assert_eq!(reference.iterations_run, 1);
+            assert_eq!(reference.scheduler, base.strategy_for_iteration(0).label());
+            let path: Vec<Decision> = [0, 1]
+                .map(|raw| Decision::Schedule(MachineId::from_raw(raw)))
+                .to_vec();
+            assert_eq!(found.trace.decisions, path);
+            assert_eq!(found.ndc, 2);
+
+            // The trace strict-replays from scratch to the same bug.
+            let mut replay = Runtime::new(
+                Box::new(ReplayScheduler::from_trace(&found.trace)),
+                base.runtime_config(),
+                found.trace.seed,
+            );
+            setup(&mut replay);
+            let ExecutionOutcome::BugFound(replayed) = replay.run() else {
+                panic!("the replay found no bug");
+            };
+            assert!(same_bug(&replayed, &found.bug));
+            assert!(replay.replay_error().is_none());
+
+            for workers in [2, 8] {
+                assert_eq!(
+                    report_key(&run(workers)),
+                    report_key(&reference),
+                    "{workers} workers"
+                );
+            }
+        }
     }
 
     #[test]

@@ -105,8 +105,7 @@ pub mod trace;
 /// Convenience re-exports of the types needed by almost every harness.
 pub mod prelude {
     pub use crate::engine::{
-        BugReport, IterationOutcome, IterationStatus, ParallelTestEngine, PrefixForkEngine,
-        TestConfig, TestEngine, TestReport,
+        BugReport, ParallelTestEngine, PrefixForkEngine, TestConfig, TestEngine, TestReport,
     };
     pub use crate::error::{Bug, BugKind};
     pub use crate::event::Event;

@@ -15,20 +15,32 @@
 //! trace vectors from scratch.
 //!
 //! These tests live alone in their integration-test binary (a global
-//! allocator is process-wide) and serialize their measurement windows on a
-//! mutex so libtest's default parallelism cannot cross-pollute the counter.
+//! allocator is process-wide). The counter is armed *per thread*, so only the
+//! measuring thread's allocations count — other test threads' warm-up and
+//! setup allocations never land in an open window — and the windows
+//! themselves serialize on a mutex because the counters are process-global.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
+use std::cell::Cell;
+use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::Mutex;
 
 use psharp::prelude::*;
 
-/// Counts every allocation (and growth `realloc`) while armed, and tracks
-/// the net live bytes plus their high-water mark.
+/// Counts every allocation (and growth `realloc`) the armed thread makes, and
+/// tracks the net live bytes plus their high-water mark.
 struct CountingAllocator;
 
-static ARMED: AtomicBool = AtomicBool::new(false);
+thread_local! {
+    /// Whether *this thread* is inside a measurement window. `const`
+    /// initialization and a destructor-free `Cell` keep the access free of
+    /// lazy registration, so reading it inside the allocator never allocates.
+    static ARMED: Cell<bool> = const { Cell::new(false) };
+}
+
+fn armed() -> bool {
+    ARMED.with(Cell::get)
+}
 static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
 static LIVE_BYTES: AtomicI64 = AtomicI64::new(0);
 static PEAK_BYTES: AtomicI64 = AtomicI64::new(0);
@@ -41,21 +53,21 @@ fn track_alloc(bytes: usize) {
 
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        if ARMED.load(Ordering::Relaxed) {
+        if armed() {
             track_alloc(layout.size());
         }
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        if ARMED.load(Ordering::Relaxed) {
+        if armed() {
             LIVE_BYTES.fetch_sub(layout.size() as i64, Ordering::Relaxed);
         }
         unsafe { System.dealloc(ptr, layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        if ARMED.load(Ordering::Relaxed) {
+        if armed() {
             track_alloc(new_size);
             LIVE_BYTES.fetch_sub(layout.size() as i64, Ordering::Relaxed);
         }
@@ -66,8 +78,8 @@ unsafe impl GlobalAlloc for CountingAllocator {
 #[global_allocator]
 static ALLOCATOR: CountingAllocator = CountingAllocator;
 
-/// Serializes measurement windows: the counter is process-global, so two
-/// tests measuring concurrently would count each other's allocations.
+/// Serializes measurement windows: the counters are process-global, so two
+/// armed threads would add into each other's totals.
 static MEASURE: Mutex<()> = Mutex::new(());
 
 /// One armed measurement window: allocation count, peak net-new live bytes,
@@ -77,9 +89,9 @@ fn measure<R>(body: impl FnOnce() -> R) -> (u64, u64, R) {
     ALLOCATIONS.store(0, Ordering::SeqCst);
     LIVE_BYTES.store(0, Ordering::SeqCst);
     PEAK_BYTES.store(0, Ordering::SeqCst);
-    ARMED.store(true, Ordering::SeqCst);
+    ARMED.with(|armed| armed.set(true));
     let result = body();
-    ARMED.store(false, Ordering::SeqCst);
+    ARMED.with(|armed| armed.set(false));
     (
         ALLOCATIONS.load(Ordering::SeqCst),
         PEAK_BYTES.load(Ordering::SeqCst).max(0) as u64,

@@ -110,8 +110,16 @@ fn shrinking_config() -> TestConfig {
 fn shrink_produces_a_smaller_replay_verified_counterexample() {
     let engine = TestEngine::new(shrinking_config());
     let report = engine.run(noisy_racey_setup);
+    let elapsed = report.elapsed;
     let bug_report = report.bug.expect("the racey bug is reachable");
     let shrink = bug_report.shrink.as_ref().expect("shrink ran");
+    // `time_to_bug` stops at discovery; `elapsed` covers the whole `run()`,
+    // shrink pass included.
+    assert!(
+        elapsed > bug_report.time_to_bug,
+        "elapsed {elapsed:?} must include the shrink pass after the bug at {:?}",
+        bug_report.time_to_bug
+    );
     assert_eq!(shrink.original_decisions, bug_report.ndc);
     assert!(
         shrink.improved(),
