@@ -268,6 +268,9 @@ pub struct Runtime {
     trace: Trace,
     bug: Option<Bug>,
     steps: usize,
+    /// Scheduler picks outside the enabled set that [`Runtime::run`]
+    /// replaced; see [`Runtime::corrected_picks`].
+    corrected_picks: u64,
     /// Incrementally maintained enabled-machine index: updated at every
     /// enablement edge, so the step loop never rescans the slots and
     /// membership checks are O(1). Storage is retained across
@@ -335,6 +338,7 @@ impl Runtime {
             trace,
             bug: None,
             steps: 0,
+            corrected_picks: 0,
             enabled: EnabledSet::new(),
             faults_remaining,
             fault_buf: Vec::new(),
@@ -420,6 +424,7 @@ impl Runtime {
         self.config = config;
         self.bug = None;
         self.steps = 0;
+        self.corrected_picks = 0;
         self.enabled.clear();
         self.fault_buf.clear();
         self.fault_targets.clear();
@@ -794,7 +799,9 @@ impl Runtime {
             } else {
                 // Defensive: a misbehaving scheduler must not wedge the run.
                 // O(1) membership via the index; the fallback is the lowest
-                // enabled id (the sorted list's head), deterministically.
+                // enabled id (the sorted list's head), deterministically —
+                // and counted, so the slip is visible.
+                self.corrected_picks += 1;
                 self.enabled.as_slice()[0]
             };
             self.trace.push_decision(Decision::Schedule(chosen));
@@ -1263,6 +1270,14 @@ impl Runtime {
         self.steps
     }
 
+    /// Number of scheduler picks so far that named a machine outside the
+    /// enabled set and were replaced by the lowest enabled id. Always 0 for a
+    /// correct [`Scheduler`]; anything else means the recorded schedule is
+    /// not the one the strategy intended.
+    pub fn corrected_picks(&self) -> u64 {
+        self.corrected_picks
+    }
+
     /// Number of machines created (including halted ones).
     pub fn machine_count(&self) -> usize {
         self.slots.len()
@@ -1485,6 +1500,7 @@ impl Runtime {
             config: self.config.clone(),
             trace: self.trace.clone(),
             steps: self.steps,
+            corrected_picks: self.corrected_picks,
             faults_remaining: self.faults_remaining,
             fault_targets: self.fault_targets.clone(),
             marked_crashable: self.marked_crashable,
@@ -1694,6 +1710,7 @@ impl Runtime {
         self.trace.clone_from(&snapshot.trace);
         self.bug = None;
         self.steps = snapshot.steps;
+        self.corrected_picks = snapshot.corrected_picks;
         self.faults_remaining = snapshot.faults_remaining;
         self.fault_buf.clear();
         self.marked_crashable = snapshot.marked_crashable;
@@ -1763,6 +1780,7 @@ pub struct RuntimeSnapshot {
     config: RuntimeConfig,
     trace: Trace,
     steps: usize,
+    corrected_picks: u64,
     faults_remaining: FaultPlan,
     fault_targets: Vec<u32>,
     marked_crashable: usize,
@@ -2470,6 +2488,57 @@ mod tests {
         replay.run();
         assert_eq!(replay.trace().decisions, forked.decisions);
         assert!(replay.replay_error().is_none());
+    }
+
+    #[test]
+    fn out_of_set_picks_are_corrected_and_counted() {
+        /// Answers every scheduling point with a machine that does not exist.
+        #[derive(Clone)]
+        struct Astray;
+        impl Scheduler for Astray {
+            fn name(&self) -> &'static str {
+                "astray"
+            }
+            fn next_machine(&mut self, _enabled: &[MachineId], _step: usize) -> MachineId {
+                MachineId::from_raw(999)
+            }
+            fn next_bool(&mut self) -> bool {
+                false
+            }
+            fn next_int(&mut self, _bound: usize) -> usize {
+                0
+            }
+            fn clone_box(&self) -> Option<Box<dyn Scheduler>> {
+                Some(Box::new(self.clone()))
+            }
+        }
+        let ping_pong = |rt: &mut Runtime| {
+            let responder = rt.create_machine(CloneResponder);
+            rt.create_machine(CloneRequester {
+                responder,
+                pongs: 0,
+            });
+        };
+
+        let mut rt = Runtime::new(Box::new(Astray), RuntimeConfig::default(), 0);
+        ping_pong(&mut rt);
+        assert_eq!(rt.run(), ExecutionOutcome::Quiescent, "the run terminates");
+        assert_eq!(rt.steps(), 8);
+        assert_eq!(rt.corrected_picks(), 8, "every pick was replaced");
+
+        // The count travels with a snapshot and restarts with a reset.
+        let snapshot = rt.snapshot().expect("clonable system snapshots");
+        rt.reset(
+            Box::new(RandomScheduler::new(5)),
+            RuntimeConfig::default(),
+            5,
+        );
+        assert_eq!(rt.corrected_picks(), 0);
+        ping_pong(&mut rt);
+        assert_eq!(rt.run(), ExecutionOutcome::Quiescent);
+        assert_eq!(rt.corrected_picks(), 0, "a correct scheduler needs none");
+        rt.restore_from(&snapshot);
+        assert_eq!(rt.corrected_picks(), 8);
     }
 
     #[test]

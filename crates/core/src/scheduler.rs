@@ -3,7 +3,7 @@
 //! During testing the runtime creates a *scheduling point* each time a
 //! nondeterministic choice has to be taken: which enabled machine executes
 //! next, and the value of every `random_bool` / `random_index` call. A
-//! [`Scheduler`] resolves those choices. Six strategies are provided:
+//! [`Scheduler`] resolves those choices. These strategies are provided:
 //!
 //! * [`RandomScheduler`] — uniformly random choices (the paper's "random
 //!   scheduler"), effective for most concurrency bugs.
@@ -26,10 +26,32 @@
 //!   [`StepFootprint`]), and machines whose last step provably commutes with
 //!   its neighbors are put to sleep so schedules that differ only in the
 //!   order of independent steps are explored once.
+//! * [`DporScheduler`] — the same sleep set plus vector-clock race detection,
+//!   backtrack points and a run-to-completion bias on local steps.
 //! * [`ReplayScheduler`] — replays a recorded [`Trace`] decision-for-decision
 //!   so a bug can be reproduced deterministically.
-
-use std::collections::HashMap;
+//!
+//! # Cost per pick
+//!
+//! The runtime asks for one pick per step, so a pick's cost multiplies into
+//! every execution. With *w* the enabled width (the length of the `enabled`
+//! slice, which is sorted by id), one `next_machine` + `note_footprint` pair
+//! costs:
+//!
+//! | strategy | what a pick scans | cost in *w* |
+//! |---|---|---|
+//! | `random` | nothing: one draw, one index | O(1) |
+//! | `round-robin` | binary search for the cursor | O(log *w*) |
+//! | `delay` | binary search for the current machine / its successor | O(log *w*) |
+//! | `prob` | binary search for the current machine | O(log *w*) |
+//! | `replay` | binary search for the recorded machine | O(log *w*) |
+//! | `pct` | one pass over `enabled` reading a dense priority table (one more per change point due); O(1) in the fair tail | O(*w*) |
+//! | `sleep-set` | two passes over `enabled` against the dense sleep table (collect the awake, age the passed-over); O(1) per send target in the footprint | O(*w*) |
+//! | `dpor` | a backtrack or sticky pick is one binary search plus the ageing pass, an ordinary pick is the sleep-set pick; clock and race work is bounded by constants | O(*w*) |
+//!
+//! No strategy is quadratic in *w* and none hashes per machine: per-machine
+//! state (the sleep set, PCT priorities) lives in tables indexed by
+//! [`MachineId::index`], and membership in `enabled` is a binary search.
 
 use crate::error::ReplayError;
 use crate::fault::{Fault, FaultGate};
@@ -139,7 +161,9 @@ pub trait Scheduler: Send + Sync {
 
     /// Picks which of the `enabled` machines executes the next step.
     ///
-    /// `enabled` is never empty and is sorted by machine id.
+    /// `enabled` is never empty and is sorted by machine id; implementations
+    /// may rely on that order for O(log *w*) membership and successor
+    /// lookups (binary search) instead of scanning.
     fn next_machine(&mut self, enabled: &[MachineId], step: usize) -> MachineId;
 
     /// Resolves a nondeterministic boolean choice.
@@ -380,6 +404,34 @@ impl SchedulerKind {
     }
 }
 
+/// Position of `id` in `enabled`, if it is enabled. `enabled` is sorted by id
+/// (the [`Scheduler::next_machine`] contract), so this is a binary search.
+fn position_of(enabled: &[MachineId], id: MachineId) -> Option<usize> {
+    enabled.binary_search(&id).ok()
+}
+
+/// The first enabled machine whose raw id is at least `raw`, wrapping around
+/// to the lowest enabled id.
+fn first_at_or_after(enabled: &[MachineId], raw: u64) -> MachineId {
+    // While a system drains in id order (machines run once and go idle) the
+    // answer is the lowest enabled id; test that before searching.
+    if enabled[0].raw() >= raw {
+        return enabled[0];
+    }
+    let at = enabled.partition_point(|id| id.raw() < raw);
+    enabled.get(at).copied().unwrap_or(enabled[0])
+}
+
+/// Grows a table indexed by [`MachineId::index`] until `index` is in range:
+/// exactly to fit while empty (one allocation, at the first pick), at least
+/// doubling afterwards (machines created later in the execution).
+fn cover<T: Clone>(table: &mut Vec<T>, index: usize, vacant: T) {
+    if index >= table.len() {
+        let len = (index + 1).max(table.len() * 2);
+        table.resize(len, vacant);
+    }
+}
+
 /// Uniformly random scheduler.
 #[derive(Debug, Clone)]
 pub struct RandomScheduler {
@@ -440,7 +492,9 @@ impl Scheduler for RandomScheduler {
 #[derive(Debug, Clone)]
 pub struct PctScheduler {
     rng: SplitMix64,
-    priorities: HashMap<MachineId, u64>,
+    /// Priority per machine, indexed by [`MachineId::index`];
+    /// [`PctScheduler::UNASSIGNED`] until the machine is first seen enabled.
+    priorities: Vec<u64>,
     change_steps: Vec<usize>,
     next_change: usize,
     next_low_priority: u64,
@@ -449,6 +503,10 @@ pub struct PctScheduler {
 }
 
 impl PctScheduler {
+    /// Marks a machine that has not drawn its priority yet (real priorities
+    /// stay below 2,000,000).
+    const UNASSIGNED: u64 = u64::MAX;
+
     /// Creates a PCT scheduler with `change_points` priority change switches
     /// placed uniformly over the priority-driven prefix of an execution of at
     /// most `max_steps` steps.
@@ -471,7 +529,7 @@ impl PctScheduler {
         change_steps.sort_unstable();
         PctScheduler {
             rng,
-            priorities: HashMap::new(),
+            priorities: Vec::new(),
             change_steps,
             next_change: 0,
             next_low_priority: 0,
@@ -480,15 +538,26 @@ impl PctScheduler {
         }
     }
 
-    fn priority_of(&mut self, id: MachineId) -> u64 {
-        if let Some(&p) = self.priorities.get(&id) {
-            return p;
+    /// The highest-priority enabled machine, in one pass: a machine seen for
+    /// the first time draws its priority on the way (so draws happen in id
+    /// order), and of equal priorities — a thousand machines draw from a band
+    /// of a million, so they occur — the highest id wins. Every enabled id
+    /// must be within the table.
+    fn top(&mut self, enabled: &[MachineId]) -> MachineId {
+        let mut top = (enabled[0], 0);
+        for &id in enabled {
+            let priority = &mut self.priorities[id.index()];
+            if *priority == Self::UNASSIGNED {
+                // New machines receive a random high priority band so they
+                // can preempt or be preempted; the low band is reserved for
+                // change points.
+                *priority = 1_000_000 + self.rng.next_below(1_000_000) as u64;
+            }
+            if *priority >= top.1 {
+                top = (id, *priority);
+            }
         }
-        // New machines receive a random high priority band so they can
-        // preempt or be preempted; the low band is reserved for change points.
-        let p = 1_000_000 + self.rng.next_below(1_000_000) as u64;
-        self.priorities.insert(id, p);
-        p
+        top.0
     }
 }
 
@@ -502,10 +571,8 @@ impl Scheduler for PctScheduler {
             // Fair tail: see the type-level documentation.
             return enabled[self.rng.next_below(enabled.len())];
         }
-        // Make sure all enabled machines have priorities assigned.
-        for &id in enabled {
-            self.priority_of(id);
-        }
+        let highest = enabled[enabled.len() - 1];
+        cover(&mut self.priorities, highest.index(), Self::UNASSIGNED);
         // At a change point, deprioritize the currently highest enabled
         // machine. Every change point due at this step is consumed *now*:
         // duplicate or clustered change points fire together (each demoting
@@ -515,19 +582,11 @@ impl Scheduler for PctScheduler {
             && step >= self.change_steps[self.next_change]
         {
             self.next_change += 1;
-            if let Some(&top) = enabled
-                .iter()
-                .max_by_key(|&&id| self.priorities.get(&id).copied().unwrap_or(0))
-            {
-                let low = self.next_low_priority;
-                self.next_low_priority += 1;
-                self.priorities.insert(top, low);
-            }
+            let top = self.top(enabled);
+            self.priorities[top.index()] = self.next_low_priority;
+            self.next_low_priority += 1;
         }
-        *enabled
-            .iter()
-            .max_by_key(|&&id| self.priorities.get(&id).copied().unwrap_or(0))
-            .expect("enabled set is never empty")
+        self.top(enabled)
     }
 
     fn next_bool(&mut self) -> bool {
@@ -602,11 +661,7 @@ impl DelayBoundingScheduler {
     /// The first enabled machine with id strictly greater than `after`,
     /// wrapping around to the lowest id.
     fn successor(enabled: &[MachineId], after: MachineId) -> MachineId {
-        enabled
-            .iter()
-            .copied()
-            .find(|id| id.raw() > after.raw())
-            .unwrap_or(enabled[0])
+        first_at_or_after(enabled, after.raw() + 1)
     }
 }
 
@@ -625,7 +680,7 @@ impl Scheduler for DelayBoundingScheduler {
         // Deterministic base: run-to-completion on the current machine, then
         // the next enabled machine in id order.
         let mut choice = match self.current {
-            Some(current) if enabled.contains(&current) => current,
+            Some(current) if position_of(enabled, current).is_some() => current,
             Some(current) => Self::successor(enabled, current),
             None => enabled[0],
         };
@@ -710,24 +765,23 @@ impl Scheduler for ProbabilisticRandomScheduler {
     }
 
     fn next_machine(&mut self, enabled: &[MachineId], _step: usize) -> MachineId {
-        let choice = match self.current {
-            Some(current) if enabled.contains(&current) => {
+        let position = self
+            .current
+            .and_then(|current| position_of(enabled, current));
+        let choice = match position {
+            Some(position) => {
                 let switch = self.rng.next_bool_ratio(self.switch_percent as u64, 100);
                 if switch && enabled.len() > 1 {
                     // Switch to a uniformly random *other* machine: including
                     // the current one in the draw would silently shrink the
                     // effective switch probability to `p * (n-1)/n`.
-                    let position = enabled
-                        .iter()
-                        .position(|&m| m == current)
-                        .expect("current is enabled");
                     let pick = self.rng.next_below(enabled.len() - 1);
                     enabled[if pick >= position { pick + 1 } else { pick }]
                 } else {
-                    current
+                    enabled[position]
                 }
             }
-            _ => enabled[self.rng.next_below(enabled.len())],
+            None => enabled[self.rng.next_below(enabled.len())],
         };
         self.current = Some(choice);
         choice
@@ -810,11 +864,7 @@ impl Scheduler for RoundRobinScheduler {
 
     fn next_machine(&mut self, enabled: &[MachineId], _step: usize) -> MachineId {
         // Pick the first enabled machine with id >= cursor, wrapping around.
-        let chosen = enabled
-            .iter()
-            .copied()
-            .find(|id| id.raw() >= self.cursor)
-            .unwrap_or(enabled[0]);
+        let chosen = first_at_or_after(enabled, self.cursor);
         self.cursor = chosen.raw() + 1;
         chosen
     }
@@ -834,6 +884,130 @@ impl Scheduler for RoundRobinScheduler {
 
     fn clone_box(&self) -> Option<Box<dyn Scheduler>> {
         Some(Box::new(self.clone()))
+    }
+}
+
+/// The sleep set shared by [`SleepSetScheduler`] and [`DporScheduler`]: which
+/// machines are asleep and how often each has been passed over since it fell
+/// asleep.
+///
+/// The state is a table indexed by [`MachineId::index`], so waking, sleeping
+/// and testing one machine are O(1) and a pick costs two passes over the
+/// enabled slice. On a wide system most machines are asleep at once (one that
+/// went idle after a local step does not age, so it stays asleep until
+/// something sends to it), so a search per sleeper would make the pick
+/// quadratic in the width.
+#[derive(Debug, Clone)]
+struct SleepSet {
+    /// Consecutive pass-overs since the machine fell asleep, or
+    /// [`SleepSet::AWAKE`]. Machines beyond the table are awake.
+    skips: Vec<u32>,
+    /// Scratch buffer for the awake subset of the enabled set (reused across
+    /// steps; the hot path stays allocation-free once warmed up).
+    awake_buf: Vec<MachineId>,
+    /// Fairness bound: sleepers are forcibly woken after this many
+    /// consecutive pass-overs (see [`SleepSetScheduler::WAKE_AFTER_SKIPS`]).
+    wake_after_skips: u32,
+}
+
+impl SleepSet {
+    const AWAKE: u32 = u32::MAX;
+
+    fn new(wake_after_skips: u32) -> Self {
+        SleepSet {
+            skips: Vec::new(),
+            awake_buf: Vec::new(),
+            wake_after_skips,
+        }
+    }
+
+    fn is_asleep(&self, machine: MachineId) -> bool {
+        self.skips
+            .get(machine.index())
+            .is_some_and(|&skips| skips != Self::AWAKE)
+    }
+
+    fn wake(&mut self, machine: MachineId) {
+        if let Some(skips) = self.skips.get_mut(machine.index()) {
+            *skips = Self::AWAKE;
+        }
+    }
+
+    /// Puts `machine` to sleep; one already asleep keeps its pass-over count.
+    fn sleep(&mut self, machine: MachineId) {
+        cover(&mut self.skips, machine.index(), Self::AWAKE);
+        let skips = &mut self.skips[machine.index()];
+        if *skips == Self::AWAKE {
+            *skips = 0;
+        }
+    }
+
+    /// Wakes every machine.
+    fn clear(&mut self) {
+        self.skips.fill(Self::AWAKE);
+    }
+
+    #[cfg(test)]
+    fn sleepers(&self) -> usize {
+        self.skips.iter().filter(|&&s| s != Self::AWAKE).count()
+    }
+
+    /// Collects the awake subset of `enabled` into `awake_buf`, in id order.
+    fn fill_awake(&mut self, enabled: &[MachineId]) {
+        // Covering the highest enabled id here sizes the table once, at the
+        // first pick, and keeps `sleep` of any machine that ran in range.
+        let highest = enabled[enabled.len() - 1];
+        cover(&mut self.skips, highest.index(), Self::AWAKE);
+        self.awake_buf.clear();
+        self.awake_buf.reserve(enabled.len());
+        for &machine in enabled {
+            if !self.is_asleep(machine) {
+                self.awake_buf.push(machine);
+            }
+        }
+    }
+
+    /// The sleep-set pick: a uniformly random awake machine, or — when every
+    /// enabled machine is asleep and something must run — a uniformly random
+    /// enabled one, which wakes; the branches through the other sleepers stay
+    /// pruned. Ages the sleepers it passes over. Returns the pick and the
+    /// number of equivalent branches it pruned.
+    fn pick(&mut self, enabled: &[MachineId], rng: &mut SplitMix64) -> (MachineId, u64) {
+        self.fill_awake(enabled);
+        let (chosen, pruned) = if self.awake_buf.is_empty() {
+            let chosen = enabled[rng.next_below(enabled.len())];
+            self.wake(chosen);
+            (chosen, enabled.len() - 1)
+        } else {
+            let chosen = self.awake_buf[rng.next_below(self.awake_buf.len())];
+            (chosen, enabled.len() - self.awake_buf.len())
+        };
+        self.age(enabled, chosen);
+        (chosen, pruned as u64)
+    }
+
+    /// Ages every enabled sleeper that was passed over by picking `chosen`,
+    /// waking the ones that hit the fairness bound.
+    fn age(&mut self, enabled: &[MachineId], chosen: MachineId) {
+        for &machine in enabled {
+            let Some(skips) = self.skips.get_mut(machine.index()) else {
+                continue;
+            };
+            if *skips != Self::AWAKE && machine != chosen {
+                *skips += 1;
+                if *skips >= self.wake_after_skips {
+                    *skips = Self::AWAKE;
+                }
+            }
+        }
+    }
+
+    /// Sleep-set bookkeeping common to both strategies for an executed step:
+    /// every delivery creates a new dependency and wakes its receiver.
+    fn wake_receivers(&mut self, footprint: &StepFootprint) {
+        for &target in &footprint.sends {
+            self.wake(target);
+        }
     }
 }
 
@@ -872,15 +1046,7 @@ impl Scheduler for RoundRobinScheduler {
 pub struct SleepSetScheduler {
     rng: SplitMix64,
     fault_gate: FaultGate,
-    /// Machines currently asleep, each paired with how many scheduling
-    /// points have passed it over since it fell asleep.
-    asleep: Vec<(MachineId, u32)>,
-    /// Scratch buffer for the awake subset of the enabled set (reused across
-    /// steps; the hot path stays allocation-free once warmed up).
-    awake_buf: Vec<MachineId>,
-    /// Fairness bound: sleepers are forcibly woken after this many
-    /// consecutive pass-overs (see [`SleepSetScheduler::WAKE_AFTER_SKIPS`]).
-    wake_after_skips: u32,
+    sleep_set: SleepSet,
     pruned: u64,
 }
 
@@ -895,9 +1061,7 @@ impl SleepSetScheduler {
         SleepSetScheduler {
             rng: SplitMix64::new(seed),
             fault_gate: FaultGate::new(seed),
-            asleep: Vec::new(),
-            awake_buf: Vec::new(),
-            wake_after_skips: Self::WAKE_AFTER_SKIPS,
+            sleep_set: SleepSet::new(Self::WAKE_AFTER_SKIPS),
             pruned: 0,
         }
     }
@@ -907,20 +1071,8 @@ impl SleepSetScheduler {
     /// more. Clamped to at least 1 so every sleeper is still woken
     /// eventually.
     pub fn with_wake_after_skips(mut self, skips: u32) -> Self {
-        self.wake_after_skips = skips.max(1);
+        self.sleep_set.wake_after_skips = skips.max(1);
         self
-    }
-
-    fn wake(&mut self, machine: MachineId) {
-        if let Some(i) = self.asleep.iter().position(|&(m, _)| m == machine) {
-            self.asleep.swap_remove(i);
-        }
-    }
-
-    fn sleep(&mut self, machine: MachineId) {
-        if !self.asleep.iter().any(|&(m, _)| m == machine) {
-            self.asleep.push((machine, 0));
-        }
     }
 }
 
@@ -930,43 +1082,8 @@ impl Scheduler for SleepSetScheduler {
     }
 
     fn next_machine(&mut self, enabled: &[MachineId], _step: usize) -> MachineId {
-        let Self {
-            awake_buf, asleep, ..
-        } = self;
-        awake_buf.clear();
-        awake_buf.extend(
-            enabled
-                .iter()
-                .copied()
-                .filter(|m| !asleep.iter().any(|&(s, _)| s == *m)),
-        );
-        let chosen = if self.awake_buf.is_empty() {
-            // Every enabled machine is asleep: something must run. Wake the
-            // random pick; the branches through the other sleepers stay
-            // pruned.
-            let pick = enabled[self.rng.next_below(enabled.len())];
-            self.wake(pick);
-            self.pruned += (enabled.len() - 1) as u64;
-            pick
-        } else {
-            self.pruned += (enabled.len() - self.awake_buf.len()) as u64;
-            let index = self.rng.next_below(self.awake_buf.len());
-            self.awake_buf[index]
-        };
-        // Age every sleeper that was enabled but passed over; wake the ones
-        // that hit the fairness bound.
-        let mut i = 0;
-        while i < self.asleep.len() {
-            let (m, ref mut skips) = self.asleep[i];
-            if m != chosen && enabled.contains(&m) {
-                *skips += 1;
-                if *skips >= self.wake_after_skips {
-                    self.asleep.swap_remove(i);
-                    continue;
-                }
-            }
-            i += 1;
-        }
+        let (chosen, pruned) = self.sleep_set.pick(enabled, &mut self.rng);
+        self.pruned += pruned;
         chosen
     }
 
@@ -983,20 +1100,17 @@ impl Scheduler for SleepSetScheduler {
         if fault.is_some() {
             // A fault mutates machines and mailboxes outside any handler:
             // all commutativity assumptions are off.
-            self.asleep.clear();
+            self.sleep_set.clear();
         }
         fault
     }
 
     fn note_footprint(&mut self, footprint: &StepFootprint) {
-        // Deliveries create new dependencies: wake every receiver.
-        for i in 0..footprint.sends.len() {
-            self.wake(footprint.sends[i]);
-        }
+        self.sleep_set.wake_receivers(footprint);
         if footprint.is_local() {
-            self.sleep(footprint.machine);
+            self.sleep_set.sleep(footprint.machine);
         } else {
-            self.wake(footprint.machine);
+            self.sleep_set.wake(footprint.machine);
         }
     }
 
@@ -1226,10 +1340,8 @@ impl RecentStep {
 pub struct DporScheduler {
     rng: SplitMix64,
     fault_gate: FaultGate,
-    /// Sleep-set state, as in [`SleepSetScheduler`].
-    asleep: Vec<(MachineId, u32)>,
-    awake_buf: Vec<MachineId>,
-    wake_after_skips: u32,
+    /// The same sleep set [`SleepSetScheduler`] keeps.
+    sleep_set: SleepSet,
     /// Windowed vector clocks.
     clocks: ClockWindow,
     /// Join of the clocks of every global-effect step: such steps are
@@ -1266,14 +1378,13 @@ pub struct DporScheduler {
 
 impl DporScheduler {
     /// Creates a DPOR scheduler driven by `seed`. All clock structures are
-    /// preallocated here so the per-step hot path never allocates.
+    /// preallocated here so the per-step hot path never allocates (the sleep
+    /// set sizes its table once, at the first pick).
     pub fn new(seed: u64) -> Self {
         DporScheduler {
             rng: SplitMix64::new(seed),
             fault_gate: FaultGate::new(seed),
-            asleep: Vec::with_capacity(CLOCK_SLOTS),
-            awake_buf: Vec::with_capacity(CLOCK_SLOTS),
-            wake_after_skips: SleepSetScheduler::WAKE_AFTER_SKIPS,
+            sleep_set: SleepSet::new(SleepSetScheduler::WAKE_AFTER_SKIPS),
             clocks: ClockWindow::new(),
             global_row: vec![0; CLOCK_SLOTS],
             scratch: vec![0; CLOCK_SLOTS],
@@ -1298,36 +1409,6 @@ impl DporScheduler {
     pub fn with_horizon(mut self, max_steps: usize) -> Self {
         self.horizon = Some(max_steps);
         self
-    }
-
-    fn wake(&mut self, machine: MachineId) {
-        if let Some(i) = self.asleep.iter().position(|&(m, _)| m == machine) {
-            self.asleep.swap_remove(i);
-        }
-    }
-
-    fn sleep(&mut self, machine: MachineId) {
-        if !self.asleep.iter().any(|&(m, _)| m == machine) {
-            self.asleep.push((machine, 0));
-        }
-    }
-
-    /// Ages every enabled sleeper that was passed over by picking `chosen`,
-    /// waking the ones that hit the fairness bound (identical to the
-    /// [`SleepSetScheduler`] aging rule).
-    fn age_sleepers(&mut self, enabled: &[MachineId], chosen: MachineId) {
-        let mut i = 0;
-        while i < self.asleep.len() {
-            let (m, ref mut skips) = self.asleep[i];
-            if m != chosen && enabled.contains(&m) {
-                *skips += 1;
-                if *skips >= self.wake_after_skips {
-                    self.asleep.swap_remove(i);
-                    continue;
-                }
-            }
-            i += 1;
-        }
     }
 
     fn enqueue_backtrack(&mut self, machine: MachineId) {
@@ -1387,13 +1468,13 @@ impl Scheduler for DporScheduler {
         } else {
             while !self.backtrack_queue.is_empty() {
                 let m = self.backtrack_queue.remove(0);
-                if enabled.contains(&m) {
+                if position_of(enabled, m).is_some() {
                     self.backtracks += 1;
                     self.backtrack_run += 1;
-                    self.wake(m);
+                    self.sleep_set.wake(m);
                     self.sticky = Some(m);
                     self.sticky_run = 0;
-                    self.age_sleepers(enabled, m);
+                    self.sleep_set.age(enabled, m);
                     return m;
                 }
             }
@@ -1405,41 +1486,22 @@ impl Scheduler for DporScheduler {
         //    machines is banked in `note_footprint`, once the step is known
         //    local.
         if let Some(current) = self.sticky {
-            if self.sticky_run < STICKY_CAP && enabled.contains(&current) {
+            if self.sticky_run < STICKY_CAP && position_of(enabled, current).is_some() {
                 self.sticky_run += 1;
                 self.pending_prune = (enabled.len() - 1) as u64;
-                self.age_sleepers(enabled, current);
+                self.sleep_set.age(enabled, current);
                 return current;
             }
             // Cap reached (or the machine disabled): it behaved like a
             // sleeper's local step all along, so it sleeps like one.
-            self.sleep(current);
+            self.sleep_set.sleep(current);
             self.sticky = None;
         }
         // 3. Sleep-set pick among the awake machines.
-        let Self {
-            awake_buf, asleep, ..
-        } = self;
-        awake_buf.clear();
-        awake_buf.extend(
-            enabled
-                .iter()
-                .copied()
-                .filter(|m| !asleep.iter().any(|&(s, _)| s == *m)),
-        );
-        let chosen = if self.awake_buf.is_empty() {
-            let pick = enabled[self.rng.next_below(enabled.len())];
-            self.wake(pick);
-            self.pruned += (enabled.len() - 1) as u64;
-            pick
-        } else {
-            self.pruned += (enabled.len() - self.awake_buf.len()) as u64;
-            let index = self.rng.next_below(self.awake_buf.len());
-            self.awake_buf[index]
-        };
+        let (chosen, pruned) = self.sleep_set.pick(enabled, &mut self.rng);
+        self.pruned += pruned;
         self.sticky = Some(chosen);
         self.sticky_run = 0;
-        self.age_sleepers(enabled, chosen);
         chosen
     }
 
@@ -1458,7 +1520,7 @@ impl Scheduler for DporScheduler {
             // sleep/stickiness assumptions and in-flight message clocks are
             // off. Accumulated clocks stay (the past is still ordered); the
             // race window restarts.
-            self.asleep.clear();
+            self.sleep_set.clear();
             self.sticky = None;
             self.pending_prune = 0;
             self.backtrack_queue.clear();
@@ -1484,15 +1546,13 @@ impl Scheduler for DporScheduler {
         // Sleep-set bookkeeping: deliveries wake receivers; local steppers
         // sleep (unless they are the sticky machine, which keeps running);
         // non-local steppers wake and lose stickiness.
-        for i in 0..footprint.sends.len() {
-            self.wake(footprint.sends[i]);
-        }
+        self.sleep_set.wake_receivers(footprint);
         if footprint.is_local() {
             if self.sticky != Some(footprint.machine) {
-                self.sleep(footprint.machine);
+                self.sleep_set.sleep(footprint.machine);
             }
         } else {
-            self.wake(footprint.machine);
+            self.sleep_set.wake(footprint.machine);
             if self.sticky == Some(footprint.machine) {
                 self.sticky = None;
             }
@@ -1599,7 +1659,7 @@ impl Scheduler for DporScheduler {
         // it, so visits to any given machine are up to that much sparser
         // than uniform-random scheduling.
         machines
-            .saturating_mul((STICKY_CAP.max(self.wake_after_skips)) as usize)
+            .saturating_mul((STICKY_CAP.max(self.sleep_set.wake_after_skips)) as usize)
             .max(machines)
     }
 
@@ -1750,7 +1810,7 @@ impl Scheduler for ReplayScheduler {
 
     fn next_machine(&mut self, enabled: &[MachineId], _step: usize) -> MachineId {
         match self.next_decision() {
-            Some(Decision::Schedule(id)) if enabled.contains(&id) => id,
+            Some(Decision::Schedule(id)) if position_of(enabled, id).is_some() => id,
             Some(Decision::Schedule(id)) => {
                 self.record_divergence(format!(
                     "recorded machine {id} is not enabled during replay"
@@ -1802,6 +1862,367 @@ impl Scheduler for ReplayScheduler {
 
     fn clone_box(&self) -> Option<Box<dyn Scheduler>> {
         Some(Box::new(self.clone()))
+    }
+}
+
+/// The algorithms the dense tables replaced, kept as reference models: the
+/// differential tests below drive each next to its production counterpart and
+/// require the identical pick and counters at every step.
+#[cfg(test)]
+mod reference {
+    use std::collections::HashMap;
+
+    use super::*;
+
+    /// The sleep set as an unsorted list searched linearly.
+    #[derive(Default)]
+    struct ListSleepSet {
+        asleep: Vec<(MachineId, u32)>,
+        awake_buf: Vec<MachineId>,
+        wake_after_skips: u32,
+    }
+
+    impl ListSleepSet {
+        fn wake(&mut self, machine: MachineId) {
+            if let Some(i) = self.asleep.iter().position(|&(m, _)| m == machine) {
+                self.asleep.swap_remove(i);
+            }
+        }
+
+        fn sleep(&mut self, machine: MachineId) {
+            if !self.asleep.iter().any(|&(m, _)| m == machine) {
+                self.asleep.push((machine, 0));
+            }
+        }
+
+        fn age(&mut self, enabled: &[MachineId], chosen: MachineId) {
+            let mut i = 0;
+            while i < self.asleep.len() {
+                let (m, ref mut skips) = self.asleep[i];
+                if m != chosen && enabled.contains(&m) {
+                    *skips += 1;
+                    if *skips >= self.wake_after_skips {
+                        self.asleep.swap_remove(i);
+                        continue;
+                    }
+                }
+                i += 1;
+            }
+        }
+
+        fn pick(&mut self, enabled: &[MachineId], rng: &mut SplitMix64) -> (MachineId, u64) {
+            let Self {
+                awake_buf, asleep, ..
+            } = self;
+            awake_buf.clear();
+            awake_buf.extend(
+                enabled
+                    .iter()
+                    .copied()
+                    .filter(|m| !asleep.iter().any(|&(s, _)| s == *m)),
+            );
+            let (chosen, pruned) = if self.awake_buf.is_empty() {
+                let pick = enabled[rng.next_below(enabled.len())];
+                self.wake(pick);
+                (pick, enabled.len() - 1)
+            } else {
+                let index = rng.next_below(self.awake_buf.len());
+                (self.awake_buf[index], enabled.len() - self.awake_buf.len())
+            };
+            self.age(enabled, chosen);
+            (chosen, pruned as u64)
+        }
+    }
+
+    pub(super) struct SleepSetModel {
+        rng: SplitMix64,
+        fault_gate: FaultGate,
+        sleep_set: ListSleepSet,
+        pruned: u64,
+    }
+
+    impl SleepSetModel {
+        pub(super) fn new(seed: u64, wake_after_skips: u32) -> Self {
+            SleepSetModel {
+                rng: SplitMix64::new(seed),
+                fault_gate: FaultGate::new(seed),
+                sleep_set: ListSleepSet {
+                    wake_after_skips,
+                    ..ListSleepSet::default()
+                },
+                pruned: 0,
+            }
+        }
+    }
+
+    impl Scheduler for SleepSetModel {
+        fn name(&self) -> &'static str {
+            "sleep-set-model"
+        }
+
+        fn next_machine(&mut self, enabled: &[MachineId], _step: usize) -> MachineId {
+            let (chosen, pruned) = self.sleep_set.pick(enabled, &mut self.rng);
+            self.pruned += pruned;
+            chosen
+        }
+
+        fn next_bool(&mut self) -> bool {
+            self.rng.next_bool()
+        }
+
+        fn next_int(&mut self, bound: usize) -> usize {
+            self.rng.next_below(bound)
+        }
+
+        fn next_fault(&mut self, candidates: &[Fault], _step: usize) -> Option<Fault> {
+            let fault = self.fault_gate.pick(candidates);
+            if fault.is_some() {
+                self.sleep_set.asleep.clear();
+            }
+            fault
+        }
+
+        fn note_footprint(&mut self, footprint: &StepFootprint) {
+            for &target in &footprint.sends {
+                self.sleep_set.wake(target);
+            }
+            if footprint.is_local() {
+                self.sleep_set.sleep(footprint.machine);
+            } else {
+                self.sleep_set.wake(footprint.machine);
+            }
+        }
+
+        fn pruned_equivalents(&self) -> u64 {
+            self.pruned
+        }
+    }
+
+    /// DPOR's pick rules over the list sleep set. Vector clocks and race
+    /// detection read only the footprint stream, never the sleep set, so the
+    /// model borrows them from a production [`DporScheduler`] it feeds the
+    /// same footprints and fault probes, and takes over the racers that one
+    /// queues.
+    pub(super) struct DporModel {
+        rng: SplitMix64,
+        sleep_set: ListSleepSet,
+        detector: DporScheduler,
+        backtrack_queue: Vec<MachineId>,
+        sticky: Option<MachineId>,
+        sticky_run: u32,
+        backtrack_run: u32,
+        pending_prune: u64,
+        pruned: u64,
+        backtracks: u64,
+    }
+
+    impl DporModel {
+        pub(super) fn new(seed: u64) -> Self {
+            DporModel {
+                rng: SplitMix64::new(seed),
+                sleep_set: ListSleepSet {
+                    wake_after_skips: SleepSetScheduler::WAKE_AFTER_SKIPS,
+                    ..ListSleepSet::default()
+                },
+                detector: DporScheduler::new(seed),
+                backtrack_queue: Vec::new(),
+                sticky: None,
+                sticky_run: 0,
+                backtrack_run: 0,
+                pending_prune: 0,
+                pruned: 0,
+                backtracks: 0,
+            }
+        }
+    }
+
+    impl Scheduler for DporModel {
+        fn name(&self) -> &'static str {
+            "dpor-model"
+        }
+
+        fn next_machine(&mut self, enabled: &[MachineId], _step: usize) -> MachineId {
+            self.pending_prune = 0;
+            if self.backtrack_run >= BACKTRACK_RUN_CAP {
+                self.backtrack_run = 0;
+            } else {
+                while !self.backtrack_queue.is_empty() {
+                    let m = self.backtrack_queue.remove(0);
+                    if enabled.contains(&m) {
+                        self.backtracks += 1;
+                        self.backtrack_run += 1;
+                        self.sleep_set.wake(m);
+                        self.sticky = Some(m);
+                        self.sticky_run = 0;
+                        self.sleep_set.age(enabled, m);
+                        return m;
+                    }
+                }
+                self.backtrack_run = 0;
+            }
+            if let Some(current) = self.sticky {
+                if self.sticky_run < STICKY_CAP && enabled.contains(&current) {
+                    self.sticky_run += 1;
+                    self.pending_prune = (enabled.len() - 1) as u64;
+                    self.sleep_set.age(enabled, current);
+                    return current;
+                }
+                self.sleep_set.sleep(current);
+                self.sticky = None;
+            }
+            let (chosen, pruned) = self.sleep_set.pick(enabled, &mut self.rng);
+            self.pruned += pruned;
+            self.sticky = Some(chosen);
+            self.sticky_run = 0;
+            chosen
+        }
+
+        fn next_bool(&mut self) -> bool {
+            self.rng.next_bool()
+        }
+
+        fn next_int(&mut self, bound: usize) -> usize {
+            self.rng.next_below(bound)
+        }
+
+        fn next_fault(&mut self, candidates: &[Fault], step: usize) -> Option<Fault> {
+            let fault = self.detector.next_fault(candidates, step);
+            if fault.is_some() {
+                self.sleep_set.asleep.clear();
+                self.sticky = None;
+                self.pending_prune = 0;
+                self.backtrack_queue.clear();
+                self.backtrack_run = 0;
+            }
+            fault
+        }
+
+        fn note_footprint(&mut self, footprint: &StepFootprint) {
+            if self.pending_prune > 0 {
+                if self.sticky == Some(footprint.machine) && footprint.is_local() {
+                    self.pruned += self.pending_prune;
+                }
+                self.pending_prune = 0;
+            }
+            for &target in &footprint.sends {
+                self.sleep_set.wake(target);
+            }
+            if footprint.is_local() {
+                if self.sticky != Some(footprint.machine) {
+                    self.sleep_set.sleep(footprint.machine);
+                }
+            } else {
+                self.sleep_set.wake(footprint.machine);
+                if self.sticky == Some(footprint.machine) {
+                    self.sticky = None;
+                }
+            }
+            self.detector.backtrack_queue.clear();
+            self.detector.note_footprint(footprint);
+            for &racer in &self.detector.backtrack_queue {
+                if self.backtrack_queue.len() < BACKTRACK_CAP
+                    && !self.backtrack_queue.contains(&racer)
+                {
+                    self.backtrack_queue.push(racer);
+                }
+            }
+        }
+
+        fn pruned_equivalents(&self) -> u64 {
+            self.pruned
+        }
+
+        fn races_detected(&self) -> u64 {
+            self.detector.races_detected()
+        }
+
+        fn backtracks_scheduled(&self) -> u64 {
+            self.backtracks
+        }
+    }
+
+    /// PCT with its priorities in a `HashMap`.
+    pub(super) struct PctModel {
+        rng: SplitMix64,
+        pub(super) priorities: HashMap<MachineId, u64>,
+        pub(super) change_steps: Vec<usize>,
+        next_change: usize,
+        next_low_priority: u64,
+        fair_after: usize,
+        fault_gate: FaultGate,
+    }
+
+    impl PctModel {
+        pub(super) fn new(seed: u64, change_points: usize, max_steps: usize) -> Self {
+            let mut rng = SplitMix64::new(seed);
+            let fair_after = max_steps.max(1) / 2;
+            let prefix = fair_after.max(1);
+            let mut change_steps: Vec<usize> =
+                (0..change_points).map(|_| rng.next_below(prefix)).collect();
+            change_steps.sort_unstable();
+            PctModel {
+                rng,
+                priorities: HashMap::new(),
+                change_steps,
+                next_change: 0,
+                next_low_priority: 0,
+                fair_after,
+                fault_gate: FaultGate::new(seed),
+            }
+        }
+
+        fn priority_of(&mut self, id: MachineId) -> u64 {
+            if let Some(&p) = self.priorities.get(&id) {
+                return p;
+            }
+            let p = 1_000_000 + self.rng.next_below(1_000_000) as u64;
+            self.priorities.insert(id, p);
+            p
+        }
+    }
+
+    impl Scheduler for PctModel {
+        fn name(&self) -> &'static str {
+            "pct-model"
+        }
+
+        fn next_machine(&mut self, enabled: &[MachineId], step: usize) -> MachineId {
+            if step >= self.fair_after {
+                return enabled[self.rng.next_below(enabled.len())];
+            }
+            for &id in enabled {
+                self.priority_of(id);
+            }
+            while self.next_change < self.change_steps.len()
+                && step >= self.change_steps[self.next_change]
+            {
+                self.next_change += 1;
+                if let Some(&top) = enabled
+                    .iter()
+                    .max_by_key(|&&id| self.priorities.get(&id).copied().unwrap_or(0))
+                {
+                    let low = self.next_low_priority;
+                    self.next_low_priority += 1;
+                    self.priorities.insert(top, low);
+                }
+            }
+            *enabled
+                .iter()
+                .max_by_key(|&&id| self.priorities.get(&id).copied().unwrap_or(0))
+                .expect("enabled set is never empty")
+        }
+
+        fn next_bool(&mut self) -> bool {
+            self.rng.next_bool()
+        }
+
+        fn next_int(&mut self, bound: usize) -> usize {
+            self.rng.next_below(bound)
+        }
+
+        fn next_fault(&mut self, candidates: &[Fault], _step: usize) -> Option<Fault> {
+            self.fault_gate.pick(candidates)
+        }
     }
 }
 
@@ -2136,13 +2557,14 @@ mod tests {
         let mut s = SleepSetScheduler::new(1);
         // Machine 0 takes a local step and falls asleep.
         s.note_footprint(&StepFootprint::new(MachineId::from_raw(0)));
-        assert_eq!(s.asleep.len(), 1);
+        assert!(s.sleep_set.is_asleep(MachineId::from_raw(0)));
+        assert_eq!(s.sleep_set.sleepers(), 1);
         // Machine 1 sends to machine 0: 0 wakes, 1 stays awake (its step was
         // not local).
         let mut fp = StepFootprint::new(MachineId::from_raw(1));
         fp.sends.push(MachineId::from_raw(0));
         s.note_footprint(&fp);
-        assert!(s.asleep.is_empty());
+        assert_eq!(s.sleep_set.sleepers(), 0);
         let _ = enabled;
     }
 
@@ -2152,7 +2574,7 @@ mod tests {
         let mut fp = StepFootprint::new(MachineId::from_raw(0));
         fp.notified_monitor = true;
         s.note_footprint(&fp);
-        assert!(s.asleep.is_empty());
+        assert_eq!(s.sleep_set.sleepers(), 0);
     }
 
     #[test]
@@ -2606,5 +3028,192 @@ mod tests {
         let (slot, evicted) = s.clocks.slot_of(MachineId::from_raw(0));
         assert!(evicted, "machine 0's slot was recycled");
         assert!(s.clocks.row(slot).iter().all(|&c| c == 0));
+    }
+
+    /// Drives `production` and `model` side by side through one generated
+    /// execution and requires the same answer to every query. The script
+    /// (derived from `script_seed` alone) starts with `width` enabled
+    /// machines on ids with gaps, mixes local, sending and global-effect
+    /// steps, disables and re-enables machines, probes for a fault before
+    /// every pick, creates machines above every id seen so far, and now and
+    /// then steps another machine than the pick (as the runtime does when it
+    /// corrects one). Returns how many faults fired.
+    fn drive_side_by_side(
+        production: &mut dyn Scheduler,
+        model: &mut dyn Scheduler,
+        script_seed: u64,
+        width: usize,
+        steps: usize,
+    ) -> u64 {
+        let mut script = SplitMix64::new(script_seed);
+        let mut next_raw = 0;
+        let mut fresh_id = |script: &mut SplitMix64| {
+            next_raw += 1 + script.next_below(3) as u64;
+            MachineId::from_raw(next_raw)
+        };
+        let mut known: Vec<MachineId> = (0..width).map(|_| fresh_id(&mut script)).collect();
+        let mut enabled = known.clone();
+        let enable = |enabled: &mut Vec<MachineId>, id: MachineId| {
+            if let Err(at) = enabled.binary_search(&id) {
+                enabled.insert(at, id);
+            }
+        };
+        let mut faults = 0;
+        for step in 0..steps {
+            let context = format!(
+                "{} script {script_seed} width {width} step {step}",
+                production.name()
+            );
+            let candidates = [Fault::Crash(enabled[0])];
+            let fault = production.next_fault(&candidates, step);
+            assert_eq!(fault, model.next_fault(&candidates, step), "{context}");
+            if fault.is_some() {
+                faults += 1;
+                if enabled.len() > 1 {
+                    enabled.remove(0);
+                }
+            }
+
+            let pick = production.next_machine(&enabled, step);
+            assert_eq!(pick, model.next_machine(&enabled, step), "{context}");
+            assert!(enabled.binary_search(&pick).is_ok(), "{context}");
+
+            let stepped = match script.next_below(16) {
+                0 => enabled[script.next_below(enabled.len())],
+                _ => pick,
+            };
+            let mut footprint = StepFootprint::new(stepped);
+            let kind = script.next_below(10);
+            if (5..9).contains(&kind) {
+                // Up to six targets: more than the race scan remembers.
+                for _ in 0..1 + script.next_below(6) {
+                    footprint.sends.push(known[script.next_below(known.len())]);
+                }
+            }
+            match kind {
+                8 => footprint.notified_monitor = true,
+                9 if script.next_bool() => footprint.made_choice = true,
+                9 => footprint.created_machine = true,
+                _ => {}
+            }
+            if footprint.made_choice {
+                assert_eq!(production.next_int(7), model.next_int(7), "{context}");
+            }
+            production.note_footprint(&footprint);
+            model.note_footprint(&footprint);
+            assert_eq!(
+                (
+                    production.pruned_equivalents(),
+                    production.races_detected(),
+                    production.backtracks_scheduled()
+                ),
+                (
+                    model.pruned_equivalents(),
+                    model.races_detected(),
+                    model.backtracks_scheduled()
+                ),
+                "{context}"
+            );
+
+            if enabled.len() > 1 && script.next_below(3) == 0 {
+                let at = enabled.binary_search(&stepped).expect("it ran");
+                enabled.remove(at);
+            }
+            for &target in &footprint.sends {
+                enable(&mut enabled, target);
+            }
+            if footprint.created_machine {
+                let created = fresh_id(&mut script);
+                known.push(created);
+                enable(&mut enabled, created);
+            }
+            if script.next_below(16) == 0 {
+                enable(&mut enabled, known[script.next_below(known.len())]);
+            }
+        }
+        faults
+    }
+
+    /// Widths around every bound the strategies have (one machine, the
+    /// 24-slot clock window) up to 2,048, with fewer steps where the list
+    /// model is slow.
+    fn side_by_side_shapes() -> impl Iterator<Item = (u64, usize, usize)> {
+        [1, 2, 3, 5, 17, 24, 25, 64, 300, 2_048]
+            .into_iter()
+            .flat_map(|width| {
+                let steps = if width > 64 { 150 } else { 400 };
+                (0..3).map(move |script| (script * 1_000 + width as u64, width, steps))
+            })
+    }
+
+    #[test]
+    fn sleep_set_picks_match_the_list_model() {
+        let (mut faults, mut pruned) = (0, 0);
+        for (script, width, steps) in side_by_side_shapes() {
+            for wake_after_skips in [1, 3, 8] {
+                let seed = script ^ 0x5eed;
+                let mut production =
+                    SleepSetScheduler::new(seed).with_wake_after_skips(wake_after_skips);
+                let mut model = reference::SleepSetModel::new(seed, wake_after_skips);
+                faults += drive_side_by_side(&mut production, &mut model, script, width, steps);
+                pruned += production.pruned_equivalents();
+            }
+        }
+        assert!(faults > 0 && pruned > 0, "the scripts reach both paths");
+    }
+
+    #[test]
+    fn dpor_picks_match_the_list_model() {
+        let (mut faults, mut pruned, mut races, mut backtracks) = (0, 0, 0, 0);
+        for (script, width, steps) in side_by_side_shapes() {
+            let seed = script ^ 0xd90f;
+            let mut production = DporScheduler::new(seed);
+            let mut model = reference::DporModel::new(seed);
+            faults += drive_side_by_side(&mut production, &mut model, script, width, steps);
+            pruned += production.pruned_equivalents();
+            races += production.races_detected();
+            backtracks += production.backtracks_scheduled();
+        }
+        assert!(
+            faults > 0 && pruned > 0 && races > 0 && backtracks > 0,
+            "the scripts reach every path"
+        );
+    }
+
+    #[test]
+    fn pct_picks_match_the_hash_map_model() {
+        for (script, width, steps) in side_by_side_shapes() {
+            for change_points in [2, 5, 10] {
+                let seed = script ^ 0x9c7;
+                // The last quarter of the script runs in the fair tail.
+                let max_steps = steps * 3 / 2;
+                let mut production = PctScheduler::new(seed, change_points, max_steps);
+                let mut model = reference::PctModel::new(seed, change_points, max_steps);
+                drive_side_by_side(&mut production, &mut model, script, width, steps);
+            }
+        }
+    }
+
+    #[test]
+    fn pct_equal_priorities_run_the_higher_id() {
+        let enabled = ids(&[0, 1]);
+        // On the one-pass pick and on the change-point path alike.
+        for change_steps in [vec![], vec![0]] {
+            let mut production = PctScheduler::new(1, 0, 100);
+            production.priorities = vec![1_500_000, 1_500_000];
+            production.change_steps = change_steps.clone();
+            let mut model = reference::PctModel::new(1, 0, 100);
+            model.priorities = enabled.iter().map(|&id| (id, 1_500_000)).collect();
+            model.change_steps = change_steps.clone();
+            let expected = if change_steps.is_empty() { 1 } else { 0 };
+            let pick = production.next_machine(&enabled, 0);
+            assert_eq!(pick, model.next_machine(&enabled, 0));
+            assert_eq!(
+                pick,
+                MachineId::from_raw(expected),
+                "of two equal priorities the higher id is the top one \
+                 (run, or demoted at a change point)"
+            );
+        }
     }
 }
