@@ -1,5 +1,5 @@
 //! Shared experiment-runner utilities used by the table-regeneration binaries
-//! (`table1`, `table2`) and the Criterion benches.
+//! (`table1`, `table2`), `fixed_check` and the `por_soundness` suite.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -23,8 +23,8 @@ pub struct BugCase {
     pub max_steps: usize,
     /// The fault budget the bug needs ([`FaultPlan::none`] for bugs
     /// reachable on a reliable network without crashes). Applied by
-    /// [`hunt_with_config`] unless the caller's configuration already
-    /// carries its own plan.
+    /// [`hunt_with_fault_override`] unless the caller passes a plan of its
+    /// own.
     pub faults: FaultPlan,
 }
 
@@ -299,54 +299,6 @@ impl BugHuntResult {
     }
 }
 
-/// Runs one bug hunt: explores up to `iterations` executions of `case` under
-/// `scheduler` and reports whether (and how fast) the bug was found.
-///
-/// Equivalent to [`hunt_parallel`] with one worker.
-pub fn hunt(case: &BugCase, scheduler: SchedulerKind, iterations: u64, seed: u64) -> BugHuntResult {
-    hunt_parallel(case, scheduler, iterations, seed, 1)
-}
-
-/// Runs one bug hunt with the iteration space sharded over `workers` threads.
-///
-/// One worker reproduces the serial [`hunt`] bit for bit; more workers
-/// explore the identical seed set faster and stop as soon as any worker hits
-/// the bug.
-pub fn hunt_parallel(
-    case: &BugCase,
-    scheduler: SchedulerKind,
-    iterations: u64,
-    seed: u64,
-    workers: usize,
-) -> BugHuntResult {
-    let config = TestConfig::new()
-        .with_iterations(iterations)
-        .with_max_steps(case.max_steps)
-        .with_seed(seed)
-        .with_scheduler(scheduler)
-        .with_workers(workers);
-    hunt_with_config(case, config)
-}
-
-/// Runs one bug hunt with the full default scheduler portfolio (random, PCT
-/// with several priority-change budgets, delay-bounding, probabilistic
-/// random, round-robin) sharded over `workers` threads. Which strategy
-/// drives an iteration is decided by the iteration index
-/// ([`TestConfig::strategy_for_iteration`]), so the hunt reports the
-/// identical (iteration, seed, strategy, bug) result at any worker count —
-/// any number of workers covers the full portfolio. The result's `scheduler`
-/// column reports the strategy that earned the bug, or `"portfolio"` when no
-/// bug was found.
-pub fn hunt_portfolio(case: &BugCase, iterations: u64, seed: u64, workers: usize) -> BugHuntResult {
-    let config = TestConfig::new()
-        .with_iterations(iterations)
-        .with_max_steps(case.max_steps)
-        .with_seed(seed)
-        .with_workers(workers)
-        .with_portfolio(SchedulerKind::default_portfolio());
-    hunt_with_config(case, config)
-}
-
 /// Parses a scheduler name from the CLI (`table2 --scheduler`, `fixed_check
 /// --scheduler`) into a [`SchedulerKind`]: `random`, `pct`, `delay`, `prob`
 /// (aliases `delay-bounding`, `prob-random`), `round-robin`, `sleep-set`
@@ -473,21 +425,15 @@ pub fn usage_error(message: &str) -> ! {
     std::process::exit(2)
 }
 
-/// Shared hunt runner under an arbitrary configuration (scheduler,
+/// Runs one bug hunt under an arbitrary configuration (scheduler,
 /// portfolio, worker count, trace mode, shrinking): the result's `scheduler`
 /// column is the report's label (the configured strategy, or the winning
 /// portfolio strategy). The case's own step bound overrides the
-/// configuration's and the case's own fault budget applies; use
-/// [`hunt_with_fault_override`] to replace the per-case budgets with one
-/// global plan (e.g. `table2 --faults`).
-pub fn hunt_with_config(case: &BugCase, config: TestConfig) -> BugHuntResult {
-    hunt_with_fault_override(case, config, None)
-}
-
-/// [`hunt_with_config`] with an optional global fault plan: `Some(plan)`
-/// replaces the case's own budget (including `Some(FaultPlan::none())`,
-/// which genuinely disables fault injection — the distinction an all-zero
-/// plan on the config could not express), `None` keeps the case's budget.
+/// configuration's. `fault_override` chooses the fault budget: `None` keeps
+/// the case's own, `Some(plan)` replaces it with one global plan (e.g.
+/// `table2 --faults`) — including `Some(FaultPlan::none())`, which genuinely
+/// disables fault injection, the distinction an all-zero plan on the config
+/// could not express.
 pub fn hunt_with_fault_override(
     case: &BugCase,
     config: TestConfig,
@@ -515,41 +461,9 @@ pub fn hunt_with_fault_override(
     }
 }
 
-/// Verifies that a fixed (bug-free) harness stays clean for `iterations`
-/// executions; returns the violation if one is found.
-///
-/// Equivalent to [`verify_fixed_parallel`] with one worker.
-pub fn verify_fixed<F>(build: F, iterations: u64, max_steps: usize, seed: u64) -> Option<Bug>
-where
-    F: Fn(&mut Runtime) + Send + Sync,
-{
-    verify_fixed_parallel(build, iterations, max_steps, seed, 1)
-}
-
-/// Verifies a fixed harness over `workers` threads, covering the same seed
-/// set as [`verify_fixed`] at full core count.
-pub fn verify_fixed_parallel<F>(
-    build: F,
-    iterations: u64,
-    max_steps: usize,
-    seed: u64,
-    workers: usize,
-) -> Option<Bug>
-where
-    F: Fn(&mut Runtime) + Send + Sync,
-{
-    verify_fixed_config(
-        build,
-        TestConfig::new()
-            .with_iterations(iterations)
-            .with_max_steps(max_steps)
-            .with_seed(seed)
-            .with_workers(workers),
-    )
-}
-
-/// Verifies a fixed harness under an arbitrary configuration (scheduler,
-/// portfolio, worker count); returns the violation if one is found.
+/// Verifies that a fixed (bug-free) harness stays clean under an arbitrary
+/// configuration (scheduler, portfolio, worker count); returns the violation
+/// if one is found.
 pub fn verify_fixed_config<F>(build: F, config: TestConfig) -> Option<Bug>
 where
     F: Fn(&mut Runtime) + Send + Sync,
@@ -585,13 +499,14 @@ mod tests {
     #[test]
     fn fault_induced_bug_cases_are_found_with_their_budgets() {
         // One representative: the replsim lost-replication bug needs its
-        // drop budget (hunt_with_config applies the case's own plan).
+        // drop budget (no override: the case's own plan applies).
         let cases = bug_cases();
         let case = cases
             .iter()
             .find(|c| c.name == "ReplReqLostNoRetransmit")
             .expect("known case");
-        let result = hunt_with_config(case, TestConfig::new().with_iterations(800).with_seed(21));
+        let config = TestConfig::new().with_iterations(800).with_seed(21);
+        let result = hunt_with_fault_override(case, config, None);
         assert!(result.found, "the fault-induced bug must be reachable");
         assert!(result.fault_decisions.unwrap_or(0) >= 1);
     }
@@ -603,7 +518,8 @@ mod tests {
             .iter()
             .find(|c| c.name == "DeletePrimaryKey")
             .expect("known case");
-        let result = hunt(delete_primary_key, SchedulerKind::Random, 500, 11);
+        let config = TestConfig::new().with_iterations(500).with_seed(11);
+        let result = hunt_with_fault_override(delete_primary_key, config, None);
         assert!(result.found);
         assert!(result.ndc.unwrap_or(0) > 0);
         assert!(result.table_row().contains("DeletePrimaryKey"));
@@ -722,8 +638,12 @@ mod tests {
             .iter()
             .find(|c| c.name == "DeletePrimaryKey")
             .expect("known case");
-        let one = hunt_portfolio(case, 400, 11, 1);
-        let four = hunt_portfolio(case, 400, 11, 4);
+        let portfolio = TestConfig::new()
+            .with_iterations(400)
+            .with_seed(11)
+            .with_default_portfolio();
+        let one = hunt_with_fault_override(case, portfolio.clone().with_workers(1), None);
+        let four = hunt_with_fault_override(case, portfolio.with_workers(4), None);
         assert!(one.found && four.found);
         assert_eq!(one.iteration, four.iteration, "same winning iteration");
         assert_eq!(one.seed, four.seed, "same winning seed");
@@ -733,13 +653,14 @@ mod tests {
 
     #[test]
     fn fixed_replsim_harness_verifies_clean() {
-        let bug = verify_fixed(
+        let bug = verify_fixed_config(
             |rt| {
                 replsim::build_harness(rt, &replsim::ReplConfig::default());
             },
-            25,
-            2_500,
-            7,
+            TestConfig::new()
+                .with_iterations(25)
+                .with_max_steps(2_500)
+                .with_seed(7),
         );
         assert!(bug.is_none(), "unexpected violation: {bug:?}");
     }

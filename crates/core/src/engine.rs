@@ -41,7 +41,7 @@ use crate::rng::{mix64, GOLDEN_GAMMA};
 use crate::runtime::{CancelToken, ExecutionOutcome, Runtime, RuntimeConfig, RuntimeSnapshot};
 use crate::scheduler::StepFootprint;
 use crate::scheduler::{ReplayScheduler, SchedulerKind};
-use crate::shrink::{same_bug, shrink_trace, ShrinkConfig, ShrinkReport};
+use crate::shrink::{record_verified, shrink_trace, ShrinkConfig, ShrinkReport};
 use crate::stats::StrategyStats;
 use crate::trace::{Trace, TraceMode};
 
@@ -185,9 +185,9 @@ impl TestConfig {
     }
 
     /// Assigns the default portfolio
-    /// ([`SchedulerKind::default_portfolio`]): random, PCT with several
+    /// ([`SchedulerKind::default_portfolio`]): random, PCT with three
     /// change-point budgets, delay-bounding, a probabilistic random walk,
-    /// and round-robin.
+    /// round-robin, sleep-set and DPOR.
     pub fn with_default_portfolio(self) -> Self {
         self.with_portfolio(SchedulerKind::default_portfolio())
     }
@@ -283,16 +283,12 @@ impl TestConfig {
         if !self.auto_decisions_only() {
             return;
         }
-        let mut config = self.runtime_config();
-        config.trace_mode = TraceMode::Full;
-        let scheduler = Box::new(ReplayScheduler::from_trace(&report.trace));
-        let mut runtime = Runtime::new(scheduler, config, report.trace.seed);
-        setup(&mut runtime);
-        let outcome = runtime.run();
-        let reproduced =
-            matches!(&outcome, ExecutionOutcome::BugFound(found) if same_bug(found, &report.bug));
-        if reproduced && runtime.replay_error().is_none() {
-            report.trace = runtime.take_trace();
+        let config = RuntimeConfig {
+            trace_mode: TraceMode::Full,
+            ..self.runtime_config()
+        };
+        if let Some(trace) = record_verified(config, &report.trace, &report.bug, setup) {
+            report.trace = trace;
         }
     }
 
@@ -1385,6 +1381,7 @@ mod tests {
     use crate::event::Event;
     use crate::machine::Machine;
     use crate::runtime::Context;
+    use crate::shrink::same_bug;
     use crate::trace::Decision;
 
     /// Two writer machines race to update a shared flag machine. The flag

@@ -220,6 +220,31 @@ impl MachineSlot {
     fn is_enabled(&self) -> bool {
         !self.halted && !self.crashed && (!self.started || !self.mailbox.is_empty())
     }
+
+    /// Whether `fault`, aimed at this slot, may be injected under the
+    /// remaining `budget`: the one statement of fault applicability, shared
+    /// by the probe's offer list and [`Runtime::inject_fault`].
+    fn admits(&self, fault: Fault, budget: &FaultPlan) -> bool {
+        if self.halted {
+            return false;
+        }
+        match fault {
+            Fault::Crash(_) => self.crashable && !self.crashed && budget.crashes > 0,
+            Fault::Restart(_) => self.restartable && self.crashed && budget.restarts > 0,
+            Fault::Drop(_) => {
+                self.lossy && !self.crashed && budget.drops > 0 && !self.mailbox.is_empty()
+            }
+            Fault::Duplicate(_) => {
+                self.lossy
+                    && !self.crashed
+                    && budget.duplicates > 0
+                    && self
+                        .mailbox
+                        .as_ref()
+                        .is_some_and(Mailbox::front_can_duplicate)
+            }
+        }
+    }
 }
 
 /// Which machine fault hook [`Runtime::run_fault_hook`] invokes.
@@ -935,33 +960,18 @@ impl Runtime {
     fn collect_fault_candidates(&mut self) {
         let mut buf = std::mem::take(&mut self.fault_buf);
         buf.clear();
-        let budget = self.faults_remaining;
         for &index in &self.fault_targets {
             let slot = &self.slots[index as usize];
-            if slot.halted {
-                continue;
-            }
             let id = MachineId::from_raw(index as u64);
-            if slot.crashed {
-                if slot.restartable && budget.restarts > 0 {
-                    buf.push(Fault::Restart(id));
+            for fault in [
+                Fault::Crash(id),
+                Fault::Restart(id),
+                Fault::Drop(id),
+                Fault::Duplicate(id),
+            ] {
+                if slot.admits(fault, &self.faults_remaining) {
+                    buf.push(fault);
                 }
-                continue;
-            }
-            if slot.crashable && budget.crashes > 0 {
-                buf.push(Fault::Crash(id));
-            }
-            if slot.lossy && !slot.mailbox.is_empty() && budget.drops > 0 {
-                buf.push(Fault::Drop(id));
-            }
-            if slot.lossy
-                && budget.duplicates > 0
-                && slot
-                    .mailbox
-                    .as_ref()
-                    .is_some_and(Mailbox::front_can_duplicate)
-            {
-                buf.push(Fault::Duplicate(id));
             }
         }
         self.fault_buf = buf;
@@ -1037,33 +1047,10 @@ impl Runtime {
     /// harnesses and tests that drive fault scenarios deterministically
     /// (e.g. the enabled-index property test); exploration uses the probe.
     pub fn inject_fault(&mut self, fault: Fault) -> bool {
-        let budget = self.faults_remaining;
-        let slot = |id: MachineId| self.slots.get(id.index());
-        let applicable = match fault {
-            Fault::Crash(id) => {
-                budget.crashes > 0
-                    && slot(id).is_some_and(|s| s.crashable && !s.halted && !s.crashed)
-            }
-            Fault::Restart(id) => {
-                budget.restarts > 0
-                    && slot(id).is_some_and(|s| s.restartable && !s.halted && s.crashed)
-            }
-            Fault::Drop(id) => {
-                budget.drops > 0
-                    && slot(id).is_some_and(|s| {
-                        s.lossy && !s.halted && !s.crashed && !s.mailbox.is_empty()
-                    })
-            }
-            Fault::Duplicate(id) => {
-                budget.duplicates > 0
-                    && slot(id).is_some_and(|s| {
-                        s.lossy
-                            && !s.halted
-                            && !s.crashed
-                            && s.mailbox.as_ref().is_some_and(Mailbox::front_can_duplicate)
-                    })
-            }
-        };
+        let applicable = self
+            .slots
+            .get(fault.machine().index())
+            .is_some_and(|slot| slot.admits(fault, &self.faults_remaining));
         if applicable {
             self.apply_fault(fault);
         }
@@ -2598,6 +2585,80 @@ mod tests {
         rt.mark_restartable(b);
         rt.mark_crashable(b);
         assert_eq!(rt.fault_target_count(), 2);
+    }
+
+    #[test]
+    fn inject_fault_succeeds_exactly_on_the_offered_candidates() {
+        #[derive(Debug, Clone)]
+        struct Copyable;
+        // One machine in every combination of marking, mailbox content,
+        // halted and crashed flag, and a budget of 0 or 1 per fault kind. The
+        // flags are set on the slot directly, so the sweep also covers states
+        // no run reaches (a crashed machine with queued events).
+        let build = |state: usize| {
+            let budget = (state / 60) as u32;
+            let mut rt = Runtime::new(
+                Box::new(RandomScheduler::new(3)),
+                RuntimeConfig {
+                    faults: FaultPlan::new()
+                        .with_crashes(budget & 1)
+                        .with_restarts(budget >> 1 & 1)
+                        .with_drops(budget >> 2 & 1)
+                        .with_duplicates(budget >> 3 & 1),
+                    ..RuntimeConfig::default()
+                },
+                3,
+            );
+            let id = rt.create_machine(Responder);
+            match state % 5 {
+                1 => rt.mark_crashable(id),
+                2 => rt.mark_restartable(id),
+                3 => rt.mark_lossy(id),
+                4 => {
+                    rt.mark_restartable(id);
+                    rt.mark_lossy(id);
+                }
+                _ => {}
+            }
+            match state / 5 % 3 {
+                1 => rt.send(id, Event::new(Kick)),
+                2 => rt.send(id, Event::replicable(Copyable)),
+                _ => {}
+            }
+            rt.slots[0].halted = state / 15 % 2 == 1;
+            rt.slots[0].crashed = state / 30 % 2 == 1;
+            (rt, id)
+        };
+        let mut admitted = [0usize; 4];
+        for state in 0..5 * 3 * 2 * 2 * 16 {
+            let (mut rt, id) = build(state);
+            rt.collect_fault_candidates();
+            let offered = rt.fault_buf.clone();
+            let kinds = [
+                Fault::Crash(id),
+                Fault::Restart(id),
+                Fault::Drop(id),
+                Fault::Duplicate(id),
+            ];
+            for (kind, fault) in kinds.into_iter().enumerate() {
+                let (mut rt, _) = build(state);
+                assert_eq!(
+                    rt.inject_fault(fault),
+                    offered.contains(&fault),
+                    "{fault} in state {state}"
+                );
+                admitted[kind] += usize::from(offered.contains(&fault));
+            }
+        }
+        assert!(
+            admitted.iter().all(|&count| count > 0),
+            "every fault kind is admitted somewhere in the sweep: {admitted:?}"
+        );
+        let (mut rt, _) = build(959);
+        assert!(
+            !rt.inject_fault(Fault::Crash(MachineId::from_raw(7))),
+            "an id outside the runtime admits nothing"
+        );
     }
 
     #[test]

@@ -199,9 +199,10 @@ pub trait Scheduler: Send + Sync {
     /// The length of the execution prefix during which this strategy may
     /// starve individual machines: the priority-driven prefix for PCT and
     /// delay-bounding (their fair tail takes over afterwards), the entire
-    /// bounded horizon for the probabilistic random walk. `None` for
-    /// strategies that are uniformly fair at every step (random,
-    /// round-robin, replay).
+    /// bounded horizon for the probabilistic random walk and for DPOR's
+    /// run-to-completion bias. `None` for strategies that starve no machine
+    /// for more than a bounded number of scheduling points (random,
+    /// round-robin, sleep-set with its wake bound, replay).
     ///
     /// The runtime uses this to qualify bounded-horizon liveness verdicts:
     /// under a starvation-prone strategy, a monitor that is hot at the step
@@ -230,8 +231,9 @@ pub trait Scheduler: Send + Sync {
     /// Reports what the step just executed did (who ran, what it sent,
     /// whether it touched a monitor). Called by the runtime after every
     /// ordinary machine step, in execution order. Strategies that reason
-    /// about step independence ([`SleepSetScheduler`]) maintain their sleep
-    /// sets here; the default ignores it.
+    /// about step independence maintain their state here —
+    /// [`SleepSetScheduler`] its sleep set, [`DporScheduler`] its sleep set,
+    /// vector clocks and race window; the default ignores it.
     fn note_footprint(&mut self, footprint: &StepFootprint) {
         let _ = footprint;
     }
@@ -349,9 +351,10 @@ impl SchedulerKind {
         }
     }
 
-    /// The default strategy portfolio for portfolio testing: random
-    /// scheduling, PCT with several priority-change budgets, delay-bounding,
-    /// a probabilistic random walk, and round-robin.
+    /// The default strategy portfolio for portfolio testing, nine entries:
+    /// random scheduling, PCT with three priority-change budgets (2, 5, 10),
+    /// delay-bounding, a probabilistic random walk, round-robin, sleep-set
+    /// partial-order reduction and vector-clock DPOR.
     ///
     /// Iterations are assigned strategies by
     /// [`TestConfig::strategy_for_iteration`](crate::engine::TestConfig::strategy_for_iteration),
@@ -1002,11 +1005,18 @@ impl SleepSet {
         }
     }
 
-    /// Sleep-set bookkeeping common to both strategies for an executed step:
-    /// every delivery creates a new dependency and wakes its receiver.
-    fn wake_receivers(&mut self, footprint: &StepFootprint) {
+    /// Sleep-set bookkeeping for an executed step: every delivery creates a
+    /// new dependency and wakes its receiver; a machine whose step was local
+    /// sleeps — unless it is `running`, the machine the caller keeps
+    /// scheduling on purpose — and one whose step was not wakes.
+    fn note(&mut self, footprint: &StepFootprint, running: Option<MachineId>) {
         for &target in &footprint.sends {
             self.wake(target);
+        }
+        if !footprint.is_local() {
+            self.wake(footprint.machine);
+        } else if running != Some(footprint.machine) {
+            self.sleep(footprint.machine);
         }
     }
 }
@@ -1106,12 +1116,7 @@ impl Scheduler for SleepSetScheduler {
     }
 
     fn note_footprint(&mut self, footprint: &StepFootprint) {
-        self.sleep_set.wake_receivers(footprint);
-        if footprint.is_local() {
-            self.sleep_set.sleep(footprint.machine);
-        } else {
-            self.sleep_set.wake(footprint.machine);
-        }
+        self.sleep_set.note(footprint, None);
     }
 
     fn pruned_equivalents(&self) -> u64 {
@@ -1543,19 +1548,11 @@ impl Scheduler for DporScheduler {
             }
             self.pending_prune = 0;
         }
-        // Sleep-set bookkeeping: deliveries wake receivers; local steppers
-        // sleep (unless they are the sticky machine, which keeps running);
-        // non-local steppers wake and lose stickiness.
-        self.sleep_set.wake_receivers(footprint);
-        if footprint.is_local() {
-            if self.sticky != Some(footprint.machine) {
-                self.sleep_set.sleep(footprint.machine);
-            }
-        } else {
-            self.sleep_set.wake(footprint.machine);
-            if self.sticky == Some(footprint.machine) {
-                self.sticky = None;
-            }
+        // The sticky machine keeps running instead of sleeping after a
+        // local step, and loses stickiness with a non-local one.
+        self.sleep_set.note(footprint, self.sticky);
+        if self.sticky == Some(footprint.machine) && !footprint.is_local() {
+            self.sticky = None;
         }
 
         // Vector-clock update for the executed step.
@@ -1567,8 +1564,7 @@ impl Scheduler for DporScheduler {
         // mailbox: the oldest pending row corresponds to the handled event).
         self.clocks.join_oldest_pending(slot);
         self.clocks.tick(slot);
-        let global =
-            footprint.notified_monitor || footprint.created_machine || footprint.made_choice;
+        let global = footprint.has_global_effect();
         if global {
             // Global-effect steps are pairwise dependent: serialize them
             // through the shared global row.

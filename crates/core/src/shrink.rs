@@ -413,23 +413,45 @@ where
         decisions
     }
 
-    /// Strictly replays `decisions` with a full annotated schedule and
-    /// returns the recorded trace iff it reproduces the same bug without
-    /// divergence.
+    /// The free function `record_verified` applied to `decisions` under this
+    /// pass's seed, bounds and bug.
     fn record_verified(&self, decisions: &[Decision]) -> Option<Trace> {
         let mut probe = Trace::new(self.seed);
         probe.decisions = decisions.to_vec();
-        let scheduler = Box::new(ReplayScheduler::from_trace(&probe));
-        let mut runtime = Runtime::new(scheduler, self.runtime_config(TraceMode::Full), self.seed);
-        (self.setup)(&mut runtime);
-        match runtime.run() {
-            ExecutionOutcome::BugFound(found)
-                if same_bug(&found, self.bug) && runtime.replay_error().is_none() =>
-            {
-                Some(runtime.take_trace())
-            }
-            _ => None,
+        record_verified(
+            self.runtime_config(TraceMode::Full),
+            &probe,
+            self.bug,
+            self.setup,
+        )
+    }
+}
+
+/// Strictly replays `recorded` (its decisions, under its seed) with a full
+/// annotated schedule — `config` must ask for [`TraceMode::Full`] — and
+/// returns the new recording iff the replay reproduces `bug` without
+/// divergence. The one way a decision list becomes a trace a report shows:
+/// the shrink pass's minimized trace and the engine's re-recording of a bug
+/// found under `DecisionsOnly` both come from here.
+pub(crate) fn record_verified<F>(
+    config: RuntimeConfig,
+    recorded: &Trace,
+    bug: &Bug,
+    setup: &F,
+) -> Option<Trace>
+where
+    F: Fn(&mut Runtime),
+{
+    let scheduler = Box::new(ReplayScheduler::from_trace(recorded));
+    let mut runtime = Runtime::new(scheduler, config, recorded.seed);
+    setup(&mut runtime);
+    match runtime.run() {
+        ExecutionOutcome::BugFound(found)
+            if same_bug(&found, bug) && runtime.replay_error().is_none() =>
+        {
+            Some(runtime.take_trace())
         }
+        _ => None,
     }
 }
 

@@ -4,6 +4,9 @@
 //! reduction to a minimum fault set, and determinism across engines and
 //! worker counts.
 
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
+
 use psharp::prelude::*;
 use psharp::scheduler::{ReplayScheduler, Scheduler};
 use psharp::shrink::shrink_trace;
@@ -420,6 +423,91 @@ fn enabling_faults_does_not_perturb_the_schedule_before_the_first_fault() {
         &with.decisions[..first_fault],
         "schedules must agree decision-for-decision up to the first fault"
     );
+}
+
+/// Forwards every query to a random scheduler and counts the fault probes
+/// the runtime makes.
+struct CountingProbes {
+    inner: Box<dyn Scheduler>,
+    probes: Arc<AtomicUsize>,
+}
+
+impl Scheduler for CountingProbes {
+    fn name(&self) -> &'static str {
+        "counting-probes"
+    }
+    fn next_machine(&mut self, enabled: &[MachineId], step: usize) -> MachineId {
+        self.inner.next_machine(enabled, step)
+    }
+    fn next_bool(&mut self) -> bool {
+        self.inner.next_bool()
+    }
+    fn next_int(&mut self, bound: usize) -> usize {
+        self.inner.next_int(bound)
+    }
+    fn next_fault(&mut self, candidates: &[Fault], step: usize) -> Option<Fault> {
+        self.probes.fetch_add(1, Ordering::Relaxed);
+        self.inner.next_fault(candidates, step)
+    }
+}
+
+/// The exact-count form of "an idle fault budget costs nothing per step": a
+/// budget that no marked machine can absorb never reaches the scheduler, and
+/// the same budget with the matching mark does.
+#[test]
+fn a_budget_nothing_can_absorb_is_never_probed() {
+    /// Sends itself one event per step, so a run lasts to the step bound.
+    struct Spinner;
+    impl Machine for Spinner {
+        fn on_start(&mut self, ctx: &mut Context<'_>) {
+            ctx.send_to_self(Event::new(Ping));
+        }
+        fn handle(&mut self, ctx: &mut Context<'_>, _event: Event) {
+            ctx.send_to_self(Event::new(Ping));
+        }
+    }
+    const STEPS: usize = 2_000;
+    let probes_of = |faults: FaultPlan, mark: fn(&mut Runtime, MachineId)| {
+        let probes = Arc::new(AtomicUsize::new(0));
+        let scheduler = CountingProbes {
+            inner: SchedulerKind::Random.build(5, STEPS),
+            probes: Arc::clone(&probes),
+        };
+        let config = RuntimeConfig {
+            max_steps: STEPS,
+            faults,
+            ..RuntimeConfig::default()
+        };
+        let mut rt = Runtime::new(Box::new(scheduler), config, 5);
+        let spinner = rt.create_machine(Spinner);
+        mark(&mut rt, spinner);
+        rt.run();
+        (probes.load(Ordering::Relaxed), rt.steps())
+    };
+    let crash_budget = FaultPlan::new().with_crashes(1).with_restarts(1);
+    let loss_budget = FaultPlan::new().with_drops(1).with_duplicates(1);
+    // The mark of the other category is present: the skip is per category.
+    for (budget, idle_mark, absorbing_mark) in [
+        (
+            crash_budget,
+            Runtime::mark_lossy as fn(&mut Runtime, MachineId),
+            Runtime::mark_crashable as fn(&mut Runtime, MachineId),
+        ),
+        (loss_budget, Runtime::mark_crashable, Runtime::mark_lossy),
+    ] {
+        assert_eq!(
+            probes_of(budget, |_, _| {}),
+            (0, STEPS),
+            "{budget}: nothing is marked"
+        );
+        assert_eq!(
+            probes_of(budget, idle_mark),
+            (0, STEPS),
+            "{budget}: nothing marked can absorb it"
+        );
+        let (probes, _) = probes_of(budget, absorbing_mark);
+        assert!(probes >= 1, "{budget}: a marked machine can absorb it");
+    }
 }
 
 // ---------------------------------------------------------------------------
