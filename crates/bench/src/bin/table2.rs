@@ -22,7 +22,8 @@
 //!
 //! `--shrink` delta-debugs every found bug's schedule down to a minimal
 //! replayable counterexample (extra `MinNDC` column + `minimized_ndc` /
-//! `shrink_time_seconds` JSON fields). `--trace-mode` bounds how much of the
+//! `shrink_time_seconds` / `shrink_candidates` / `shrink_candidate_steps`
+//! JSON fields). `--trace-mode` bounds how much of the
 //! human-facing annotated schedule each execution retains (`ring:N` keeps
 //! the last N steps, `decisions` keeps none); replay is unaffected.
 //!

@@ -179,6 +179,11 @@ pub struct BugHuntResult {
     pub minimized_ndc: Option<usize>,
     /// Wall-clock seconds the shrink pass spent, when it ran.
     pub shrink_time_seconds: Option<f64>,
+    /// Candidate executions the shrink pass tried, when it ran.
+    pub shrink_candidates: Option<u64>,
+    /// Machine steps those candidates executed: the exact cost of the pass
+    /// ([`ShrinkReport::candidate_steps`]).
+    pub shrink_candidate_steps: Option<u64>,
     /// Fault decisions in the first buggy execution (when found): the
     /// injected fault set of the original recording.
     pub fault_decisions: Option<usize>,
@@ -234,6 +239,20 @@ impl ToJson for BugHuntResult {
                 "shrink_time_seconds",
                 match self.shrink_time_seconds {
                     Some(t) => Json::Float(t),
+                    None => Json::Null,
+                },
+            ),
+            (
+                "shrink_candidates",
+                match self.shrink_candidates {
+                    Some(n) => Json::UInt(n),
+                    None => Json::Null,
+                },
+            ),
+            (
+                "shrink_candidate_steps",
+                match self.shrink_candidate_steps {
+                    Some(n) => Json::UInt(n),
                     None => Json::Null,
                 },
             ),
@@ -455,6 +474,8 @@ pub fn hunt_with_fault_override(
         ndc: report.bug.as_ref().map(|b| b.ndc),
         minimized_ndc: shrink.map(|s| s.minimized_decisions),
         shrink_time_seconds: shrink.map(|s| s.elapsed.as_secs_f64()),
+        shrink_candidates: shrink.map(|s| s.candidates_tried),
+        shrink_candidate_steps: shrink.map(|s| s.candidate_steps),
         fault_decisions: report.bug.as_ref().map(|b| b.trace.fault_decision_count()),
         minimized_fault_decisions: shrink.map(|s| s.minimized_faults),
         executions: report.iterations_run,
@@ -679,6 +700,8 @@ mod tests {
             ndc: None,
             minimized_ndc: None,
             shrink_time_seconds: None,
+            shrink_candidates: None,
+            shrink_candidate_steps: None,
             fault_decisions: None,
             minimized_fault_decisions: None,
             executions: 1000,

@@ -116,7 +116,7 @@ pub mod prelude {
         CancelToken, Context, ExecutionOutcome, Runtime, RuntimeConfig, RuntimeSnapshot,
     };
     pub use crate::scheduler::{SchedulerKind, StepFootprint};
-    pub use crate::shrink::{shrink_trace, ShrinkConfig, ShrinkReport};
+    pub use crate::shrink::{shrink_trace, ShrinkConfig, ShrinkReport, ShrinkReturned};
     pub use crate::stats::{ModelStats, StrategyStats};
     pub use crate::timer::{Timer, TimerTick};
     pub use crate::trace::{Decision, NameId, NameTable, Trace, TraceMode};

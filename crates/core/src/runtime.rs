@@ -56,9 +56,11 @@ pub enum ExecutionOutcome {
     Quiescent,
     /// The step bound was reached without a violation.
     MaxStepsReached,
-    /// A [`CancelToken`] fired and the execution was abandoned mid-step
-    /// (used by the parallel engine for step-level cancellation; partial
-    /// results of a cancelled execution must be discarded).
+    /// The execution was abandoned between two steps; its partial results
+    /// must be discarded. Two causes: a [`CancelToken`] fired (the parallel
+    /// engine's step-level cancellation), or a shrink candidate recorded as
+    /// many decisions as the sequence it had to beat with no bug pending
+    /// (see the [`shrink`](crate::shrink) module header).
     Cancelled,
 }
 
@@ -89,6 +91,15 @@ impl CancelToken {
     pub fn is_cancelled(&self) -> bool {
         self.bound.load(Ordering::Relaxed) <= self.iteration
     }
+}
+
+/// What [`Runtime::run`] polls once per step to abandon a doomed execution.
+enum Cancel {
+    /// The parallel engine's bug bound dropped to this execution's iteration.
+    Token(CancelToken),
+    /// A shrink candidate that has recorded this many decisions can no
+    /// longer be shorter than the sequence it is trying to beat.
+    DecisionCap(usize),
 }
 
 /// Execution parameters of a single run.
@@ -341,7 +352,7 @@ pub struct Runtime {
     /// Whether any `mark_*` call changed the fault-target list or counters
     /// since `cow_origin`; a restore then re-copies `fault_targets`.
     fault_marks_changed: bool,
-    cancel: Option<CancelToken>,
+    cancel: Option<Cancel>,
     /// Side effects of the step currently executing (or, between steps, of
     /// the last executed step). Rearmed in place per step so independence
     /// tracking never allocates in the steady state; fed to
@@ -463,32 +474,7 @@ impl Runtime {
         self.footprint.rearm(MachineId::from_raw(0));
     }
 
-    /// Replaces the runtime's empty trace with a recycled one, keeping the
-    /// recycled trace's allocated buffers so recording does not re-allocate.
-    ///
-    /// The recycled trace is reset to this runtime's seed and
-    /// [`TraceMode`]; names of machines already created are re-interned, so
-    /// the swap is valid at any point before the run starts.
-    pub fn recycle_trace(&mut self, mut recycled: Trace) {
-        recycled.reset(self.trace.seed, self.config.trace_mode);
-        let discarded = std::mem::replace(&mut self.trace, recycled);
-        for slot in &mut self.slots {
-            // Slot names were interned in the discarded trace; re-intern them
-            // into the recycled table. (Engines recycle before machines are
-            // created, so this loop is normally empty.)
-            slot.name = self.trace.intern(discarded.names.resolve(slot.name));
-        }
-        // Re-interning rebinds slot name ids without marking slots dirty, so
-        // an outstanding snapshot origin no longer describes clean slots:
-        // force the next restore to be a full one.
-        self.cow_origin = None;
-    }
-
     /// Consumes the runtime and returns its recorded trace, buffers and all.
-    ///
-    /// Engines use this to recycle trace storage across iterations: the
-    /// returned trace is handed to the next iteration's runtime via
-    /// [`Runtime::recycle_trace`].
     pub fn into_trace(self) -> Trace {
         self.trace
     }
@@ -496,7 +482,22 @@ impl Runtime {
     /// Installs a cancellation token; [`Runtime::run`] polls it once per step
     /// and returns [`ExecutionOutcome::Cancelled`] as soon as it fires.
     pub fn set_cancel_token(&mut self, token: CancelToken) {
-        self.cancel = Some(token);
+        self.cancel = Some(Cancel::Token(token));
+    }
+
+    /// Makes [`Runtime::run`] return [`ExecutionOutcome::Cancelled`] at the
+    /// first step boundary where `cap` decisions are recorded and no bug is
+    /// pending. Shares the per-step poll (and the slot) of the cancellation
+    /// token: a shrink candidate runs on one thread and never carries both.
+    ///
+    /// Precondition: the installed scheduler has no liveness grace window
+    /// ([`Scheduler::unfair_prefix_len`] is `None`, as for replay). Decisions
+    /// recorded during grace are truncated again when the verdict is
+    /// confirmed, so the cap could fire there on a recording that would have
+    /// ended up shorter than `cap`.
+    pub(crate) fn cancel_at_decisions(&mut self, cap: usize) {
+        debug_assert!(self.scheduler.unfair_prefix_len().is_none());
+        self.cancel = Some(Cancel::DecisionCap(cap));
     }
 
     /// Creates a machine and returns its id. The machine's `on_start` runs
@@ -745,8 +746,12 @@ impl Runtime {
                     return ExecutionOutcome::BugFound(self.take_bug());
                 }
             }
-            if let Some(token) = &self.cancel {
-                if token.is_cancelled() {
+            if let Some(cancel) = &self.cancel {
+                let fired = match cancel {
+                    Cancel::Token(token) => token.is_cancelled(),
+                    Cancel::DecisionCap(cap) => self.trace.decision_count() >= *cap,
+                };
+                if fired {
                     return ExecutionOutcome::Cancelled;
                 }
             }
@@ -1247,7 +1252,9 @@ impl Runtime {
         for slot in &mut self.slots {
             slot.name = self.trace.intern(taken.names.resolve(slot.name));
         }
-        // Slot name ids were rebound without dirty marks; see recycle_trace.
+        // Re-interning rebinds slot name ids without marking slots dirty, so
+        // an outstanding snapshot origin no longer describes clean slots:
+        // force the next restore to be a full one.
         self.cow_origin = None;
         taken
     }
@@ -2162,6 +2169,49 @@ mod tests {
         rt.set_cancel_token(CancelToken::new(bound, 2));
         rt.create_machine(Looper);
         assert_eq!(rt.run(), ExecutionOutcome::MaxStepsReached);
+    }
+
+    #[test]
+    fn decision_cap_abandons_at_a_step_boundary_unless_a_bug_is_pending() {
+        /// Records two decisions a step and fails in its `fail_at`-th step.
+        struct Chooser {
+            handled: usize,
+            fail_at: usize,
+        }
+        impl Machine for Chooser {
+            fn on_start(&mut self, ctx: &mut Context<'_>) {
+                ctx.send_to_self(Event::new(Kick));
+            }
+            fn handle(&mut self, ctx: &mut Context<'_>, _event: Event) {
+                self.handled += 1;
+                let _ = ctx.random_bool();
+                ctx.assert(self.handled != self.fail_at, "failed on schedule");
+                ctx.send_to_self(Event::new(Kick));
+            }
+        }
+        let run = |cap: usize, fail_at: usize| {
+            let mut rt = Runtime::new(
+                Box::new(RandomScheduler::new(0)),
+                RuntimeConfig::default(),
+                0,
+            );
+            rt.cancel_at_decisions(cap);
+            rt.create_machine(Chooser {
+                handled: 0,
+                fail_at,
+            });
+            (rt.run(), rt.steps(), rt.trace().decision_count())
+        };
+        // Start step: 1 decision; every later step: 2. The cap of 4 is first
+        // met (overshot, by the in-step choice) after the third step.
+        assert_eq!(run(4, usize::MAX), (ExecutionOutcome::Cancelled, 3, 5));
+        // A bug raised by the very step that crosses the cap is reported:
+        // the poll sits behind the pending-bug check.
+        let (outcome, steps, decisions) = run(4, 2);
+        assert!(matches!(outcome, ExecutionOutcome::BugFound(_)));
+        assert_eq!((steps, decisions), (3, 5));
+        // A cap of zero fires before any step, like a fired token.
+        assert_eq!(run(0, usize::MAX), (ExecutionOutcome::Cancelled, 0, 0));
     }
 
     struct HotUntilPong {

@@ -1729,14 +1729,17 @@ impl ReplayScheduler {
         self.position
     }
 
-    fn record_divergence(&mut self, message: String) {
+    /// Records the first divergence of a strict replay. The message is built
+    /// only then: tolerant replay diverges at every gap of every shrink
+    /// candidate and must not format (and allocate) a string it drops.
+    fn record_divergence(&mut self, message: impl FnOnce() -> String) {
         if self.tail.is_some() {
             // Tolerant mode: gaps are expected, not errors.
             return;
         }
         if self.error.is_none() {
             self.error = Some(ReplayError {
-                message,
+                message: message(),
                 decision_index: self.position,
             });
         }
@@ -1798,9 +1801,9 @@ impl Scheduler for ReplayScheduler {
         // deleted the crash that made this restart possible, or the machine
         // id no longer exists): tolerant replay skips it, strict replay
         // reports the divergence. Either way no fault fires here.
-        self.record_divergence(format!(
-            "recorded fault '{recorded:?}' is not injectable during replay"
-        ));
+        self.record_divergence(|| {
+            format!("recorded fault '{recorded:?}' is not injectable during replay")
+        });
         None
     }
 
@@ -1808,15 +1811,15 @@ impl Scheduler for ReplayScheduler {
         match self.next_decision() {
             Some(Decision::Schedule(id)) if position_of(enabled, id).is_some() => id,
             Some(Decision::Schedule(id)) => {
-                self.record_divergence(format!(
-                    "recorded machine {id} is not enabled during replay"
-                ));
+                self.record_divergence(|| {
+                    format!("recorded machine {id} is not enabled during replay")
+                });
                 self.fallback_machine(enabled)
             }
             other => {
-                self.record_divergence(format!(
-                    "expected a Schedule decision, recording has {other:?}"
-                ));
+                self.record_divergence(|| {
+                    format!("expected a Schedule decision, recording has {other:?}")
+                });
                 self.fallback_machine(enabled)
             }
         }
@@ -1826,9 +1829,9 @@ impl Scheduler for ReplayScheduler {
         match self.next_decision() {
             Some(Decision::Bool(b)) => b,
             other => {
-                self.record_divergence(format!(
-                    "expected a Bool decision, recording has {other:?}"
-                ));
+                self.record_divergence(|| {
+                    format!("expected a Bool decision, recording has {other:?}")
+                });
                 self.fallback_bool()
             }
         }
@@ -1842,15 +1845,15 @@ impl Scheduler for ReplayScheduler {
         match self.next_decision() {
             Some(Decision::Int(v)) if v < bound => v,
             Some(Decision::Int(v)) => {
-                self.record_divergence(format!(
-                    "recorded int {v} is out of bounds (bound {bound})"
-                ));
+                self.record_divergence(|| {
+                    format!("recorded int {v} is out of bounds (bound {bound})")
+                });
                 self.fallback_int(bound)
             }
             other => {
-                self.record_divergence(format!(
-                    "expected an Int decision, recording has {other:?}"
-                ));
+                self.record_divergence(|| {
+                    format!("expected an Int decision, recording has {other:?}")
+                });
                 self.fallback_int(bound)
             }
         }

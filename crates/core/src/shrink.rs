@@ -17,14 +17,31 @@
 //!    new current sequence is the *recording* of the reduced execution
 //!    (which ends exactly at bug detection, so it is self-trimming);
 //! 4. repeat at finer granularities until no single deletion reproduces the
-//!    bug (1-minimality) or the candidate budget is exhausted.
+//!    bug (1-minimality) or the candidate budget is exhausted;
+//! 5. *abandon a candidate that can no longer win*: step 3 only accepts a
+//!    recording strictly shorter than the current sequence, and a recording
+//!    only ever grows, so a candidate that stands at a step boundary with no
+//!    bug pending and already as many decisions recorded as the current
+//!    sequence has is stopped there ([`ExecutionOutcome::Cancelled`]). Run to
+//!    its end it would have been rejected on length whatever its verdict, so
+//!    the accepted sequences, both candidate counters and the minimized
+//!    trace are exactly those of the search that runs every candidate out —
+//!    only [`ShrinkReport::candidate_steps`] falls. (The coarse fault pass
+//!    that precedes ddmin accepts a reproducing recording of any length, so
+//!    its candidates always run to the end.)
+//!
+//! All candidates of a pass execute in one pooled [`Runtime`],
+//! [`reset`](Runtime::reset) between them exactly as the engines reset theirs
+//! between iterations: `setup` still runs once per candidate, but machines,
+//! mailboxes, name table and trace keep their grown storage.
 //!
 //! The final sequence is re-executed once more under **strict** replay with a
 //! full annotated schedule, so the [`ShrinkReport::minimized`] trace is
-//! replay-verified end to end. Every candidate execution is deterministic
-//! (seeded tail, serialized runtime), so shrinking the same bug report yields
-//! byte-identical output on every run and at any engine worker count — and
-//! shrinking an already-minimal trace is a no-op.
+//! replay-verified end to end ([`ShrinkReport::returned`] says so, and says
+//! what was handed back instead when that replay fails). Every candidate
+//! execution is deterministic (seeded tail, serialized runtime), so shrinking
+//! the same bug report yields byte-identical output on every run and at any
+//! engine worker count — and shrinking an already-minimal trace is a no-op.
 
 use std::time::{Duration, Instant};
 
@@ -73,8 +90,34 @@ impl Default for ShrinkConfig {
     }
 }
 
-/// The outcome of shrinking one buggy trace: the replay-verified minimal
-/// counterexample plus reduction statistics.
+/// Which trace a shrink pass handed back as [`ShrinkReport::minimized`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ShrinkReturned {
+    /// The strict re-recording of the sequence the search ended on (the
+    /// input's own decisions when nothing could be deleted): replay-verified.
+    Minimized,
+    /// The search's final sequence did not strictly replay to the bug; the
+    /// strict re-recording of the *input's* decisions is returned instead —
+    /// replay-verified, but not reduced.
+    Original,
+    /// Neither sequence strictly replayed to the bug (the harness does not
+    /// reproduce it any more): the input trace is returned as given,
+    /// **unverified**.
+    Unverified,
+}
+
+impl ShrinkReturned {
+    fn label(self) -> &'static str {
+        match self {
+            ShrinkReturned::Minimized => "minimized",
+            ShrinkReturned::Original => "original",
+            ShrinkReturned::Unverified => "unverified",
+        }
+    }
+}
+
+/// The outcome of shrinking one buggy trace: the minimal counterexample,
+/// whether it is replay-verified, and reduction statistics.
 #[derive(Debug, Clone)]
 pub struct ShrinkReport {
     /// Decision count of the original buggy trace (the paper's `#NDC`).
@@ -91,9 +134,17 @@ pub struct ShrinkReport {
     pub candidates_tried: u64,
     /// Candidate executions that reproduced the bug (accepted mutations).
     pub candidates_reproduced: u64,
+    /// Machine steps executed over all candidate executions: the exact,
+    /// host-independent cost of the search (the final strict re-recordings
+    /// are not candidates and are not counted).
+    pub candidate_steps: u64,
     /// Wall-clock time of the whole pass.
     pub elapsed: Duration,
-    /// The minimized, replay-verified trace: strict replay of this trace
+    /// Which trace [`ShrinkReport::minimized`] is. Anything but
+    /// [`ShrinkReturned::Minimized`] means the final strict replay failed.
+    pub returned: ShrinkReturned,
+    /// The minimized trace. Unless [`ShrinkReport::returned`] is
+    /// [`ShrinkReturned::Unverified`], strict replay of this trace
     /// reproduces the same bug as the original.
     pub minimized: Trace,
 }
@@ -124,13 +175,23 @@ impl ShrinkReport {
         } else {
             String::new()
         };
+        let returned = match self.returned {
+            ShrinkReturned::Minimized => "",
+            ShrinkReturned::Original => {
+                "; the minimized sequence failed strict replay: returning the re-recorded original"
+            }
+            ShrinkReturned::Unverified => {
+                "; UNVERIFIED: the bug no longer strictly replays: returning the input trace as given"
+            }
+        };
         format!(
-            "shrunk {} -> {} decisions ({:.0}% removed{faults}, {} of {} candidates reproduced, {:.2}s)",
+            "shrunk {} -> {} decisions ({:.0}% removed{faults}, {} of {} candidates reproduced, {} candidate steps, {:.2}s){returned}",
             self.original_decisions,
             self.minimized_decisions,
             self.reduction_percent(),
             self.candidates_reproduced,
             self.candidates_tried,
+            self.candidate_steps,
             self.elapsed.as_secs_f64()
         )
     }
@@ -154,7 +215,9 @@ impl ToJson for ShrinkReport {
                 "candidates_reproduced",
                 Json::UInt(self.candidates_reproduced),
             ),
+            ("candidate_steps", Json::UInt(self.candidate_steps)),
             ("elapsed_seconds", Json::Float(self.elapsed.as_secs_f64())),
+            ("returned", Json::Str(self.returned.label().to_string())),
             ("minimized", self.minimized.to_json_value()),
         ])
     }
@@ -162,12 +225,23 @@ impl ToJson for ShrinkReport {
 
 impl FromJson for ShrinkReport {
     fn from_json_value(value: &Json) -> Result<Self, JsonError> {
-        // The fault counters postdate the fault-injection refactor; reports
-        // written before it parse with zero faults.
+        // The fault counters postdate the fault-injection refactor, and
+        // `candidate_steps` / `returned` the pooled shrink pass; reports
+        // written before them parse with zeroes and a verified trace.
         let fault_count = |key: &str| -> Result<usize, JsonError> {
             match value.opt(key) {
                 Some(v) => v.as_usize(),
                 None => Ok(0),
+            }
+        };
+        let returned = match value.opt("returned").map(Json::as_str).transpose()? {
+            None | Some("minimized") => ShrinkReturned::Minimized,
+            Some("original") => ShrinkReturned::Original,
+            Some("unverified") => ShrinkReturned::Unverified,
+            Some(other) => {
+                return Err(JsonError::new(format!(
+                    "unknown shrink 'returned' value '{other}'"
+                )))
             }
         };
         Ok(ShrinkReport {
@@ -177,6 +251,8 @@ impl FromJson for ShrinkReport {
             minimized_faults: fault_count("minimized_faults")?,
             candidates_tried: value.get("candidates_tried")?.as_u64()?,
             candidates_reproduced: value.get("candidates_reproduced")?.as_u64()?,
+            candidate_steps: value.opt("candidate_steps").map_or(Ok(0), Json::as_u64)?,
+            returned,
             elapsed: Duration::from_secs_f64(value.get("elapsed_seconds")?.as_f64()?),
             minimized: Trace::from_json_value(value.get("minimized")?)?,
         })
@@ -225,28 +301,32 @@ impl Drop for QuietPanicHook {
 /// Delta-debugs `trace` (which reproduces `bug` on the harness built by
 /// `setup`) down to a minimal replayable counterexample.
 ///
-/// The returned report always carries a replay-verified minimized trace; if
-/// no deletion reproduces the bug (or the budget runs out before any does),
-/// the "minimized" trace is the strict re-recording of the original decision
-/// sequence and [`ShrinkReport::improved`] is `false`.
+/// The returned report carries a replay-verified minimized trace whenever
+/// the harness still reproduces the bug; if no deletion reproduces it (or the
+/// budget runs out before any does), the "minimized" trace is the strict
+/// re-recording of the original decision sequence and
+/// [`ShrinkReport::improved`] is `false`. [`ShrinkReport::returned`] names
+/// the two ways out of that promise: the search's final sequence failing its
+/// strict replay, and the input failing it too (a `setup` that is not a pure
+/// function of the runtime it is given).
 pub fn shrink_trace<F>(config: &ShrinkConfig, bug: &Bug, trace: &Trace, setup: &F) -> ShrinkReport
 where
     F: Fn(&mut Runtime),
 {
     let start = Instant::now();
-    let pass = ShrinkPass {
+    let mut pass = ShrinkPass {
         config,
         bug,
         seed: trace.seed,
         setup,
+        pooled: None,
+        candidate_steps: 0,
     };
 
     let original = trace.decisions.clone();
     let mut current = original.clone();
     let mut tried: u64 = 0;
     let mut reproduced: u64 = 0;
-    // Recycled trace storage for the candidate runtimes.
-    let mut scratch: Option<Trace> = None;
     // Reproducing candidates of a panic-kind bug re-panic inside
     // `catch_unwind` once per candidate; without this guard the default
     // panic hook would print hundreds of backtraces over one shrink pass.
@@ -263,7 +343,7 @@ where
         let without_faults: Vec<Decision> =
             current.iter().copied().filter(|d| !d.is_fault()).collect();
         tried += 1;
-        if let Some(recording) = pass.reproduces(without_faults, &mut scratch) {
+        if let Some(recording) = pass.reproduces(without_faults, None) {
             reproduced += 1;
             current = recording;
         }
@@ -281,7 +361,7 @@ where
                 let mut candidate = current.clone();
                 candidate.remove(position);
                 tried += 1;
-                if let Some(recording) = pass.reproduces(candidate, &mut scratch) {
+                if let Some(recording) = pass.reproduces(candidate, None) {
                     reproduced += 1;
                     current = recording;
                     // Positions shifted; rescan the surviving faults.
@@ -310,7 +390,10 @@ where
             candidate.extend_from_slice(&current[..start_index]);
             candidate.extend_from_slice(&current[end_index..]);
             tried += 1;
-            if let Some(recording) = pass.reproduces(candidate, &mut scratch) {
+            // Only a strictly shorter recording is accepted, so the
+            // candidate is abandoned once it has recorded `current.len()`
+            // decisions (rule 5 of the module header).
+            if let Some(recording) = pass.reproduces(candidate, Some(current.len())) {
                 if recording.len() < current.len() {
                     reproduced += 1;
                     current = recording;
@@ -335,11 +418,15 @@ where
 
     // Re-record the winning sequence under strict replay with a full
     // annotated schedule: the minimized trace must stand on its own as a
-    // replayable, human-readable counterexample.
-    let minimized = pass
-        .record_verified(&current)
-        .or_else(|| pass.record_verified(&original))
-        .unwrap_or_else(|| trace.clone());
+    // replayable, human-readable counterexample. When it does not, fall back
+    // to the input — and say so.
+    let (returned, minimized) = if let Some(verified) = pass.record_verified(&current) {
+        (ShrinkReturned::Minimized, verified)
+    } else if let Some(verified) = pass.record_verified(&original) {
+        (ShrinkReturned::Original, verified)
+    } else {
+        (ShrinkReturned::Unverified, trace.clone())
+    };
 
     ShrinkReport {
         original_decisions: original.len(),
@@ -348,17 +435,23 @@ where
         minimized_faults: minimized.fault_decision_count(),
         candidates_tried: tried,
         candidates_reproduced: reproduced,
+        candidate_steps: pass.candidate_steps,
         elapsed: start.elapsed(),
+        returned,
         minimized,
     }
 }
 
-/// The immutable ingredients of one shrink pass.
+/// The ingredients of one shrink pass, the runtime all its candidates share
+/// and the step count they add up to.
 struct ShrinkPass<'a, F> {
     config: &'a ShrinkConfig,
     bug: &'a Bug,
     seed: u64,
     setup: &'a F,
+    /// The candidates' runtime, reset between them (`None` before the first).
+    pooled: Option<Runtime>,
+    candidate_steps: u64,
 }
 
 impl<F> ShrinkPass<'_, F>
@@ -382,35 +475,40 @@ where
         crate::rng::mix64(self.seed ^ SHRINK_TAIL_STREAM)
     }
 
-    /// Executes one candidate decision sequence under tolerant replay.
-    /// Returns the recording of the run iff it reproduces the same bug.
+    /// Executes one candidate decision sequence under tolerant replay, in
+    /// the pooled runtime. Returns the recording of the run iff it
+    /// reproduces the same bug. With `beat: Some(n)` the run is abandoned —
+    /// and the candidate rejected — once it has recorded `n` decisions with
+    /// no bug pending.
     ///
-    /// Candidates run with [`TraceMode::DecisionsOnly`] — the annotated
-    /// schedule is irrelevant during the search — and recycle trace storage
-    /// via `scratch` across calls.
+    /// Candidates run with [`TraceMode::DecisionsOnly`]: the annotated
+    /// schedule is irrelevant during the search.
     fn reproduces(
-        &self,
+        &mut self,
         candidate: Vec<Decision>,
-        scratch: &mut Option<Trace>,
+        beat: Option<usize>,
     ) -> Option<Vec<Decision>> {
         let scheduler = Box::new(ReplayScheduler::tolerant(candidate, self.tail_seed()));
-        let mut runtime = Runtime::new(
-            scheduler,
-            self.runtime_config(TraceMode::DecisionsOnly),
-            self.seed,
-        );
-        if let Some(recycled) = scratch.take() {
-            runtime.recycle_trace(recycled);
+        let config = self.runtime_config(TraceMode::DecisionsOnly);
+        let runtime = match &mut self.pooled {
+            None => self
+                .pooled
+                .insert(Runtime::new(scheduler, config, self.seed)),
+            Some(runtime) => {
+                runtime.reset(scheduler, config, self.seed);
+                runtime
+            }
+        };
+        if let Some(cap) = beat {
+            runtime.cancel_at_decisions(cap);
         }
-        (self.setup)(&mut runtime);
+        (self.setup)(runtime);
         let outcome = runtime.run();
-        let trace = runtime.into_trace();
+        self.candidate_steps += runtime.steps() as u64;
         let reproduced =
             matches!(&outcome, ExecutionOutcome::BugFound(found) if same_bug(found, self.bug));
         // The recording ends at bug detection, so it is already trimmed.
-        let decisions = reproduced.then(|| trace.decisions.clone());
-        *scratch = Some(trace);
-        decisions
+        reproduced.then(|| runtime.trace().decisions.clone())
     }
 
     /// The free function `record_verified` applied to `decisions` under this
@@ -486,7 +584,9 @@ mod tests {
             minimized_faults: 1,
             candidates_tried: 40,
             candidates_reproduced: 6,
+            candidate_steps: 900,
             elapsed: Duration::from_millis(125),
+            returned: ShrinkReturned::Original,
             minimized,
         };
         let json = report.to_json_value().to_string_pretty();
@@ -503,6 +603,10 @@ mod tests {
         assert!(back.improved());
         assert!(back.summary().contains("120 -> 1"));
         assert!(back.summary().contains("faults 3 -> 1"));
+        assert_eq!(back.candidate_steps, 900);
+        assert!(back.summary().contains("900 candidate steps"));
+        assert_eq!(back.returned, ShrinkReturned::Original);
+        assert!(back.summary().contains("re-recorded original"));
     }
 
     #[test]
@@ -520,6 +624,9 @@ mod tests {
         assert_eq!(report.original_faults, 0);
         assert_eq!(report.minimized_faults, 0);
         assert!(!report.summary().contains("faults"));
+        assert_eq!(report.candidate_steps, 0);
+        assert_eq!(report.returned, ShrinkReturned::Minimized);
+        assert!(report.summary().ends_with("s)"), "{}", report.summary());
     }
 
     #[test]
@@ -531,7 +638,9 @@ mod tests {
             minimized_faults: 0,
             candidates_tried: 0,
             candidates_reproduced: 0,
+            candidate_steps: 0,
             elapsed: Duration::ZERO,
+            returned: ShrinkReturned::Minimized,
             minimized: Trace::new(0),
         };
         assert_eq!(empty.reduction_percent(), 0.0);

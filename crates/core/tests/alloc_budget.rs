@@ -191,51 +191,123 @@ fn pure_scheduling_steps_allocate_nothing_per_step() {
     );
 }
 
-/// A runtime that inherits a previous execution's trace storage
-/// ([`Runtime::recycle_trace`], the engines' cross-iteration path) records a
-/// same-shaped execution without growing the trace vectors at all: the only
-/// allowed allocations are the machine box, first-touch of the per-machine
-/// mailbox/slot vectors, and the re-interned machine names.
+/// The shrink pass pools one runtime across its candidates the way the
+/// engines pool one across iterations, so a warm candidate — candidate
+/// `Vec`, scheduler box, reset, `setup`, the run, and the recording clone on
+/// an accept — allocates no more than one pooled engine iteration on the same
+/// harness plus a small constant. Every allocation the harness itself makes
+/// happens in `setup` (handlers never send), so the two sides differ only in
+/// what the shrink pass adds. Candidate boundaries are read off the counter
+/// from inside the `setup` closure, which the pass calls once per candidate.
 #[test]
-fn recycled_trace_makes_the_next_iteration_allocation_free_on_the_trace_path() {
-    const EVENTS: usize = 8_192;
+fn warm_shrink_candidate_allocates_no_more_than_a_pooled_engine_iteration() {
+    use std::cell::RefCell;
+    use std::sync::atomic::AtomicUsize;
+    use std::sync::Arc;
+
+    const EVENTS: usize = 24;
+    /// Candidate `Vec`, scheduler box, recording clone on an accept.
+    const SLACK: u64 = 4;
+
+    /// Counts its deliveries into a cell the other machines can read.
+    struct Leader(Arc<AtomicUsize>);
+    impl Machine for Leader {
+        fn handle(&mut self, _ctx: &mut Context<'_>, _event: Event) {
+            self.0.fetch_add(1, Ordering::Relaxed);
+        }
+    }
+    /// Fails when it finishes before the leader is half way.
+    struct Follower {
+        leader: Arc<AtomicUsize>,
+        handled: usize,
+    }
+    impl Machine for Follower {
+        fn handle(&mut self, ctx: &mut Context<'_>, _event: Event) {
+            self.handled += 1;
+            if self.handled == EVENTS {
+                ctx.assert(
+                    self.leader.load(Ordering::Relaxed) >= EVENTS / 2,
+                    "follower overtook leader",
+                );
+            }
+        }
+    }
     struct Sink;
     impl Machine for Sink {
         fn handle(&mut self, _ctx: &mut Context<'_>, _event: Event) {}
     }
-    let build = || {
-        Runtime::new(
-            SchedulerKind::Random.build(11, EVENTS * 2),
-            RuntimeConfig {
-                max_steps: EVENTS * 2,
-                ..RuntimeConfig::default()
-            },
-            11,
-        )
+    let harness = |rt: &mut Runtime| {
+        let progress = Arc::new(AtomicUsize::new(0));
+        let machines = [
+            rt.create_machine(Leader(Arc::clone(&progress))),
+            rt.create_machine(Follower {
+                leader: progress,
+                handled: 0,
+            }),
+            rt.create_machine(Sink),
+        ];
+        for _ in 0..EVENTS {
+            for machine in machines {
+                rt.send(machine, Event::new(Spin));
+            }
+        }
     };
 
-    // Warm-up execution grows the trace to its full size.
-    let mut first = build();
-    let sink = first.create_machine(Sink);
-    for _ in 0..EVENTS {
-        first.send(sink, Event::new(Spin));
-    }
-    assert_eq!(first.run(), ExecutionOutcome::Quiescent);
-    let recycled = first.into_trace();
+    let config = TestConfig::new()
+        .with_iterations(2_000)
+        .with_max_steps(10 * EVENTS)
+        .with_seed(3);
+    let found = TestEngine::new(config.clone())
+        .run(harness)
+        .bug
+        .expect("the follower overtakes the leader under some schedule");
 
-    // Second execution re-uses that storage: recording must not re-allocate.
-    let mut second = build();
-    second.recycle_trace(recycled);
-    let sink = second.create_machine(Sink);
-    for _ in 0..EVENTS {
-        second.send(sink, Event::new(Spin));
-    }
-    let (allocations, outcome) = count_allocations(|| second.run());
-    assert_eq!(outcome, ExecutionOutcome::Quiescent);
+    // One pooled engine iteration: warm the runtime, then reset, set up and
+    // run with the scheduler built outside the window, as the engines do.
+    let runtime_config = || RuntimeConfig {
+        max_steps: 10 * EVENTS,
+        ..RuntimeConfig::default()
+    };
+    let mut rt = Runtime::new(
+        SchedulerKind::Random.build(11, 10 * EVENTS),
+        runtime_config(),
+        11,
+    );
+    harness(&mut rt);
+    rt.run();
+    let scheduler = SchedulerKind::Random.build(13, 10 * EVENTS);
+    let (iteration, _) = count_allocations(|| {
+        rt.reset(scheduler, runtime_config(), 13);
+        harness(&mut rt);
+        rt.run()
+    });
+
+    // The shrink pass, with the counter read at every candidate's setup.
+    let marks = RefCell::new(Vec::with_capacity(4_096));
+    let (_, report) = count_allocations(|| {
+        shrink_trace(&config.shrink_config(), &found.bug, &found.trace, &|rt| {
+            marks.borrow_mut().push(ALLOCATIONS.load(Ordering::SeqCst));
+            harness(rt);
+        })
+    });
+    assert!(report.improved(), "{}", report.summary());
+    let marks = marks.into_inner();
+    let candidates = report.candidates_tried as usize;
+    assert!(candidates >= 8, "too few candidates: {}", report.summary());
+    assert!(marks.len() > candidates && marks.len() < 4_096);
+    // Candidate `i` spans mark `i` to mark `i + 1`; the first two grow the
+    // pooled runtime, and the span after the last candidate belongs to the
+    // final strict re-recording.
+    let worst = marks[..candidates]
+        .windows(2)
+        .skip(2)
+        .map(|pair| pair[1] - pair[0])
+        .max()
+        .expect("warm candidates exist");
     assert!(
-        allocations <= 8,
-        "a recycled-trace execution allocated {allocations} times; \
-         pre-grown trace storage must absorb the whole recording"
+        worst <= iteration + SLACK,
+        "a warm shrink candidate allocated {worst} times against {iteration} for a pooled \
+         engine iteration on the same harness (slack {SLACK}); candidates must share one runtime"
     );
 }
 

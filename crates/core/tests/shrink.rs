@@ -274,3 +274,74 @@ fn shrink_respects_its_candidate_budget() {
     let shrink = report.bug.expect("bug found").shrink.expect("shrink ran");
     assert!(shrink.candidates_tried <= 3);
 }
+
+/// `setup` as a function of how many times it has been called: the racey
+/// harness while `racey(call)` holds, a harness with both writers writing
+/// `true` — which cannot fail — otherwise.
+fn flaky_setup(racey: impl Fn(u64) -> bool) -> impl Fn(&mut Runtime) {
+    let calls = std::sync::atomic::AtomicU64::new(0);
+    move |rt: &mut Runtime| {
+        let call = calls.fetch_add(1, std::sync::atomic::Ordering::Relaxed) + 1;
+        if racey(call) {
+            noisy_racey_setup(rt);
+        } else {
+            let flag = rt.create_machine(Flag { value: false });
+            rt.create_machine(Spinner { remaining: 40 });
+            for _ in 0..2 {
+                rt.create_machine(Writer {
+                    flag,
+                    value: true,
+                    delay: 6,
+                });
+            }
+        }
+    }
+}
+
+#[test]
+fn shrink_reports_which_trace_it_returned_when_the_final_replay_fails() {
+    let config = shrinking_config().with_shrink(false);
+    let found = TestEngine::new(config.clone())
+        .run(noisy_racey_setup)
+        .bug
+        .expect("bug found");
+    let shrink = |setup: &dyn Fn(&mut Runtime)| {
+        shrink_trace(&config.shrink_config(), &found.bug, &found.trace, &setup)
+    };
+
+    let honest = shrink(&noisy_racey_setup);
+    assert_eq!(honest.returned, ShrinkReturned::Minimized);
+    assert!(honest.improved());
+    assert!(honest.summary().ends_with("s)"), "{}", honest.summary());
+    // One setup per candidate, then one for the final strict re-recording.
+    let last = honest.candidates_tried + 1;
+
+    // The harness stops reproducing exactly at the final re-recording of the
+    // minimized sequence: the re-recorded original comes back, and says so.
+    let original = shrink(&flaky_setup(|call| call != last));
+    assert_eq!(original.candidates_tried, honest.candidates_tried);
+    assert_eq!(original.returned, ShrinkReturned::Original);
+    assert!(!original.improved());
+    assert_eq!(original.minimized.decisions, found.trace.decisions);
+    assert!(
+        original.summary().contains("re-recorded original"),
+        "{}",
+        original.summary()
+    );
+
+    // It stops reproducing for good after the last candidate: nothing
+    // replays any more, the input comes back as given, loudly unverified.
+    let unverified = shrink(&flaky_setup(|call| call < last));
+    assert_eq!(unverified.returned, ShrinkReturned::Unverified);
+    assert_eq!(unverified.minimized, found.trace);
+    assert!(
+        unverified.summary().contains("UNVERIFIED"),
+        "{}",
+        unverified.summary()
+    );
+    let json = unverified.to_json_value().to_string_pretty();
+    let back = ShrinkReport::from_json_value(&psharp::json::Json::parse(&json).expect("parse"))
+        .expect("roundtrip");
+    assert_eq!(back.returned, ShrinkReturned::Unverified);
+    assert_eq!(back.candidate_steps, unverified.candidate_steps);
+}

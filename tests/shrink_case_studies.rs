@@ -2,8 +2,13 @@
 //! each crate, the shrink pass produces a minimized trace that (a) replays
 //! to the same bug, (b) has strictly fewer decisions than the original
 //! recording, and (c) is byte-identical across engines and worker counts.
+//! Over all 20 seeded bugs the production pass — candidates abandoned once
+//! they cannot win, one pooled runtime — is also checked against a reference
+//! ddmin that runs every candidate to completion in a fresh runtime.
 
 use psharp::prelude::*;
+use psharp::scheduler::ReplayScheduler;
+use psharp::shrink::same_bug;
 
 struct Case {
     name: &'static str,
@@ -147,4 +152,190 @@ fn shrink_output_is_byte_identical_across_worker_counts() {
             .expect("serialize");
         assert_eq!(json, reference_json, "at {workers} workers");
     }
+}
+
+/// The shrink pass as it was before candidates were abandoned early and
+/// pooled: the same fault pass and ddmin loop as `shrink_trace`, with every
+/// candidate run to completion in a `Runtime::new` of its own. Returns the
+/// final decision sequence, the tried / reproduced counters and the steps
+/// its candidates executed.
+fn reference_shrink(
+    config: &ShrinkConfig,
+    bug: &Bug,
+    trace: &Trace,
+    setup: &dyn Fn(&mut Runtime),
+) -> (Vec<Decision>, u64, u64, u64) {
+    let mut steps = 0u64;
+    let mut reproduces = |candidate: Vec<Decision>| -> Option<Vec<Decision>> {
+        // `shrink.rs`'s tail stream, pinned here.
+        let tail_seed = psharp::rng::mix64(trace.seed ^ 0x51B2_7F4E_8D93_C601);
+        let mut runtime = Runtime::new(
+            Box::new(ReplayScheduler::tolerant(candidate, tail_seed)),
+            RuntimeConfig {
+                max_steps: config.max_steps,
+                check_liveness_at_quiescence: config.check_liveness_at_quiescence,
+                catch_panics: config.catch_panics,
+                trace_mode: TraceMode::DecisionsOnly,
+                faults: config.faults,
+            },
+            trace.seed,
+        );
+        setup(&mut runtime);
+        let outcome = runtime.run();
+        steps += runtime.steps() as u64;
+        match outcome {
+            ExecutionOutcome::BugFound(found) if same_bug(&found, bug) => {
+                Some(runtime.into_trace().decisions)
+            }
+            _ => None,
+        }
+    };
+
+    let mut current = trace.decisions.clone();
+    let (mut tried, mut reproduced) = (0u64, 0u64);
+    if current.iter().any(Decision::is_fault) {
+        tried += 1;
+        let without_faults = current.iter().copied().filter(|d| !d.is_fault()).collect();
+        if let Some(recording) = reproduces(without_faults) {
+            reproduced += 1;
+            current = recording;
+        }
+        'fault_pass: loop {
+            let faults: Vec<usize> = (0..current.len())
+                .filter(|&i| current[i].is_fault())
+                .collect();
+            for position in faults {
+                if tried >= config.max_candidates {
+                    break 'fault_pass;
+                }
+                let mut candidate = current.clone();
+                candidate.remove(position);
+                tried += 1;
+                if let Some(recording) = reproduces(candidate) {
+                    reproduced += 1;
+                    current = recording;
+                    continue 'fault_pass;
+                }
+            }
+            break;
+        }
+    }
+    let mut granularity = 2usize;
+    'ddmin: while current.len() >= 2
+        && granularity <= current.len()
+        && tried < config.max_candidates
+    {
+        let chunk = current.len().div_ceil(granularity);
+        let mut start = 0;
+        while start < current.len() && tried < config.max_candidates {
+            let end = (start + chunk).min(current.len());
+            let candidate = [&current[..start], &current[end..]].concat();
+            tried += 1;
+            if let Some(recording) = reproduces(candidate) {
+                if recording.len() < current.len() {
+                    reproduced += 1;
+                    current = recording;
+                    granularity = 2;
+                    continue 'ddmin;
+                }
+            }
+            start = end;
+        }
+        if chunk <= 1 {
+            break;
+        }
+        granularity = (granularity * 2).min(current.len());
+    }
+    (current, tried, reproduced, steps)
+}
+
+#[test]
+fn production_shrink_matches_the_run_to_completion_reference_on_every_seeded_bug() {
+    let cases = bench::bug_cases();
+    assert_eq!(cases.len(), 20);
+    for case in &cases {
+        for seed in [2016u64, 7] {
+            let config = TestConfig::new()
+                .with_iterations(20_000)
+                .with_max_steps(case.max_steps)
+                .with_seed(seed)
+                .with_faults(case.faults)
+                .with_default_portfolio();
+            let build = |rt: &mut Runtime| (case.build)(rt);
+            let found = TestEngine::new(config.clone())
+                .run(build)
+                .bug
+                .unwrap_or_else(|| panic!("{} seed {seed}: not found", case.name));
+            // Bound-length traces (the hot-at-bound liveness bugs) cost a
+            // step bound per candidate on both sides: a short budget there.
+            let budget = if found.ndc > 1_000 { 100 } else { 2_000 };
+            let shrink = config.with_shrink_budget(budget).shrink_config();
+            let label = format!("{} seed {seed} ({} decisions)", case.name, found.ndc);
+
+            let report = shrink_trace(&shrink, &found.bug, &found.trace, &build);
+            let (decisions, tried, reproduced, steps) =
+                reference_shrink(&shrink, &found.bug, &found.trace, &build);
+
+            assert_eq!(report.returned, ShrinkReturned::Minimized, "{label}");
+            assert_eq!(report.candidates_tried, tried, "{label}");
+            assert_eq!(report.candidates_reproduced, reproduced, "{label}");
+            // Not `assert_eq!`: a mismatch would print thousands of decisions.
+            assert_eq!(report.minimized_decisions, decisions.len(), "{label}");
+            assert!(report.minimized.decisions == decisions, "{label}");
+            assert!(report.candidate_steps <= steps, "{label}");
+            assert_eq!(
+                report.minimized_faults,
+                decisions.iter().filter(|d| d.is_fault()).count(),
+                "{label}"
+            );
+        }
+    }
+}
+
+/// The exact proxy for "candidates stop once they cannot win": a ddmin
+/// candidate never executes more steps than the sequence it must beat has
+/// decisions, so on a trace without faults (no fault pass) the whole pass
+/// stays under `candidates x original decisions`. An execution of the
+/// shard-aliasing harness is ~275 steps however short the recording, so on
+/// the minimized trace the reference, which runs its candidates out, breaks
+/// the bound many times over.
+#[test]
+fn candidate_steps_stay_under_candidates_times_original_decisions() {
+    let config = TestConfig::new()
+        .with_iterations(2_000)
+        .with_max_steps(6_000)
+        .with_seed(2016)
+        .with_default_portfolio();
+    let build = |rt: &mut Runtime| {
+        megakv::build_harness(rt, &megakv::MegaKvConfig::with_shard_aliasing_bug());
+    };
+    let found = TestEngine::new(config.clone())
+        .run(build)
+        .bug
+        .expect("shard aliasing is found");
+    assert!(
+        found.bug.message.contains("routed to shard"),
+        "{}",
+        found.bug
+    );
+    assert_eq!(found.trace.fault_decision_count(), 0);
+    let shrink = config.shrink_config();
+    let within_bound = |report: &ShrinkReport| {
+        report.candidate_steps > 0
+            && report.candidate_steps <= report.candidates_tried * report.original_decisions as u64
+    };
+
+    let first = shrink_trace(&shrink, &found.bug, &found.trace, &build);
+    assert!(first.improved(), "{}", first.summary());
+    assert!(within_bound(&first), "{}", first.summary());
+
+    let again = shrink_trace(&shrink, &found.bug, &first.minimized, &build);
+    assert!(again.minimized_decisions <= 40, "{}", again.summary());
+    assert!(within_bound(&again), "{}", again.summary());
+    let (_, tried, _, run_out) = reference_shrink(&shrink, &found.bug, &first.minimized, &build);
+    assert_eq!(tried, again.candidates_tried);
+    assert!(
+        run_out > 4 * tried * again.original_decisions as u64,
+        "the reference executed only {run_out} steps over {tried} candidates"
+    );
 }
