@@ -4,9 +4,9 @@
 //!
 //! Usage: `fixed_check [--iterations N] [--workers W|max]
 //! [--scheduler random|pct|delay|prob|round-robin|sleep-set[:N]|dpor]
-//! [--portfolio] [--prefix-share] [--trace-mode full|ring:N|decisions]
+//! [--portfolio] [--prefix-share]
 //! [--faults default|crash=N,restart=N,drop=N,dup=N]` (defaults: 2,000
-//! executions, 1 worker, random scheduling, full traces, no faults).
+//! executions, 1 worker, random scheduling, no faults).
 //! `--portfolio` verifies under the full default strategy portfolio instead
 //! of a single scheduler; `--scheduler sleep-set` (alias `por`) verifies
 //! with the sleep-set partial-order-reduction scheduler, covering more
@@ -14,13 +14,11 @@
 //! wake-after-skips fairness knob, and `--scheduler dpor` uses the
 //! vector-clock dynamic-POR scheduler instead); `--prefix-share` forks each
 //! iteration from a post-setup snapshot of the harness instead of
-//! rebuilding it (identical results, cheaper iterations); `--trace-mode
-//! ring:N` bounds per-execution trace
-//! memory on long verification runs; `--faults` additionally injects
-//! environment faults — `--faults default` uses each harness's designed
-//! fault budget (crashes for vNext/Fabric/megakv, message loss for replsim,
-//! crash+restart for MigratingTable), verifying the *fault tolerance* of the
-//! fixed systems, while an explicit plan applies globally.
+//! rebuilding it (identical results, cheaper iterations); `--faults`
+//! additionally injects environment faults — `--faults default` uses each
+//! harness's designed fault budget (crashes for vNext/Fabric/megakv, message
+//! loss for replsim, crash+restart for MigratingTable), verifying the *fault
+//! tolerance* of the fixed systems, while an explicit plan applies globally.
 //!
 //! The PR 3 caveat about spurious liveness "violations" under unfair
 //! strategies (PCT, delay-bounding, the probabilistic walk) is resolved: the

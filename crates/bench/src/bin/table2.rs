@@ -9,8 +9,7 @@
 //! table2 [--iterations N] [--seed S]
 //!        [--scheduler random|pct|delay|prob|round-robin|sleep-set[:N]|dpor|both|all]
 //!        [--json PATH] [--workers W] [--portfolio] [--prefix-share]
-//!        [--shrink] [--trace-mode full|ring:N|decisions]
-//!        [--faults crash=N,restart=N,drop=N,dup=N]
+//!        [--shrink] [--faults crash=N,restart=N,drop=N,dup=N]
 //! ```
 //!
 //! Fault-induced bug cases carry their own fault budget (a crash for the
@@ -23,9 +22,7 @@
 //! `--shrink` delta-debugs every found bug's schedule down to a minimal
 //! replayable counterexample (extra `MinNDC` column + `minimized_ndc` /
 //! `shrink_time_seconds` / `shrink_candidates` / `shrink_candidate_steps`
-//! JSON fields). `--trace-mode` bounds how much of the
-//! human-facing annotated schedule each execution retains (`ring:N` keeps
-//! the last N steps, `decisions` keeps none); replay is unaffected.
+//! JSON fields).
 //!
 //! `--scheduler both` runs the paper's random + PCT pair (the default);
 //! `--scheduler all` adds the delay-bounding, probabilistic-random and

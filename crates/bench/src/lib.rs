@@ -190,6 +190,10 @@ pub struct BugHuntResult {
     /// Fault decisions surviving in the minimized counterexample (when the
     /// hunt ran with shrinking): the bug's *minimum fault set*.
     pub minimized_fault_decisions: Option<usize>,
+    /// The reported trace is the unannotated recording: the strict replay
+    /// that re-records a found bug's schedule did not reproduce it. Shown in
+    /// the table row, not in the JSON.
+    pub unannotated: bool,
 }
 
 impl ToJson for BugHuntResult {
@@ -296,7 +300,7 @@ impl BugHuntResult {
             .map(|n| format!("{n:8}"))
             .unwrap_or_else(|| format!("{:>8}", "-"));
         format!(
-            "{:>2}  {:<38} {:<11} {}  {}  {}  {}  {:>9}  {}",
+            "{:>2}  {:<38} {:<11} {}  {}  {}  {}  {:>9}  {}{}",
             self.case_study,
             self.bug,
             self.scheduler,
@@ -305,7 +309,12 @@ impl BugHuntResult {
             time,
             ndc,
             self.executions,
-            minimized
+            minimized,
+            if self.unannotated {
+                "  trace not annotated: its strict replay did not reproduce the bug"
+            } else {
+                ""
+            }
         )
     }
 
@@ -379,7 +388,7 @@ impl EngineArgs {
     }
 
     /// Applies `flag` when it is one of the shared engine flags —
-    /// `--iterations N`, `--workers N|max`, `--trace-mode full|ring:N|decisions`,
+    /// `--iterations N`, `--workers N|max`,
     /// `--faults default|none|crash=N,restart=N,drop=N,dup=N`, `--portfolio`,
     /// `--prefix-share` — taking its value from `values`. Returns `Ok(false)`
     /// for any other flag, and an error naming the flag and the offending
@@ -412,12 +421,6 @@ impl EngineArgs {
                     workers.max(1)
                 };
             }
-            "--trace-mode" => {
-                let text = value("a mode (full|ring:N|decisions)")?;
-                let mode = TraceMode::parse(&text)
-                    .ok_or_else(|| malformed(&text, "a trace mode (full|ring:N|decisions)"))?;
-                self.config = std::mem::take(&mut self.config).with_trace_mode(mode);
-            }
             "--faults" => {
                 let text = value("a plan or 'default'")?;
                 self.faults = Some(if text == "default" {
@@ -445,7 +448,7 @@ pub fn usage_error(message: &str) -> ! {
 }
 
 /// Runs one bug hunt under an arbitrary configuration (scheduler,
-/// portfolio, worker count, trace mode, shrinking): the result's `scheduler`
+/// portfolio, worker count, shrinking): the result's `scheduler`
 /// column is the report's label (the configured strategy, or the winning
 /// portfolio strategy). The case's own step bound overrides the
 /// configuration's. `fault_override` chooses the fault budget: `None` keeps
@@ -478,6 +481,10 @@ pub fn hunt_with_fault_override(
         shrink_candidate_steps: shrink.map(|s| s.candidate_steps),
         fault_decisions: report.bug.as_ref().map(|b| b.trace.fault_decision_count()),
         minimized_fault_decisions: shrink.map(|s| s.minimized_faults),
+        unannotated: report
+            .bug
+            .as_ref()
+            .is_some_and(|b| b.trace.mode() == TraceMode::DecisionsOnly),
         executions: report.iterations_run,
     }
 }
@@ -598,7 +605,6 @@ mod tests {
         for line in [
             &["--iterations", "321"][..],
             &["--workers", "0"],
-            &["--trace-mode", "ring:64"],
             &["--faults", "crash=1,drop=2"],
             &["--portfolio"],
             &["--prefix-share"],
@@ -609,7 +615,6 @@ mod tests {
             .with_seed(99)
             .with_iterations(321)
             .with_workers(1)
-            .with_trace_mode(TraceMode::RingBuffer(64))
             .with_default_portfolio()
             .with_prefix_sharing(true);
         assert_eq!(args.config, expected);
@@ -620,9 +625,12 @@ mod tests {
         assert_eq!(args.faults, Some(FaultArg::PerHarness));
         assert_eq!(accept(&mut args, &["--workers", "max"]), Ok(true));
         assert!(args.config.workers >= 1);
-        // Not a shared flag: left to the binary, nothing consumed or changed.
+        // Not a shared flag: left to the binary (which takes `--seed` and
+        // answers the retired `--trace-mode` with its unknown-argument usage
+        // error, exit 2), nothing consumed or changed.
         let before = args.clone();
         assert_eq!(accept(&mut args, &["--seed", "5"]), Ok(false));
+        assert_eq!(accept(&mut args, &["--trace-mode", "full"]), Ok(false));
         assert_eq!(args, before);
     }
 
@@ -633,14 +641,11 @@ mod tests {
             (&["--iterations", "many"][..], "--iterations", "\"many\""),
             (&["--iterations", "-3"], "--iterations", "\"-3\""),
             (&["--workers", "lots"], "--workers", "\"lots\""),
-            (&["--trace-mode", "ring"], "--trace-mode", "\"ring\""),
-            (&["--trace-mode", "ring:x"], "--trace-mode", "\"ring:x\""),
             (&["--faults", "crash"], "--faults", "\"crash\""),
             (&["--faults", "meteor=1"], "--faults", "\"meteor=1\""),
             // A missing value names the flag and what it wants.
             (&["--iterations"], "--iterations", "requires a number"),
             (&["--workers"], "--workers", "requires a number or 'max'"),
-            (&["--trace-mode"], "--trace-mode", "requires a mode"),
             (&["--faults"], "--faults", "requires a plan"),
         ] {
             let message = accept(&mut args, line).expect_err("malformed input is rejected");
@@ -704,10 +709,16 @@ mod tests {
             shrink_candidate_steps: None,
             fault_decisions: None,
             minimized_fault_decisions: None,
+            unannotated: false,
             executions: 1000,
-        }
-        .table_row();
+        };
         assert!(!header.is_empty());
-        assert!(row.contains("QueryStreamedLock"));
+        assert!(row.table_row().contains("QueryStreamedLock"));
+        assert!(!row.table_row().contains("not annotated"));
+        let unannotated = BugHuntResult {
+            unannotated: true,
+            ..row
+        };
+        assert!(unannotated.table_row().contains("trace not annotated"));
     }
 }

@@ -19,7 +19,9 @@
 //! * the bug at the **lowest iteration index** wins, regardless of which
 //!   worker finished first, and executions above that index are skipped or
 //!   cancelled step-by-step;
-//! * the winner is rehydrated, shrunk and reported once.
+//! * executions record the decision stream only; the winner's annotated
+//!   schedule is re-recorded by strict replay, then it is shrunk and reported
+//!   once.
 //!
 //! So every face reports the identical (iteration, seed, strategy, trace,
 //! bug) result for a [`TestConfig`] at any worker count. The three public
@@ -30,6 +32,7 @@
 //! tree.
 
 use std::ops::Range;
+use std::panic::resume_unwind;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -76,20 +79,6 @@ pub struct TestConfig {
     /// seed-derived, worker-count-independent assignment) instead of
     /// [`TestConfig::scheduler`].
     pub portfolio: Option<Vec<SchedulerKind>>,
-    /// How much of the human-facing annotated schedule each execution's
-    /// trace retains ([`TraceMode::Full`] by default). Replayability is
-    /// unaffected: the decision stream is always recorded in full.
-    ///
-    /// When this field is left untouched (see
-    /// [`TestConfig::effective_trace_mode`]), portfolio sweeps without
-    /// shrinking automatically record in [`TraceMode::DecisionsOnly`] — the
-    /// cheapest mode — and a found bug's annotated schedule is re-recorded
-    /// from a strict replay before the report is returned.
-    pub trace_mode: TraceMode,
-    /// Whether `trace_mode` was set explicitly
-    /// ([`TestConfig::with_trace_mode`]); an explicit choice disables the
-    /// automatic `DecisionsOnly` selection for portfolio sweeps.
-    pub trace_mode_explicit: bool,
     /// Whether a found bug's trace is automatically delta-debugged down to a
     /// minimal replayable counterexample ([`crate::shrink`]) before the
     /// report is returned.
@@ -124,8 +113,6 @@ impl Default for TestConfig {
             catch_panics: true,
             workers: 1,
             portfolio: None,
-            trace_mode: TraceMode::Full,
-            trace_mode_explicit: false,
             shrink: false,
             shrink_budget: 2_000,
             faults: FaultPlan::none(),
@@ -192,18 +179,6 @@ impl TestConfig {
         self.with_portfolio(SchedulerKind::default_portfolio())
     }
 
-    /// Sets how much of the annotated schedule each execution's trace
-    /// retains. `TraceMode::RingBuffer(cap)` bounds peak trace memory on
-    /// very long executions; replay is unaffected under every mode. An
-    /// explicit choice here also disables the automatic `DecisionsOnly`
-    /// selection for portfolio sweeps
-    /// ([`TestConfig::effective_trace_mode`]).
-    pub fn with_trace_mode(mut self, trace_mode: TraceMode) -> Self {
-        self.trace_mode = trace_mode;
-        self.trace_mode_explicit = true;
-        self
-    }
-
     /// Sets the per-execution fault budget: how many crashes, restarts,
     /// message drops and duplications the scheduler may inject into machines
     /// the harness marked crashable / restartable / lossy
@@ -248,46 +223,26 @@ impl TestConfig {
         }
     }
 
-    /// Whether this configuration auto-selects [`TraceMode::DecisionsOnly`]:
-    /// a portfolio sweep with no explicit trace-mode choice and no shrink
-    /// pass records only the replay-bearing decision stream — peak trace
-    /// memory stops scaling with the execution length, and bug-free sweeps
-    /// (the common case for portfolio verification runs) never materialize
-    /// an annotated schedule at all. When a bug *is* found, the engine
-    /// re-records its annotated schedule from a strict replay, so reports
-    /// look identical to full-mode runs.
-    pub fn auto_decisions_only(&self) -> bool {
-        !self.trace_mode_explicit && self.portfolio.is_some() && !self.shrink
-    }
-
-    /// The trace mode executions actually record with: the configured
-    /// [`TestConfig::trace_mode`], or [`TraceMode::DecisionsOnly`] when
-    /// [`TestConfig::auto_decisions_only`] applies.
+    /// What exploration records: the replay-bearing decision stream alone,
+    /// so trace memory does not scale with the execution length and a
+    /// bug-free run never materializes an annotated schedule.
     pub fn effective_trace_mode(&self) -> TraceMode {
-        if self.auto_decisions_only() {
-            TraceMode::DecisionsOnly
-        } else {
-            self.trace_mode
-        }
+        self.runtime_config().trace_mode
     }
 
-    /// Re-records a found bug's annotated schedule via strict replay when
-    /// the run recorded under the auto-selected `DecisionsOnly` mode. The
-    /// replay is deterministic, so the rehydrated trace is identical at any
-    /// worker count; on the (impossible in practice) chance the replay does
-    /// not reproduce the bug, the decisions-only trace is kept as recorded.
+    /// Re-records a found bug's annotated schedule by strict replay of the
+    /// decisions exploration recorded. The replay is deterministic, so the
+    /// reported trace is identical at any worker count. When the replay does
+    /// not reproduce the bug — `setup` is not a pure function of the runtime
+    /// it is handed — the decisions-only recording is kept, and
+    /// [`TestReport::summary`] says so.
     fn rehydrate_report<F>(&self, report: &mut BugReport, setup: &F)
     where
         F: Fn(&mut Runtime),
     {
-        if !self.auto_decisions_only() {
-            return;
-        }
-        let config = RuntimeConfig {
-            trace_mode: TraceMode::Full,
-            ..self.runtime_config()
-        };
-        if let Some(trace) = record_verified(config, &report.trace, &report.bug, setup) {
+        if let Some(trace) =
+            record_verified(self.runtime_config(), &report.trace, &report.bug, setup)
+        {
             report.trace = trace;
         }
     }
@@ -354,7 +309,7 @@ impl TestConfig {
             max_steps: self.max_steps,
             check_liveness_at_quiescence: self.check_liveness_at_quiescence,
             catch_panics: self.catch_panics,
-            trace_mode: self.effective_trace_mode(),
+            trace_mode: TraceMode::DecisionsOnly,
             faults: self.faults,
         }
     }
@@ -390,8 +345,11 @@ pub struct BugReport {
     /// Number of nondeterministic choices made in the buggy execution
     /// (the paper's `#NDC`).
     pub ndc: usize,
-    /// The replayable trace of the buggy execution, as originally recorded
-    /// (see [`BugReport::original`]).
+    /// The replayable trace of the buggy execution (see
+    /// [`BugReport::original`]): the decisions exploration recorded, with the
+    /// annotated schedule a strict replay of them re-recorded
+    /// ([`TraceMode::Full`]). Left decisions-only when that replay did not
+    /// reproduce the bug.
     pub trace: Trace,
     /// Time elapsed from the start of the run until the buggy execution was
     /// found: the clock stops at discovery, before the winner is rehydrated
@@ -483,12 +441,21 @@ impl TestReport {
     pub fn summary(&self) -> String {
         match &self.bug {
             Some(report) => format!(
-                "BUG FOUND ({}) after {} executions in {:.2}s with {} nondeterministic choices: {}",
+                "BUG FOUND ({}) after {} executions in {:.2}s with {} nondeterministic choices: {}{}",
                 self.scheduler,
                 report.iteration + 1,
                 report.time_to_bug.as_secs_f64(),
                 report.ndc,
-                report.bug
+                report.bug,
+                // Only a failed re-recording leaves the reported trace
+                // without its annotated schedule.
+                match report.trace.mode() {
+                    TraceMode::Full => "",
+                    TraceMode::DecisionsOnly => {
+                        " [trace not annotated: a strict replay of the recorded decisions \
+                         did not reproduce this bug; is the harness setup deterministic?]"
+                    }
+                }
             ),
             None => format!(
                 "no bug found ({}) in {} executions ({:.2}s, {:.0} exec/s)",
@@ -696,9 +663,15 @@ fn on_workers<T: Send>(
             .iter_mut()
             .map(|pooled| scope.spawn(move || work(pooled)))
             .collect();
+        // A worker's panic (a panicking `setup`, say) is re-raised with its
+        // own payload, as the inline path raises it.
         handles
             .into_iter()
-            .map(|handle| handle.join().expect("worker thread panicked"))
+            .map(|handle| {
+                handle
+                    .join()
+                    .unwrap_or_else(|payload| resume_unwind(payload))
+            })
             .collect()
     })
 }
@@ -1801,8 +1774,8 @@ mod tests {
             }
         }
         let single = TestConfig::new().with_iterations(50).with_seed(3);
-        // The portfolio run records decisions only, so its report also goes
-        // through the strict-replay rehydration.
+        // The prefix's recording goes through the strict-replay rehydration
+        // like any other winner's.
         for base in [single.clone(), single.with_default_portfolio()] {
             let run =
                 |workers| PrefixForkEngine::new(base.clone().with_workers(workers), 2).run(setup);
@@ -1840,6 +1813,24 @@ mod tests {
                     "{workers} workers"
                 );
             }
+        }
+    }
+
+    #[test]
+    fn a_panicking_setup_fails_with_its_own_message_at_any_worker_count() {
+        // Two workers run inline on a one-core host, on two threads
+        // otherwise: the payload is the setup's own either way.
+        for workers in [1, 2] {
+            let engine = ParallelTestEngine::new(TestConfig::new().with_workers(workers));
+            let payload = std::panic::catch_unwind(|| {
+                engine.run(|_rt: &mut Runtime| panic!("the harness could not be built"))
+            })
+            .expect_err("the setup's panic reaches the caller");
+            assert_eq!(
+                payload.downcast_ref::<&str>(),
+                Some(&"the harness could not be built"),
+                "{workers} worker(s)"
+            );
         }
     }
 

@@ -8,8 +8,10 @@
 //! per-harness convention:
 //!
 //! * harnesses declare which machines may crash / restart and which inbound
-//!   channels are lossy ([`Runtime::mark_crashable`],
-//!   [`Runtime::mark_restartable`], [`Runtime::mark_lossy`]);
+//!   channels are lossy
+//!   ([`Runtime::mark_crashable`](crate::runtime::Runtime::mark_crashable),
+//!   [`Runtime::mark_restartable`](crate::runtime::Runtime::mark_restartable),
+//!   [`Runtime::mark_lossy`](crate::runtime::Runtime::mark_lossy));
 //! * a [`FaultPlan`] bounds how many faults of each kind one execution may
 //!   suffer (the *fault budget*, configured via
 //!   [`RuntimeConfig::faults`](crate::runtime::RuntimeConfig) /
@@ -252,9 +254,10 @@ const FAULT_PROBE_PERIOD: usize = 64;
 /// [`Scheduler::next_fault`](crate::scheduler::Scheduler::next_fault).
 ///
 /// The gate owns its own [`SplitMix64`] stream (derived from the execution
-/// seed through [`FAULT_STREAM`]), so probing for faults never advances the
-/// scheduler's main random stream: with and without a fault budget, the same
-/// seed yields the same schedule until the first fault actually fires.
+/// seed through the `FAULT_STREAM` salt), so probing for faults never
+/// advances the scheduler's main random stream: with and without a fault
+/// budget, the same seed yields the same schedule until the first fault
+/// actually fires.
 #[derive(Debug, Clone)]
 pub struct FaultGate {
     rng: SplitMix64,

@@ -114,9 +114,9 @@ pub struct RuntimeConfig {
     /// Whether panics inside machine handlers are caught and reported as
     /// [`BugKind::Panic`] bugs (default) or propagated.
     pub catch_panics: bool,
-    /// How much of the human-facing annotated schedule the trace retains
-    /// ([`TraceMode::Full`] by default). The replay-bearing decision stream
-    /// is recorded in full under every mode.
+    /// Whether the trace records the human-facing annotated schedule
+    /// ([`TraceMode::Full`], the default) or the decision stream alone. The
+    /// replay-bearing decision stream is recorded in full either way.
     pub trace_mode: TraceMode,
     /// The execution's fault budget ([`FaultPlan::none`] by default): how
     /// many crashes, restarts, message drops and message duplications the
@@ -882,13 +882,20 @@ impl Runtime {
                 (Some(event), event_name, slot.name)
             }
         };
-        let event_id = self.trace.intern(event_name);
-        self.trace.push_step(TraceStep {
-            step: self.steps,
-            machine: id,
-            machine_name: name,
-            event: event_id,
-        });
+        // The event name is hashed into the name table only for a trace that
+        // keeps the step.
+        match self.trace.mode() {
+            TraceMode::Full => {
+                let event = self.trace.intern(event_name);
+                self.trace.push_step(TraceStep {
+                    step: self.steps,
+                    machine: id,
+                    machine_name: name,
+                    event,
+                });
+            }
+            TraceMode::DecisionsOnly => self.trace.skip_step(),
+        }
 
         let catch = self.config.catch_panics;
         let run_handler = |rt: &mut Runtime| {

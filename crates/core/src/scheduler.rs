@@ -1330,7 +1330,7 @@ impl RecentStep {
 /// is what makes this strategy's redundancy ratio scale with the number of
 /// independent machines instead.
 ///
-/// All clock state is bounded ([`CLOCK_SLOTS`]-machine LRU window, bounded
+/// All clock state is bounded (`CLOCK_SLOTS`-machine LRU window, bounded
 /// pending rings and race-scan window): beyond the window the scheduler
 /// degrades gracefully to sleep-set behavior; it never prunes *more*
 /// aggressively for machines it lost track of, and its fairness bounds

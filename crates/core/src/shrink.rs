@@ -458,12 +458,14 @@ impl<F> ShrinkPass<'_, F>
 where
     F: Fn(&mut Runtime),
 {
-    fn runtime_config(&self, trace_mode: TraceMode) -> RuntimeConfig {
+    /// What candidates run under: the annotated schedule is irrelevant
+    /// during the search, so they record decisions only.
+    fn runtime_config(&self) -> RuntimeConfig {
         RuntimeConfig {
             max_steps: self.config.max_steps,
             check_liveness_at_quiescence: self.config.check_liveness_at_quiescence,
             catch_panics: self.config.catch_panics,
-            trace_mode,
+            trace_mode: TraceMode::DecisionsOnly,
             faults: self.config.faults,
         }
     }
@@ -480,16 +482,13 @@ where
     /// reproduces the same bug. With `beat: Some(n)` the run is abandoned —
     /// and the candidate rejected — once it has recorded `n` decisions with
     /// no bug pending.
-    ///
-    /// Candidates run with [`TraceMode::DecisionsOnly`]: the annotated
-    /// schedule is irrelevant during the search.
     fn reproduces(
         &mut self,
         candidate: Vec<Decision>,
         beat: Option<usize>,
     ) -> Option<Vec<Decision>> {
         let scheduler = Box::new(ReplayScheduler::tolerant(candidate, self.tail_seed()));
-        let config = self.runtime_config(TraceMode::DecisionsOnly);
+        let config = self.runtime_config();
         let runtime = match &mut self.pooled {
             None => self
                 .pooled
@@ -516,21 +515,16 @@ where
     fn record_verified(&self, decisions: &[Decision]) -> Option<Trace> {
         let mut probe = Trace::new(self.seed);
         probe.decisions = decisions.to_vec();
-        record_verified(
-            self.runtime_config(TraceMode::Full),
-            &probe,
-            self.bug,
-            self.setup,
-        )
+        record_verified(self.runtime_config(), &probe, self.bug, self.setup)
     }
 }
 
-/// Strictly replays `recorded` (its decisions, under its seed) with a full
-/// annotated schedule — `config` must ask for [`TraceMode::Full`] — and
-/// returns the new recording iff the replay reproduces `bug` without
-/// divergence. The one way a decision list becomes a trace a report shows:
-/// the shrink pass's minimized trace and the engine's re-recording of a bug
-/// found under `DecisionsOnly` both come from here.
+/// Strictly replays `recorded` (its decisions, under its seed and the bounds
+/// of `config`) with a full annotated schedule — [`TraceMode::Full`],
+/// whatever `config` asks for — and returns the new recording iff the replay
+/// reproduces `bug` without divergence. The one way a decision list becomes
+/// a trace a report shows: the shrink pass's minimized trace and the engine's
+/// re-recording of the bug exploration found both come from here.
 pub(crate) fn record_verified<F>(
     config: RuntimeConfig,
     recorded: &Trace,
@@ -541,6 +535,10 @@ where
     F: Fn(&mut Runtime),
 {
     let scheduler = Box::new(ReplayScheduler::from_trace(recorded));
+    let config = RuntimeConfig {
+        trace_mode: TraceMode::Full,
+        ..config
+    };
     let mut runtime = Runtime::new(scheduler, config, recorded.seed);
     setup(&mut runtime);
     match runtime.run() {

@@ -20,14 +20,13 @@
 //!   replayability.
 //! * the **annotated schedule** ([`Trace::steps`]) — one human-readable
 //!   entry per machine step (who ran, which event it handled). This stream
-//!   exists purely for debugging output and can be bounded.
+//!   exists purely for debugging output and is derived from the first: a
+//!   strict replay of the decisions re-records it.
 //!
-//! How much of the annotated schedule is retained is controlled by a
-//! [`TraceMode`]: `Full` keeps everything, `RingBuffer(cap)` keeps only the
-//! last `cap` steps (capping trace memory on very long executions while the
-//! most recent — and for debugging, most relevant — window survives), and
-//! `DecisionsOnly` records no annotated steps at all. Replay works
-//! identically under every mode.
+//! Whether the annotated schedule is recorded is a [`TraceMode`]: `Full`
+//! keeps every step, `DecisionsOnly` records none. The engine explores under
+//! `DecisionsOnly` and re-records the one execution it reports under `Full`;
+//! replay works identically under both.
 //!
 //! # Name interning
 //!
@@ -123,51 +122,26 @@ impl FromJson for Decision {
     }
 }
 
-/// How much of the human-facing annotated schedule a [`Trace`] retains.
+/// Whether a [`Trace`] records the human-facing annotated schedule.
 ///
-/// The replay-bearing decision stream is unaffected: every mode records all
-/// decisions, so traces stay replayable regardless of how the annotated
-/// schedule is bounded.
+/// The replay-bearing decision stream is unaffected: both modes record all
+/// decisions, so a trace stays replayable either way.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum TraceMode {
-    /// Keep every annotated step (the historical behavior). Memory grows
-    /// linearly with the execution length.
+    /// Keep every annotated step. Memory grows linearly with the execution
+    /// length.
     #[default]
     Full,
-    /// Keep only the last `N` annotated steps in a ring buffer. Older steps
-    /// are evicted and counted in [`Trace::dropped_steps`]; peak trace
-    /// memory is bounded by the capacity regardless of execution length.
-    RingBuffer(usize),
     /// Record no annotated steps at all — the trace carries only the
-    /// decision stream. The cheapest mode for huge throughput runs where
-    /// schedules are rendered from a replay, not from the original run.
+    /// decision stream. What exploration records: schedules are rendered
+    /// from a replay, not from the original run.
     DecisionsOnly,
-}
-
-impl TraceMode {
-    /// Parses a CLI spelling of a trace mode: `full`, `ring:N` (aliases
-    /// `ring-buffer:N`, `ringbuffer:N`) or `decisions` (alias
-    /// `decisions-only`).
-    pub fn parse(text: &str) -> Option<TraceMode> {
-        match text {
-            "full" => Some(TraceMode::Full),
-            "decisions" | "decisions-only" => Some(TraceMode::DecisionsOnly),
-            other => {
-                let (name, cap) = other.split_once(':')?;
-                if !matches!(name, "ring" | "ring-buffer" | "ringbuffer") {
-                    return None;
-                }
-                cap.parse().ok().map(TraceMode::RingBuffer)
-            }
-        }
-    }
 }
 
 impl ToJson for TraceMode {
     fn to_json_value(&self) -> Json {
         match self {
             TraceMode::Full => Json::Str("full".to_string()),
-            TraceMode::RingBuffer(cap) => Json::object([("ring_buffer", Json::UInt(*cap as u64))]),
             TraceMode::DecisionsOnly => Json::Str("decisions_only".to_string()),
         }
     }
@@ -175,8 +149,11 @@ impl ToJson for TraceMode {
 
 impl FromJson for TraceMode {
     fn from_json_value(value: &Json) -> Result<Self, JsonError> {
-        if let Ok(cap) = value.get("ring_buffer") {
-            return Ok(TraceMode::RingBuffer(cap.as_usize()?));
+        // Files written under the retired ring-buffer mode hold a complete
+        // decision stream and a partial step window: a decisions-only trace
+        // once `Trace::from_json` drops the window.
+        if value.get("ring_buffer").is_ok() {
+            return Ok(TraceMode::DecisionsOnly);
         }
         match value.as_str()? {
             "full" => Ok(TraceMode::Full),
@@ -305,8 +282,8 @@ pub struct TraceStep {
     pub event: NameId,
 }
 
-/// The full record of one execution: every decision plus an annotated,
-/// human-readable schedule (bounded by the trace's [`TraceMode`]).
+/// The full record of one execution: every decision plus, under
+/// [`TraceMode::Full`], an annotated, human-readable schedule.
 #[derive(Debug, Default)]
 pub struct Trace {
     /// The seed that parameterized the scheduler for this execution.
@@ -314,16 +291,12 @@ pub struct Trace {
     /// Every nondeterministic decision, in order. Always complete — this is
     /// the stream replay consumes.
     pub decisions: Vec<Decision>,
-    /// Retained annotated steps. Under `TraceMode::RingBuffer` this is ring
-    /// storage: the oldest retained step lives at `ring_head`, so in-order
-    /// iteration must go through [`Trace::steps`].
+    /// Retained annotated steps, in execution order.
     steps: Vec<TraceStep>,
-    /// Index of the oldest retained step once the ring has wrapped.
-    ring_head: usize,
-    /// How the annotated schedule is bounded.
+    /// Whether the annotated schedule is recorded.
     mode: TraceMode,
     /// Number of annotated steps that were executed but not retained
-    /// (evicted from the ring, or never recorded under `DecisionsOnly`).
+    /// (all of them under `DecisionsOnly`, none under `Full`).
     dropped_steps: usize,
     /// The interning table resolving the names referenced by the steps.
     pub names: NameTable,
@@ -341,7 +314,6 @@ impl Clone for Trace {
             seed: self.seed,
             decisions: self.decisions.clone(),
             steps: self.steps.clone(),
-            ring_head: self.ring_head,
             mode: self.mode,
             dropped_steps: self.dropped_steps,
             names: self.names.clone(),
@@ -352,7 +324,6 @@ impl Clone for Trace {
         self.seed = source.seed;
         self.decisions.clone_from(&source.decisions);
         self.steps.clone_from(&source.steps);
-        self.ring_head = source.ring_head;
         self.mode = source.mode;
         self.dropped_steps = source.dropped_steps;
         self.names.clone_from(&source.names);
@@ -362,8 +333,7 @@ impl Clone for Trace {
 /// Trace equality is structural on the *resolved* schedule: two traces are
 /// equal when they record the same decisions, the same retention counters and
 /// the same named steps in the same order, even if their name tables interned
-/// the names in a different order or their rings wrapped at different offsets
-/// (as happens after a JSON round trip).
+/// the names in a different order (as happens after a JSON round trip).
 impl PartialEq for Trace {
     fn eq(&self, other: &Self) -> bool {
         self.seed == other.seed
@@ -389,13 +359,12 @@ impl Trace {
         Trace::with_mode(seed, TraceMode::Full)
     }
 
-    /// Creates an empty trace whose annotated schedule is bounded by `mode`.
+    /// Creates an empty trace recording under `mode`.
     pub fn with_mode(seed: u64, mode: TraceMode) -> Self {
         Trace {
             seed,
             decisions: Vec::new(),
             steps: Vec::new(),
-            ring_head: 0,
             mode,
             dropped_steps: 0,
             names: NameTable::new(),
@@ -409,13 +378,12 @@ impl Trace {
         self.seed = seed;
         self.decisions.clear();
         self.steps.clear();
-        self.ring_head = 0;
         self.mode = mode;
         self.dropped_steps = 0;
         self.names.clear();
     }
 
-    /// How the annotated schedule of this trace is bounded.
+    /// Whether this trace records the annotated schedule.
     pub fn mode(&self) -> TraceMode {
         self.mode
     }
@@ -449,8 +417,7 @@ impl Trace {
 
     /// The retained annotated steps in execution order (oldest first).
     pub fn steps(&self) -> impl Iterator<Item = &TraceStep> {
-        let (wrapped, oldest) = self.steps.split_at(self.ring_head);
-        oldest.iter().chain(wrapped.iter())
+        self.steps.iter()
     }
 
     /// Appends a decision.
@@ -464,19 +431,15 @@ impl Trace {
     pub fn push_step(&mut self, step: TraceStep) {
         match self.mode {
             TraceMode::Full => self.steps.push(step),
-            TraceMode::DecisionsOnly => self.dropped_steps += 1,
-            TraceMode::RingBuffer(cap) => {
-                if self.steps.len() < cap {
-                    self.steps.push(step);
-                } else if cap == 0 {
-                    self.dropped_steps += 1;
-                } else {
-                    self.steps[self.ring_head] = step;
-                    self.ring_head = (self.ring_head + 1) % cap;
-                    self.dropped_steps += 1;
-                }
-            }
+            TraceMode::DecisionsOnly => self.skip_step(),
         }
+    }
+
+    /// Counts a machine step whose annotation is not recorded: what a
+    /// `DecisionsOnly` trace does with every step, without the caller having
+    /// to intern names for a [`TraceStep`] nobody will read.
+    pub fn skip_step(&mut self) {
+        self.dropped_steps += 1;
     }
 
     /// Rolls the trace back to the state it had after `bound_step` machine
@@ -484,26 +447,15 @@ impl Trace {
     /// annotated step at or past the bound is discarded. Used by the runtime
     /// when a liveness grace period confirms a bound verdict — the
     /// observation window's recording must not leak into the reported trace.
-    ///
-    /// Annotated steps *before* the bound that a ring buffer evicted during
-    /// the window cannot be restored; the dropped counter is recomputed so
-    /// [`Trace::total_step_count`] equals `bound_step` exactly (the runtime
-    /// records one annotated step per machine step).
+    /// [`Trace::total_step_count`] equals `bound_step` afterwards (the
+    /// runtime records or counts one annotated step per machine step).
     pub fn truncate_to_step(&mut self, decision_count: usize, bound_step: usize) {
         self.decisions.truncate(decision_count);
-        let mut retained: Vec<TraceStep> = self
-            .steps()
-            .filter(|step| step.step < bound_step)
-            .copied()
-            .collect();
-        self.steps.clear();
-        self.steps.append(&mut retained);
-        self.ring_head = 0;
+        let kept = self.steps.partition_point(|step| step.step < bound_step);
+        self.steps.truncate(kept);
         self.dropped_steps = match self.mode {
             TraceMode::Full => 0,
-            TraceMode::RingBuffer(_) | TraceMode::DecisionsOnly => {
-                bound_step.saturating_sub(self.steps.len())
-            }
+            TraceMode::DecisionsOnly => bound_step,
         };
     }
 
@@ -524,9 +476,8 @@ impl Trace {
 
     /// Serializes the trace to pretty JSON for storage alongside a bug report.
     ///
-    /// Interned names are resolved to plain strings and ring storage is
-    /// unrolled into execution order, so the format is stable and
-    /// self-contained regardless of interning order or ring offset.
+    /// Interned names are resolved to plain strings, so the format is stable
+    /// and self-contained regardless of interning order.
     ///
     /// # Errors
     ///
@@ -538,8 +489,11 @@ impl Trace {
 
     /// Parses a trace previously produced by [`Trace::to_json`].
     ///
-    /// Traces written before the trace-mode refactor (no `mode` /
-    /// `dropped_steps` keys) parse as `TraceMode::Full` with nothing dropped.
+    /// Traces written before `TraceMode` existed (no `mode` /
+    /// `dropped_steps` keys) parse as `TraceMode::Full` with nothing dropped;
+    /// traces written under the retired ring-buffer mode parse as
+    /// `TraceMode::DecisionsOnly`, their partial step window dropped (a
+    /// strict replay of the decisions re-annotates them).
     ///
     /// # Errors
     ///
@@ -549,8 +503,8 @@ impl Trace {
     }
 
     /// Renders the annotated schedule as indented text, one line per retained
-    /// step. When earlier steps were dropped (ring buffer or decisions-only
-    /// recording), the rendering starts with a marker saying how many.
+    /// step. When steps were not retained (decisions-only recording), the
+    /// rendering starts with a marker saying how many.
     pub fn render_schedule(&self) -> String {
         let mut out = String::new();
         if self.dropped_steps > 0 {
@@ -610,7 +564,7 @@ impl ToJson for Trace {
 impl FromJson for Trace {
     fn from_json_value(value: &Json) -> Result<Self, JsonError> {
         let mut names = NameTable::new();
-        let steps = value
+        let mut steps: Vec<TraceStep> = value
             .get("steps")?
             .as_array()?
             .iter()
@@ -627,10 +581,17 @@ impl FromJson for Trace {
             Ok(mode) => TraceMode::from_json_value(mode)?,
             Err(_) => TraceMode::Full,
         };
-        let dropped_steps = match value.get("dropped_steps") {
+        let mut dropped_steps = match value.get("dropped_steps") {
             Ok(count) => count.as_usize()?,
             Err(_) => 0,
         };
+        // A decisions-only trace holds no steps; the ones a file carries
+        // anyway (a ring-buffer window) are counted, not kept.
+        if mode == TraceMode::DecisionsOnly {
+            dropped_steps += steps.len();
+            steps.clear();
+            names.clear();
+        }
         Ok(Trace {
             seed: value.get("seed")?.as_u64()?,
             decisions: value
@@ -640,7 +601,6 @@ impl FromJson for Trace {
                 .map(Decision::from_json_value)
                 .collect::<Result<_, _>>()?,
             steps,
-            ring_head: 0,
             mode,
             dropped_steps,
             names,
@@ -709,7 +669,7 @@ mod tests {
 
     #[test]
     fn json_without_mode_keys_parses_as_full_trace() {
-        // Traces serialized before the trace-mode refactor carry no
+        // Traces serialized before `TraceMode` existed carry no
         // `mode` / `dropped_steps` keys.
         let legacy = r#"{
             "seed": 7,
@@ -723,35 +683,44 @@ mod tests {
     }
 
     #[test]
-    fn ring_buffer_retains_only_the_newest_steps() {
-        let mut t = Trace::with_mode(5, TraceMode::RingBuffer(3));
-        for i in 0..10 {
-            let step = numbered_step(&mut t, i);
-            t.push_step(step);
+    fn json_mode_written_by_any_build_loads_or_errors_by_name() {
+        let file = |mode: &str| {
+            format!(
+                r#"{{
+                    "seed": 7,
+                    "mode": {mode},
+                    "dropped_steps": 7,
+                    "decisions": [{{"Int": 1}}, {{"Bool": true}}],
+                    "steps": [
+                        {{"step": 7, "machine": 0, "machine_name": "A", "event": "E"}},
+                        {{"step": 8, "machine": 0, "machine_name": "A", "event": "E"}}
+                    ]
+                }}"#
+            )
+        };
+        // (mode as written, mode loaded, steps retained, steps dropped)
+        for (written, mode, retained, dropped) in [
+            (r#""full""#, TraceMode::Full, 2, 7),
+            (r#""decisions_only""#, TraceMode::DecisionsOnly, 0, 9),
+            // An earlier build's ring buffer: the decision stream is
+            // complete, the step window is not — dropped, not shown as the
+            // whole schedule.
+            (r#"{"ring_buffer": 2}"#, TraceMode::DecisionsOnly, 0, 9),
+        ] {
+            let t = Trace::from_json(&file(written)).expect(written);
+            assert_eq!(t.mode(), mode, "{written}");
+            assert_eq!(t.retained_step_count(), retained, "{written}");
+            assert_eq!(t.dropped_steps(), dropped, "{written}");
+            assert_eq!(
+                t.decisions,
+                [Decision::Int(1), Decision::Bool(true)],
+                "{written}"
+            );
+            let back = Trace::from_json(&t.to_json().expect("serialize")).expect("deserialize");
+            assert_eq!(t, back, "{written}");
         }
-        assert_eq!(t.retained_step_count(), 3);
-        assert_eq!(t.dropped_steps(), 7);
-        assert_eq!(t.total_step_count(), 10);
-        let retained: Vec<usize> = t.steps().map(|s| s.step).collect();
-        assert_eq!(retained, vec![7, 8, 9], "oldest steps are evicted first");
-        let rendered = t.render_schedule();
-        assert!(rendered.contains("7 earlier step(s) not retained"));
-    }
-
-    #[test]
-    fn ring_buffer_round_trips_through_json() {
-        let mut t = Trace::with_mode(5, TraceMode::RingBuffer(3));
-        t.push_decision(Decision::Int(1));
-        for i in 0..10 {
-            let step = numbered_step(&mut t, i);
-            t.push_step(step);
-        }
-        let back = Trace::from_json(&t.to_json().expect("serialize")).expect("deserialize");
-        assert_eq!(t, back);
-        assert_eq!(back.mode(), TraceMode::RingBuffer(3));
-        assert_eq!(back.dropped_steps(), 7);
-        let retained: Vec<usize> = back.steps().map(|s| s.step).collect();
-        assert_eq!(retained, vec![7, 8, 9]);
+        let error = Trace::from_json(&file(r#""sampled""#)).expect_err("unknown mode");
+        assert!(error.to_string().contains("'sampled'"), "{error}");
     }
 
     #[test]
@@ -770,20 +739,11 @@ mod tests {
     }
 
     #[test]
-    fn zero_capacity_ring_drops_everything() {
-        let mut t = Trace::with_mode(1, TraceMode::RingBuffer(0));
-        let step = numbered_step(&mut t, 0);
-        t.push_step(step);
-        assert_eq!(t.retained_step_count(), 0);
-        assert_eq!(t.dropped_steps(), 1);
-    }
-
-    #[test]
     fn reset_clears_content_and_applies_the_new_mode() {
         let mut t = sample_trace();
-        t.reset(123, TraceMode::RingBuffer(2));
+        t.reset(123, TraceMode::DecisionsOnly);
         assert_eq!(t.seed, 123);
-        assert_eq!(t.mode(), TraceMode::RingBuffer(2));
+        assert_eq!(t.mode(), TraceMode::DecisionsOnly);
         assert_eq!(t.decision_count(), 0);
         assert_eq!(t.retained_step_count(), 0);
         assert_eq!(t.dropped_steps(), 0);
@@ -792,30 +752,8 @@ mod tests {
             let step = numbered_step(&mut t, i);
             t.push_step(step);
         }
-        assert_eq!(t.retained_step_count(), 2);
-    }
-
-    #[test]
-    fn trace_mode_parses_cli_spellings() {
-        assert_eq!(TraceMode::parse("full"), Some(TraceMode::Full));
-        assert_eq!(
-            TraceMode::parse("ring:256"),
-            Some(TraceMode::RingBuffer(256))
-        );
-        assert_eq!(
-            TraceMode::parse("ring-buffer:8"),
-            Some(TraceMode::RingBuffer(8))
-        );
-        assert_eq!(
-            TraceMode::parse("decisions"),
-            Some(TraceMode::DecisionsOnly)
-        );
-        assert_eq!(
-            TraceMode::parse("decisions-only"),
-            Some(TraceMode::DecisionsOnly)
-        );
-        assert_eq!(TraceMode::parse("ring:"), None);
-        assert_eq!(TraceMode::parse("nope"), None);
+        assert_eq!(t.retained_step_count(), 0);
+        assert_eq!(t.total_step_count(), 5);
     }
 
     #[test]

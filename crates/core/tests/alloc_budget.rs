@@ -7,11 +7,11 @@
 //! `#[global_allocator]` asserts that budget so a future change cannot
 //! silently reintroduce per-step heap traffic.
 //!
-//! PR 4 added two more guarantees covered here: `TraceMode::RingBuffer`
-//! bounds the *peak live memory* of the annotated schedule on very long
-//! executions (the allocator tracks net live bytes and their high-water
-//! mark), and engines recycle trace storage across iterations, so the
-//! steady-state cost of an iteration no longer includes re-growing the
+//! Two more guarantees are covered here: exploring under
+//! `TraceMode::DecisionsOnly` keeps the annotated schedule out of an engine
+//! sweep's *peak live memory* (the allocator tracks net live bytes and their
+//! high-water mark), and engines recycle trace storage across iterations, so
+//! the steady-state cost of an iteration no longer includes re-growing the
 //! trace vectors from scratch.
 //!
 //! These tests live alone in their integration-test binary (a global
@@ -649,105 +649,56 @@ fn parallel_tree_branch_expansion_stays_within_a_constant_allocation_budget() {
     assert_eq!(rt.run(), ExecutionOutcome::MaxStepsReached);
 }
 
-/// Bug-free portfolio sweeps auto-select `TraceMode::DecisionsOnly` when
-/// neither shrinking nor an explicit trace mode was requested
-/// (`TestConfig::effective_trace_mode`): the annotated schedule — the larger
-/// trace stream — is never materialized, so the sweep's peak memory drops
-/// measurably below the same sweep pinned to `TraceMode::Full`.
+/// The engine explores under `TraceMode::DecisionsOnly`, whatever it is
+/// configured to do with a bug it finds: a bug-free sweep never materializes
+/// the annotated schedule — the larger trace stream — so its peak memory
+/// stays measurably below one direct `TraceMode::Full` execution of the same
+/// length.
 #[test]
 fn portfolio_sweep_auto_decisions_only_drops_peak_memory() {
     const ITERATIONS: u64 = 12;
     const STEPS: usize = 20_000;
-    let run = |config: TestConfig| {
+    fn spinners(rt: &mut Runtime) {
+        rt.create_machine(Spinner);
+        rt.create_machine(Spinner);
+    }
+
+    let mut direct = Runtime::new(
+        SchedulerKind::Random.build(5, STEPS),
+        RuntimeConfig {
+            max_steps: STEPS,
+            trace_mode: TraceMode::Full,
+            ..RuntimeConfig::default()
+        },
+        5,
+    );
+    spinners(&mut direct);
+    let (_, full_peak, outcome) = measure(|| direct.run());
+    assert_eq!(outcome, ExecutionOutcome::MaxStepsReached);
+    assert_eq!(direct.trace().retained_step_count(), STEPS);
+
+    let step_bytes = (STEPS * std::mem::size_of::<psharp::trace::TraceStep>()) as u64;
+    for (label, config) in [
+        ("portfolio", TestConfig::new().with_default_portfolio()),
+        ("single strategy", TestConfig::new()),
+        ("shrink enabled", TestConfig::new().with_shrink(true)),
+    ] {
+        assert_eq!(
+            config.effective_trace_mode(),
+            TraceMode::DecisionsOnly,
+            "{label}"
+        );
         let engine = TestEngine::new(
             config
                 .with_iterations(ITERATIONS)
                 .with_max_steps(STEPS)
-                .with_seed(5)
-                .with_default_portfolio(),
+                .with_seed(5),
         );
-        let (_, peak, report) = measure(|| {
-            engine.run(|rt| {
-                rt.create_machine(Spinner);
-                rt.create_machine(Spinner);
-            })
-        });
-        assert!(!report.found_bug(), "the sweep must be bug-free");
-        peak
-    };
-
-    let auto = TestConfig::new().with_default_portfolio();
-    assert_eq!(auto.effective_trace_mode(), TraceMode::DecisionsOnly);
-    assert_eq!(
-        auto.clone().with_shrink(true).effective_trace_mode(),
-        TraceMode::Full,
-        "shrink runs keep the annotated schedule"
-    );
-    assert_eq!(
-        auto.clone()
-            .with_trace_mode(TraceMode::Full)
-            .effective_trace_mode(),
-        TraceMode::Full,
-        "an explicit trace mode wins over the auto-selection"
-    );
-
-    let auto_peak = run(TestConfig::new());
-    let full_peak = run(TestConfig::new().with_trace_mode(TraceMode::Full));
-    let step_bytes = (STEPS * std::mem::size_of::<psharp::trace::TraceStep>()) as u64;
-    assert!(
-        auto_peak + step_bytes / 2 <= full_peak,
-        "auto decisions-only peak {auto_peak} saves too little vs full-mode peak {full_peak}"
-    );
-}
-
-/// `TraceMode::RingBuffer` bounds the peak memory of the annotated schedule
-/// on very long executions: the replay-bearing decision stream still grows
-/// (dropping it would destroy replayability), but the per-step `TraceStep`
-/// records — the larger of the two streams — stay capped at the ring
-/// capacity instead of scaling with the execution length.
-#[test]
-fn ring_buffer_trace_mode_bounds_peak_trace_memory() {
-    const STEPS: usize = 100_000;
-    const RING: usize = 256;
-    let run = |trace_mode| {
-        let mut rt = Runtime::new(
-            SchedulerKind::Random.build(7, STEPS),
-            RuntimeConfig {
-                max_steps: STEPS,
-                trace_mode,
-                ..RuntimeConfig::default()
-            },
-            7,
+        let (_, peak, report) = measure(|| engine.run(spinners));
+        assert!(!report.found_bug(), "the {label} sweep must be bug-free");
+        assert!(
+            peak + step_bytes / 2 <= full_peak,
+            "{label} sweep peak {peak} saves too little vs one full-mode execution's {full_peak}"
         );
-        rt.create_machine(Spinner);
-        rt.create_machine(Spinner);
-        let (_, peak, outcome) = measure(|| rt.run());
-        assert_eq!(outcome, ExecutionOutcome::MaxStepsReached);
-        (peak, rt.into_trace())
-    };
-
-    let (full_peak, full_trace) = run(TraceMode::Full);
-    let (ring_peak, ring_trace) = run(TraceMode::RingBuffer(RING));
-
-    assert_eq!(full_trace.retained_step_count(), STEPS);
-    assert_eq!(ring_trace.retained_step_count(), RING);
-    assert_eq!(ring_trace.dropped_steps(), STEPS - RING);
-    assert_eq!(
-        ring_trace.decision_count(),
-        full_trace.decision_count(),
-        "the replay-bearing decision stream must be complete in every mode"
-    );
-
-    // The annotated schedule is ~24 bytes per step; the ring must save at
-    // least that (modulo growth slack), and land well below the full-mode
-    // high-water mark.
-    let step_bytes = (STEPS * std::mem::size_of::<psharp::trace::TraceStep>()) as u64;
-    assert!(
-        full_peak >= step_bytes,
-        "full-mode peak {full_peak} is implausibly below the step storage {step_bytes}"
-    );
-    assert!(
-        ring_peak + step_bytes / 2 <= full_peak,
-        "ring-buffer peak {ring_peak} saves too little vs full-mode peak {full_peak}"
-    );
+    }
 }

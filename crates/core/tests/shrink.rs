@@ -1,6 +1,6 @@
 //! Integration tests for the schedule-shrinking subsystem: reduction
 //! quality, replay verification, idempotence, determinism across engines and
-//! worker counts, and the interplay with bounded trace modes.
+//! worker counts, and the interplay with decisions-only recording.
 
 use psharp::json::{FromJson, ToJson};
 use psharp::prelude::*;
@@ -35,8 +35,8 @@ struct Noise;
 struct Writer {
     flag: MachineId,
     value: bool,
-    /// Self-messages consumed before the write goes out, so every buggy
-    /// execution is long enough to wrap small trace rings.
+    /// Self-messages consumed before the write goes out, padding every
+    /// buggy execution with steps irrelevant to the bug.
     delay: usize,
 }
 impl Machine for Writer {
@@ -210,61 +210,34 @@ fn shrink_report_round_trips_through_json_from_an_engine_run() {
 }
 
 #[test]
-fn ring_buffer_trace_mode_preserves_replay_and_shrink() {
-    // Hunt with a tightly bounded annotated schedule: the decision stream
-    // stays complete, so both replay and shrinking are unaffected.
-    let config = shrinking_config().with_trace_mode(TraceMode::RingBuffer(16));
-    let engine = TestEngine::new(config);
-    let report = engine.run(noisy_racey_setup);
-    let bug_report = report.bug.expect("bug found");
-    assert_eq!(bug_report.trace.mode(), TraceMode::RingBuffer(16));
-    assert!(bug_report.trace.retained_step_count() <= 16);
-    assert!(bug_report.ndc > 0);
-
-    let replayed = engine
-        .replay(&bug_report.trace, noisy_racey_setup)
-        .expect("ring-buffer trace replays");
-    assert_eq!(replayed.message, bug_report.bug.message);
-
-    // The minimized trace is re-recorded in full mode: the human-facing
-    // counterexample is complete even when the hunt ran ring-buffered.
-    let shrink = bug_report.shrink.as_ref().expect("shrink ran");
-    assert_eq!(shrink.minimized.mode(), TraceMode::Full);
-    assert!(shrink.improved());
-    assert_eq!(
-        shrink.minimized.retained_step_count(),
-        shrink.minimized.total_step_count()
-    );
-}
-
-#[test]
 fn decisions_only_trace_mode_preserves_replay() {
-    let config = shrinking_config()
-        .with_shrink(false)
-        .with_trace_mode(TraceMode::DecisionsOnly);
-    let engine = TestEngine::new(config);
-    let report = engine.run(noisy_racey_setup);
-    let bug_report = report.bug.expect("bug found");
-    assert_eq!(bug_report.trace.retained_step_count(), 0);
-    assert!(bug_report.trace.dropped_steps() > 0);
+    let config = shrinking_config().with_shrink(false);
+    let engine = TestEngine::new(config.clone());
+    let found = engine.run(noisy_racey_setup).bug.expect("bug found");
+    // The buggy execution again, recorded by hand without its annotated
+    // schedule.
+    let seed = config.seed_for_iteration(found.iteration);
+    let mut runtime = Runtime::new(
+        config
+            .strategy_for_iteration(found.iteration)
+            .build(seed, config.max_steps),
+        RuntimeConfig {
+            max_steps: config.max_steps,
+            trace_mode: TraceMode::DecisionsOnly,
+            ..RuntimeConfig::default()
+        },
+        seed,
+    );
+    noisy_racey_setup(&mut runtime);
+    assert!(matches!(runtime.run(), ExecutionOutcome::BugFound(_)));
+    let trace = runtime.take_trace();
+    assert_eq!(trace.retained_step_count(), 0);
+    assert!(trace.dropped_steps() > 0);
+    assert_eq!(trace.decisions, found.trace.decisions);
     let replayed = engine
-        .replay(&bug_report.trace, noisy_racey_setup)
+        .replay(&trace, noisy_racey_setup)
         .expect("decisions-only trace replays");
-    assert_eq!(replayed.message, bug_report.bug.message);
-}
-
-#[test]
-fn ring_buffer_truncated_bug_trace_round_trips_through_json() {
-    let config = shrinking_config()
-        .with_shrink(false)
-        .with_trace_mode(TraceMode::RingBuffer(8));
-    let report = TestEngine::new(config).run(noisy_racey_setup);
-    let trace = report.bug.expect("bug found").trace;
-    assert!(trace.dropped_steps() > 0, "the ring must have wrapped");
-    let back = Trace::from_json(&trace.to_json().expect("serialize")).expect("parse");
-    assert_eq!(back, trace);
-    assert_eq!(back.mode(), TraceMode::RingBuffer(8));
-    assert_eq!(back.dropped_steps(), trace.dropped_steps());
+    assert_eq!(replayed.message, found.bug.message);
 }
 
 #[test]
@@ -296,6 +269,30 @@ fn flaky_setup(racey: impl Fn(u64) -> bool) -> impl Fn(&mut Runtime) {
             }
         }
     }
+}
+
+#[test]
+fn engine_says_when_the_reported_trace_could_not_be_re_recorded() {
+    let config = shrinking_config().with_shrink(false);
+    let honest = TestEngine::new(config.clone()).run(noisy_racey_setup);
+    let found = honest.bug.as_ref().expect("bug found");
+    assert_eq!(found.trace.mode(), TraceMode::Full);
+    assert!(!honest.summary().contains("not annotated"));
+
+    // One setup per iteration, then one for the strict replay that
+    // re-records the winner: the harness stops being racey exactly there.
+    let hunts = found.iteration + 1;
+    let report = TestEngine::new(config).run(flaky_setup(|call| call <= hunts));
+    let kept = report.bug.as_ref().expect("bug found");
+    assert_eq!(kept.iteration, found.iteration);
+    assert_eq!(kept.trace.decisions, found.trace.decisions);
+    assert_eq!(kept.trace.mode(), TraceMode::DecisionsOnly);
+    assert_eq!(kept.trace.retained_step_count(), 0);
+    assert!(
+        report.summary().contains("trace not annotated"),
+        "{}",
+        report.summary()
+    );
 }
 
 #[test]

@@ -3,7 +3,7 @@
 //! uninitialized-configuration bug in a service running on top of it.
 //!
 //! Run with: `cargo run --release --example fabric_failover [--shrink]
-//! [--trace-mode full|ring:N|decisions] [--faults crash=N,...]`
+//! [--faults crash=N,...]`
 //!
 //! The primary failure is injected by the core scheduler as a first-class
 //! fault decision (the failover scenario's default budget is one crash;

@@ -2,7 +2,7 @@
 //! both seeded bugs, then replay the safety bug from its recorded trace.
 //!
 //! Run with: `cargo run --example quickstart [--shrink]
-//! [--trace-mode full|ring:N|decisions] [--faults crash=N,drop=N,...]`
+//! [--faults crash=N,drop=N,...]`
 
 use fast16::cli::{describe_shrink, DebugOptions};
 use psharp::prelude::*;

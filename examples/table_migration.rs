@@ -3,8 +3,7 @@
 //! against the reference model.
 //!
 //! Run with: `cargo run --release --example table_migration [BugName]
-//! [--shrink] [--trace-mode full|ring:N|decisions]
-//! [--faults crash=N,restart=N,...]`
+//! [--shrink] [--faults crash=N,restart=N,...]`
 
 use chaintable::{build_harness, named_bugs, ChainConfig};
 use fast16::cli::{describe_shrink, DebugOptions};

@@ -3,7 +3,7 @@
 //! Manager passes the same test.
 //!
 //! Run with: `cargo run --release --example vnext_repair [--shrink]
-//! [--trace-mode full|ring:N|decisions] [--faults crash=N,...]`
+//! [--faults crash=N,...]`
 //!
 //! The EN failure that triggers the repair path is injected by the core
 //! scheduler as a first-class fault decision (the scenario's default budget

@@ -18,22 +18,18 @@ pub use vnext;
 
 /// Debug-workflow options shared by the case-study examples: every example
 /// accepts `--shrink` (delta-debug a found bug's schedule down to a minimal
-/// replayable counterexample), `--trace-mode full|ring:N|decisions` (bound
-/// how much of the annotated schedule each execution retains) and
-/// `--faults crash=N,restart=N,drop=N,dup=N` (override the scenario's fault
-/// budget for scheduler-controlled fault injection).
+/// replayable counterexample) and `--faults crash=N,restart=N,drop=N,dup=N`
+/// (override the scenario's fault budget for scheduler-controlled fault
+/// injection).
 pub mod cli {
     use psharp::engine::BugReport;
     use psharp::prelude::*;
 
-    /// Parsed `--shrink` / `--trace-mode` / `--faults` options.
+    /// Parsed `--shrink` / `--faults` options.
     #[derive(Debug, Clone, Copy, Default)]
     pub struct DebugOptions {
         /// Delta-debug found bugs down to minimal counterexamples.
         pub shrink: bool,
-        /// How much of the annotated schedule each execution retains
-        /// (`None` keeps the engine's default/auto selection).
-        pub trace_mode: Option<TraceMode>,
         /// Fault budget override (`None` keeps the scenario's own budget).
         pub faults: Option<FaultPlan>,
     }
@@ -44,8 +40,8 @@ pub mod cli {
         ///
         /// # Panics
         ///
-        /// Panics on a malformed `--trace-mode` or `--faults` value,
-        /// mirroring the fail-fast CLI style of the bench binaries.
+        /// Panics on a malformed `--faults` value, mirroring the fail-fast
+        /// CLI style of the bench binaries.
         pub fn from_args() -> (Self, Vec<String>) {
             let mut options = DebugOptions::default();
             let mut rest = Vec::new();
@@ -53,13 +49,6 @@ pub mod cli {
             while let Some(arg) = argv.next() {
                 match arg.as_str() {
                     "--shrink" => options.shrink = true,
-                    "--trace-mode" => {
-                        let name = argv.next().expect("--trace-mode requires a mode");
-                        options.trace_mode = Some(
-                            TraceMode::parse(&name)
-                                .unwrap_or_else(|| panic!("unknown trace mode {name:?}")),
-                        );
-                    }
                     "--faults" => {
                         let spec = argv.next().expect("--faults requires a plan");
                         options.faults = Some(
@@ -76,9 +65,6 @@ pub mod cli {
         /// Applies the options to a test configuration.
         pub fn apply(&self, config: TestConfig) -> TestConfig {
             let mut config = config.with_shrink(self.shrink);
-            if let Some(trace_mode) = self.trace_mode {
-                config = config.with_trace_mode(trace_mode);
-            }
             if let Some(faults) = self.faults {
                 config = config.with_faults(faults);
             }

@@ -4,7 +4,10 @@
 //! recording, and (c) is byte-identical across engines and worker counts.
 //! Over all 20 seeded bugs the production pass — candidates abandoned once
 //! they cannot win, one pooled runtime — is also checked against a reference
-//! ddmin that runs every candidate to completion in a fresh runtime.
+//! ddmin that runs every candidate to completion in a fresh runtime, and the
+//! engine's reported trace — a strict replay's re-recording of decisions
+//! explored without their annotated schedule — against the winning iteration
+//! recorded directly under `TraceMode::Full`.
 
 use psharp::prelude::*;
 use psharp::scheduler::ReplayScheduler;
@@ -337,5 +340,83 @@ fn candidate_steps_stay_under_candidates_times_original_decisions() {
     assert!(
         run_out > 4 * tried * again.original_decisions as u64,
         "the reference executed only {run_out} steps over {tried} candidates"
+    );
+}
+
+/// The engine explores recording decisions only and reports what a strict
+/// replay of the winner re-records. The oracle is the winning iteration
+/// driven by hand with its annotated schedule recorded as it runs: same
+/// seed, same strategy, `TraceMode::Full`. On a hot-at-bound liveness bug
+/// won by a strategy with an unfair prefix the two take different routes to
+/// the same trace — the direct run observes a grace window and truncates its
+/// recording back to the bound, the replay just stops at the bound.
+#[test]
+fn reported_trace_is_the_direct_full_recording_of_the_winning_iteration() {
+    let cases = bench::bug_cases();
+    assert_eq!(cases.len(), 20);
+    let mut truncated_after_grace = 0;
+    let mut shrunk_crates = Vec::new();
+    for case in &cases {
+        let base = TestConfig::new()
+            .with_iterations(20_000)
+            .with_max_steps(case.max_steps)
+            .with_seed(2016)
+            .with_faults(case.faults);
+        let mut configs = vec![
+            base.clone().with_scheduler(SchedulerKind::Random),
+            base.clone().with_default_portfolio(),
+        ];
+        // One case per crate also goes through the shrink pass, which starts
+        // from the re-recorded trace.
+        if !shrunk_crates.contains(&case.case_study) {
+            shrunk_crates.push(case.case_study);
+            configs.push(
+                base.with_default_portfolio()
+                    .with_shrink(true)
+                    .with_shrink_budget(20),
+            );
+        }
+        for config in configs {
+            let build = |rt: &mut Runtime| (case.build)(rt);
+            let report = TestEngine::new(config.clone()).run(build);
+            let label = format!(
+                "{} ({}, shrink {})",
+                case.name, report.scheduler, config.shrink
+            );
+            let found = report.bug.unwrap_or_else(|| panic!("{label}: not found"));
+            assert_eq!(found.trace.mode(), TraceMode::Full, "{label}");
+
+            let seed = config.seed_for_iteration(found.iteration);
+            let strategy = config.strategy_for_iteration(found.iteration);
+            let mut direct = Runtime::new(
+                strategy.build(seed, config.max_steps),
+                RuntimeConfig {
+                    max_steps: config.max_steps,
+                    trace_mode: TraceMode::Full,
+                    faults: config.faults,
+                    ..RuntimeConfig::default()
+                },
+                seed,
+            );
+            build(&mut direct);
+            let ExecutionOutcome::BugFound(bug) = direct.run() else {
+                panic!("{label}: the direct run found no bug");
+            };
+            assert_eq!(bug, found.bug, "{label}");
+            // Not `assert_eq!`: a mismatch would print thousands of steps.
+            assert!(direct.into_trace() == found.trace, "{label}");
+
+            let at_bound = found.trace.total_step_count() == config.max_steps;
+            let unfair = strategy
+                .build(seed, config.max_steps)
+                .unfair_prefix_len()
+                .is_some();
+            truncated_after_grace += usize::from(at_bound && unfair);
+        }
+    }
+    assert_eq!(shrunk_crates, [0, 1, 2, 3, 4]);
+    assert!(
+        truncated_after_grace > 0,
+        "no bound verdict was won by a strategy with a grace window"
     );
 }
