@@ -5,6 +5,11 @@
 //! events that machines explicitly publish to them. The dynamic typing mirrors
 //! the P# programming model where any event type can be delivered to any
 //! machine, and the machine decides how (or whether) to handle it.
+//!
+//! An event's name is read, not made: the event keeps the payload type's
+//! [`std::any::type_name`] as the compiler hands it over, and
+//! [`Event::name`] cuts the module path when somebody asks for it. Creating
+//! an event never looks at a string.
 
 use std::any::Any;
 use std::fmt;
@@ -47,11 +52,12 @@ impl<T: Any + Send + Sync + fmt::Debug> EventPayload for T {
 
 /// A named, dynamically typed message delivered to a machine or monitor.
 ///
-/// Events carry the short type name of their payload, which is used in traces
-/// and bug reports so that a schedule can be read as a sequence of
-/// human-meaningful steps (`ClientReq`, `Timeout`, `SyncReport`, ...).
+/// Events carry the type name of their payload; [`Event::name`] shortens it
+/// for traces and bug reports, so that a schedule can be read as a sequence
+/// of human-meaningful steps (`ClientReq`, `Timeout`, `SyncReport`, ...).
 pub struct Event {
-    name: &'static str,
+    /// `std::any::type_name` of the payload, module path and all.
+    type_name: &'static str,
     payload: Box<dyn EventPayload>,
     /// Monomorphized copy constructor, present only for events created with
     /// [`Event::replicable`]. Fault injection can only duplicate messages
@@ -62,11 +68,10 @@ pub struct Event {
 impl Event {
     /// Wraps a payload value into an event.
     ///
-    /// The event name is derived from the payload's type name with module
-    /// paths stripped.
+    /// The event is named after the payload's type; see [`Event::name`].
     pub fn new<T: EventPayload>(payload: T) -> Self {
         Event {
-            name: short_type_name::<T>(),
+            type_name: std::any::type_name::<T>(),
             payload: Box::new(payload),
             duplicate: None,
         }
@@ -89,7 +94,7 @@ impl Event {
             )
         }
         Event {
-            name: short_type_name::<T>(),
+            type_name: std::any::type_name::<T>(),
             payload: Box::new(payload),
             duplicate: Some(duplicate_impl::<T>),
         }
@@ -106,9 +111,17 @@ impl Event {
         self.duplicate.map(|dup| dup(self))
     }
 
-    /// The short type name of the payload (no module path).
+    /// The short type name of the payload: its type name with the module
+    /// path cut (type arguments keep theirs: `Wrapper<b::Payload>`). Not
+    /// stored: each call is one pass over the type name.
     pub fn name(&self) -> &'static str {
-        self.name
+        strip_module_path(self.type_name)
+    }
+
+    /// The payload's type name as stored, for a caller that may never need
+    /// the short form (the runtime's step loop).
+    pub(crate) fn type_name(&self) -> &'static str {
+        self.type_name
     }
 
     /// Returns `true` when the payload is of type `T`.
@@ -145,10 +158,42 @@ impl fmt::Debug for Event {
     }
 }
 
-/// Returns the type name of `T` with any module path prefix removed.
+/// Returns the type name of `T` with its module path removed.
 pub(crate) fn short_type_name<T: ?Sized>() -> &'static str {
-    let full = std::any::type_name::<T>();
-    full.rsplit("::").next().unwrap_or(full)
+    strip_module_path(std::any::type_name::<T>())
+}
+
+/// Cuts the module path of the *outermost* type in a type name: everything
+/// up to the last `:` before the type's arguments (or other structure)
+/// begin. One pass over the bytes, and the result is a suffix of the input,
+/// so nothing allocates; `"a::Wrapper<b::Payload>"` gives
+/// `"Wrapper<b::Payload>"`, and a tuple, reference or slice name comes back
+/// whole.
+pub(crate) fn strip_module_path(full: &str) -> &str {
+    #[cfg(test)]
+    STRIPS.set(STRIPS.get() + 1);
+    let mut start = 0;
+    for (at, &byte) in full.as_bytes().iter().enumerate() {
+        match byte {
+            b':' => start = at + 1,
+            b'<' | b'(' | b'[' | b'&' | b'*' | b' ' => break,
+            _ => {}
+        }
+    }
+    &full[start..]
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Calls of [`strip_module_path`] made on this thread: the exact gate
+    /// that exploration never shortens a name.
+    static STRIPS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
+
+/// Calls of [`strip_module_path`] made on this thread so far.
+#[cfg(test)]
+pub(crate) fn strips() -> u64 {
+    STRIPS.get()
 }
 
 #[cfg(test)]
@@ -165,6 +210,48 @@ mod tests {
     fn event_name_strips_module_path() {
         let e = Event::new(Ping(1));
         assert_eq!(e.name(), "Ping");
+    }
+
+    #[test]
+    fn only_the_outermost_path_is_cut() {
+        for (full, short) in [
+            ("a::b::Token", "Token"),
+            ("Token", "Token"),
+            ("a::Wrapper<b::c::Payload>", "Wrapper<b::c::Payload>"),
+            (
+                "alloc::vec::Vec<alloc::string::String>",
+                "Vec<alloc::string::String>",
+            ),
+            ("(u8, a::Payload)", "(u8, a::Payload)"),
+            ("&a::b::Token", "&a::b::Token"),
+            ("[a::Token; 3]", "[a::Token; 3]"),
+            ("dyn a::Trait", "dyn a::Trait"),
+            ("", ""),
+        ] {
+            assert_eq!(strip_module_path(full), short, "{full}");
+        }
+
+        #[derive(Debug)]
+        struct Wrapper<T>(T);
+        let e = Event::new(Wrapper(Ping(1)));
+        assert!(
+            e.name().starts_with("Wrapper<") && e.name().ends_with("::Ping>"),
+            "{}",
+            e.name()
+        );
+        assert_eq!(Event::new((1u8, Ping(1))).name().chars().next(), Some('('));
+    }
+
+    #[test]
+    fn an_event_is_five_words_and_every_constructor_names_it_alike() {
+        assert!(std::mem::size_of::<Event>() <= 40);
+        let plain = Event::new(Payload(1));
+        let replicable = Event::replicable(Payload(2));
+        let copy = replicable.duplicate().expect("replicable event duplicates");
+        for event in [&plain, &replicable, &copy] {
+            assert_eq!(event.name(), "Payload");
+            assert_eq!(event.type_name(), std::any::type_name::<Payload>());
+        }
     }
 
     #[test]

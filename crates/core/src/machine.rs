@@ -443,4 +443,18 @@ mod tests {
         assert_eq!(runner.transitions(), 0);
         assert_eq!(Machine::name(&runner), "Trivial");
     }
+
+    #[test]
+    fn a_generic_machine_keeps_its_type_arguments_in_its_name() {
+        struct Holder<T>(T);
+        impl<T: Send + Sync + 'static> Machine for Holder<T> {
+            fn handle(&mut self, _ctx: &mut Context<'_>, _event: Event) {}
+        }
+        assert_eq!(Holder(3u8).name(), "Holder<u8>");
+        let name = Holder(Trivial).name().to_string();
+        assert!(
+            name.starts_with("Holder<") && name.ends_with("::Trivial>"),
+            "{name}"
+        );
+    }
 }

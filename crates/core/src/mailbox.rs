@@ -44,11 +44,6 @@ impl Mailbox {
         self.queue.len()
     }
 
-    /// Name of the oldest pending event, if any (used for trace annotation).
-    pub fn peek_name(&self) -> Option<&'static str> {
-        self.queue.front().map(Event::name)
-    }
-
     /// Returns `true` when the oldest pending event exists and was created
     /// with [`Event::replicable`], i.e. a duplication fault can target it.
     pub fn front_can_duplicate(&self) -> bool {
@@ -186,14 +181,6 @@ mod tests {
     }
 
     #[test]
-    fn peek_does_not_remove() {
-        let mut mb = Mailbox::new();
-        mb.enqueue(Event::new(B));
-        assert_eq!(mb.peek_name(), Some("B"));
-        assert_eq!(mb.len(), 1);
-    }
-
-    #[test]
     fn duplicate_front_requires_a_replicable_event() {
         #[derive(Debug, Clone)]
         struct C(u32);
@@ -223,7 +210,6 @@ mod tests {
         mb.enqueue(Event::new(B));
         mb.clear();
         assert!(mb.is_empty());
-        assert_eq!(mb.peek_name(), None);
     }
 
     #[test]

@@ -31,14 +31,15 @@
 //! strings are materialized only when a trace is rendered or a bug is
 //! reported.
 
+use std::cell::Cell;
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Once};
 
 use crate::enabled::EnabledSet;
 use crate::error::{Bug, BugKind, ReplayError};
-use crate::event::Event;
+use crate::event::{strip_module_path, Event};
 use crate::fault::{Fault, FaultPlan};
 use crate::machine::{Machine, MachineId, StateMachine, StateMachineRunner};
 use crate::mailbox::{LazyMailbox, Mailbox};
@@ -304,8 +305,9 @@ pub struct Runtime {
     trace: Trace,
     bug: Option<Bug>,
     steps: usize,
-    /// Scheduler picks outside the enabled set that [`Runtime::run`]
-    /// replaced; see [`Runtime::corrected_picks`].
+    /// Scheduler answers [`Runtime::run`] replaced (a pick outside the
+    /// enabled set) or refused (a fault it had not offered); see
+    /// [`Runtime::corrected_picks`].
     corrected_picks: u64,
     /// Incrementally maintained enabled-machine index: updated at every
     /// enablement edge, so the step loop never rescans the slots and
@@ -797,12 +799,15 @@ impl Runtime {
             if grace.is_none() && self.fault_probe_applicable() {
                 self.collect_fault_candidates();
                 if !self.fault_buf.is_empty() {
-                    let picked = self.scheduler.next_fault(&self.fault_buf, self.steps);
-                    // Defensive: a misbehaving scheduler must not inject a
-                    // fault the runtime did not offer.
-                    if let Some(fault) = picked.filter(|f| self.fault_buf.contains(f)) {
-                        self.apply_fault(fault);
-                        continue;
+                    if let Some(fault) = self.scheduler.next_fault(&self.fault_buf, self.steps) {
+                        if self.fault_buf.contains(&fault) {
+                            self.apply_fault(fault);
+                            continue;
+                        }
+                        // Defensive: a misbehaving scheduler must not inject
+                        // a fault the runtime did not offer. Refused, and
+                        // counted, so the slip is visible.
+                        self.corrected_picks += 1;
                     }
                 }
             }
@@ -866,11 +871,11 @@ impl Runtime {
         self.mark_dirty(id);
         let index = id.index();
         let mut machine = self.take_machine(index);
-        let (event, event_name, name) = {
+        let (event, name) = {
             let slot = &mut self.slots[index];
             if !slot.started {
                 slot.started = true;
-                (None, "start", slot.name)
+                (None, slot.name)
             } else {
                 let event = slot
                     .mailbox
@@ -878,15 +883,18 @@ impl Runtime {
                     .expect("enabled started machine has a bound mailbox")
                     .dequeue()
                     .expect("enabled machine has an event");
-                let event_name = event.name();
-                (Some(event), event_name, slot.name)
+                (Some(event), slot.name)
             }
         };
-        // The event name is hashed into the name table only for a trace that
-        // keeps the step.
+        // The handler consumes the event; its type name is a copy of a
+        // static. It is shortened (and hashed into the name table) only by
+        // a reader: a trace that keeps the step, or a panic message. A start
+        // step has no event.
+        let event_type = event.as_ref().map(Event::type_name);
+        let event_name = || event_type.map_or("start", strip_module_path);
         match self.trace.mode() {
             TraceMode::Full => {
-                let event = self.trace.intern(event_name);
+                let event = self.trace.intern(event_name());
                 self.trace.push_step(TraceStep {
                     step: self.steps,
                     machine: id,
@@ -906,7 +914,7 @@ impl Runtime {
             }
         };
         if catch {
-            let result = catch_unwind(AssertUnwindSafe(|| run_handler(self)));
+            let result = catch_quietly(|| run_handler(self));
             if let Err(payload) = result {
                 let message = panic_message(payload.as_ref());
                 if self.bug.is_none() {
@@ -915,7 +923,8 @@ impl Runtime {
                         Bug::new(
                             BugKind::Panic,
                             format!(
-                                "machine '{machine_name}' panicked while handling '{event_name}': {message}"
+                                "machine '{machine_name}' panicked while handling '{}': {message}",
+                                event_name()
                             ),
                         )
                         .with_source(machine_name)
@@ -1087,7 +1096,7 @@ impl Runtime {
             }
         };
         if self.config.catch_panics {
-            let result = catch_unwind(AssertUnwindSafe(|| run_hook(self)));
+            let result = catch_quietly(|| run_hook(self));
             if let Err(payload) = result {
                 let message = panic_message(payload.as_ref());
                 if self.bug.is_none() {
@@ -1271,8 +1280,10 @@ impl Runtime {
         self.steps
     }
 
-    /// Number of scheduler picks so far that named a machine outside the
-    /// enabled set and were replaced by the lowest enabled id. Always 0 for a
+    /// Number of scheduler answers so far that the runtime replaced or
+    /// refused: picks that named a machine outside the enabled set (replaced
+    /// by the lowest enabled id) *and* faults that were not among the ones
+    /// offered (dropped; no fault decision is recorded). Always 0 for a
     /// correct [`Scheduler`]; anything else means the recorded schedule is
     /// not the one the strategy intended.
     pub fn corrected_picks(&self) -> u64 {
@@ -1803,6 +1814,38 @@ impl RuntimeSnapshot {
     pub fn decision_count(&self) -> usize {
         self.trace.decision_count()
     }
+}
+
+thread_local! {
+    /// `true` while this thread is inside a handler or fault hook whose
+    /// panic [`catch_quietly`] is about to catch.
+    static PANIC_IS_CAUGHT: Cell<bool> = const { Cell::new(false) };
+}
+
+/// Runs a handler or fault hook under `catch_unwind` without the process
+/// panic hook printing what the runtime is about to report as a
+/// [`BugKind::Panic`] bug.
+///
+/// The first call in a process wraps the hook that was installed before it
+/// in one that stays silent exactly while the panicking thread is in here;
+/// every other panic — a panicking `setup`, the runtime's own `expect`s, user
+/// threads — reaches the previous hook unchanged.
+fn catch_quietly<R>(body: impl FnOnce() -> R) -> std::thread::Result<R> {
+    static DELEGATING_HOOK: Once = Once::new();
+    DELEGATING_HOOK.call_once(|| {
+        let previous = std::panic::take_hook();
+        std::panic::set_hook(Box::new(move |info| {
+            if !PANIC_IS_CAUGHT.get() {
+                previous(info);
+            }
+        }));
+    });
+    // `replace`, not `set(true)` / `set(false)`: a handler that drives a
+    // runtime of its own is still inside the outer catch when that one ends.
+    let outer = PANIC_IS_CAUGHT.replace(true);
+    let result = catch_unwind(AssertUnwindSafe(body));
+    PANIC_IS_CAUGHT.set(outer);
+    result
 }
 
 fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
@@ -2583,6 +2626,132 @@ mod tests {
         assert_eq!(rt.corrected_picks(), 0, "a correct scheduler needs none");
         rt.restore_from(&snapshot);
         assert_eq!(rt.corrected_picks(), 8);
+
+        /// Schedules correctly, but answers the first fault probe with a
+        /// fault that was not in the offered slice.
+        struct Uninvited {
+            asked: bool,
+        }
+        impl Scheduler for Uninvited {
+            fn name(&self) -> &'static str {
+                "uninvited"
+            }
+            fn next_machine(&mut self, enabled: &[MachineId], _step: usize) -> MachineId {
+                enabled[0]
+            }
+            fn next_bool(&mut self) -> bool {
+                false
+            }
+            fn next_int(&mut self, _bound: usize) -> usize {
+                0
+            }
+            fn next_fault(&mut self, offered: &[Fault], _step: usize) -> Option<Fault> {
+                let uninvited = Fault::Crash(MachineId::from_raw(999));
+                assert!(!offered.is_empty() && !offered.contains(&uninvited));
+                (!std::mem::replace(&mut self.asked, true)).then_some(uninvited)
+            }
+        }
+        let config = RuntimeConfig {
+            faults: FaultPlan {
+                drops: 1,
+                ..FaultPlan::default()
+            },
+            ..RuntimeConfig::default()
+        };
+        let mut rt = Runtime::new(Box::new(Uninvited { asked: false }), config, 0);
+        let responder = rt.create_machine(CloneResponder);
+        rt.mark_lossy(responder);
+        rt.create_machine(CloneRequester {
+            responder,
+            pongs: 0,
+        });
+        assert_eq!(rt.run(), ExecutionOutcome::Quiescent, "the run completes");
+        assert_eq!(rt.steps(), 8);
+        assert!(
+            !rt.trace().decisions.iter().any(Decision::is_fault),
+            "the refused fault left no decision"
+        );
+        assert_eq!(rt.corrected_picks(), 1, "and was counted");
+    }
+
+    #[test]
+    fn exploration_never_shortens_a_name() {
+        use crate::event::strips;
+
+        #[derive(Debug, Clone)]
+        struct Hop(u32);
+        /// Three machine types (one per `KIND`) passing three tokens round
+        /// a ring; every step sends. A node told to panics on a last hop.
+        struct Node<const KIND: u8> {
+            panics: bool,
+        }
+        const HOPS: u32 = 400;
+        fn forward(ctx: &mut Context<'_>, hop: u32) {
+            let next = MachineId::from_raw((ctx.id().raw() + 1) % 3);
+            ctx.notify_monitor::<Quiet>(Event::new(Hop(hop)));
+            ctx.send(next, Event::replicable(Hop(hop)));
+        }
+        impl<const KIND: u8> Machine for Node<KIND> {
+            fn on_start(&mut self, ctx: &mut Context<'_>) {
+                forward(ctx, 0);
+            }
+            fn handle(&mut self, ctx: &mut Context<'_>, event: Event) {
+                let Hop(hop) = event.downcast::<Hop>().expect("the ring carries hops");
+                assert!(!(self.panics && hop == HOPS), "the last hop");
+                if hop < HOPS {
+                    forward(ctx, hop + 1);
+                }
+            }
+        }
+        struct Quiet;
+        impl Monitor for Quiet {
+            fn observe(&mut self, _ctx: &mut MonitorContext<'_>, _event: &Event) {}
+        }
+
+        // (strips of one execution, its steps, its outcome)
+        let run = |trace_mode: TraceMode, panics: bool| {
+            let config = RuntimeConfig {
+                trace_mode,
+                ..RuntimeConfig::default()
+            };
+            let mut rt = Runtime::new(Box::new(RandomScheduler::new(7)), config, 7);
+            let before = strips();
+            rt.create_machine(Node::<0> { panics: false });
+            rt.create_machine(Node::<1> { panics: false });
+            rt.create_machine(Node::<2> { panics });
+            rt.add_monitor(Quiet);
+            let outcome = rt.run();
+            (strips() - before, rt.steps() as u64, outcome)
+        };
+        const NAMED: u64 = 4; // three machines and a monitor, default `name()`
+
+        let (stripped, steps, outcome) = run(TraceMode::DecisionsOnly, false);
+        assert_eq!(outcome, ExecutionOutcome::Quiescent);
+        assert!(steps >= 1_000, "{steps}");
+        assert_eq!(stripped, NAMED, "a decisions-only step reads no name");
+
+        // A kept step reads one name per dequeued event; the three start
+        // steps have no event.
+        let (stripped, full_steps, _) = run(TraceMode::Full, false);
+        assert_eq!(full_steps, steps);
+        assert_eq!(stripped, NAMED + (steps - 3));
+
+        // The panic message is the other reader: exactly one more.
+        let (stripped, steps, outcome) = run(TraceMode::DecisionsOnly, true);
+        let ExecutionOutcome::BugFound(bug) = outcome else {
+            panic!("the last hop panics: {outcome:?}");
+        };
+        assert_eq!(bug.kind, BugKind::Panic);
+        assert!(
+            bug.message
+                .starts_with("machine 'Node<2>' panicked while handling 'Hop': the last hop"),
+            "{}",
+            bug.message
+        );
+        assert_eq!(stripped, NAMED + 1);
+        let (stripped, full_steps, _) = run(TraceMode::Full, true);
+        assert_eq!(full_steps, steps);
+        assert_eq!(stripped, NAMED + (steps - 3) + 1);
     }
 
     #[test]

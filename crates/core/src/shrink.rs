@@ -45,7 +45,7 @@
 
 use std::time::{Duration, Instant};
 
-use crate::error::{Bug, BugKind};
+use crate::error::Bug;
 use crate::fault::FaultPlan;
 use crate::json::{FromJson, Json, JsonError, ToJson};
 use crate::runtime::{ExecutionOutcome, Runtime, RuntimeConfig};
@@ -266,38 +266,6 @@ pub fn same_bug(a: &Bug, b: &Bug) -> bool {
     a.kind == b.kind && a.message == b.message && a.source == b.source
 }
 
-/// Temporarily replaces the process panic hook with a silent one, restoring
-/// the previous hook on drop. Shrink passes over panic-kind bugs re-panic
-/// (inside `catch_unwind`) once per reproducing candidate; without this the
-/// default hook would print a backtrace for every one of them.
-///
-/// The hook is process-global, so this is only installed from the shrink
-/// pass, which both engines run on one thread after all workers have joined.
-type PanicHook = Box<dyn Fn(&std::panic::PanicHookInfo<'_>) + Sync + Send + 'static>;
-
-struct QuietPanicHook {
-    previous: Option<PanicHook>,
-}
-
-impl QuietPanicHook {
-    fn install(active: bool) -> Self {
-        let previous = active.then(|| {
-            let previous = std::panic::take_hook();
-            std::panic::set_hook(Box::new(|_| {}));
-            previous
-        });
-        QuietPanicHook { previous }
-    }
-}
-
-impl Drop for QuietPanicHook {
-    fn drop(&mut self) {
-        if let Some(previous) = self.previous.take() {
-            std::panic::set_hook(previous);
-        }
-    }
-}
-
 /// Delta-debugs `trace` (which reproduces `bug` on the harness built by
 /// `setup`) down to a minimal replayable counterexample.
 ///
@@ -327,10 +295,6 @@ where
     let mut current = original.clone();
     let mut tried: u64 = 0;
     let mut reproduced: u64 = 0;
-    // Reproducing candidates of a panic-kind bug re-panic inside
-    // `catch_unwind` once per candidate; without this guard the default
-    // panic hook would print hundreds of backtraces over one shrink pass.
-    let _quiet = QuietPanicHook::install(config.catch_panics && bug.kind == BugKind::Panic);
 
     // Coarse fault-minimization first pass: before touching schedule
     // decisions, try deleting whole injected faults — first the entire fault
