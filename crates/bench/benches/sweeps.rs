@@ -1,5 +1,5 @@
 //! The three sweeps no `benchmark/` workload runs and that open ROADMAP items
-//! still need: the prefix-tree engine at 1 vs 8 workers, megakv per-step
+//! still need: a prefix-tree run at 1 vs 8 workers, megakv per-step
 //! throughput from 256 to 10,240 machines, and the copy-on-write fork against
 //! the full rebuild. Everything else about performance — the six workloads,
 //! the end-to-end metrics that gate a PR, the per-layer figures — is measured
@@ -16,7 +16,6 @@
 
 use std::time::{Duration, Instant};
 
-use psharp::engine::PrefixForkEngine;
 use psharp::prelude::*;
 use psharp::runtime::RuntimeConfig;
 use psharp::scheduler::RandomScheduler;
@@ -86,10 +85,11 @@ impl Sweep {
 }
 
 /// Parallel prefix-tree exploration: one bug-free chaintable portfolio budget
-/// driven through [`PrefixForkEngine`] at depth 2, at 1 and at 8 workers. The
-/// tree is expanded level by level and the iteration space drained over its
-/// leaves, so the 8-worker row should scale like the flat parallel engine
-/// while paying the expansion once — on a host with the cores to show it.
+/// explored over a depth-2 prefix tree ([`TestConfig::with_prefix_depth`]),
+/// at 1 and at 8 workers. The tree is expanded level by level and the
+/// iteration space drained over its leaves, so the 8-worker row should scale
+/// like a flat run while paying the expansion once — on a host with the
+/// cores to show it.
 ///
 /// One engine run is 2,000 iterations, tens of milliseconds: long enough for
 /// the host to spread the worker threads over its cores. At 200 iterations
@@ -109,8 +109,8 @@ fn prefix_tree(sweep: &Sweep, cores: usize) {
         sweep
             .measure("prefix_tree", &name, "exec", |_| {
                 let start = Instant::now();
-                let report =
-                    PrefixForkEngine::new(base.clone().with_workers(workers), 2).run(build);
+                let config = base.clone().with_prefix_depth(2).with_workers(workers);
+                let report = TestEngine::new(config).run(build);
                 (start.elapsed(), report.iterations_run)
             })
             .rate()

@@ -434,7 +434,9 @@ impl EngineArgs {
             "--portfolio" => {
                 self.config = std::mem::take(&mut self.config).with_default_portfolio();
             }
-            "--prefix-share" => self.config.prefix_sharing = true,
+            "--prefix-share" => {
+                self.config = std::mem::take(&mut self.config).with_prefix_sharing(true);
+            }
             _ => return Ok(false),
         }
         Ok(true)
@@ -462,7 +464,7 @@ pub fn hunt_with_fault_override(
     fault_override: Option<FaultPlan>,
 ) -> BugHuntResult {
     let config = config.with_faults(fault_override.unwrap_or(case.faults));
-    let engine = ParallelTestEngine::new(config.with_max_steps(case.max_steps));
+    let engine = TestEngine::new(config.with_max_steps(case.max_steps));
     let build = &case.build;
     let report = engine.run(|rt| build(rt));
     let shrink = report.bug.as_ref().and_then(|b| b.shrink.as_ref());
@@ -496,10 +498,7 @@ pub fn verify_fixed_config<F>(build: F, config: TestConfig) -> Option<Bug>
 where
     F: Fn(&mut Runtime) + Send + Sync,
 {
-    ParallelTestEngine::new(config)
-        .run(build)
-        .bug
-        .map(|b| b.bug)
+    TestEngine::new(config).run(build).bug.map(|b| b.bug)
 }
 
 /// Formats a [`Duration`] in seconds with two decimals.
@@ -658,7 +657,7 @@ mod tests {
     }
 
     #[test]
-    fn portfolio_hunt_is_worker_count_independent() {
+    fn portfolio_bug_hunt_is_worker_count_independent() {
         let cases = bug_cases();
         let case = cases
             .iter()

@@ -12,7 +12,6 @@
 //!   bug) outcome must stay byte-identical at any worker count.
 
 use bench::{bug_cases, hunt_with_fault_override};
-use psharp::engine::{ParallelTestEngine, PrefixForkEngine, TestReport};
 use psharp::prelude::*;
 use psharp::runtime::{Runtime, RuntimeConfig};
 use psharp::scheduler::RandomScheduler;
@@ -189,9 +188,8 @@ fn prefix_shared_reports_are_byte_identical_at_any_worker_count() {
     let reference_bug = reference.bug.expect("the seeded replsim bug");
 
     for workers in [1, 2, 4, 8] {
-        let report =
-            ParallelTestEngine::new(base.clone().with_prefix_sharing(true).with_workers(workers))
-                .run(build_replsim_bug);
+        let report = TestEngine::new(base.clone().with_prefix_sharing(true).with_workers(workers))
+            .run(build_replsim_bug);
         let bug = report
             .bug
             .unwrap_or_else(|| panic!("prefix sharing at {workers} workers lost the bug"));
@@ -286,11 +284,10 @@ fn report_key(report: &TestReport) -> (u64, u64, String, Vec<String>) {
     )
 }
 
-/// The parallel prefix-tree engine keeps the flat engines' guarantee: a
-/// bug-free run's report — iteration count, step count, per-strategy
-/// attribution including pruned/race/backtrack counters — is byte-identical
-/// at 1, 2, 4 and 8 workers, and so is the flat parallel engine's on the
-/// same harness and portfolio.
+/// A prefix-tree run keeps a flat run's guarantee: a bug-free run's report —
+/// iteration count, step count, per-strategy attribution including
+/// pruned/race/backtrack counters — is byte-identical at 1, 2, 4 and 8
+/// workers, and so is a flat run's on the same harness and portfolio.
 #[test]
 fn tree_and_flat_reports_are_byte_identical_at_any_worker_count() {
     let build = |rt: &mut Runtime| {
@@ -301,21 +298,22 @@ fn tree_and_flat_reports_are_byte_identical_at_any_worker_count() {
         .with_max_steps(2_000)
         .with_seed(7)
         .with_default_portfolio();
+    let tree_base = base.clone().with_prefix_depth(2);
 
-    let tree_reference = PrefixForkEngine::new(base.clone().with_workers(1), 2).run(build);
+    let tree_reference = TestEngine::new(tree_base.clone().with_workers(1)).run(build);
     assert!(
         tree_reference.bug.is_none(),
         "the fixed chaintable harness must be bug-free"
     );
-    let flat_reference = ParallelTestEngine::new(base.clone().with_workers(1)).run(build);
+    let flat_reference = TestEngine::new(base.clone().with_workers(1)).run(build);
     for workers in [2, 4, 8] {
-        let tree = PrefixForkEngine::new(base.clone().with_workers(workers), 2).run(build);
+        let tree = TestEngine::new(tree_base.clone().with_workers(workers)).run(build);
         assert_eq!(
             report_key(&tree),
             report_key(&tree_reference),
             "prefix-tree report diverged at {workers} workers"
         );
-        let flat = ParallelTestEngine::new(base.clone().with_workers(workers)).run(build);
+        let flat = TestEngine::new(base.clone().with_workers(workers)).run(build);
         assert_eq!(
             report_key(&flat),
             report_key(&flat_reference),
@@ -324,25 +322,25 @@ fn tree_and_flat_reports_are_byte_identical_at_any_worker_count() {
     }
 }
 
-/// When the harness does have a bug, the tree engine's winner — iteration,
-/// decisions, bug identity — is the same at any worker count, mirroring the
-/// flat parallel engine's deterministic first-bug selection.
+/// When the harness does have a bug, a prefix-tree run's winner — iteration,
+/// decisions, bug identity — is the same at any worker count, mirroring a
+/// flat run's deterministic first-bug selection.
 #[test]
 fn tree_engine_bug_selection_is_worker_count_independent() {
     let base = TestConfig::new()
         .with_iterations(200)
         .with_max_steps(2_500)
         .with_seed(2016)
-        .with_faults(replsim::ReplConfig::with_lost_replication_bug().fault_plan());
-    let reference = PrefixForkEngine::new(base.clone().with_workers(1), 2).run(build_replsim_bug);
+        .with_faults(replsim::ReplConfig::with_lost_replication_bug().fault_plan())
+        .with_prefix_depth(2);
+    let reference = TestEngine::new(base.clone().with_workers(1)).run(build_replsim_bug);
     let reference_bug = reference.bug.expect("the seeded replsim bug via the tree");
 
     for workers in [2, 4, 8] {
-        let report =
-            PrefixForkEngine::new(base.clone().with_workers(workers), 2).run(build_replsim_bug);
+        let report = TestEngine::new(base.clone().with_workers(workers)).run(build_replsim_bug);
         let bug = report
             .bug
-            .unwrap_or_else(|| panic!("the tree engine at {workers} workers lost the bug"));
+            .unwrap_or_else(|| panic!("the prefix tree at {workers} workers lost the bug"));
         assert_eq!(
             bug.iteration, reference_bug.iteration,
             "winning iteration diverged at {workers} workers"

@@ -30,7 +30,5 @@ pub mod migrate;
 pub mod spec;
 pub mod table;
 
-pub use harness::{
-    build_harness, model_stats, named_bugs, portfolio_hunt, ChainConfig, ChainHarness,
-};
+pub use harness::{build_harness, model_stats, named_bugs, ChainConfig, ChainHarness};
 pub use migrate::{ChainBugs, Phase};

@@ -1,12 +1,12 @@
-//! Portfolio-engine integration test on the MigratingTable harness: an
-//! N-worker portfolio run finds the seeded bug, attributes it to a strategy,
-//! and reports its executions/second next to the serial engine's (the
+//! Portfolio integration test on the MigratingTable harness: an N-worker
+//! portfolio run finds the seeded bug, attributes it to a strategy, and
+//! reports its executions/second next to a one-worker run's (the
 //! multiplier shows up on multi-core hosts; run with `--nocapture` to see
 //! the log line).
 
 use psharp::prelude::*;
 
-use chaintable::{portfolio_hunt, ChainConfig};
+use chaintable::ChainConfig;
 
 #[test]
 fn portfolio_run_finds_the_seeded_bug_and_reports_throughput() {
@@ -20,7 +20,9 @@ fn portfolio_run_finds_the_seeded_bug_and_reports_throughput() {
         chaintable::build_harness(rt, &config);
     });
 
-    let parallel = portfolio_hunt(&config, base.with_workers(4).with_default_portfolio());
+    let parallel = TestEngine::new(base.with_workers(4).with_default_portfolio()).run(move |rt| {
+        chaintable::build_harness(rt, &config);
+    });
 
     println!(
         "chaintable DeletePrimaryKey: serial {:.0} exec/s vs portfolio(4 workers) {:.0} exec/s",
@@ -66,11 +68,16 @@ fn portfolio_attribution_includes_the_new_strategies_and_is_worker_independent()
         .with_seed(11)
         .with_default_portfolio();
 
-    let serial = portfolio_hunt(&config, base.clone().with_workers(1));
+    let hunt = |workers| {
+        TestEngine::new(base.clone().with_workers(workers)).run(move |rt| {
+            chaintable::build_harness(rt, &config);
+        })
+    };
+    let serial = hunt(1);
     let expected = serial.bug.as_ref().expect("portfolio finds the seeded bug");
 
     for workers in [2usize, 4] {
-        let parallel = portfolio_hunt(&config, base.clone().with_workers(workers));
+        let parallel = hunt(workers);
         let found = parallel.bug.expect("portfolio finds the seeded bug");
         assert_eq!(found.iteration, expected.iteration, "{workers} workers");
         assert_eq!(found.trace, expected.trace, "{workers} workers");

@@ -1,4 +1,4 @@
-//! The systematic testing engine: one explorer, three entry points.
+//! The systematic testing engine: one explorer, one entry point.
 //!
 //! The paper's engine is a single loop — execute the test harness from start
 //! to completion under a controlled scheduler, again and again, each time
@@ -13,9 +13,9 @@
 //!   ([`TestConfig::seed_for_iteration`]) and, in portfolio mode, its
 //!   strategy ([`TestConfig::strategy_for_iteration`]);
 //! * an iteration starts either from `reset` + `setup` or by restoring one of
-//!   the frontier's snapshots (the post-setup root under
-//!   [`TestConfig::prefix_sharing`], the leaves of a prefix tree otherwise)
-//!   and running only the suffix;
+//!   the frontier's snapshots (the post-setup root, or the leaves of a prefix
+//!   tree grown from it — [`TestConfig::prefix_depth`]) and running only the
+//!   suffix;
 //! * the bug at the **lowest iteration index** wins, regardless of which
 //!   worker finished first, and executions above that index are skipped or
 //!   cancelled step-by-step;
@@ -23,13 +23,9 @@
 //!   schedule is re-recorded by strict replay, then it is shrunk and reported
 //!   once.
 //!
-//! So every face reports the identical (iteration, seed, strategy, trace,
-//! bug) result for a [`TestConfig`] at any worker count. The three public
-//! faces differ only in what they add: [`TestEngine`] drains the iteration
-//! space inline on the calling thread, so `setup` need not be `Send`;
-//! [`ParallelTestEngine`] drains it on [`TestConfig::workers`] threads;
-//! [`PrefixForkEngine`] first grows the frontier into a bounded-depth prefix
-//! tree.
+//! [`TestEngine::run`] is the entry point, and the [`TestConfig`] alone
+//! decides how a run explores; the run reports the identical (iteration,
+//! seed, strategy, trace, bug) result for it at any worker count.
 
 use std::ops::Range;
 use std::panic::resume_unwind;
@@ -70,9 +66,9 @@ pub struct TestConfig {
     pub check_liveness_at_quiescence: bool,
     /// Whether machine panics are caught and reported as bugs.
     pub catch_panics: bool,
-    /// Number of worker threads a [`ParallelTestEngine`] or
-    /// [`PrefixForkEngine`] lets steal from the shared iteration queue. `1`
-    /// (the default) reproduces the serial [`TestEngine`] bit for bit.
+    /// Number of workers that claim chunks of the shared iteration queue.
+    /// `1` (the default) drains it inline on the calling thread; any count
+    /// reports the same winner, and bug-free runs the same counters.
     pub workers: usize,
     /// Optional scheduler portfolio: iteration `i` runs the strategy
     /// [`TestConfig::strategy_for_iteration`] picks from this list (a
@@ -90,16 +86,18 @@ pub struct TestConfig {
     /// inject into machines the harness marked crashable / restartable /
     /// lossy. See [`crate::fault`].
     pub faults: FaultPlan,
-    /// Whether engines share the post-setup state across iterations via
-    /// [`Runtime::snapshot`]: the harness's `setup` closure runs once per
-    /// run, and every iteration, on every worker, forks from the captured
-    /// snapshot instead of re-running setup — the depth-0 case of the
-    /// [`PrefixForkEngine`]'s tree. Requires every machine and monitor the
-    /// setup creates to implement `clone_state` (and any event it enqueues
-    /// to be [`Event::replicable`](crate::event::Event::replicable));
-    /// otherwise the engine silently falls back to straight-line execution.
-    /// Results are identical either way, at any worker count.
-    pub prefix_sharing: bool,
+    /// Where iterations start. `None` (the default) is straight-line: every
+    /// iteration runs the harness's `setup`. Otherwise `setup` runs once per
+    /// run, the post-setup state is captured with [`Runtime::snapshot`], and
+    /// every iteration, on every worker, forks from a snapshot instead:
+    /// `Some(0)` forks from that root itself (results identical to
+    /// straight-line), `Some(d)` from the leaves of a prefix tree grown `d`
+    /// levels below it (see [`TestEngine`]; clamped to
+    /// [`TestConfig::MAX_PREFIX_DEPTH`]). Requires every machine and monitor
+    /// the setup creates to implement `clone_state` (and any event it
+    /// enqueues to be [`Event::replicable`](crate::event::Event::replicable));
+    /// otherwise the run silently falls back to straight-line execution.
+    pub prefix_depth: Option<usize>,
 }
 
 impl Default for TestConfig {
@@ -116,12 +114,17 @@ impl Default for TestConfig {
             shrink: false,
             shrink_budget: 2_000,
             faults: FaultPlan::none(),
-            prefix_sharing: false,
+            prefix_depth: None,
         }
     }
 }
 
 impl TestConfig {
+    /// Bound on [`TestConfig::prefix_depth`]: leaves multiply with the
+    /// enabled-set branching factor per level, so deep trees explode; a
+    /// deeper setting runs as this depth.
+    pub const MAX_PREFIX_DEPTH: usize = 6;
+
     /// Creates a configuration with the default exploration bounds.
     pub fn new() -> Self {
         TestConfig::default()
@@ -151,7 +154,7 @@ impl TestConfig {
         self
     }
 
-    /// Sets the number of worker threads used by [`ParallelTestEngine`].
+    /// Sets the number of workers ([`TestConfig::workers`]).
     ///
     /// Zero is treated as one.
     pub fn with_workers(mut self, workers: usize) -> Self {
@@ -190,11 +193,20 @@ impl TestConfig {
         self
     }
 
-    /// Enables (or disables) prefix sharing ([`TestConfig::prefix_sharing`]):
+    /// Enables (or disables) prefix sharing ([`TestConfig::prefix_depth`]):
     /// the harness setup executes once per run and every iteration forks
-    /// from a snapshot of the post-setup state.
+    /// from a snapshot of the post-setup state. `true` keeps a depth already
+    /// set and otherwise shares the root alone; `false` clears the depth.
     pub fn with_prefix_sharing(mut self, prefix_sharing: bool) -> Self {
-        self.prefix_sharing = prefix_sharing;
+        self.prefix_depth = prefix_sharing.then(|| self.prefix_depth.unwrap_or(0));
+        self
+    }
+
+    /// Forks every iteration from the leaves of a prefix tree `depth` levels
+    /// below the post-setup snapshot ([`TestConfig::prefix_depth`]); `0`
+    /// shares the root alone.
+    pub fn with_prefix_depth(mut self, depth: usize) -> Self {
+        self.prefix_depth = Some(depth);
         self
     }
 
@@ -392,7 +404,7 @@ pub struct TestReport {
     /// executions cancelled mid-flight and the forced steps a prefix tree
     /// spent growing its frontier.
     pub total_steps: u64,
-    /// Wall-clock time of the whole `run()` call, on every engine: the
+    /// Wall-clock time of the whole [`TestEngine::run`] call: the
     /// exploration plus, when a bug was found, rehydrating its annotated
     /// schedule and the shrink pass. [`BugReport::time_to_bug`] is the part
     /// up to discovery.
@@ -401,10 +413,11 @@ pub struct TestReport {
     /// the strategy that found the bug, or `"portfolio"` when no bug was
     /// found.
     pub scheduler: &'static str,
-    /// Number of worker threads that explored the iteration space.
+    /// Number of workers that explored the iteration space
+    /// ([`TestConfig::workers`]).
     pub workers: usize,
-    /// Exploration statistics per scheduling strategy (a single row for a
-    /// serial run, one row per distinct portfolio strategy otherwise).
+    /// Exploration statistics per scheduling strategy (a single row outside
+    /// portfolio mode, one row per distinct portfolio strategy otherwise).
     pub per_strategy: Vec<StrategyStats>,
 }
 
@@ -468,18 +481,81 @@ impl TestReport {
     }
 }
 
-/// The serial face of the explorer: systematically tests a harness by
-/// exploring many executions inline on the calling thread — no worker is
-/// spawned, so `setup` need not be `Send` or `Sync`
-/// ([`TestConfig::workers`] is ignored).
+/// The systematic testing engine: explores many executions of a harness,
+/// each serialized on one thread under a controlled scheduler, until the
+/// first property violation or [`TestConfig::iterations`]. How it explores
+/// is the [`TestConfig`]'s to say:
+///
+/// * **Workers** ([`TestConfig::workers`]). One worker drains the iteration
+///   space inline on the calling thread. `N` workers claim adaptively sized
+///   chunks of it from a shared atomic counter: a fast worker that drains a
+///   cheap stretch simply claims the next chunk, so skewed harnesses (where
+///   some seeds run 100× longer than others) do not starve `N - 1` workers
+///   the way fixed striping would. Every iteration keeps the seed
+///   [`TestConfig::seed_for_iteration`] assigns it, so `N` workers explore
+///   the identical set of (iteration, seed) pairs as one, just faster. Each
+///   worker pools one [`Runtime`] across its iterations and tallies into
+///   worker-local [`StrategyStats`] rows merged once at the end, so the hot
+///   path touches two shared atomics (the work counter, amortized over a
+///   chunk, and the bug bound) and allocates nothing in the steady state.
+///   The OS threads are capped at the host's available parallelism: more
+///   workers than cores change nothing about the report.
+/// * **Portfolio** ([`TestConfig::with_portfolio`]). Iterations mix
+///   scheduling strategies — random, PCT with several priority-change
+///   budgets, delay-bounding, a probabilistic random walk, round-robin,
+///   sleep-set and DPOR attack the same harness from different angles — and
+///   [`TestReport::per_strategy`] shows which strategy earned the bug. The
+///   *iteration index* decides which strategy drives an iteration
+///   ([`TestConfig::strategy_for_iteration`]), never the worker that claimed
+///   it, so the strategy mix is identical at any worker count.
+/// * **Start states** ([`TestConfig::prefix_depth`]). Straight-line by
+///   default; otherwise iterations fork from the post-setup snapshot or from
+///   the leaves of a prefix tree grown below it (see below).
+///
+/// # Deterministic first-bug selection
+///
+/// The reported bug is the one at the **lowest iteration index**, not the one
+/// whose worker happened to finish first: a found bug publishes its iteration
+/// as a shared bound, iterations above the bound are skipped or cancelled
+/// *step-by-step* (the runtime polls a [`CancelToken`] inside its step loop,
+/// so a doomed execution stops within one machine step instead of running to
+/// its `max_steps` bound), and iterations below it always run to completion.
+/// The winning (iteration, seed, strategy, trace) tuple is therefore the same
+/// at any worker count, in portfolio mode exactly as in single-strategy mode.
+///
+/// Determinism covers the *winning tuple only*: in runs that find a bug,
+/// [`TestReport::iterations_run`], [`TestReport::total_steps`] and
+/// [`BugReport::time_to_bug`] still depend on how far other workers got
+/// before cancellation. Bug-free runs exhaust every iteration, so their
+/// counters — including the per-strategy rows — are deterministic too.
+///
+/// # Prefix trees
+///
+/// With [`TestConfig::with_prefix_depth`] the harness `setup` executes once,
+/// its state is snapshotted as the root of a **bounded-depth prefix tree**,
+/// and the tree is expanded level by level across the workers: each forks a
+/// claimed node's copy-on-write snapshot into its pooled runtime, executes
+/// one step of one enabled machine per branch (a forced, recorded schedule
+/// decision) and snapshots the result. Siblings are chosen **DPOR-style**
+/// from the step footprints: a later sibling becomes a branch only when its
+/// step is dependent with an already-expanded sibling's (a race); one that
+/// commutes with all of them is pruned and counted in
+/// [`StrategyStats::pruned_schedules`], and **sleep sets** carry the same
+/// commutation argument down the tree. The iterations are then distributed
+/// round-robin over the leaves; each restores its leaf, installs its own
+/// scheduler and seed and runs only the suffix.
+///
+/// Every recorded trace contains the forced prefix decisions, so bug traces
+/// replay (and shrink) from scratch like straight-line recordings. The tree
+/// is a pure function of the [`TestConfig`] and its leaves are sorted by
+/// decision path, so the report is as worker-count-independent as a flat
+/// run's; a bug hit by a forced prefix step counts as iteration 0, the
+/// smallest decision path winning.
 ///
 /// # Examples
 ///
 /// ```
 /// use psharp::prelude::*;
-///
-/// #[derive(Debug)]
-/// struct Go;
 ///
 /// struct Flaky;
 /// impl Machine for Flaky {
@@ -491,11 +567,19 @@ impl TestReport {
 ///     fn handle(&mut self, _ctx: &mut Context<'_>, _event: Event) {}
 /// }
 ///
-/// let engine = TestEngine::new(TestConfig::new().with_iterations(100));
-/// let report = engine.run(|rt| {
+/// fn setup(rt: &mut Runtime) {
 ///     rt.create_machine(Flaky);
-/// });
+/// }
+///
+/// let config = TestConfig::new().with_iterations(100);
+/// let report = TestEngine::new(config.clone()).run(setup);
 /// assert!(report.found_bug());
+///
+/// // Four workers over the default portfolio report the same winner.
+/// let portfolio = config.with_default_portfolio();
+/// let one = TestEngine::new(portfolio.clone()).run(setup);
+/// let four = TestEngine::new(portfolio.with_workers(4)).run(setup);
+/// assert_eq!(one.bug.unwrap().trace, four.bug.unwrap().trace);
 /// ```
 #[derive(Debug, Clone)]
 pub struct TestEngine {
@@ -508,27 +592,21 @@ impl TestEngine {
         TestEngine { config }
     }
 
-    /// The engine's configuration.
-    pub fn config(&self) -> &TestConfig {
-        &self.config
-    }
-
     /// Runs up to `iterations` executions of the harness built by `setup`,
     /// stopping at the first property violation.
     ///
     /// The `setup` closure is invoked once per execution with an empty
-    /// [`Runtime`] (once per run under [`TestConfig::prefix_sharing`]); it
-    /// must create the machines and monitors of the test and may send
-    /// initial events.
+    /// [`Runtime`] (once per run when [`TestConfig::prefix_depth`] is set);
+    /// it must create the machines and monitors of the test and may send
+    /// initial events. It must be `Send + Sync` because workers invoke it
+    /// from their own threads; each execution still runs serialized on
+    /// exactly one thread, so machines never observe intra-execution
+    /// parallelism.
     pub fn run<F>(&self, setup: F) -> TestReport
     where
-        F: Fn(&mut Runtime),
+        F: Fn(&mut Runtime) + Send + Sync,
     {
-        let explorer = Explorer::new(&self.config, &setup, 1, 1);
-        let mut pooled = None;
-        let leaves = explorer.root_frontier(false, &mut pooled);
-        let tally = explorer.drain(Start::over(&leaves), &mut pooled);
-        explorer.finish(vec![tally], 0)
+        Explorer::run(&self.config, &setup)
     }
 
     /// Replays a previously recorded trace against the harness built by
@@ -549,6 +627,19 @@ impl TestEngine {
         }
     }
 }
+
+/// [`TestEngine`] under the name `benchmark/src/adapter.rs` still calls
+/// (`ParallelTestEngine::new(cfg).run(..)`): the same type, with no code of
+/// its own. `benchmark/` changes only in benchmark-only changes; the alias
+/// goes in the next one.
+///
+/// ```
+/// use psharp::prelude::*;
+///
+/// let engine: TestEngine = ParallelTestEngine::new(TestConfig::new().with_iterations(1));
+/// assert!(!engine.run(|_rt| {}).found_bug());
+/// ```
+pub type ParallelTestEngine = TestEngine;
 
 /// Per-strategy attribution rows in *canonical order* — one row per distinct
 /// portfolio strategy in portfolio order ([`SchedulerKind::describe`] keys
@@ -704,17 +795,15 @@ impl<'a> Start<'a> {
     }
 }
 
-/// The one exploration loop behind [`TestEngine`], [`ParallelTestEngine`]
-/// and [`PrefixForkEngine`]: the state the workers of a run share. A face
-/// builds the frontier ([`Explorer::root_frontier`], [`Explorer::expand`]),
-/// has every worker [`Explorer::drain`] the iteration space over it, and
-/// assembles the report with [`Explorer::finish`].
+/// The one exploration loop behind [`TestEngine::run`]: the state the
+/// workers of a run share. [`Explorer::run`] builds the frontier
+/// ([`Explorer::root_frontier`], [`Explorer::expand`]), has every worker
+/// [`Explorer::drain`] the iteration space over it, and assembles the report
+/// with [`Explorer::finish`].
 struct Explorer<'a, F> {
     config: &'a TestConfig,
     setup: &'a F,
     started: Instant,
-    /// Logical workers, as reported in [`TestReport::workers`].
-    workers: usize,
     /// OS threads draining the iteration space (sizes the chunks).
     threads: u64,
     /// Work-stealing queue: the next unclaimed iteration index.
@@ -726,13 +815,12 @@ struct Explorer<'a, F> {
     first_bug: Mutex<Option<FirstBug>>,
 }
 
-impl<'a, F: Fn(&mut Runtime)> Explorer<'a, F> {
-    fn new(config: &'a TestConfig, setup: &'a F, workers: usize, threads: usize) -> Self {
+impl<'a, F: Fn(&mut Runtime) + Send + Sync> Explorer<'a, F> {
+    fn new(config: &'a TestConfig, setup: &'a F, threads: usize) -> Self {
         Explorer {
             config,
             setup,
             started: Instant::now(),
-            workers,
             threads: threads as u64,
             next: AtomicU64::new(0),
             bug_bound: Arc::new(AtomicU64::new(u64::MAX)),
@@ -740,14 +828,14 @@ impl<'a, F: Fn(&mut Runtime)> Explorer<'a, F> {
         }
     }
 
-    /// The depth-0 frontier. When `share` or [`TestConfig::prefix_sharing`]
-    /// asks for it, runs `setup` once and snapshots the post-setup state as
-    /// the root; the warm runtime becomes the first worker's pooled runtime,
-    /// so its first `restore_from` is the O(dirty) path with nothing dirty.
-    /// The frontier stays empty when sharing is off or the harness state is
-    /// not snapshotable: every iteration then runs `setup` itself.
-    fn root_frontier(&self, share: bool, pooled: &mut Option<Runtime>) -> Vec<Leaf> {
-        if !(share || self.config.prefix_sharing) {
+    /// The depth-0 frontier. When [`TestConfig::prefix_depth`] is set, runs
+    /// `setup` once and snapshots the post-setup state as the root; the warm
+    /// runtime becomes the first worker's pooled runtime, so its first
+    /// `restore_from` is the O(dirty) path with nothing dirty. The frontier
+    /// stays empty when sharing is off or the harness state is not
+    /// snapshotable: every iteration then runs `setup` itself.
+    fn root_frontier(&self, pooled: &mut Option<Runtime>) -> Vec<Leaf> {
+        if self.config.prefix_depth.is_none() {
             return Vec::new();
         }
         let runtime = pooled.insert(self.config.blank_runtime());
@@ -895,34 +983,34 @@ impl<'a, F: Fn(&mut Runtime)> Explorer<'a, F> {
                 + merged.rows.iter().map(|row| row.total_steps).sum::<u64>(),
             elapsed: self.started.elapsed(),
             scheduler,
-            workers: self.workers,
+            workers: config.workers.max(1),
             per_strategy: merged.rows,
         }
     }
-}
 
-impl<F: Fn(&mut Runtime) + Send + Sync> Explorer<'_, F> {
-    /// The run of the two threaded faces: [`ParallelTestEngine`] (`depth`
-    /// `None`) and [`PrefixForkEngine`] (`Some(depth)`, which always shares
-    /// the root and grows it `depth` levels).
-    fn run(config: &TestConfig, depth: Option<usize>, setup: &F) -> TestReport {
+    /// A whole [`TestEngine::run`]: the frontier [`TestConfig::prefix_depth`]
+    /// asks for, drained on [`TestConfig::workers`] workers.
+    fn run(config: &TestConfig, setup: &F) -> TestReport {
         let workers = config.workers.max(1);
         // Results are worker-count-independent by construction, so `workers`
         // logical workers may run on fewer OS threads: more threads than the
         // host has cores only add time-slicing churn. The report still says
-        // `workers`.
-        let threads = workers.min(
-            std::thread::available_parallelism()
-                .map(|cores| cores.get())
-                .unwrap_or(workers),
-        );
-        let explorer = Explorer::new(config, setup, workers, threads);
+        // `workers`. One worker runs inline and never needs to ask.
+        let threads = match workers {
+            1 => 1,
+            _ => workers.min(std::thread::available_parallelism().map_or(workers, |c| c.get())),
+        };
+        let explorer = Explorer::new(config, setup, threads);
         let mut pool: Vec<Option<Runtime>> = (0..threads).map(|_| None).collect();
-        let mut leaves = explorer.root_frontier(depth.is_some(), &mut pool[0]);
+        let mut leaves = explorer.root_frontier(&mut pool[0]);
         let mut tallies = Vec::new();
         let mut expansion_steps = 0;
         // Only a snapshotable root can grow; depth 0 is the root itself.
-        if let (Some(depth @ 1..), [(_, root)]) = (depth, &leaves[..]) {
+        let depth = config
+            .prefix_depth
+            .unwrap_or(0)
+            .min(TestConfig::MAX_PREFIX_DEPTH);
+        if let (1.., [(_, root)]) = (depth, &leaves[..]) {
             let tree = explorer.expand(Arc::clone(root), depth, &mut pool);
             (leaves, expansion_steps) = (tree.leaves, tree.steps);
             tallies.push(tree.tally);
@@ -997,124 +1085,7 @@ impl<F: Fn(&mut Runtime) + Send + Sync> Explorer<'_, F> {
     }
 }
 
-/// The parallel face of the explorer: drains the iteration space on
-/// [`TestConfig::workers`] threads, optionally mixing a portfolio of
-/// scheduling strategies (the parallel testing mode popularized by
-/// P#/Coyote).
-///
-/// Workers claim adaptively sized chunks of the iteration space from a shared
-/// atomic counter: a fast worker that drains a cheap stretch of the space
-/// simply claims the next chunk, so skewed harnesses (where some seeds run
-/// 100× longer than others) do not starve `W - 1` workers the way fixed
-/// striping would. Every iteration keeps the seed
-/// [`TestConfig::seed_for_iteration`] assigns it — a single-worker run (which
-/// spawns no thread at all) explores the identical sequence of executions as
-/// the serial [`TestEngine`], and an `N`-worker run explores the identical
-/// *set* of (iteration, seed) pairs, just faster.
-///
-/// Each worker pools one [`Runtime`] across its iterations and tallies
-/// statistics into worker-local [`StrategyStats`] rows merged once at the
-/// end, so the per-iteration hot path touches exactly two shared atomics (the
-/// work counter, amortized over a chunk, and the bug bound) and allocates
-/// nothing in the steady state. Because results are worker-count-independent
-/// by construction, the OS threads are capped at the host's available
-/// parallelism — requesting more workers than cores changes nothing about
-/// the report and does not pay for time-sliced thread churn.
-///
-/// With [`TestConfig::with_portfolio`] the run additionally mixes scheduling
-/// strategies (portfolio testing): random, PCT with several priority-change
-/// budgets, delay-bounding, a probabilistic random walk and round-robin
-/// attack the same harness from different angles, and the per-strategy
-/// attribution in [`TestReport::per_strategy`] shows which strategy earned
-/// the bug. Which strategy drives an iteration is decided by the *iteration
-/// index* ([`TestConfig::strategy_for_iteration`]), never by which worker
-/// stole the chunk, so the strategy mix — and therefore every execution — is
-/// identical at any worker count.
-///
-/// # Deterministic first-bug selection
-///
-/// The reported bug is the one at the **lowest iteration index**, not the one
-/// whose worker happened to finish first: a found bug publishes its iteration
-/// as a shared bound, iterations above the bound are skipped or cancelled
-/// *step-by-step* (the runtime polls a [`CancelToken`] inside its step loop,
-/// so a doomed execution stops within one machine step instead of running to
-/// its `max_steps` bound), and iterations below it always run to completion.
-/// The winning (iteration, seed, strategy, trace) tuple is therefore the same
-/// at any worker count — identical to what the serial face reports — in
-/// portfolio mode exactly as in single-strategy mode.
-///
-/// One caveat: determinism covers the *winning (iteration, seed, strategy,
-/// trace) tuple only*. In runs that find a bug, aggregate counters
-/// ([`TestReport::iterations_run`], [`TestReport::total_steps`],
-/// [`BugReport::time_to_bug`]) still depend on how far other workers got
-/// before cancellation. Bug-free runs exhaust every iteration, so their
-/// counters — including the per-strategy attribution rows — are
-/// deterministic too.
-///
-/// # Examples
-///
-/// ```
-/// use psharp::prelude::*;
-///
-/// struct Flaky;
-/// impl Machine for Flaky {
-///     fn on_start(&mut self, ctx: &mut Context<'_>) {
-///         let unlucky = ctx.random_bool();
-///         ctx.assert(!unlucky, "the unlucky path was taken");
-///     }
-///     fn handle(&mut self, _ctx: &mut Context<'_>, _event: Event) {}
-/// }
-///
-/// let config = TestConfig::new()
-///     .with_iterations(100)
-///     .with_workers(4)
-///     .with_default_portfolio();
-/// let report = ParallelTestEngine::new(config).run(|rt| {
-///     rt.create_machine(Flaky);
-/// });
-/// assert!(report.found_bug());
-/// ```
-#[derive(Debug, Clone)]
-pub struct ParallelTestEngine {
-    config: TestConfig,
-}
-
-impl ParallelTestEngine {
-    /// Creates a parallel engine with the given configuration.
-    pub fn new(config: TestConfig) -> Self {
-        ParallelTestEngine { config }
-    }
-
-    /// An engine that uses every available core and the default portfolio.
-    pub fn portfolio(config: TestConfig) -> Self {
-        let workers = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1);
-        ParallelTestEngine::new(config.with_workers(workers).with_default_portfolio())
-    }
-
-    /// The engine's configuration.
-    pub fn config(&self) -> &TestConfig {
-        &self.config
-    }
-
-    /// Runs up to `iterations` executions of the harness built by `setup`
-    /// across the configured workers, stopping all workers at the first
-    /// property violation.
-    ///
-    /// Unlike [`TestEngine::run`], `setup` must be `Send + Sync`: each worker
-    /// invokes it (one invocation per execution) from its own thread. Each
-    /// individual execution still runs serialized on exactly one thread —
-    /// machines never observe intra-execution parallelism.
-    pub fn run<F>(&self, setup: F) -> TestReport
-    where
-        F: Fn(&mut Runtime) + Send + Sync,
-    {
-        Explorer::run(&self.config, None, &setup)
-    }
-}
-
-/// One node awaiting expansion in the [`PrefixForkEngine`]'s prefix tree:
+/// One node awaiting expansion in the prefix tree ([`Explorer::expand`]):
 /// the snapshot at the node, the path of forced decisions that reached it
 /// (the node's canonical identity, independent of which worker expands it),
 /// the sleep set inherited on the path (machines whose next step is already
@@ -1173,93 +1144,6 @@ struct PrefixTree {
     leaves: Vec<Leaf>,
     steps: u64,
     tally: StrategyTally,
-}
-
-/// The prefix-tree face of the explorer: organizes the iteration space as a
-/// **bounded-depth prefix tree** over snapshots, instead of running every
-/// execution from scratch.
-///
-/// The harness `setup` executes once; the resulting state is snapshotted as
-/// the tree's root (at depth `0` that is the whole tree — the same code path
-/// as [`TestConfig::with_prefix_sharing`] on the flat faces). The engine then
-/// expands the tree `depth` levels deep across [`TestConfig::workers`]
-/// threads, level by level: each worker forks a claimed node's copy-on-write
-/// snapshot into its pooled runtime, executes one step of one enabled machine
-/// per branch (a forced, recorded schedule decision) and snapshots the
-/// result.
-///
-/// Which siblings become branches is decided **DPOR-style** from the step
-/// footprints, not by blind enumeration of the enabled set. The first
-/// eligible sibling always expands; a later sibling expands only when its
-/// step is *dependent* with at least one already-expanded sibling's step
-/// (a race — the two orderings genuinely commit to different partial
-/// orders, so the sibling is a backtrack point worth its own subtree). A
-/// sibling whose step commutes with every expanded sibling is pruned and
-/// counted in [`StrategyStats::pruned_schedules`]: executions starting with
-/// it reach, state for state, configurations some expanded sibling's
-/// subtree also reaches (suffix executions drain every enabled machine's
-/// pending work on the way to quiescence). **Sleep sets** additionally
-/// carry the commutation argument down the tree: once the branch stepping
-/// `a` has been expanded, a dependent sibling branch stepping `b` keeps `a`
-/// in its child's sleep set whenever `a`'s step is
-/// [independent](StepFootprint::independent) of `b`'s — the ordering `b·a`
-/// reaches a state equivalent to the already-explored `a·b`.
-///
-/// The configured iterations are then distributed round-robin over the
-/// leaves by the same worker loop every face runs; each iteration restores
-/// its leaf's snapshot, installs its own scheduler and seed
-/// ([`TestConfig::strategy_for_iteration`] /
-/// [`TestConfig::seed_for_iteration`]) and runs only the suffix.
-///
-/// Every recorded trace contains the forced prefix decisions, so bug traces
-/// replay (and shrink) from scratch exactly like straight-line recordings.
-/// The tree is a pure function of the [`TestConfig`] — node expansion
-/// depends only on the node — and leaves are sorted by their decision-path
-/// key before the suffix phase, so the leaf order, the iteration→leaf
-/// assignment and the whole report of a bug-free run are byte-identical at
-/// any worker count; runs that find a bug deterministically report the bug
-/// at the lowest iteration index (a bug hit by a forced prefix step counts as
-/// iteration 0, the smallest decision path winning), exactly like
-/// [`ParallelTestEngine`]. When the harness state is not snapshotable the
-/// run is a flat [`ParallelTestEngine`] run.
-pub struct PrefixForkEngine {
-    config: TestConfig,
-    depth: usize,
-}
-
-impl PrefixForkEngine {
-    /// Bound on the expansion depth: leaves multiply with the enabled-set
-    /// branching factor per level, so deep trees explode; the depth is
-    /// clamped to this.
-    pub const MAX_DEPTH: usize = 6;
-
-    /// Creates a prefix-fork engine expanding `depth` tree levels (clamped
-    /// to [`PrefixForkEngine::MAX_DEPTH`]; `0` means pure root sharing — the
-    /// setup runs once and every iteration forks from the same snapshot).
-    pub fn new(config: TestConfig, depth: usize) -> Self {
-        PrefixForkEngine {
-            config,
-            depth: depth.min(Self::MAX_DEPTH),
-        }
-    }
-
-    /// The engine's configuration.
-    pub fn config(&self) -> &TestConfig {
-        &self.config
-    }
-
-    /// Runs up to `iterations` suffix executions distributed over the
-    /// prefix tree's leaves, stopping at the first property violation.
-    ///
-    /// Like [`ParallelTestEngine::run`], `setup` must be `Send + Sync`: the
-    /// tree is expanded and its leaves are suffixed by worker threads. Each
-    /// individual execution still runs serialized on exactly one thread.
-    pub fn run<F>(&self, setup: F) -> TestReport
-    where
-        F: Fn(&mut Runtime) + Send + Sync,
-    {
-        Explorer::run(&self.config, Some(self.depth), &setup)
-    }
 }
 
 /// Expands one node in a worker's pooled runtime: forces one step per
@@ -1623,13 +1507,9 @@ mod tests {
         assert_eq!(straight.total_steps, shared.total_steps);
 
         // And byte-identical across worker counts under prefix sharing.
-        let parallel = |workers: usize| {
-            ParallelTestEngine::new(base.clone().with_prefix_sharing(true).with_workers(workers))
-                .run(clone_racey_setup)
-        };
-        let one = parallel(1);
-        let four = parallel(4);
-        let a = one.bug.as_ref().expect("bug");
+        let four =
+            TestEngine::new(base.with_prefix_sharing(true).with_workers(4)).run(clone_racey_setup);
+        let a = shared.bug.as_ref().expect("bug");
         let b = four.bug.as_ref().expect("bug");
         assert_eq!(a.iteration, b.iteration);
         assert_eq!(a.trace.decisions, b.trace.decisions);
@@ -1676,7 +1556,7 @@ mod tests {
                 report_key(&TestEngine::new(shared.clone()).run(setup)),
                 straight
             );
-            let four_workers = ParallelTestEngine::new(shared.with_workers(4)).run(setup);
+            let four_workers = TestEngine::new(shared.with_workers(4)).run(setup);
             assert_eq!(report_key(&four_workers), straight);
             assert_eq!(four_workers.workers, 4);
         }
@@ -1686,7 +1566,7 @@ mod tests {
     fn prefix_fork_at_depth_zero_matches_straight_line_execution() {
         let base = TestConfig::new().with_iterations(300).with_seed(9);
         let straight = TestEngine::new(base.clone()).run(clone_racey_setup);
-        let forked = PrefixForkEngine::new(base, 0).run(clone_racey_setup);
+        let forked = TestEngine::new(base.with_prefix_depth(0)).run(clone_racey_setup);
         let a = straight.bug.as_ref().expect("bug");
         let b = forked.bug.as_ref().expect("bug");
         assert_eq!(a.iteration, b.iteration);
@@ -1696,7 +1576,7 @@ mod tests {
     #[test]
     fn prefix_fork_traces_replay_from_scratch() {
         let base = TestConfig::new().with_iterations(500).with_seed(11);
-        let report = PrefixForkEngine::new(base.clone(), 2).run(clone_racey_setup);
+        let report = TestEngine::new(base.clone().with_prefix_depth(2)).run(clone_racey_setup);
         let bug = report.bug.expect("forked exploration still finds the bug");
         // The trace carries the forced prefix decisions, so an ordinary
         // from-scratch replay reproduces the violation.
@@ -1720,7 +1600,8 @@ mod tests {
                 Some(Box::new(self.clone()))
             }
         }
-        let report = PrefixForkEngine::new(TestConfig::new().with_iterations(10), 2).run(|rt| {
+        let config = TestConfig::new().with_iterations(10).with_prefix_depth(2);
+        let report = TestEngine::new(config).run(|rt| {
             rt.create_machine(Loner);
             rt.create_machine(Loner);
             rt.create_machine(Loner);
@@ -1742,9 +1623,71 @@ mod tests {
             for workers in [1, 4] {
                 // The fallback is a flat run at the configured worker count.
                 let forked =
-                    PrefixForkEngine::new(base.clone().with_workers(workers), 3).run(setup);
+                    TestEngine::new(base.clone().with_prefix_depth(3).with_workers(workers))
+                        .run(setup);
                 assert_eq!(report_key(&forked), straight, "{workers} workers");
                 assert_eq!(forked.workers, workers);
+            }
+        }
+    }
+
+    #[test]
+    fn prefix_depth_and_workers_are_config_values() {
+        // One machine counting down through self-sends: every tree level has
+        // one branch, so a depth-`d` tree spends `d` forced steps once and
+        // every iteration runs the remaining `per_execution - d`.
+        #[derive(Debug, Clone)]
+        struct Tick;
+        #[derive(Clone)]
+        struct Countdown(u32);
+        impl Machine for Countdown {
+            fn on_start(&mut self, ctx: &mut Context<'_>) {
+                ctx.send_to_self(Event::replicable(Tick));
+            }
+            fn handle(&mut self, ctx: &mut Context<'_>, _event: Event) {
+                if self.0 > 0 {
+                    self.0 -= 1;
+                    ctx.send_to_self(Event::replicable(Tick));
+                }
+            }
+            fn clone_state(&self) -> Option<Box<dyn Machine>> {
+                Some(Box::new(self.clone()))
+            }
+        }
+        const ITERATIONS: u64 = 20;
+        let base = TestConfig::new().with_iterations(ITERATIONS);
+        let run = |config: TestConfig| {
+            TestEngine::new(config).run(|rt| {
+                rt.create_machine(Countdown(20));
+            })
+        };
+        let straight = run(base.clone());
+        let per_execution = straight.total_steps / ITERATIONS;
+        let max = TestConfig::MAX_PREFIX_DEPTH as u64;
+        assert!(per_execution > max + 1, "deep enough to tell depths apart");
+        let tree_steps = |depth: u64| depth + ITERATIONS * (per_execution - depth);
+
+        // A depth above the bound runs as the bound.
+        let beyond = run(base
+            .clone()
+            .with_prefix_depth(TestConfig::MAX_PREFIX_DEPTH + 3));
+        assert_eq!(beyond.total_steps, tree_steps(max));
+        // Turning sharing on keeps a depth already set, or shares the root.
+        let kept = base.clone().with_prefix_depth(2).with_prefix_sharing(true);
+        assert_eq!(kept.prefix_depth, Some(2));
+        assert_eq!(run(kept).total_steps, tree_steps(2));
+        let root = base.clone().with_prefix_sharing(true);
+        assert_eq!(root.prefix_depth, Some(0));
+        assert_eq!(report_key(&run(root)), report_key(&straight));
+        // Turning it off runs straight-line.
+        let cleared = base.clone().with_prefix_depth(2).with_prefix_sharing(false);
+        assert_eq!(cleared.prefix_depth, None);
+        assert_eq!(report_key(&run(cleared)), report_key(&straight));
+
+        // The report names the configured worker count, one worker included.
+        for workers in [1, 3] {
+            for config in [base.clone(), base.clone().with_prefix_depth(1)] {
+                assert_eq!(run(config.with_workers(workers)).workers, workers);
             }
         }
     }
@@ -1777,8 +1720,9 @@ mod tests {
         // The prefix's recording goes through the strict-replay rehydration
         // like any other winner's.
         for base in [single.clone(), single.with_default_portfolio()] {
-            let run =
-                |workers| PrefixForkEngine::new(base.clone().with_workers(workers), 2).run(setup);
+            let run = |workers| {
+                TestEngine::new(base.clone().with_prefix_depth(2).with_workers(workers)).run(setup)
+            };
             let reference = run(1);
             let found = reference
                 .bug
@@ -1821,7 +1765,7 @@ mod tests {
         // Two workers run inline on a one-core host, on two threads
         // otherwise: the payload is the setup's own either way.
         for workers in [1, 2] {
-            let engine = ParallelTestEngine::new(TestConfig::new().with_workers(workers));
+            let engine = TestEngine::new(TestConfig::new().with_workers(workers));
             let payload = std::panic::catch_unwind(|| {
                 engine.run(|_rt: &mut Runtime| panic!("the harness could not be built"))
             })

@@ -104,9 +104,7 @@ pub mod trace;
 
 /// Convenience re-exports of the types needed by almost every harness.
 pub mod prelude {
-    pub use crate::engine::{
-        BugReport, ParallelTestEngine, PrefixForkEngine, TestConfig, TestEngine, TestReport,
-    };
+    pub use crate::engine::{BugReport, ParallelTestEngine, TestConfig, TestEngine, TestReport};
     pub use crate::error::{Bug, BugKind};
     pub use crate::event::Event;
     pub use crate::fault::{Fault, FaultPlan};

@@ -133,8 +133,7 @@ impl fmt::Display for ModelStats {
 /// Exploration statistics attributed to one scheduling strategy of a
 /// (portfolio) testing run.
 ///
-/// Produced by [`TestEngine::run`](crate::engine::TestEngine::run) and
-/// [`ParallelTestEngine::run`](crate::engine::ParallelTestEngine::run): one
+/// Produced by [`TestEngine::run`](crate::engine::TestEngine::run): one
 /// row per distinct strategy in the portfolio (a single row outside
 /// portfolio mode), in portfolio order. Attribution keys off the iteration's
 /// assigned strategy

@@ -91,7 +91,7 @@ fn a_caught_handler_panic_is_silent_and_every_other_panic_is_not() {
             .with_shrink(shrink);
         let reports = [
             TestEngine::new(config.clone()).run(panicking_setup),
-            ParallelTestEngine::new(config.with_workers(2)).run(panicking_setup),
+            TestEngine::new(config.with_workers(2)).run(panicking_setup),
         ];
         for report in reports {
             let found = report.bug.expect("the hunt finds the panic");

@@ -52,7 +52,7 @@ impl Machine for SerialSection {
 fn workers_never_step_one_execution_concurrently() {
     let total_entries = Arc::new(AtomicU64::new(0));
     let entries = Arc::clone(&total_entries);
-    let report = ParallelTestEngine::new(
+    let report = TestEngine::new(
         TestConfig::new()
             .with_iterations(300)
             .with_seed(3)
@@ -96,7 +96,7 @@ impl Machine for RareBug {
 #[test]
 fn first_bug_cancels_in_flight_workers() {
     let budget = 1_000_000;
-    let report = ParallelTestEngine::new(
+    let report = TestEngine::new(
         TestConfig::new()
             .with_iterations(budget)
             .with_seed(5)

@@ -178,9 +178,9 @@ fn shrink_output_is_byte_identical_across_engines_and_worker_counts() {
         .to_json()
         .expect("serialize");
 
-    for workers in [1usize, 2, 8] {
-        let parallel = ParallelTestEngine::new(shrinking_config().with_workers(workers))
-            .run(noisy_racey_setup);
+    for workers in [2usize, 8] {
+        let parallel =
+            TestEngine::new(shrinking_config().with_workers(workers)).run(noisy_racey_setup);
         let report = parallel.bug.expect("parallel engine finds the bug");
         assert_eq!(report.iteration, reference.iteration, "{workers} workers");
         let json = report

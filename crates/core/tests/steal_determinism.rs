@@ -1,6 +1,6 @@
-//! Determinism of the work-stealing parallel engine's first-bug selection:
-//! whatever the worker count, the reported bug must be the one at the lowest
-//! iteration index — i.e. exactly the bug the serial engine reports — with an
+//! Determinism of the work-stealing engine's first-bug selection: whatever
+//! the worker count, the reported bug must be the one at the lowest
+//! iteration index — i.e. exactly the bug a one-worker run reports — with an
 //! identical seed, trace and message.
 
 use psharp::prelude::*;
@@ -31,8 +31,7 @@ fn work_stealing_reports_the_serial_first_bug_at_any_worker_count() {
     let expected = serial.bug.expect("serial run finds a bug");
 
     for workers in [2usize, 4, 8] {
-        let parallel =
-            ParallelTestEngine::new(config().with_workers(workers)).run(frequently_buggy);
+        let parallel = TestEngine::new(config().with_workers(workers)).run(frequently_buggy);
         let found = parallel
             .bug
             .unwrap_or_else(|| panic!("{workers}-worker run must find the bug"));
@@ -54,13 +53,69 @@ fn work_stealing_reports_the_serial_first_bug_at_any_worker_count() {
 
 #[test]
 fn repeated_parallel_runs_agree_with_each_other() {
-    let reference = ParallelTestEngine::new(config().with_workers(4)).run(frequently_buggy);
+    let reference = TestEngine::new(config().with_workers(4)).run(frequently_buggy);
     let reference = reference.bug.expect("bug found");
     for _ in 0..3 {
-        let again = ParallelTestEngine::new(config().with_workers(4)).run(frequently_buggy);
+        let again = TestEngine::new(config().with_workers(4)).run(frequently_buggy);
         let again = again.bug.expect("bug found");
         assert_eq!(again.iteration, reference.iteration);
         assert_eq!(again.trace, reference.trace);
+    }
+}
+
+/// A harness for the first-bug handoff: `on_start` yields the OS thread a
+/// drawn 0–3 times, so workers finish their iterations in a shuffled order,
+/// and then reports a bug on a 1-in-4 draw, so several workers hold a buggy
+/// iteration at once and race to publish it.
+fn yielding_buggy(rt: &mut Runtime) {
+    struct Yielder;
+    impl Machine for Yielder {
+        fn on_start(&mut self, ctx: &mut Context<'_>) {
+            for _ in 0..ctx.random_index(4) {
+                std::thread::yield_now();
+            }
+            if ctx.random_index(4) == 0 {
+                ctx.report_bug(BugKind::SafetyViolation, "unlucky draw");
+            }
+        }
+        fn handle(&mut self, _ctx: &mut Context<'_>, _event: Event) {}
+    }
+    rt.create_machine(Yielder);
+}
+
+#[test]
+fn first_bug_handoff_has_one_winner_and_it_is_the_lowest_iteration() {
+    for seed in 0..30 {
+        let config = TestConfig::new().with_iterations(200).with_seed(seed);
+        let reference = TestEngine::new(config.clone()).run(yielding_buggy);
+        let expected = reference.bug.expect("a 1-in-4 bug within 200 iterations");
+        let expected = (
+            expected.iteration,
+            expected.trace.seed,
+            expected.trace,
+            expected.bug.message,
+        );
+        for workers in [2usize, 8] {
+            for repetition in 0..5 {
+                let context = format!("seed {seed}, {workers} workers, repetition {repetition}");
+                let report =
+                    TestEngine::new(config.clone().with_workers(workers)).run(yielding_buggy);
+                let found = report
+                    .bug
+                    .unwrap_or_else(|| panic!("{context}: the bug was lost"));
+                assert!(
+                    report.iterations_run > found.iteration,
+                    "{context}: an iteration below the winner did not complete"
+                );
+                let found = (
+                    found.iteration,
+                    found.trace.seed,
+                    found.trace,
+                    found.bug.message,
+                );
+                assert_eq!(found, expected, "{context}");
+            }
+        }
     }
 }
 
@@ -97,9 +152,9 @@ fn portfolio_run_reports_the_serial_result_at_any_worker_count() {
     let serial = TestEngine::new(portfolio_config()).run(occasionally_buggy);
     let expected = serial.bug.expect("serial portfolio run finds a bug");
 
-    for workers in [1usize, 2, 8] {
-        let parallel = ParallelTestEngine::new(portfolio_config().with_workers(workers))
-            .run(occasionally_buggy);
+    for workers in [2usize, 8] {
+        let parallel =
+            TestEngine::new(portfolio_config().with_workers(workers)).run(occasionally_buggy);
         let found = parallel
             .bug
             .unwrap_or_else(|| panic!("{workers}-worker portfolio run must find the bug"));
@@ -135,9 +190,8 @@ fn pooled_runtime_reports_are_identical_at_1_2_4_8_workers() {
     let expected = serial.bug.as_ref().expect("serial run finds a bug");
     let expected_min = expected.minimized().expect("shrink pass ran");
 
-    for workers in [1usize, 2, 4, 8] {
-        let parallel =
-            ParallelTestEngine::new(config().with_workers(workers)).run(occasionally_buggy);
+    for workers in [2usize, 4, 8] {
+        let parallel = TestEngine::new(config().with_workers(workers)).run(occasionally_buggy);
         let found = parallel
             .bug
             .as_ref()
@@ -198,8 +252,8 @@ fn bug_free_portfolio_reports_are_identical_at_any_worker_count() {
     assert!(!serial.found_bug());
     assert_eq!(serial.scheduler, "portfolio");
 
-    for workers in [1usize, 2, 8] {
-        let parallel = ParallelTestEngine::new(base().with_workers(workers)).run(clean);
+    for workers in [2usize, 8] {
+        let parallel = TestEngine::new(base().with_workers(workers)).run(clean);
         assert_eq!(
             parallel.iterations_run, serial.iterations_run,
             "{workers} workers"

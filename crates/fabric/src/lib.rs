@@ -29,6 +29,4 @@ pub mod pipeline;
 pub mod service;
 
 pub use cluster::FabricBugs;
-pub use harness::{
-    build_harness, model_stats, portfolio_hunt, FabricConfig, FabricHarness, FabricScenario,
-};
+pub use harness::{build_harness, model_stats, FabricConfig, FabricHarness, FabricScenario};

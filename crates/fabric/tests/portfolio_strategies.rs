@@ -3,7 +3,7 @@
 //! default-portfolio hunt over the promotion bug is worker-count
 //! independent.
 
-use fabric::{build_harness, portfolio_hunt, FabricConfig};
+use fabric::{build_harness, FabricConfig};
 use psharp::prelude::*;
 
 #[test]
@@ -25,7 +25,7 @@ fn delay_bounding_finds_the_pipeline_bug() {
 }
 
 #[test]
-fn portfolio_hunt_on_the_promotion_bug_is_worker_count_independent() {
+fn portfolio_run_on_the_promotion_bug_is_worker_count_independent() {
     let config = FabricConfig::with_promotion_bug();
     let base = TestConfig::new()
         .with_iterations(1_500)
@@ -33,9 +33,14 @@ fn portfolio_hunt_on_the_promotion_bug_is_worker_count_independent() {
         .with_seed(3)
         .with_faults(config.fault_plan())
         .with_default_portfolio();
-    let serial = portfolio_hunt(&config, base.clone().with_workers(1));
+    let hunt = |workers| {
+        TestEngine::new(base.clone().with_workers(workers)).run(move |rt| {
+            build_harness(rt, &config);
+        })
+    };
+    let serial = hunt(1);
     let expected = serial.bug.expect("portfolio finds the promotion bug");
-    let parallel = portfolio_hunt(&config, base.with_workers(4));
+    let parallel = hunt(4);
     let found = parallel.bug.expect("portfolio finds the promotion bug");
     assert_eq!(found.iteration, expected.iteration);
     assert_eq!(found.trace.seed, expected.trace.seed);

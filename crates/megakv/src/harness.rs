@@ -326,15 +326,6 @@ pub fn build_harness(rt: &mut Runtime, config: &MegaKvConfig) -> MegaKvHarness {
     }
 }
 
-/// Hunts for bugs in this harness with a parallel (optionally portfolio)
-/// run; iteration seeds match a serial run regardless of worker count.
-pub fn portfolio_hunt(config: &MegaKvConfig, test: TestConfig) -> TestReport {
-    let config = config.clone();
-    ParallelTestEngine::new(test).run(move |rt| {
-        build_harness(rt, &config);
-    })
-}
-
 /// Model statistics of this harness, for the Table 1 reproduction.
 pub fn model_stats() -> ModelStats {
     let config = MegaKvConfig::default();

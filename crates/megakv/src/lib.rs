@@ -46,7 +46,7 @@ pub mod monitors;
 pub mod replica;
 pub mod router;
 
-pub use harness::{build_harness, model_stats, portfolio_hunt, MegaKvBugs, MegaKvConfig};
+pub use harness::{build_harness, model_stats, MegaKvBugs, MegaKvConfig};
 
 /// Width of every initial shard's key range: shard `s` owns
 /// `[s * SHARD_WIDTH, (s + 1) * SHARD_WIDTH)`.

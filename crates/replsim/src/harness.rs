@@ -156,17 +156,6 @@ pub fn build_harness(rt: &mut Runtime, config: &ReplConfig) -> ReplHarness {
     }
 }
 
-/// Hunts for bugs in this harness with a parallel (optionally portfolio)
-/// run: the iteration space of `test` is sharded over
-/// [`TestConfig::workers`] threads, each execution keeping the seed it would
-/// have had serially.
-pub fn portfolio_hunt(config: &ReplConfig, test: TestConfig) -> TestReport {
-    let config = *config;
-    ParallelTestEngine::new(test).run(move |rt| {
-        build_harness(rt, &config);
-    })
-}
-
 /// Model statistics of this harness, for the Table 1 reproduction.
 ///
 /// Machines: server wrapper, client, 3 storage nodes, 3 timers = 8 (with the

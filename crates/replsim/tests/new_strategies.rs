@@ -4,7 +4,7 @@
 //! worker-count-independent result.
 
 use psharp::prelude::*;
-use replsim::{build_harness, portfolio_hunt, ReplConfig};
+use replsim::{build_harness, ReplConfig};
 
 fn buggy_config() -> ReplConfig {
     ReplConfig::with_duplicate_counting_bug()
@@ -48,17 +48,22 @@ fn probabilistic_random_finds_the_duplicate_counting_bug() {
 }
 
 #[test]
-fn portfolio_hunt_reports_the_same_bug_at_any_worker_count() {
+fn portfolio_run_reports_the_same_bug_at_any_worker_count() {
     let config = buggy_config();
     let base = TestConfig::new()
         .with_iterations(1_000)
         .with_max_steps(2_000)
         .with_seed(7)
         .with_default_portfolio();
-    let reference = portfolio_hunt(&config, base.clone().with_workers(1));
+    let hunt = |workers| {
+        TestEngine::new(base.clone().with_workers(workers)).run(move |rt| {
+            build_harness(rt, &config);
+        })
+    };
+    let reference = hunt(1);
     let reference_bug = reference.bug.expect("portfolio finds the safety bug");
     for workers in [2usize, 4] {
-        let report = portfolio_hunt(&config, base.clone().with_workers(workers));
+        let report = hunt(workers);
         let bug = report.bug.expect("portfolio finds the safety bug");
         assert_eq!(bug.iteration, reference_bug.iteration, "{workers} workers");
         assert_eq!(bug.trace, reference_bug.trace, "{workers} workers");

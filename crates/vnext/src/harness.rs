@@ -168,17 +168,6 @@ pub fn build_harness(rt: &mut Runtime, config: &VnextConfig) -> VnextHarness {
     }
 }
 
-/// Hunts for bugs in this harness with a parallel (optionally portfolio)
-/// run: the iteration space of `test` is sharded over
-/// [`TestConfig::workers`] threads, each execution keeping the seed it would
-/// have had serially.
-pub fn portfolio_hunt(config: &VnextConfig, test: TestConfig) -> TestReport {
-    let config = *config;
-    ParallelTestEngine::new(test).run(move |rt| {
-        build_harness(rt, &config);
-    })
-}
-
 /// Model statistics of this harness, for the Table 1 reproduction.
 pub fn model_stats() -> ModelStats {
     let config = VnextConfig::default();

@@ -34,6 +34,4 @@ pub mod machines;
 pub mod monitor;
 pub mod types;
 
-pub use harness::{
-    build_harness, model_stats, portfolio_hunt, Scenario, VnextConfig, VnextHarness,
-};
+pub use harness::{build_harness, model_stats, Scenario, VnextConfig, VnextHarness};

@@ -4,7 +4,7 @@
 //! the probabilistic-random strategy finds the liveness violation on its own.
 
 use psharp::prelude::*;
-use vnext::{build_harness, portfolio_hunt, VnextConfig};
+use vnext::{build_harness, VnextConfig};
 
 #[test]
 fn probabilistic_random_finds_the_liveness_bug() {
@@ -26,7 +26,7 @@ fn probabilistic_random_finds_the_liveness_bug() {
 }
 
 #[test]
-fn portfolio_hunt_is_deterministic_across_worker_counts() {
+fn portfolio_run_is_deterministic_across_worker_counts() {
     let config = VnextConfig::with_liveness_bug();
     let base = TestConfig::new()
         .with_iterations(300)
@@ -34,9 +34,14 @@ fn portfolio_hunt_is_deterministic_across_worker_counts() {
         .with_seed(5)
         .with_faults(config.fault_plan())
         .with_default_portfolio();
-    let serial = portfolio_hunt(&config, base.clone().with_workers(1));
+    let hunt = |workers| {
+        TestEngine::new(base.clone().with_workers(workers)).run(move |rt| {
+            build_harness(rt, &config);
+        })
+    };
+    let serial = hunt(1);
     let expected = serial.bug.expect("portfolio finds the liveness bug");
-    let parallel = portfolio_hunt(&config, base.with_workers(4));
+    let parallel = hunt(4);
     let found = parallel.bug.expect("portfolio finds the liveness bug");
     assert_eq!(found.iteration, expected.iteration);
     assert_eq!(found.trace, expected.trace);

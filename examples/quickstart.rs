@@ -117,7 +117,7 @@ fn main() {
     println!("\n-- fixed system (lossy network) --");
     println!("{}", report.summary());
 
-    // 5. The parallel portfolio engine: shard the same safety hunt over all
+    // 5. A parallel portfolio run: shard the same safety hunt over all
     //    cores, mixing every scheduling strategy of the default portfolio.
     //    The strategy driving an iteration is decided by the iteration
     //    index, so the run reports the identical (iteration, seed, strategy,
@@ -125,8 +125,7 @@ fn main() {
     let workers = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1);
-    let report = replsim::portfolio_hunt(
-        &ReplConfig::with_duplicate_counting_bug(),
+    let engine = TestEngine::new(
         TestConfig::new()
             .with_iterations(5_000)
             .with_max_steps(2_000)
@@ -134,6 +133,9 @@ fn main() {
             .with_workers(workers)
             .with_default_portfolio(),
     );
+    let report = engine.run(|rt| {
+        build_harness(rt, &ReplConfig::with_duplicate_counting_bug());
+    });
     println!("\n-- parallel portfolio ({workers} workers) --");
     println!("{}", report.summary());
     println!("{}", report.strategy_table());

@@ -142,8 +142,7 @@ fn shrink_output_is_byte_identical_across_worker_counts() {
         .expect("serialize");
 
     for workers in [2usize, 4] {
-        let parallel =
-            ParallelTestEngine::new(config_for(case).with_workers(workers)).run(case.build);
+        let parallel = TestEngine::new(config_for(case).with_workers(workers)).run(case.build);
         let found = parallel.bug.expect("parallel engine finds the bug");
         assert_eq!(found.iteration, reference.iteration);
         let json = found
