@@ -46,12 +46,17 @@
 //! | `prob` | binary search for the current machine | O(log *w*) |
 //! | `replay` | binary search for the recorded machine | O(log *w*) |
 //! | `pct` | one pass over `enabled` reading a dense priority table (one more per change point due); O(1) in the fair tail | O(*w*) |
-//! | `sleep-set` | two passes over `enabled` against the dense sleep table (collect the awake, age the passed-over); O(1) per send target in the footprint | O(*w*) |
-//! | `dpor` | a backtrack or sticky pick is one binary search plus the ageing pass, an ordinary pick is the sleep-set pick; clock and race work is bounded by constants | O(*w*) |
+//! | `sleep-set` | one pass over the *s* enabled sleepers, to skip past them and to age them; one binary search into `enabled` per machine put to sleep since the last pick; O(1) per send target in the footprint, O(*s*) if it was asleep | O(*s* log *w*) |
+//! | `dpor` | a backtrack or sticky pick is one binary search plus the ageing pass over the *s* enabled sleepers, an ordinary pick is the sleep-set pick; clock and race work is bounded by constants | O(*s* log *w*) |
 //!
-//! No strategy is quadratic in *w* and none hashes per machine: per-machine
-//! state (the sleep set, PCT priorities) lives in tables indexed by
+//! *s*, the number of enabled sleepers, is usually 0–8: a sleeper is woken
+//! after [`SleepSetScheduler::WAKE_AFTER_SKIPS`] pass-overs, and one that
+//! went idle drops out of the enabled set. No strategy is quadratic in *w*
+//! and none hashes per machine: per-machine state (the sleep set, PCT
+//! priorities, DPOR's clock slots) lives in tables indexed by
 //! [`MachineId::index`], and membership in `enabled` is a binary search.
+//! Debug builds add an O(*w*) check of the enabled sleepers at every
+//! sleep-set and DPOR pick.
 
 use crate::error::ReplayError;
 use crate::fault::{Fault, FaultGate};
@@ -234,6 +239,15 @@ pub trait Scheduler: Send + Sync {
     /// about step independence maintain their state here —
     /// [`SleepSetScheduler`] its sleep set, [`DporScheduler`] its sleep set,
     /// vector clocks and race window; the default ignores it.
+    ///
+    /// Between two [`Scheduler::next_machine`] calls, a machine's membership
+    /// in `enabled` changes only if it stepped (this footprint's machine), it
+    /// was sent to (one of `sends`), it was created (a fresh id), or a fault
+    /// returned by [`Scheduler::next_fault`] fired. [`Runtime::run`] keeps
+    /// that contract, and the sleep set relies on it to track its enabled
+    /// sleepers without scanning `enabled`.
+    ///
+    /// [`Runtime::run`]: crate::runtime::Runtime::run
     fn note_footprint(&mut self, footprint: &StepFootprint) {
         let _ = footprint;
     }
@@ -894,20 +908,34 @@ impl Scheduler for RoundRobinScheduler {
 /// machines are asleep and how often each has been passed over since it fell
 /// asleep.
 ///
-/// The state is a table indexed by [`MachineId::index`], so waking, sleeping
-/// and testing one machine are O(1) and a pick costs two passes over the
-/// enabled slice. On a wide system most machines are asleep at once (one that
-/// went idle after a local step does not age, so it stays asleep until
-/// something sends to it), so a search per sleeper would make the pick
-/// quadratic in the width.
+/// A table indexed by [`MachineId::index`] makes waking, sleeping and testing
+/// one machine O(1). A pick reads only the *enabled sleepers* (`drowsy`, the
+/// sorted set asleep ∩ enabled), so it costs O(*s* log *w*) for *s* enabled
+/// sleepers at width *w* instead of a pass over `enabled`. On a wide system
+/// most machines are asleep at once (one that went idle after a local step
+/// does not age, so it stays asleep until something sends to it), but few of
+/// them are enabled.
+///
+/// `drowsy` stays exact between picks because of the contract on
+/// [`Scheduler::note_footprint`]: a machine's enabledness changes only if it
+/// stepped, something sent to it, it was created, or a fault fired. A step's
+/// footprint wakes or sleeps the machine that stepped and wakes every send
+/// target; waking drops a machine from `drowsy` on the spot, and a fresh id
+/// is awake. A fault clears the whole set. What is left is a machine just put
+/// to sleep: it waits in `unsettled` until the next pick tests it against
+/// `enabled` with one binary search. Debug builds check
+/// `drowsy == enabled ∩ asleep` at every pick.
 #[derive(Debug, Clone)]
 struct SleepSet {
     /// Consecutive pass-overs since the machine fell asleep, or
     /// [`SleepSet::AWAKE`]. Machines beyond the table are awake.
     skips: Vec<u32>,
-    /// Scratch buffer for the awake subset of the enabled set (reused across
-    /// steps; the hot path stays allocation-free once warmed up).
-    awake_buf: Vec<MachineId>,
+    /// The enabled sleepers, sorted by id: exact at a pick once `unsettled`
+    /// is folded in.
+    drowsy: Vec<MachineId>,
+    /// Machines put to sleep since the last pick, not yet tested against
+    /// the enabled set.
+    unsettled: Vec<MachineId>,
     /// Fairness bound: sleepers are forcibly woken after this many
     /// consecutive pass-overs (see [`SleepSetScheduler::WAKE_AFTER_SKIPS`]).
     wake_after_skips: u32,
@@ -919,7 +947,8 @@ impl SleepSet {
     fn new(wake_after_skips: u32) -> Self {
         SleepSet {
             skips: Vec::new(),
-            awake_buf: Vec::new(),
+            drowsy: Vec::new(),
+            unsettled: Vec::new(),
             wake_after_skips,
         }
     }
@@ -932,22 +961,31 @@ impl SleepSet {
 
     fn wake(&mut self, machine: MachineId) {
         if let Some(skips) = self.skips.get_mut(machine.index()) {
-            *skips = Self::AWAKE;
+            if *skips != Self::AWAKE {
+                *skips = Self::AWAKE;
+                if let Ok(at) = self.drowsy.binary_search(&machine) {
+                    self.drowsy.remove(at);
+                }
+            }
         }
     }
 
     /// Puts `machine` to sleep; one already asleep keeps its pass-over count.
+    /// Its step may have disabled it, so the next pick settles it.
     fn sleep(&mut self, machine: MachineId) {
         cover(&mut self.skips, machine.index(), Self::AWAKE);
         let skips = &mut self.skips[machine.index()];
         if *skips == Self::AWAKE {
             *skips = 0;
         }
+        self.unsettled.push(machine);
     }
 
     /// Wakes every machine.
     fn clear(&mut self) {
         self.skips.fill(Self::AWAKE);
+        self.drowsy.clear();
+        self.unsettled.clear();
     }
 
     #[cfg(test)]
@@ -955,19 +993,33 @@ impl SleepSet {
         self.skips.iter().filter(|&&s| s != Self::AWAKE).count()
     }
 
-    /// Collects the awake subset of `enabled` into `awake_buf`, in id order.
-    fn fill_awake(&mut self, enabled: &[MachineId]) {
+    /// Folds the machines put to sleep since the last pick into `drowsy`:
+    /// each is an enabled sleeper iff it is still asleep and in `enabled`.
+    fn settle(&mut self, enabled: &[MachineId]) {
         // Covering the highest enabled id here sizes the table once, at the
         // first pick, and keeps `sleep` of any machine that ran in range.
         let highest = enabled[enabled.len() - 1];
         cover(&mut self.skips, highest.index(), Self::AWAKE);
-        self.awake_buf.clear();
-        self.awake_buf.reserve(enabled.len());
-        for &machine in enabled {
-            if !self.is_asleep(machine) {
-                self.awake_buf.push(machine);
+        for i in 0..self.unsettled.len() {
+            let machine = self.unsettled[i];
+            let drowsy = self.is_asleep(machine) && enabled.binary_search(&machine).is_ok();
+            match self.drowsy.binary_search(&machine) {
+                Ok(at) if !drowsy => {
+                    self.drowsy.remove(at);
+                }
+                Err(at) if drowsy => self.drowsy.insert(at, machine),
+                _ => {}
             }
         }
+        self.unsettled.clear();
+        debug_assert!(
+            self.drowsy
+                .iter()
+                .eq(enabled.iter().filter(|&&m| self.is_asleep(m))),
+            "the enabled sleepers {:?} are not enabled ∩ asleep: a machine's \
+             enabledness changed without a step, a send, a creation or a fault",
+            self.drowsy
+        );
     }
 
     /// The sleep-set pick: a uniformly random awake machine, or — when every
@@ -976,33 +1028,52 @@ impl SleepSet {
     /// pruned. Ages the sleepers it passes over. Returns the pick and the
     /// number of equivalent branches it pruned.
     fn pick(&mut self, enabled: &[MachineId], rng: &mut SplitMix64) -> (MachineId, u64) {
-        self.fill_awake(enabled);
-        let (chosen, pruned) = if self.awake_buf.is_empty() {
+        self.settle(enabled);
+        let awake = enabled.len() - self.drowsy.len();
+        let chosen = if awake == 0 {
             let chosen = enabled[rng.next_below(enabled.len())];
             self.wake(chosen);
-            (chosen, enabled.len() - 1)
+            chosen
         } else {
-            let chosen = self.awake_buf[rng.next_below(self.awake_buf.len())];
-            (chosen, enabled.len() - self.awake_buf.len())
+            // The k-th awake machine: step past every enabled sleeper at or
+            // before it (both lists are sorted by id).
+            let mut at = rng.next_below(awake);
+            for &sleeper in &self.drowsy {
+                if sleeper > enabled[at] {
+                    break;
+                }
+                at += 1;
+            }
+            enabled[at]
         };
+        let pruned = self.drowsy.len() as u64;
         self.age(enabled, chosen);
-        (chosen, pruned as u64)
+        (chosen, pruned)
     }
 
     /// Ages every enabled sleeper that was passed over by picking `chosen`,
-    /// waking the ones that hit the fairness bound.
+    /// waking the ones that hit the fairness bound. Settles first, so any
+    /// pick path (DPOR's backtrack and sticky picks too) may call it.
     fn age(&mut self, enabled: &[MachineId], chosen: MachineId) {
-        for &machine in enabled {
-            let Some(skips) = self.skips.get_mut(machine.index()) else {
-                continue;
-            };
-            if *skips != Self::AWAKE && machine != chosen {
-                *skips += 1;
-                if *skips >= self.wake_after_skips {
-                    *skips = Self::AWAKE;
-                }
+        self.settle(enabled);
+        let Self {
+            skips,
+            drowsy,
+            wake_after_skips,
+            ..
+        } = self;
+        drowsy.retain(|&machine| {
+            if machine == chosen {
+                return true;
             }
-        }
+            let skips = &mut skips[machine.index()];
+            *skips += 1;
+            if *skips < *wake_after_skips {
+                return true;
+            }
+            *skips = Self::AWAKE;
+            false
+        });
     }
 
     /// Sleep-set bookkeeping for an executed step: every delivery creates a
@@ -1135,6 +1206,7 @@ impl Scheduler for SleepSetScheduler {
 /// missed races), never soundness. 24 slots cover every bundled case study's
 /// hot set while keeping the per-step clock work constant.
 const CLOCK_SLOTS: usize = 24;
+const _: () = assert!(CLOCK_SLOTS < ClockWindow::NO_SLOT as usize);
 /// Per-machine ring of in-flight message clocks (the sender's clock at send
 /// time, joined into the receiver's clock when it next steps). Overflow
 /// drops the oldest row — a lost happens-before edge, conservative as above.
@@ -1171,6 +1243,9 @@ const BACKTRACK_RUN_CAP: u32 = 16;
 #[derive(Debug, Clone)]
 struct ClockWindow {
     owner: Vec<Option<MachineId>>,
+    /// The slot each machine owns, indexed by [`MachineId::index`];
+    /// [`ClockWindow::NO_SLOT`] (or beyond the table) for none.
+    slot_by_id: Vec<u8>,
     last_used: Vec<u64>,
     /// `CLOCK_SLOTS × CLOCK_SLOTS`, row-major by slot.
     clock: Vec<u32>,
@@ -1184,9 +1259,13 @@ struct ClockWindow {
 }
 
 impl ClockWindow {
+    /// Marks a machine without a slot; every slot number is below it.
+    const NO_SLOT: u8 = u8::MAX;
+
     fn new() -> Self {
         ClockWindow {
             owner: vec![None; CLOCK_SLOTS],
+            slot_by_id: Vec::new(),
             last_used: vec![0; CLOCK_SLOTS],
             clock: vec![0; CLOCK_SLOTS * CLOCK_SLOTS],
             pending: vec![0; CLOCK_SLOTS * PENDING_CLOCKS * CLOCK_SLOTS],
@@ -1202,7 +1281,8 @@ impl ClockWindow {
     /// the reused slot.
     fn slot_of(&mut self, machine: MachineId) -> (usize, bool) {
         self.touch += 1;
-        if let Some(i) = self.owner.iter().position(|o| *o == Some(machine)) {
+        let held = self.slot_by_id.get(machine.index()).copied();
+        if let Some(i) = held.filter(|&i| i != Self::NO_SLOT).map(usize::from) {
             self.last_used[i] = self.touch;
             return (i, false);
         }
@@ -1215,8 +1295,16 @@ impl ClockWindow {
                     .expect("CLOCK_SLOTS > 0")
             }
         };
-        let evicted = self.owner[slot].is_some();
+        let evicted = match self.owner[slot] {
+            Some(previous) => {
+                self.slot_by_id[previous.index()] = Self::NO_SLOT;
+                true
+            }
+            None => false,
+        };
         self.owner[slot] = Some(machine);
+        cover(&mut self.slot_by_id, machine.index(), Self::NO_SLOT);
+        self.slot_by_id[machine.index()] = slot as u8;
         self.last_used[slot] = self.touch;
         self.row_mut(slot).fill(0);
         self.pending_head[slot] = 0;
@@ -1274,14 +1362,15 @@ impl ClockWindow {
 }
 
 /// One executed step remembered for race detection.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 struct RecentStep {
     valid: bool,
     machine: MachineId,
     slot: usize,
-    /// The step's vector clock (a copy of its machine's clock right after
-    /// the step).
-    clock: Vec<u32>,
+    /// The step's own component of its vector clock (its machine's step
+    /// count right after it): a later step is ordered after this one iff its
+    /// clock has caught up with `epoch` in `slot`.
+    epoch: u32,
     sends: [MachineId; RACE_SENDS],
     send_count: usize,
     sends_overflow: bool,
@@ -1294,7 +1383,7 @@ impl RecentStep {
             valid: false,
             machine: MachineId::from_raw(u64::MAX),
             slot: 0,
-            clock: vec![0; CLOCK_SLOTS],
+            epoch: 0,
             sends: [MachineId::from_raw(u64::MAX); RACE_SENDS],
             send_count: 0,
             sends_overflow: false,
@@ -1355,7 +1444,7 @@ pub struct DporScheduler {
     /// Scratch row for clock copies (hot path stays allocation-free).
     scratch: Vec<u32>,
     /// Ring of recent steps scanned for races.
-    recent: Vec<RecentStep>,
+    recent: [RecentStep; RECENT_STEPS],
     recent_next: usize,
     /// Machines queued to run at upcoming scheduling points because an
     /// earlier step of theirs raced (FIFO, bounded).
@@ -1393,7 +1482,7 @@ impl DporScheduler {
             clocks: ClockWindow::new(),
             global_row: vec![0; CLOCK_SLOTS],
             scratch: vec![0; CLOCK_SLOTS],
-            recent: (0..RECENT_STEPS).map(|_| RecentStep::empty()).collect(),
+            recent: [RecentStep::empty(); RECENT_STEPS],
             recent_next: 0,
             backtrack_queue: Vec::with_capacity(BACKTRACK_CAP),
             sticky: None,
@@ -1589,7 +1678,7 @@ impl Scheduler for DporScheduler {
             }
             // `entry` happens before this step iff this step's clock has
             // caught up with the entry's own component.
-            let ordered = entry.clock[entry.slot] <= self.clocks.row(slot)[entry.slot];
+            let ordered = entry.epoch <= self.clocks.row(slot)[entry.slot];
             if ordered {
                 continue;
             }
@@ -1599,16 +1688,12 @@ impl Scheduler for DporScheduler {
         }
 
         // Record this step in the race window (in place, allocation-free).
-        let row_copy_needed = !footprint.sends.is_empty();
-        if row_copy_needed {
-            self.scratch.copy_from_slice(self.clocks.row(slot));
-        }
         {
             let entry = &mut self.recent[self.recent_next];
             entry.valid = true;
             entry.machine = footprint.machine;
             entry.slot = slot;
-            entry.clock.copy_from_slice(self.clocks.row(slot));
+            entry.epoch = self.clocks.row(slot)[slot];
             entry.send_count = footprint.sends.len().min(RACE_SENDS);
             entry.sends[..entry.send_count].copy_from_slice(&footprint.sends[..entry.send_count]);
             entry.sends_overflow = footprint.sends.len() > RACE_SENDS;
@@ -1617,7 +1702,9 @@ impl Scheduler for DporScheduler {
         self.recent_next = (self.recent_next + 1) % RECENT_STEPS;
 
         // Deliveries carry the sender's clock to each target's pending ring.
-        if row_copy_needed {
+        // The copy is taken before any target lookup can evict the sender.
+        if !footprint.sends.is_empty() {
+            self.scratch.copy_from_slice(self.clocks.row(slot));
             for i in 0..footprint.sends.len() {
                 let target = footprint.sends[i];
                 let (tslot, evicted) = self.clocks.slot_of(target);
@@ -3033,10 +3120,15 @@ mod tests {
     /// execution and requires the same answer to every query. The script
     /// (derived from `script_seed` alone) starts with `width` enabled
     /// machines on ids with gaps, mixes local, sending and global-effect
-    /// steps, disables and re-enables machines, probes for a fault before
-    /// every pick, creates machines above every id seen so far, and now and
-    /// then steps another machine than the pick (as the runtime does when it
-    /// corrects one). Returns how many faults fired.
+    /// steps, probes for a fault before every pick, creates machines above
+    /// every id seen so far, and now and then steps another machine than the
+    /// pick (as the runtime does when it corrects one).
+    ///
+    /// The enabled set changes only the way a runtime changes it, which is
+    /// the contract of [`Scheduler::note_footprint`]: a machine that stepped
+    /// may go disabled, a send target and a created machine become enabled,
+    /// and a fired fault crashes the lowest enabled machine. Returns how many
+    /// faults fired.
     fn drive_side_by_side(
         production: &mut dyn Scheduler,
         model: &mut dyn Scheduler,
@@ -3095,6 +3187,10 @@ mod tests {
                 9 => footprint.created_machine = true,
                 _ => {}
             }
+            if script.next_below(16) == 0 {
+                // Now and then a send re-enables any machine seen so far.
+                footprint.sends.push(known[script.next_below(known.len())]);
+            }
             if footprint.made_choice {
                 assert_eq!(production.next_int(7), model.next_int(7), "{context}");
             }
@@ -3125,9 +3221,6 @@ mod tests {
                 let created = fresh_id(&mut script);
                 known.push(created);
                 enable(&mut enabled, created);
-            }
-            if script.next_below(16) == 0 {
-                enable(&mut enabled, known[script.next_below(known.len())]);
             }
         }
         faults

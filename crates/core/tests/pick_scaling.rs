@@ -8,6 +8,15 @@
 //! next to *w* enabled machines whose steps are all local. Any search per
 //! sleeper or per enabled machine makes sleep-set and DPOR picks cost *w²*
 //! there.
+//!
+//! Sleep-set and DPOR promise more: a pick reads only the enabled sleepers
+//! (a handful here, since each wakes after a few pass-overs), plus binary
+//! searches into `enabled`. In release builds they must stay within
+//! [`SLEEPER_MAX_RATIO`] from width 128 to 2,048, far below the linear 16×.
+//! Debug builds check the enabled sleepers against a scan of `enabled` at
+//! every pick, which is O(*w*) by design, so there they are held to the
+//! linear bound like the rest. Run the release check with
+//! `cargo test --release -q -p psharp --test pick_scaling`.
 
 use std::time::{Duration, Instant};
 
@@ -16,6 +25,10 @@ use psharp::prelude::*;
 /// Picks timed per repetition.
 const PICKS: usize = 512;
 const REPETITIONS: usize = 5;
+/// Widest allowed growth of the sleep-set and DPOR picks from `NARROW` to
+/// `WIDE` in a release build: a logarithmic factor and cache effects, with
+/// room for timer noise.
+const SLEEPER_MAX_RATIO: f64 = 4.0;
 
 /// The time of `PICKS` picks + footprints at `width`: the quickest of
 /// `REPETITIONS` runs, each on a scheduler of its own.
@@ -63,13 +76,20 @@ fn pick_cost_grows_at_most_linearly_with_the_enabled_width() {
         SchedulerKind::Dpor,
     ];
     for kind in kinds {
+        let reads_only_sleepers =
+            matches!(kind, SchedulerKind::SleepSet { .. } | SchedulerKind::Dpor);
+        let bound = if reads_only_sleepers && !cfg!(debug_assertions) {
+            SLEEPER_MAX_RATIO
+        } else {
+            MAX_RATIO
+        };
         let narrow = time_picks(kind, NARROW);
         let wide = time_picks(kind, WIDE);
         let ratio = wide.as_secs_f64() / narrow.as_secs_f64().max(1e-9);
         assert!(
-            ratio <= MAX_RATIO,
+            ratio <= bound,
             "{}: {PICKS} picks took {narrow:?} at width {NARROW} and {wide:?} at width {WIDE} \
-             ({ratio:.1}x; linear is {}x)",
+             ({ratio:.1}x against a bound of {bound}x; linear is {}x)",
             kind.describe(),
             WIDE / NARROW
         );

@@ -568,13 +568,13 @@ impl Monitor for ConsistencyMonitor {
                 None => {
                     self.states_by_sequence.insert(key, applied.state);
                 }
-                Some(&expected) => ctx.assert(
-                    expected == applied.state,
-                    format!(
+                Some(&expected) if expected != applied.state => {
+                    ctx.report_violation(format!(
                         "replica {} diverged at epoch {} sequence {}: state {} vs {}",
                         applied.replica, applied.epoch, applied.sequence, applied.state, expected
-                    ),
-                ),
+                    ));
+                }
+                Some(_) => {}
             }
         }
     }

@@ -33,14 +33,14 @@ impl Monitor for ReadYourWritesMonitor {
             self.acked.insert(write.key, write.val);
         } else if let Some(read) = event.downcast_ref::<ReadObserved>() {
             self.reads_observed += 1;
-            if let Some(&expected) = self.acked.get(&read.key) {
-                ctx.assert(
-                    read.value == Some(expected),
-                    format!(
+            match self.acked.get(&read.key) {
+                Some(&expected) if read.value != Some(expected) => {
+                    ctx.report_violation(format!(
                         "acknowledged write lost: read of key {} returned {:?}, expected {}",
                         read.key, read.value, expected
-                    ),
-                );
+                    ));
+                }
+                _ => {}
             }
         }
     }

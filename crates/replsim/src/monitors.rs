@@ -50,14 +50,13 @@ impl Monitor for ReplicaSafetyMonitor {
             }
         } else if event.is::<NotifyAck>() {
             self.acks_observed += 1;
-            ctx.assert(
-                self.replicas.len() >= self.replica_target,
-                format!(
+            if self.replicas.len() < self.replica_target {
+                ctx.report_violation(format!(
                     "ack issued with only {} of {} required replicas holding the latest data",
                     self.replicas.len(),
                     self.replica_target
-                ),
-            );
+                ));
+            }
         }
     }
 
