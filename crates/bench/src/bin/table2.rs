@@ -7,7 +7,7 @@
 //!
 //! ```text
 //! table2 [--iterations N] [--seed S]
-//!        [--scheduler random|pct|delay|prob|round-robin|sleep-set[:N]|dpor|both|all]
+//!        [--scheduler random|pct|delay|prob|round-robin|sleep-set|dpor|both|all]
 //!        [--json PATH] [--workers W] [--portfolio] [--prefix-share]
 //!        [--shrink] [--faults crash=N,restart=N,drop=N,dup=N]
 //! ```
@@ -28,10 +28,11 @@
 //! `--scheduler all` adds the delay-bounding, probabilistic-random and
 //! round-robin ablations as extra rows per bug. `--scheduler sleep-set`
 //! (alias `por`) hunts with the sleep-set partial-order-reduction scheduler,
-//! which skips interleavings equivalent to ones already explored;
-//! `sleep-set:N` sets its wake-after-skips fairness knob. `--scheduler dpor`
-//! hunts with the vector-clock dynamic-POR scheduler, whose happens-before
-//! tracking prunes past the fixed sleep window.
+//! which skips interleavings equivalent to ones already explored.
+//! `--scheduler dpor` hunts with the vector-clock dynamic-POR scheduler,
+//! whose happens-before tracking prunes past the fixed sleep window. A
+//! missing, malformed or unknown argument prints `error: ...` and exits
+//! with status 2.
 //!
 //! `--prefix-share` makes every run fork its iterations from a post-setup
 //! snapshot of the harness instead of rebuilding it, when the harness
@@ -39,13 +40,13 @@
 //! iterations are cheaper.
 //!
 //! `--portfolio` replaces the per-scheduler columns with one run per bug
-//! that mixes the full default scheduler portfolio (random, PCT with
-//! several priority-change budgets, delay-bounding, probabilistic random,
-//! round-robin) over the iteration space. The strategy driving an iteration
-//! is decided by the iteration index, so the reported (iteration, seed,
-//! strategy, bug) result is identical at any `--workers` value — including
-//! a serial run; the scheduler column reports the strategy that earned the
-//! bug.
+//! that mixes the nine-entry default scheduler portfolio (random, PCT with
+//! three priority-change budgets, delay-bounding, probabilistic random,
+//! round-robin, sleep-set and DPOR) over the iteration space. The strategy
+//! driving an iteration is decided by the iteration index, so the reported
+//! (iteration, seed, strategy, bug) result is identical at any `--workers`
+//! value — including a serial run; the scheduler column reports the
+//! strategy that earned the bug.
 //!
 //! The paper uses 100,000 executions per cell; the default here is 2,000 so
 //! the whole table regenerates in minutes on a laptop. Pass `--iterations

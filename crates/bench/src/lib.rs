@@ -331,16 +331,7 @@ impl BugHuntResult {
 /// --scheduler`) into a [`SchedulerKind`]: `random`, `pct`, `delay`, `prob`
 /// (aliases `delay-bounding`, `prob-random`), `round-robin`, `sleep-set`
 /// (alias `por`) or `dpor`, each with its default parameterization.
-/// `sleep-set:N` / `por:N` override the sleep-set fairness knob (a sleeping
-/// machine is forcibly woken after `N` consecutive pass-overs).
 pub fn parse_scheduler(name: &str) -> Option<SchedulerKind> {
-    if let Some(skips) = name
-        .strip_prefix("sleep-set:")
-        .or_else(|| name.strip_prefix("por:"))
-    {
-        let wake_after_skips: u32 = skips.parse().ok()?;
-        return Some(SchedulerKind::SleepSet { wake_after_skips });
-    }
     match name {
         "random" => Some(SchedulerKind::Random),
         "pct" => Some(SchedulerKind::Pct { change_points: 2 }),
@@ -349,7 +340,7 @@ pub fn parse_scheduler(name: &str) -> Option<SchedulerKind> {
             Some(SchedulerKind::ProbabilisticRandom { switch_percent: 10 })
         }
         "round-robin" => Some(SchedulerKind::RoundRobin),
-        "sleep-set" | "por" => Some(SchedulerKind::sleep_set()),
+        "sleep-set" | "por" => Some(SchedulerKind::SleepSet),
         "dpor" => Some(SchedulerKind::Dpor),
         _ => None,
     }
@@ -571,26 +562,14 @@ mod tests {
             parse_scheduler("round-robin"),
             Some(SchedulerKind::RoundRobin)
         );
-        assert_eq!(
-            parse_scheduler("sleep-set"),
-            Some(SchedulerKind::sleep_set())
-        );
-        assert_eq!(parse_scheduler("por"), Some(SchedulerKind::sleep_set()));
-        assert_eq!(
-            parse_scheduler("sleep-set:3"),
-            Some(SchedulerKind::SleepSet {
-                wake_after_skips: 3
-            })
-        );
-        assert_eq!(
-            parse_scheduler("por:12"),
-            Some(SchedulerKind::SleepSet {
-                wake_after_skips: 12
-            })
-        );
+        assert_eq!(parse_scheduler("sleep-set"), Some(SchedulerKind::SleepSet));
+        assert_eq!(parse_scheduler("por"), Some(SchedulerKind::SleepSet));
         assert_eq!(parse_scheduler("dpor"), Some(SchedulerKind::Dpor));
         assert_eq!(parse_scheduler("nope"), None);
-        assert_eq!(parse_scheduler("sleep-set:x"), None);
+        // The wake bound is fixed: the old `:N` spellings are unknown names.
+        for retired in ["sleep-set:3", "por:3", "sleep-set:x"] {
+            assert_eq!(parse_scheduler(retired), None, "{retired}");
+        }
     }
 
     fn accept(args: &mut EngineArgs, line: &[&str]) -> Result<bool, String> {

@@ -26,7 +26,7 @@ fn sleep_set_finds_every_seeded_bug_within_the_table2_budget() {
         let config = TestConfig::new()
             .with_iterations(BUDGET)
             .with_seed(2016)
-            .with_scheduler(SchedulerKind::sleep_set());
+            .with_scheduler(SchedulerKind::SleepSet);
         let result = hunt_with_fault_override(&case, config, None);
         assert!(
             result.found,
@@ -219,7 +219,7 @@ fn sleep_set_with_prefix_sharing_matches_straight_line_execution() {
         .with_iterations(200)
         .with_max_steps(3_000)
         .with_seed(2016)
-        .with_scheduler(SchedulerKind::sleep_set())
+        .with_scheduler(SchedulerKind::SleepSet)
         .with_faults(vnext::VnextConfig::with_liveness_bug().fault_plan());
 
     let straight = TestEngine::new(base.clone()).run(build);

@@ -224,14 +224,12 @@ impl TestConfig {
         self
     }
 
-    /// The shrink-pass parameters derived from this configuration.
+    /// The shrink-pass parameters derived from this configuration: its
+    /// candidates run under the exploration's own runtime configuration.
     pub fn shrink_config(&self) -> ShrinkConfig {
         ShrinkConfig {
-            max_steps: self.max_steps,
-            check_liveness_at_quiescence: self.check_liveness_at_quiescence,
-            catch_panics: self.catch_panics,
+            runtime: self.runtime_config(),
             max_candidates: self.shrink_budget,
-            faults: self.faults,
         }
     }
 
@@ -357,11 +355,10 @@ pub struct BugReport {
     /// Number of nondeterministic choices made in the buggy execution
     /// (the paper's `#NDC`).
     pub ndc: usize,
-    /// The replayable trace of the buggy execution (see
-    /// [`BugReport::original`]): the decisions exploration recorded, with the
-    /// annotated schedule a strict replay of them re-recorded
-    /// ([`TraceMode::Full`]). Left decisions-only when that replay did not
-    /// reproduce the bug.
+    /// The replayable trace of the buggy execution: the decisions exploration
+    /// recorded, with the annotated schedule a strict replay of them
+    /// re-recorded ([`TraceMode::Full`]). Left decisions-only when that
+    /// replay did not reproduce the bug.
     pub trace: Trace,
     /// Time elapsed from the start of the run until the buggy execution was
     /// found: the clock stops at discovery, before the winner is rehydrated
@@ -374,11 +371,6 @@ pub struct BugReport {
 }
 
 impl BugReport {
-    /// The originally recorded trace of the buggy execution.
-    pub fn original(&self) -> &Trace {
-        &self.trace
-    }
-
     /// The minimized counterexample, when a shrink pass ran.
     pub fn minimized(&self) -> Option<&Trace> {
         self.shrink.as_ref().map(|s| &s.minimized)
@@ -517,7 +509,7 @@ impl TestReport {
 /// The reported bug is the one at the **lowest iteration index**, not the one
 /// whose worker happened to finish first: a found bug publishes its iteration
 /// as a shared bound, iterations above the bound are skipped or cancelled
-/// *step-by-step* (the runtime polls a [`CancelToken`] inside its step loop,
+/// *step-by-step* (the runtime polls a cancellation token inside its step loop,
 /// so a doomed execution stops within one machine step instead of running to
 /// its `max_steps` bound), and iterations below it always run to completion.
 /// The winning (iteration, seed, strategy, trace) tuple is therefore the same
@@ -1328,6 +1320,28 @@ mod tests {
         let report = engine.run(racey_setup);
         assert!(report.found_bug());
         assert_eq!(report.scheduler, "pct");
+    }
+
+    #[test]
+    fn shrink_candidates_run_under_the_exploration_runtime_config() {
+        let faults = FaultPlan::new().with_crashes(2).with_drops(1);
+        let config = TestConfig::new()
+            .with_max_steps(1_234)
+            .with_faults(faults)
+            .with_shrink_budget(77);
+        let explored = config.runtime_config();
+        assert_eq!(
+            explored,
+            RuntimeConfig {
+                max_steps: 1_234,
+                trace_mode: TraceMode::DecisionsOnly,
+                faults,
+                ..RuntimeConfig::default()
+            }
+        );
+        let shrink = config.shrink_config();
+        assert_eq!(shrink.runtime, explored);
+        assert_eq!(shrink.max_candidates, 77);
     }
 
     #[test]

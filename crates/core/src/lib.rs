@@ -110,9 +110,7 @@ pub mod prelude {
     pub use crate::fault::{Fault, FaultPlan};
     pub use crate::machine::{Machine, MachineId, StateMachine, StateMachineRunner, Transition};
     pub use crate::monitor::{Monitor, MonitorContext, Temperature};
-    pub use crate::runtime::{
-        CancelToken, Context, ExecutionOutcome, Runtime, RuntimeConfig, RuntimeSnapshot,
-    };
+    pub use crate::runtime::{Context, ExecutionOutcome, Runtime, RuntimeConfig, RuntimeSnapshot};
     pub use crate::scheduler::{SchedulerKind, StepFootprint};
     pub use crate::shrink::{shrink_trace, ShrinkConfig, ShrinkReport, ShrinkReturned};
     pub use crate::stats::{ModelStats, StrategyStats};

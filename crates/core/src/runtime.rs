@@ -14,8 +14,8 @@
 //! * no machine is enabled (quiescence); or
 //! * the configured step bound is reached — the bounded approximation of an
 //!   "infinite" execution used for liveness checking (§2.5 of the paper); or
-//! * a [`CancelToken`] installed by the parallel engine fires, aborting the
-//!   execution mid-step.
+//! * a cancellation token installed by the parallel engine fires, aborting
+//!   the execution mid-step.
 //!
 //! # Hot-path discipline
 //!
@@ -58,8 +58,8 @@ pub enum ExecutionOutcome {
     /// The step bound was reached without a violation.
     MaxStepsReached,
     /// The execution was abandoned between two steps; its partial results
-    /// must be discarded. Two causes: a [`CancelToken`] fired (the parallel
-    /// engine's step-level cancellation), or a shrink candidate recorded as
+    /// must be discarded. Two causes: the parallel engine's step-level
+    /// cancellation token fired, or a shrink candidate recorded as
     /// many decisions as the sequence it had to beat with no bug pending
     /// (see the [`shrink`](crate::shrink) module header).
     Cancelled,
@@ -75,7 +75,7 @@ pub enum ExecutionOutcome {
 /// executions above it stop at the next step instead of wasting up to
 /// `max_steps` of work.
 #[derive(Debug, Clone)]
-pub struct CancelToken {
+pub(crate) struct CancelToken {
     bound: Arc<AtomicU64>,
     iteration: u64,
 }
@@ -83,13 +83,13 @@ pub struct CancelToken {
 impl CancelToken {
     /// Creates a token for the execution at `iteration`, cancelled once
     /// `bound` drops to `iteration` or below.
-    pub fn new(bound: Arc<AtomicU64>, iteration: u64) -> Self {
+    pub(crate) fn new(bound: Arc<AtomicU64>, iteration: u64) -> Self {
         CancelToken { bound, iteration }
     }
 
     /// Returns `true` when the execution should be abandoned.
     #[inline]
-    pub fn is_cancelled(&self) -> bool {
+    fn is_cancelled(&self) -> bool {
         self.bound.load(Ordering::Relaxed) <= self.iteration
     }
 }
@@ -208,11 +208,11 @@ impl DirtySet {
     }
 }
 
-struct MachineSlot {
-    machine: MachineCell,
-    /// Lazily materialized on first send; machines that never receive a
-    /// message never bind a queue.
-    mailbox: LazyMailbox,
+/// A machine slot's name and lifecycle flags: everything of a slot besides
+/// its machine state and mailbox, copied whole into and out of a
+/// [`SnapshotSlot`].
+#[derive(Clone, Copy)]
+struct SlotFlags {
     /// The machine's display name, interned in the trace's name table.
     name: NameId,
     started: bool,
@@ -228,27 +228,37 @@ struct MachineSlot {
     crashed: bool,
 }
 
+struct MachineSlot {
+    machine: MachineCell,
+    /// Lazily materialized on first send; machines that never receive a
+    /// message never bind a queue.
+    mailbox: LazyMailbox,
+    flags: SlotFlags,
+}
+
 impl MachineSlot {
     fn is_enabled(&self) -> bool {
-        !self.halted && !self.crashed && (!self.started || !self.mailbox.is_empty())
+        let flags = &self.flags;
+        !flags.halted && !flags.crashed && (!flags.started || !self.mailbox.is_empty())
     }
 
     /// Whether `fault`, aimed at this slot, may be injected under the
     /// remaining `budget`: the one statement of fault applicability, shared
     /// by the probe's offer list and [`Runtime::inject_fault`].
     fn admits(&self, fault: Fault, budget: &FaultPlan) -> bool {
-        if self.halted {
+        let flags = &self.flags;
+        if flags.halted {
             return false;
         }
         match fault {
-            Fault::Crash(_) => self.crashable && !self.crashed && budget.crashes > 0,
-            Fault::Restart(_) => self.restartable && self.crashed && budget.restarts > 0,
+            Fault::Crash(_) => flags.crashable && !flags.crashed && budget.crashes > 0,
+            Fault::Restart(_) => flags.restartable && flags.crashed && budget.restarts > 0,
             Fault::Drop(_) => {
-                self.lossy && !self.crashed && budget.drops > 0 && !self.mailbox.is_empty()
+                flags.lossy && !flags.crashed && budget.drops > 0 && !self.mailbox.is_empty()
             }
             Fault::Duplicate(_) => {
-                self.lossy
-                    && !self.crashed
+                flags.lossy
+                    && !flags.crashed
                     && budget.duplicates > 0
                     && self
                         .mailbox
@@ -476,14 +486,9 @@ impl Runtime {
         self.footprint.rearm(MachineId::from_raw(0));
     }
 
-    /// Consumes the runtime and returns its recorded trace, buffers and all.
-    pub fn into_trace(self) -> Trace {
-        self.trace
-    }
-
     /// Installs a cancellation token; [`Runtime::run`] polls it once per step
     /// and returns [`ExecutionOutcome::Cancelled`] as soon as it fires.
-    pub fn set_cancel_token(&mut self, token: CancelToken) {
+    pub(crate) fn set_cancel_token(&mut self, token: CancelToken) {
         self.cancel = Some(Cancel::Token(token));
     }
 
@@ -529,13 +534,15 @@ impl Runtime {
             // never receive a message, so binding a queue eagerly would
             // waste both the allocation and the recycled-pool inventory.
             mailbox: LazyMailbox::vacant(),
-            name,
-            started: false,
-            halted: false,
-            crashable: false,
-            restartable: false,
-            lossy: false,
-            crashed: false,
+            flags: SlotFlags {
+                name,
+                started: false,
+                halted: false,
+                crashable: false,
+                restartable: false,
+                lossy: false,
+                crashed: false,
+            },
         });
         // A fresh machine is enabled (its `on_start` is pending); ids are
         // assigned in ascending order, so this is the index's O(1) append.
@@ -554,8 +561,8 @@ impl Runtime {
     pub fn mark_crashable(&mut self, id: MachineId) {
         let newly_marked = {
             let slot = self.slot_mut(id);
-            let newly_marked = !slot.crashable;
-            slot.crashable = true;
+            let newly_marked = !slot.flags.crashable;
+            slot.flags.crashable = true;
             newly_marked
         };
         if newly_marked {
@@ -579,7 +586,7 @@ impl Runtime {
     pub fn mark_restartable(&mut self, id: MachineId) {
         // mark_crashable records the dirty mark and the fault-marks edge.
         self.mark_crashable(id);
-        self.slot_mut(id).restartable = true;
+        self.slot_mut(id).flags.restartable = true;
     }
 
     /// Marks the channel *into* a machine as *lossy*: the scheduler may drop
@@ -593,8 +600,8 @@ impl Runtime {
     pub fn mark_lossy(&mut self, id: MachineId) {
         let newly_marked = {
             let slot = self.slot_mut(id);
-            let newly_marked = !slot.lossy;
-            slot.lossy = true;
+            let newly_marked = !slot.flags.lossy;
+            slot.flags.lossy = true;
             newly_marked
         };
         if newly_marked {
@@ -638,7 +645,7 @@ impl Runtime {
     pub fn is_crashed(&self, id: MachineId) -> bool {
         self.slots
             .get(id.raw() as usize)
-            .map(|s| s.crashed)
+            .map(|s| s.flags.crashed)
             .unwrap_or(false)
     }
 
@@ -688,7 +695,7 @@ impl Runtime {
             .slots
             .get_mut(target.index())
             .expect("send target must be a machine created by this runtime");
-        if !slot.halted && !slot.crashed {
+        if !slot.flags.halted && !slot.flags.crashed {
             slot.mailbox
                 .materialize_from(&mut self.mailbox_pool)
                 .enqueue(event);
@@ -873,9 +880,9 @@ impl Runtime {
         let mut machine = self.take_machine(index);
         let (event, name) = {
             let slot = &mut self.slots[index];
-            if !slot.started {
-                slot.started = true;
-                (None, slot.name)
+            if !slot.flags.started {
+                slot.flags.started = true;
+                (None, slot.flags.name)
             } else {
                 let event = slot
                     .mailbox
@@ -883,7 +890,7 @@ impl Runtime {
                     .expect("enabled started machine has a bound mailbox")
                     .dequeue()
                     .expect("enabled machine has an event");
-                (Some(event), slot.name)
+                (Some(event), slot.flags.name)
             }
         };
         // The handler consumes the event; its type name is a copy of a
@@ -905,40 +912,21 @@ impl Runtime {
             TraceMode::DecisionsOnly => self.trace.skip_step(),
         }
 
-        let catch = self.config.catch_panics;
-        let run_handler = |rt: &mut Runtime| {
-            let mut ctx = Context { rt, id };
-            match event {
-                None => machine.on_start(&mut ctx),
-                Some(ev) => machine.handle(&mut ctx, ev),
-            }
-        };
-        if catch {
-            let result = catch_quietly(|| run_handler(self));
-            if let Err(payload) = result {
-                let message = panic_message(payload.as_ref());
-                if self.bug.is_none() {
-                    let machine_name = self.trace.names.resolve_arc(name);
-                    self.bug = Some(
-                        Bug::new(
-                            BugKind::Panic,
-                            format!(
-                                "machine '{machine_name}' panicked while handling '{}': {message}",
-                                event_name()
-                            ),
-                        )
-                        .with_source(machine_name)
-                        .with_step(self.steps),
-                    );
+        self.run_machine_code(
+            name,
+            |rt| {
+                let mut ctx = Context { rt, id };
+                match event {
+                    None => machine.on_start(&mut ctx),
+                    Some(ev) => machine.handle(&mut ctx, ev),
                 }
-            }
-        } else {
-            run_handler(self);
-        }
+            },
+            || format!("while handling '{}'", event_name()),
+        );
 
         let slot = &mut self.slots[index];
         slot.machine = MachineCell::Owned(machine);
-        if slot.halted {
+        if slot.flags.halted {
             // A halted machine's pending events are lost; its queue goes
             // back to the pool for the next lazily materialized mailbox.
             slot.mailbox.release_into(&mut self.mailbox_pool);
@@ -1014,7 +1002,7 @@ impl Runtime {
             Fault::Crash(id) => {
                 self.faults_remaining.crashes -= 1;
                 let slot = &mut self.slots[id.index()];
-                slot.crashed = true;
+                slot.flags.crashed = true;
                 // Messages queued at a dead node are lost; the slot's
                 // `crashed` flag also drops everything sent until a restart.
                 slot.mailbox.release_into(&mut self.mailbox_pool);
@@ -1025,8 +1013,8 @@ impl Runtime {
             Fault::Restart(id) => {
                 self.faults_remaining.restarts -= 1;
                 let slot = &mut self.slots[id.index()];
-                slot.crashed = false;
-                if slot.started {
+                slot.flags.crashed = false;
+                if slot.flags.started {
                     // Recovery resumes through `on_restart`, never through a
                     // second `on_start`.
                     self.run_fault_hook(id, FaultHook::Restart);
@@ -1083,40 +1071,53 @@ impl Runtime {
     fn run_fault_hook(&mut self, id: MachineId, hook: FaultHook) {
         let index = id.raw() as usize;
         let mut machine = self.take_machine(index);
-        let name = self.slots[index].name;
+        let name = self.slots[index].flags.name;
         let hook_name = match hook {
             FaultHook::Crash => "crash",
             FaultHook::Restart => "restart",
         };
-        let mut run_hook = |rt: &mut Runtime| {
-            let mut ctx = Context { rt, id };
-            match hook {
-                FaultHook::Crash => machine.on_crash(&mut ctx),
-                FaultHook::Restart => machine.on_restart(&mut ctx),
-            }
-        };
-        if self.config.catch_panics {
-            let result = catch_quietly(|| run_hook(self));
-            if let Err(payload) = result {
-                let message = panic_message(payload.as_ref());
-                if self.bug.is_none() {
-                    let machine_name = self.trace.names.resolve_arc(name);
-                    self.bug = Some(
-                        Bug::new(
-                            BugKind::Panic,
-                            format!(
-                                "machine '{machine_name}' panicked in its {hook_name} hook: {message}"
-                            ),
-                        )
-                        .with_source(machine_name)
-                        .with_step(self.steps),
-                    );
+        self.run_machine_code(
+            name,
+            |rt| {
+                let mut ctx = Context { rt, id };
+                match hook {
+                    FaultHook::Crash => machine.on_crash(&mut ctx),
+                    FaultHook::Restart => machine.on_restart(&mut ctx),
                 }
-            }
-        } else {
-            run_hook(self);
-        }
+            },
+            || format!("in its {hook_name} hook"),
+        );
         self.slots[index].machine = MachineCell::Owned(machine);
+    }
+
+    /// Runs a handler or fault hook of the machine named `name`. Under
+    /// [`RuntimeConfig::catch_panics`] a panic becomes the execution's first
+    /// bug, `machine '<name>' panicked <tail>: <message>`; `tail` is built
+    /// only when that bug is recorded.
+    fn run_machine_code(
+        &mut self,
+        name: NameId,
+        body: impl FnOnce(&mut Runtime),
+        tail: impl FnOnce() -> String,
+    ) {
+        if !self.config.catch_panics {
+            body(self);
+            return;
+        }
+        if let Err(payload) = catch_quietly(|| body(self)) {
+            if self.bug.is_none() {
+                let message = panic_message(payload.as_ref());
+                let machine_name = self.trace.names.resolve_arc(name);
+                self.bug = Some(
+                    Bug::new(
+                        BugKind::Panic,
+                        format!("machine '{machine_name}' panicked {}: {message}", tail()),
+                    )
+                    .with_source(machine_name)
+                    .with_step(self.steps),
+                );
+            }
+        }
     }
 
     /// Checks every liveness monitor and records a violation for the first
@@ -1195,7 +1196,7 @@ impl Runtime {
         let backlog: usize = self
             .slots
             .iter()
-            .filter(|slot| !slot.halted && !slot.crashed)
+            .filter(|slot| !slot.flags.halted && !slot.flags.crashed)
             .map(|slot| slot.mailbox.len())
             .sum();
         let spacing = self.scheduler.fair_step_spacing(machines).max(1);
@@ -1266,7 +1267,7 @@ impl Runtime {
         let mode = self.trace.mode();
         let taken = std::mem::replace(&mut self.trace, Trace::with_mode(seed, mode));
         for slot in &mut self.slots {
-            slot.name = self.trace.intern(taken.names.resolve(slot.name));
+            slot.flags.name = self.trace.intern(taken.names.resolve(slot.flags.name));
         }
         // Re-interning rebinds slot name ids without marking slots dirty, so
         // an outstanding snapshot origin no longer describes clean slots:
@@ -1299,7 +1300,7 @@ impl Runtime {
     pub fn is_halted(&self, id: MachineId) -> bool {
         self.slots
             .get(id.raw() as usize)
-            .map(|s| s.halted)
+            .map(|s| s.flags.halted)
             .unwrap_or(false)
     }
 
@@ -1477,13 +1478,7 @@ impl Runtime {
             slots.push(SnapshotSlot {
                 machine,
                 mailbox,
-                name: slot.name,
-                started: slot.started,
-                halted: slot.halted,
-                crashable: slot.crashable,
-                restartable: slot.restartable,
-                lossy: slot.lossy,
-                crashed: slot.crashed,
+                flags: slot.flags,
             });
         }
         let mut monitors = Vec::with_capacity(self.monitors.len());
@@ -1593,13 +1588,7 @@ impl Runtime {
                     );
                 }
             }
-            slot.name = source.name;
-            slot.started = source.started;
-            slot.halted = source.halted;
-            slot.crashable = source.crashable;
-            slot.restartable = source.restartable;
-            slot.lossy = source.lossy;
-            slot.crashed = source.crashed;
+            slot.flags = source.flags;
             // Inline `sync_enabled`: every enablement edge since the fork
             // implies a dirty mark, so re-syncing the dirty slots (plus the
             // truncation removals above) fully reconciles the index.
@@ -1666,13 +1655,7 @@ impl Runtime {
             self.slots.push(MachineSlot {
                 machine: MachineCell::Shared(Arc::clone(&slot.machine)),
                 mailbox,
-                name: slot.name,
-                started: slot.started,
-                halted: slot.halted,
-                crashable: slot.crashable,
-                restartable: slot.restartable,
-                lossy: slot.lossy,
-                crashed: slot.crashed,
+                flags: slot.flags,
             });
         }
         self.monitors.clear();
@@ -1753,13 +1736,7 @@ struct SnapshotSlot {
     machine: Arc<dyn Machine>,
     /// `None` mirrors a lazy slot that never materialized a queue.
     mailbox: Option<Mailbox>,
-    name: NameId,
-    started: bool,
-    halted: bool,
-    crashable: bool,
-    restartable: bool,
-    lossy: bool,
-    crashed: bool,
+    flags: SlotFlags,
 }
 
 /// A point-in-time copy of a [`Runtime`]'s execution state, captured with
@@ -1961,7 +1938,7 @@ impl<'r> Context<'r> {
     /// future events for the machine are dropped.
     pub fn halt(&mut self) {
         let slot = &mut self.rt.slots[self.id.raw() as usize];
-        slot.halted = true;
+        slot.flags.halted = true;
     }
 
     /// Flags a safety violation when `condition` is false, attributing it to
@@ -1980,7 +1957,7 @@ impl<'r> Context<'r> {
                 .rt
                 .trace
                 .names
-                .resolve_arc(self.rt.slots[self.id.raw() as usize].name);
+                .resolve_arc(self.rt.slots[self.id.raw() as usize].flags.name);
             self.rt.bug = Some(
                 Bug::new(kind, message)
                     .with_source(name)
@@ -2443,7 +2420,7 @@ mod tests {
     fn round_robin_execution_is_reproducible() {
         let build = || {
             let mut rt = Runtime::new(
-                Box::new(RoundRobinScheduler::new()),
+                Box::new(RoundRobinScheduler::new(0)),
                 RuntimeConfig::default(),
                 0,
             );
@@ -2851,8 +2828,8 @@ mod tests {
                 2 => rt.send(id, Event::replicable(Copyable)),
                 _ => {}
             }
-            rt.slots[0].halted = state / 15 % 2 == 1;
-            rt.slots[0].crashed = state / 30 % 2 == 1;
+            rt.slots[0].flags.halted = state / 15 % 2 == 1;
+            rt.slots[0].flags.crashed = state / 30 % 2 == 1;
             (rt, id)
         };
         let mut admitted = [0usize; 4];

@@ -317,14 +317,9 @@ pub enum SchedulerKind {
     RoundRobin,
     /// Sleep-set partial-order reduction over a random base schedule: skips
     /// interleavings that are equivalent to already-explored ones up to
-    /// commutation of independent steps.
-    SleepSet {
-        /// Fairness knob: a sleeping machine is forcibly woken after this
-        /// many consecutive pass-overs. Tighter bounds wake sleepers sooner
-        /// (fairer, less pruning); looser bounds prune more. The default is
-        /// [`SleepSetScheduler::WAKE_AFTER_SKIPS`].
-        wake_after_skips: u32,
-    },
+    /// commutation of independent steps. A sleeping machine is forcibly woken
+    /// after [`SleepSetScheduler::WAKE_AFTER_SKIPS`] consecutive pass-overs.
+    SleepSet,
     /// Dynamic partial-order reduction: vector-clock happens-before tracking
     /// over the footprint stream, race detection between concurrent
     /// dependent steps, and backtrack points that re-prioritize the racing
@@ -334,17 +329,16 @@ pub enum SchedulerKind {
 }
 
 impl SchedulerKind {
-    /// The sleep-set kind with its default fairness bound.
+    /// [`SchedulerKind::SleepSet`], under the name the repo benchmark calls.
     pub fn sleep_set() -> SchedulerKind {
-        SchedulerKind::SleepSet {
-            wake_after_skips: SleepSetScheduler::WAKE_AFTER_SKIPS,
-        }
+        SchedulerKind::SleepSet
     }
 
     /// Builds a scheduler of this kind for one execution.
     ///
-    /// `seed` parameterizes the random choices; `max_steps` is used by PCT to
-    /// place its priority change points.
+    /// `seed` parameterizes the random choices; `max_steps` places PCT's and
+    /// delay-bounding's priority prefix and is the starvation-prone horizon
+    /// the probabilistic walk and DPOR declare.
     pub fn build(self, seed: u64, max_steps: usize) -> Box<dyn Scheduler> {
         match self {
             SchedulerKind::Random => Box::new(RandomScheduler::new(seed)),
@@ -355,13 +349,11 @@ impl SchedulerKind {
                 Box::new(DelayBoundingScheduler::new(seed, delays, max_steps))
             }
             SchedulerKind::ProbabilisticRandom { switch_percent } => Box::new(
-                ProbabilisticRandomScheduler::new(seed, switch_percent).with_horizon(max_steps),
+                ProbabilisticRandomScheduler::new(seed, switch_percent, max_steps),
             ),
-            SchedulerKind::RoundRobin => Box::new(RoundRobinScheduler::seeded(seed)),
-            SchedulerKind::SleepSet { wake_after_skips } => {
-                Box::new(SleepSetScheduler::new(seed).with_wake_after_skips(wake_after_skips))
-            }
-            SchedulerKind::Dpor => Box::new(DporScheduler::new(seed).with_horizon(max_steps)),
+            SchedulerKind::RoundRobin => Box::new(RoundRobinScheduler::new(seed)),
+            SchedulerKind::SleepSet => Box::new(SleepSetScheduler::new(seed)),
+            SchedulerKind::Dpor => Box::new(DporScheduler::new(seed, max_steps)),
         }
     }
 
@@ -383,7 +375,7 @@ impl SchedulerKind {
             SchedulerKind::DelayBounding { delays: 2 },
             SchedulerKind::ProbabilisticRandom { switch_percent: 10 },
             SchedulerKind::RoundRobin,
-            SchedulerKind::sleep_set(),
+            SchedulerKind::SleepSet,
             SchedulerKind::Dpor,
         ]
     }
@@ -396,7 +388,7 @@ impl SchedulerKind {
             SchedulerKind::DelayBounding { .. } => "delay",
             SchedulerKind::ProbabilisticRandom { .. } => "prob",
             SchedulerKind::RoundRobin => "round-robin",
-            SchedulerKind::SleepSet { .. } => "sleep-set",
+            SchedulerKind::SleepSet => "sleep-set",
             SchedulerKind::Dpor => "dpor",
         }
     }
@@ -410,11 +402,6 @@ impl SchedulerKind {
             SchedulerKind::DelayBounding { delays } => format!("delay(d={delays})"),
             SchedulerKind::ProbabilisticRandom { switch_percent } => {
                 format!("prob(p={switch_percent})")
-            }
-            SchedulerKind::SleepSet { wake_after_skips }
-                if wake_after_skips != SleepSetScheduler::WAKE_AFTER_SKIPS =>
-            {
-                format!("sleep-set(w={wake_after_skips})")
             }
             other => other.label().to_string(),
         }
@@ -751,28 +738,22 @@ pub struct ProbabilisticRandomScheduler {
     /// starvation-prone prefix: the walk can park on one machine for long
     /// stretches at *any* point of the run, so liveness verdicts at the
     /// bound always go through the runtime's fair grace period.
-    horizon: Option<usize>,
+    horizon: usize,
     fault_gate: FaultGate,
 }
 
 impl ProbabilisticRandomScheduler {
     /// Creates a probabilistic random scheduler that switches with
-    /// `switch_percent`% probability per step (clamped to `0..=100`).
-    pub fn new(seed: u64, switch_percent: u32) -> Self {
+    /// `switch_percent`% probability per step (clamped to `0..=100`), for
+    /// executions bounded by `max_steps`.
+    pub fn new(seed: u64, switch_percent: u32, max_steps: usize) -> Self {
         ProbabilisticRandomScheduler {
             rng: SplitMix64::new(seed),
             switch_percent: switch_percent.min(100),
             current: None,
-            horizon: None,
+            horizon: max_steps,
             fault_gate: FaultGate::new(seed),
         }
-    }
-
-    /// Declares the step bound of the executions this scheduler will drive,
-    /// enabling the liveness grace period for its starvation-prone walk.
-    pub fn with_horizon(mut self, max_steps: usize) -> Self {
-        self.horizon = Some(max_steps);
-        self
     }
 }
 
@@ -817,7 +798,7 @@ impl Scheduler for ProbabilisticRandomScheduler {
     }
 
     fn unfair_prefix_len(&self) -> Option<usize> {
-        self.horizon
+        Some(self.horizon)
     }
 
     fn fair_step_spacing(&self, machines: usize) -> usize {
@@ -840,7 +821,7 @@ impl Scheduler for ProbabilisticRandomScheduler {
 /// configuration so it rarely exposes ordering bugs, but its nondeterministic
 /// value choices still vary via the cursor-free deterministic pattern
 /// (alternating booleans, zero integers). Fault probing is the exception:
-/// [`RoundRobinScheduler::seeded`] derives the fault stream from the
+/// [`RoundRobinScheduler::new`] derives the fault stream from the
 /// execution seed (as every other strategy does), so in fault-injection
 /// mode the round-robin entry of a portfolio still explores a different
 /// fault timing per iteration instead of one fixed schedule forever.
@@ -851,21 +832,10 @@ pub struct RoundRobinScheduler {
     fault_gate: FaultGate,
 }
 
-impl Default for RoundRobinScheduler {
-    fn default() -> Self {
-        RoundRobinScheduler::seeded(0)
-    }
-}
-
 impl RoundRobinScheduler {
-    /// Creates a round-robin scheduler (fault probes seeded with 0).
-    pub fn new() -> Self {
-        RoundRobinScheduler::default()
-    }
-
     /// Creates a round-robin scheduler whose fault-probe stream is derived
     /// from `seed`. Scheduling and value choices stay deterministic.
-    pub fn seeded(seed: u64) -> Self {
+    pub fn new(seed: u64) -> Self {
         RoundRobinScheduler {
             cursor: 0,
             flip: false,
@@ -1145,15 +1115,6 @@ impl SleepSetScheduler {
             sleep_set: SleepSet::new(Self::WAKE_AFTER_SKIPS),
             pruned: 0,
         }
-    }
-
-    /// Overrides the fairness bound: a tighter bound wakes sleepers sooner
-    /// (less pruning, tighter starvation guarantee), a looser one prunes
-    /// more. Clamped to at least 1 so every sleeper is still woken
-    /// eventually.
-    pub fn with_wake_after_skips(mut self, skips: u32) -> Self {
-        self.sleep_set.wake_after_skips = skips.max(1);
-        self
     }
 }
 
@@ -1467,14 +1428,15 @@ pub struct DporScheduler {
     /// priority can defer any given machine for long stretches at *any*
     /// point of the run, so liveness verdicts at the step bound need the
     /// fair grace period (see [`Scheduler::unfair_prefix_len`]).
-    horizon: Option<usize>,
+    horizon: usize,
 }
 
 impl DporScheduler {
-    /// Creates a DPOR scheduler driven by `seed`. All clock structures are
-    /// preallocated here so the per-step hot path never allocates (the sleep
-    /// set sizes its table once, at the first pick).
-    pub fn new(seed: u64) -> Self {
+    /// Creates a DPOR scheduler driven by `seed`, for executions bounded by
+    /// `max_steps`. All clock structures are preallocated here so the
+    /// per-step hot path never allocates (the sleep set sizes its table
+    /// once, at the first pick).
+    pub fn new(seed: u64, max_steps: usize) -> Self {
         DporScheduler {
             rng: SplitMix64::new(seed),
             fault_gate: FaultGate::new(seed),
@@ -1492,17 +1454,8 @@ impl DporScheduler {
             pruned: 0,
             races: 0,
             backtracks: 0,
-            horizon: None,
+            horizon: max_steps,
         }
-    }
-
-    /// Declares the execution's step bound as this strategy's unfair prefix,
-    /// enabling the liveness grace period for its sticky run-to-completion
-    /// bias (same contract as
-    /// [`ProbabilisticRandomScheduler::with_horizon`]).
-    pub fn with_horizon(mut self, max_steps: usize) -> Self {
-        self.horizon = Some(max_steps);
-        self
     }
 
     fn enqueue_backtrack(&mut self, machine: MachineId) {
@@ -1732,7 +1685,7 @@ impl Scheduler for DporScheduler {
     }
 
     fn unfair_prefix_len(&self) -> Option<usize> {
-        self.horizon
+        Some(self.horizon)
     }
 
     fn fair_step_spacing(&self, machines: usize) -> usize {
@@ -2110,7 +2063,7 @@ mod reference {
                     wake_after_skips: SleepSetScheduler::WAKE_AFTER_SKIPS,
                     ..ListSleepSet::default()
                 },
-                detector: DporScheduler::new(seed),
+                detector: DporScheduler::new(seed, 1_000),
                 backtrack_queue: Vec::new(),
                 sticky: None,
                 sticky_run: 0,
@@ -2541,8 +2494,8 @@ mod tests {
     #[test]
     fn probabilistic_random_is_deterministic_per_seed() {
         let enabled = ids(&[0, 1, 2, 3]);
-        let mut a = ProbabilisticRandomScheduler::new(21, 10);
-        let mut b = ProbabilisticRandomScheduler::new(21, 10);
+        let mut a = ProbabilisticRandomScheduler::new(21, 10, 200);
+        let mut b = ProbabilisticRandomScheduler::new(21, 10, 200);
         for step in 0..200 {
             assert_eq!(
                 a.next_machine(&enabled, step),
@@ -2555,14 +2508,14 @@ mod tests {
     fn probabilistic_random_switch_rate_follows_probability() {
         let enabled = ids(&[0, 1, 2, 3]);
         // 0%: never leaves the first pick while it stays enabled.
-        let mut sticky = ProbabilisticRandomScheduler::new(3, 0);
+        let mut sticky = ProbabilisticRandomScheduler::new(3, 0, 300);
         let first = sticky.next_machine(&enabled, 0);
         for step in 1..300 {
             assert_eq!(sticky.next_machine(&enabled, step), first);
         }
         // 10%: switches sometimes, but far less often than uniform random
         // (which changes machine ~3 out of 4 steps on 4 machines).
-        let mut sometimes = ProbabilisticRandomScheduler::new(3, 10);
+        let mut sometimes = ProbabilisticRandomScheduler::new(3, 10, 1_000);
         let picks: Vec<MachineId> = (0..1_000)
             .map(|step| sometimes.next_machine(&enabled, step))
             .collect();
@@ -2699,11 +2652,7 @@ mod tests {
     fn built_in_schedulers_clone_mid_stream() {
         // Cloning mid-execution must preserve the decision stream exactly.
         let enabled = ids(&[0, 1, 2, 3]);
-        let mut kinds = SchedulerKind::default_portfolio();
-        kinds.push(SchedulerKind::SleepSet {
-            wake_after_skips: 3,
-        });
-        for kind in kinds {
+        for kind in SchedulerKind::default_portfolio() {
             let mut original = kind.build(33, 1_000);
             for step in 0..10 {
                 original.next_machine(&enabled, step);
@@ -2724,7 +2673,7 @@ mod tests {
     #[test]
     fn round_robin_cycles_through_machines() {
         let enabled = ids(&[0, 1, 2]);
-        let mut s = RoundRobinScheduler::new();
+        let mut s = RoundRobinScheduler::new(0);
         let picks: Vec<u64> = (0..6).map(|i| s.next_machine(&enabled, i).raw()).collect();
         assert_eq!(picks, vec![0, 1, 2, 0, 1, 2]);
     }
@@ -2814,39 +2763,61 @@ mod tests {
 
     #[test]
     fn unfair_prefix_reported_by_starvation_prone_strategies_only() {
-        assert_eq!(RandomScheduler::new(1).unfair_prefix_len(), None);
-        assert_eq!(RoundRobinScheduler::new().unfair_prefix_len(), None);
-        assert_eq!(
-            PctScheduler::new(1, 2, 1_000).unfair_prefix_len(),
-            Some(500)
-        );
-        assert_eq!(
-            DelayBoundingScheduler::new(1, 2, 1_000).unfair_prefix_len(),
-            Some(500)
-        );
-        // The probabilistic walk is starvation-prone over its whole horizon.
-        assert_eq!(
-            ProbabilisticRandomScheduler::new(1, 10).unfair_prefix_len(),
-            None
-        );
-        assert_eq!(
-            ProbabilisticRandomScheduler::new(1, 10)
-                .with_horizon(2_000)
-                .unfair_prefix_len(),
-            Some(2_000)
-        );
-        assert_eq!(
-            SchedulerKind::ProbabilisticRandom { switch_percent: 10 }
-                .build(1, 2_000)
-                .unfair_prefix_len(),
-            Some(2_000)
-        );
-        // So is DPOR, whose run-to-completion bias can park at any point.
-        assert_eq!(DporScheduler::new(1).unfair_prefix_len(), None);
-        assert_eq!(
-            SchedulerKind::Dpor.build(1, 2_000).unfair_prefix_len(),
-            Some(2_000)
-        );
+        // Each strategy built directly and through its `SchedulerKind` must
+        // declare the same prefix: PCT and delay-bounding their priority
+        // prefix, the probabilistic walk and DPOR (whose run-to-completion
+        // bias can park at any point) their whole horizon.
+        let max_steps = 2_000;
+        let cases: [(SchedulerKind, Box<dyn Scheduler>, Option<usize>); 7] = [
+            (
+                SchedulerKind::Random,
+                Box::new(RandomScheduler::new(1)),
+                None,
+            ),
+            (
+                SchedulerKind::RoundRobin,
+                Box::new(RoundRobinScheduler::new(1)),
+                None,
+            ),
+            (
+                SchedulerKind::Pct { change_points: 2 },
+                Box::new(PctScheduler::new(1, 2, max_steps)),
+                Some(1_000),
+            ),
+            (
+                SchedulerKind::DelayBounding { delays: 2 },
+                Box::new(DelayBoundingScheduler::new(1, 2, max_steps)),
+                Some(1_000),
+            ),
+            (
+                SchedulerKind::ProbabilisticRandom { switch_percent: 10 },
+                Box::new(ProbabilisticRandomScheduler::new(1, 10, max_steps)),
+                Some(max_steps),
+            ),
+            (
+                SchedulerKind::SleepSet,
+                Box::new(SleepSetScheduler::new(1)),
+                None,
+            ),
+            (
+                SchedulerKind::Dpor,
+                Box::new(DporScheduler::new(1, max_steps)),
+                Some(max_steps),
+            ),
+        ];
+        let enabled = ids(&[0, 1, 2, 3]);
+        for (kind, mut direct, expected) in cases {
+            let mut built = kind.build(1, max_steps);
+            assert_eq!(direct.unfair_prefix_len(), expected, "{kind:?}");
+            assert_eq!(built.unfair_prefix_len(), expected, "{kind:?}");
+            for step in 0..50 {
+                assert_eq!(
+                    direct.next_machine(&enabled, step),
+                    built.next_machine(&enabled, step),
+                    "{kind:?}"
+                );
+            }
+        }
         let trace = Trace::new(0);
         assert_eq!(
             ReplayScheduler::from_trace(&trace).unfair_prefix_len(),
@@ -2886,14 +2857,8 @@ mod tests {
         assert_eq!(SchedulerKind::Dpor.build(0, 10).name(), "dpor");
         assert_eq!(SchedulerKind::Dpor.label(), "dpor");
         assert_eq!(SchedulerKind::Dpor.describe(), "dpor");
-        assert_eq!(SchedulerKind::sleep_set().describe(), "sleep-set");
-        assert_eq!(
-            SchedulerKind::SleepSet {
-                wake_after_skips: 3
-            }
-            .describe(),
-            "sleep-set(w=3)"
-        );
+        assert_eq!(SchedulerKind::SleepSet.describe(), "sleep-set");
+        assert_eq!(SchedulerKind::sleep_set(), SchedulerKind::SleepSet);
     }
 
     #[test]
@@ -2902,7 +2867,8 @@ mod tests {
         // (fairer, less pruning) while a looser one prunes more.
         let enabled = ids(&[0, 1, 2, 3]);
         let pruned_with = |skips: u32| {
-            let mut s = SleepSetScheduler::new(5).with_wake_after_skips(skips);
+            let mut s = SleepSetScheduler::new(5);
+            s.sleep_set = SleepSet::new(skips);
             for step in 0..400 {
                 let pick = s.next_machine(&enabled, step);
                 s.note_footprint(&StepFootprint::new(pick));
@@ -2928,8 +2894,8 @@ mod tests {
     #[test]
     fn dpor_is_deterministic_per_seed() {
         let enabled = ids(&[0, 1, 2, 3]);
-        let mut a = DporScheduler::new(17);
-        let mut b = DporScheduler::new(17);
+        let mut a = DporScheduler::new(17, 1_000);
+        let mut b = DporScheduler::new(17, 1_000);
         for step in 0..200 {
             let pick_a = a.next_machine(&enabled, step);
             let pick_b = b.next_machine(&enabled, step);
@@ -2960,7 +2926,7 @@ mod tests {
         let a = MachineId::from_raw(0);
         let b = MachineId::from_raw(1);
         let c = MachineId::from_raw(2);
-        let mut s = DporScheduler::new(7);
+        let mut s = DporScheduler::new(7, 1_000);
 
         s.note_footprint(&StepFootprint::new(a));
         let mut send = StepFootprint::new(a);
@@ -3000,7 +2966,7 @@ mod tests {
         let a = MachineId::from_raw(0);
         let b = MachineId::from_raw(1);
         let c = MachineId::from_raw(2);
-        let mut s = DporScheduler::new(3);
+        let mut s = DporScheduler::new(3, 1_000);
 
         let mut a_to_c = StepFootprint::new(a);
         a_to_c.sends.push(c);
@@ -3025,7 +2991,7 @@ mod tests {
         // race is flagged.
         let a = MachineId::from_raw(0);
         let b = MachineId::from_raw(1);
-        let mut s = DporScheduler::new(3);
+        let mut s = DporScheduler::new(3, 1_000);
 
         let mut a_to_b = StepFootprint::new(a);
         a_to_b.sends.push(b);
@@ -3048,7 +3014,7 @@ mod tests {
         // machine, but the pruning credit is only banked once the footprint
         // proves the step was local. A monitor-touching step voids it.
         let enabled = ids(&[0, 1, 2]);
-        let mut s = DporScheduler::new(11);
+        let mut s = DporScheduler::new(11, 1_000);
         let first = s.next_machine(&enabled, 0);
         s.note_footprint(&StepFootprint::new(first));
         let second = s.next_machine(&enabled, 1);
@@ -3088,7 +3054,7 @@ mod tests {
             let pick = sleep.next_machine(&enabled, step);
             sleep.note_footprint(&StepFootprint::new(pick));
         }
-        let mut dpor = DporScheduler::new(9);
+        let mut dpor = DporScheduler::new(9, 1_000);
         for step in 0..points {
             let pick = dpor.next_machine(&enabled, step);
             dpor.note_footprint(&StepFootprint::new(pick));
@@ -3105,7 +3071,7 @@ mod tests {
     fn dpor_clock_window_evicts_least_recently_used_slot() {
         // More machines than CLOCK_SLOTS: the window recycles slots instead
         // of growing, and a recycled machine restarts from a zero clock.
-        let mut s = DporScheduler::new(1);
+        let mut s = DporScheduler::new(1, 1_000);
         for raw in 0..(CLOCK_SLOTS as u64 + 4) {
             s.note_footprint(&StepFootprint::new(MachineId::from_raw(raw)));
         }
@@ -3244,8 +3210,8 @@ mod tests {
         for (script, width, steps) in side_by_side_shapes() {
             for wake_after_skips in [1, 3, 8] {
                 let seed = script ^ 0x5eed;
-                let mut production =
-                    SleepSetScheduler::new(seed).with_wake_after_skips(wake_after_skips);
+                let mut production = SleepSetScheduler::new(seed);
+                production.sleep_set = SleepSet::new(wake_after_skips);
                 let mut model = reference::SleepSetModel::new(seed, wake_after_skips);
                 faults += drive_side_by_side(&mut production, &mut model, script, width, steps);
                 pruned += production.pruned_equivalents();
@@ -3259,7 +3225,7 @@ mod tests {
         let (mut faults, mut pruned, mut races, mut backtracks) = (0, 0, 0, 0);
         for (script, width, steps) in side_by_side_shapes() {
             let seed = script ^ 0xd90f;
-            let mut production = DporScheduler::new(seed);
+            let mut production = DporScheduler::new(seed, 1_000);
             let mut model = reference::DporModel::new(seed);
             faults += drive_side_by_side(&mut production, &mut model, script, width, steps);
             pruned += production.pruned_equivalents();

@@ -46,7 +46,6 @@
 use std::time::{Duration, Instant};
 
 use crate::error::Bug;
-use crate::fault::FaultPlan;
 use crate::json::{FromJson, Json, JsonError, ToJson};
 use crate::runtime::{ExecutionOutcome, Runtime, RuntimeConfig};
 use crate::scheduler::ReplayScheduler;
@@ -58,36 +57,21 @@ use crate::trace::{Decision, Trace, TraceMode};
 const SHRINK_TAIL_STREAM: u64 = 0x51B2_7F4E_8D93_C601;
 
 /// Bounds and execution parameters of one shrink pass, derived from the
-/// owning test configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// owning test configuration
+/// ([`TestConfig::shrink_config`](crate::engine::TestConfig::shrink_config)).
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ShrinkConfig {
-    /// Step bound per candidate execution (use the hunt's own bound).
-    pub max_steps: usize,
-    /// Whether liveness monitors are checked at quiescence.
-    pub check_liveness_at_quiescence: bool,
-    /// Whether machine panics are caught and classified.
-    pub catch_panics: bool,
+    /// What every candidate executes under: the configuration of the
+    /// exploration that recorded the trace. The pass ignores its
+    /// `trace_mode`: candidates always record decisions only, and the
+    /// verified re-recording always records the full schedule. Its fault
+    /// budget is the hunt's, so the recorded fault decisions stay
+    /// injectable; the tolerant tail itself never invents new faults, which
+    /// is what makes the minimized fault set monotonically shrink.
+    pub runtime: RuntimeConfig,
     /// Maximum number of candidate executions before the pass gives up and
     /// returns the best sequence found so far.
     pub max_candidates: u64,
-    /// The fault budget of the hunt that recorded the trace. Candidate
-    /// executions replay under the same budget, so the recorded fault
-    /// decisions stay injectable; the tolerant tail itself never invents new
-    /// faults, which is what makes the minimized fault set monotonically
-    /// shrink.
-    pub faults: FaultPlan,
-}
-
-impl Default for ShrinkConfig {
-    fn default() -> Self {
-        ShrinkConfig {
-            max_steps: 5_000,
-            check_liveness_at_quiescence: true,
-            catch_panics: true,
-            max_candidates: 2_000,
-            faults: FaultPlan::none(),
-        }
-    }
 }
 
 /// Which trace a shrink pass handed back as [`ShrinkReport::minimized`].
@@ -422,18 +406,6 @@ impl<F> ShrinkPass<'_, F>
 where
     F: Fn(&mut Runtime),
 {
-    /// What candidates run under: the annotated schedule is irrelevant
-    /// during the search, so they record decisions only.
-    fn runtime_config(&self) -> RuntimeConfig {
-        RuntimeConfig {
-            max_steps: self.config.max_steps,
-            check_liveness_at_quiescence: self.config.check_liveness_at_quiescence,
-            catch_panics: self.config.catch_panics,
-            trace_mode: TraceMode::DecisionsOnly,
-            faults: self.config.faults,
-        }
-    }
-
     /// The deterministic seed of the tolerant-replay tail. Derived from the
     /// execution seed through its own stream so candidate tails do not
     /// mirror the original scheduler's choices.
@@ -452,7 +424,10 @@ where
         beat: Option<usize>,
     ) -> Option<Vec<Decision>> {
         let scheduler = Box::new(ReplayScheduler::tolerant(candidate, self.tail_seed()));
-        let config = self.runtime_config();
+        let config = RuntimeConfig {
+            trace_mode: TraceMode::DecisionsOnly,
+            ..self.config.runtime.clone()
+        };
         let runtime = match &mut self.pooled {
             None => self
                 .pooled
@@ -479,7 +454,7 @@ where
     fn record_verified(&self, decisions: &[Decision]) -> Option<Trace> {
         let mut probe = Trace::new(self.seed);
         probe.decisions = decisions.to_vec();
-        record_verified(self.runtime_config(), &probe, self.bug, self.setup)
+        record_verified(self.config.runtime.clone(), &probe, self.bug, self.setup)
     }
 }
 
@@ -533,6 +508,29 @@ mod tests {
         assert!(!same_bug(&a, &c));
         let d = Bug::new(BugKind::LivenessViolation, "boom").with_source("M");
         assert!(!same_bug(&a, &d));
+    }
+
+    #[test]
+    fn candidates_record_decisions_only_whatever_the_config_asks() {
+        let config = ShrinkConfig {
+            runtime: RuntimeConfig {
+                trace_mode: TraceMode::Full,
+                ..RuntimeConfig::default()
+            },
+            max_candidates: 1,
+        };
+        let bug = Bug::new(BugKind::SafetyViolation, "boom");
+        let mut pass = ShrinkPass {
+            config: &config,
+            bug: &bug,
+            seed: 7,
+            setup: &|_: &mut Runtime| {},
+            pooled: None,
+            candidate_steps: 0,
+        };
+        assert_eq!(pass.reproduces(Vec::new(), None), None);
+        let runtime = pass.pooled.as_ref().expect("the candidate ran");
+        assert_eq!(runtime.trace().mode(), TraceMode::DecisionsOnly);
     }
 
     #[test]

@@ -318,7 +318,7 @@ fn prefix_shared_fault_injection_reports_are_identical_at_any_worker_count() {
     let base = TestConfig::new()
         .with_iterations(200)
         .with_seed(2016)
-        .with_scheduler(SchedulerKind::sleep_set())
+        .with_scheduler(SchedulerKind::SleepSet)
         .with_faults(faults);
 
     let fingerprint = |report: &TestReport| {

@@ -409,7 +409,7 @@ fn enabling_faults_does_not_perturb_the_schedule_before_the_first_fault() {
             rt.send(b, Event::new(Ping));
         }
         rt.run();
-        rt.into_trace()
+        rt.take_trace()
     };
     let without = run(FaultPlan::none());
     let with = run(FaultPlan::new().with_drops(1));
@@ -743,14 +743,9 @@ fn tolerant_replay_after_crash_decision_prefix_reaches_the_bug() {
     let start = mutated.len() / 3;
     let removed: Vec<Decision> = mutated.drain(start..start + 3).collect();
     let _ = removed;
-    let shrink_config = fragile_config().shrink_config();
     let mut runtime = Runtime::new(
         Box::new(ReplayScheduler::tolerant(mutated, 77)),
-        RuntimeConfig {
-            max_steps: shrink_config.max_steps,
-            faults: shrink_config.faults,
-            ..RuntimeConfig::default()
-        },
+        fragile_config().shrink_config().runtime,
         bug_report.trace.seed,
     );
     fragile_setup(&mut runtime);

@@ -72,12 +72,11 @@ fn pick_cost_grows_at_most_linearly_with_the_enabled_width() {
         SchedulerKind::DelayBounding { delays: 2 },
         SchedulerKind::ProbabilisticRandom { switch_percent: 10 },
         SchedulerKind::RoundRobin,
-        SchedulerKind::sleep_set(),
+        SchedulerKind::SleepSet,
         SchedulerKind::Dpor,
     ];
     for kind in kinds {
-        let reads_only_sleepers =
-            matches!(kind, SchedulerKind::SleepSet { .. } | SchedulerKind::Dpor);
+        let reads_only_sleepers = matches!(kind, SchedulerKind::SleepSet | SchedulerKind::Dpor);
         let bound = if reads_only_sleepers && !cfg!(debug_assertions) {
             SLEEPER_MAX_RATIO
         } else {

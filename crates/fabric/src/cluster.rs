@@ -609,7 +609,7 @@ mod tests {
     #[test]
     fn replication_reaches_all_secondaries_without_failures() {
         let mut rt = Runtime::new(
-            Box::new(RoundRobinScheduler::new()),
+            Box::new(RoundRobinScheduler::new(0)),
             RuntimeConfig::default(),
             0,
         );

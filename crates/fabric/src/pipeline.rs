@@ -236,7 +236,7 @@ mod tests {
     #[test]
     fn configured_pipeline_produces_window_sums() {
         let mut rt = Runtime::new(
-            Box::new(RoundRobinScheduler::new()),
+            Box::new(RoundRobinScheduler::new(0)),
             RuntimeConfig::default(),
             0,
         );

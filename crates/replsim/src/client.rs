@@ -96,7 +96,7 @@ mod tests {
     #[test]
     fn client_sends_all_requests_when_acknowledged() {
         let mut rt = Runtime::new(
-            Box::new(RoundRobinScheduler::new()),
+            Box::new(RoundRobinScheduler::new(0)),
             RuntimeConfig::default(),
             0,
         );
@@ -116,7 +116,7 @@ mod tests {
             fn handle(&mut self, _ctx: &mut Context<'_>, _event: Event) {}
         }
         let mut rt = Runtime::new(
-            Box::new(RoundRobinScheduler::new()),
+            Box::new(RoundRobinScheduler::new(0)),
             RuntimeConfig::default(),
             0,
         );
@@ -135,7 +135,7 @@ mod tests {
             fn handle(&mut self, _ctx: &mut Context<'_>, _event: Event) {}
         }
         let mut rt = Runtime::new(
-            Box::new(RoundRobinScheduler::new()),
+            Box::new(RoundRobinScheduler::new(0)),
             RuntimeConfig::default(),
             0,
         );

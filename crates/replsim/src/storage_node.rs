@@ -78,7 +78,7 @@ mod tests {
     #[test]
     fn storage_node_deduplicates_consecutive_values() {
         let mut rt = Runtime::new(
-            Box::new(RoundRobinScheduler::new()),
+            Box::new(RoundRobinScheduler::new(0)),
             RuntimeConfig::default(),
             0,
         );
@@ -95,7 +95,7 @@ mod tests {
     #[test]
     fn timeout_sends_sync_with_current_log() {
         let mut rt = Runtime::new(
-            Box::new(RoundRobinScheduler::new()),
+            Box::new(RoundRobinScheduler::new(0)),
             RuntimeConfig::default(),
             0,
         );
@@ -116,7 +116,7 @@ mod tests {
         // One client request, three nodes, fixed server, timeouts injected
         // manually: the server must acknowledge exactly once.
         let mut rt = Runtime::new(
-            Box::new(RoundRobinScheduler::new()),
+            Box::new(RoundRobinScheduler::new(0)),
             RuntimeConfig::default(),
             0,
         );

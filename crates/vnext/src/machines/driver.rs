@@ -134,7 +134,7 @@ mod tests {
 
     fn new_runtime(max_steps: usize) -> Runtime {
         Runtime::new(
-            Box::new(RoundRobinScheduler::new()),
+            Box::new(RoundRobinScheduler::new(0)),
             RuntimeConfig {
                 max_steps,
                 ..RuntimeConfig::default()

@@ -181,7 +181,7 @@ mod tests {
 
     fn new_runtime() -> Runtime {
         Runtime::new(
-            Box::new(RoundRobinScheduler::new()),
+            Box::new(RoundRobinScheduler::new(0)),
             RuntimeConfig::default(),
             0,
         )

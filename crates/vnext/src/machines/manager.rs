@@ -145,7 +145,7 @@ mod tests {
     #[test]
     fn wrapper_relays_repair_requests_to_the_driver() {
         let mut rt = Runtime::new(
-            Box::new(RoundRobinScheduler::new()),
+            Box::new(RoundRobinScheduler::new(0)),
             RuntimeConfig::default(),
             0,
         );

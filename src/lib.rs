@@ -36,30 +36,38 @@ pub mod cli {
 
     impl DebugOptions {
         /// Parses the debug flags out of `std::env::args`, returning the
-        /// options and the remaining (positional) arguments.
-        ///
-        /// # Panics
-        ///
-        /// Panics on a malformed `--faults` value, mirroring the fail-fast
-        /// CLI style of the bench binaries.
+        /// options and the remaining (positional) arguments. A missing or
+        /// malformed `--faults` value prints `error: ...` naming the flag
+        /// and the value, and exits with status 2, as the bench binaries do.
         pub fn from_args() -> (Self, Vec<String>) {
+            Self::parse(std::env::args().skip(1)).unwrap_or_else(|message| {
+                eprintln!("error: {message}");
+                std::process::exit(2)
+            })
+        }
+
+        /// [`DebugOptions::from_args`] over `args`, with the usage error
+        /// returned instead of reported. Unknown arguments are positionals.
+        fn parse(args: impl IntoIterator<Item = String>) -> Result<(Self, Vec<String>), String> {
             let mut options = DebugOptions::default();
             let mut rest = Vec::new();
-            let mut argv = std::env::args().skip(1);
+            let mut argv = args.into_iter();
             while let Some(arg) = argv.next() {
                 match arg.as_str() {
                     "--shrink" => options.shrink = true,
                     "--faults" => {
-                        let spec = argv.next().expect("--faults requires a plan");
-                        options.faults = Some(
-                            FaultPlan::parse(&spec)
-                                .unwrap_or_else(|| panic!("unknown fault plan {spec:?}")),
-                        );
+                        let spec = argv.next().ok_or("--faults requires a plan")?;
+                        options.faults = Some(FaultPlan::parse(&spec).ok_or_else(|| {
+                            format!(
+                                "--faults: {spec:?} is not a fault plan \
+                                 (crash=N,restart=N,drop=N,dup=N|none)"
+                            )
+                        })?);
                     }
                     _ => rest.push(arg),
                 }
             }
-            (options, rest)
+            Ok((options, rest))
         }
 
         /// Applies the options to a test configuration.
@@ -96,6 +104,33 @@ pub mod cli {
         }
         for line in &lines[tail..] {
             println!("{line}");
+        }
+    }
+
+    #[cfg(test)]
+    mod tests {
+        use super::*;
+
+        fn parse(line: &[&str]) -> Result<(DebugOptions, Vec<String>), String> {
+            DebugOptions::parse(line.iter().map(|arg| arg.to_string()))
+        }
+
+        #[test]
+        fn debug_options_reject_a_missing_or_malformed_fault_plan() {
+            let (options, rest) =
+                parse(&["--shrink", "--faults", "crash=1,drop=2", "chaintable"]).expect("valid");
+            assert!(options.shrink);
+            assert_eq!(options.faults, FaultPlan::parse("crash=1,drop=2"));
+            assert_eq!(rest, ["chaintable"]);
+
+            let missing = parse(&["--faults"]).expect_err("a plan is required");
+            assert!(missing.contains("--faults"), "{missing}");
+
+            let malformed = parse(&["--faults", "meteor=1"]).expect_err("not a plan");
+            assert!(
+                malformed.contains("--faults") && malformed.contains("\"meteor=1\""),
+                "{malformed}"
+            );
         }
     }
 }

@@ -173,13 +173,7 @@ fn reference_shrink(
         let tail_seed = psharp::rng::mix64(trace.seed ^ 0x51B2_7F4E_8D93_C601);
         let mut runtime = Runtime::new(
             Box::new(ReplayScheduler::tolerant(candidate, tail_seed)),
-            RuntimeConfig {
-                max_steps: config.max_steps,
-                check_liveness_at_quiescence: config.check_liveness_at_quiescence,
-                catch_panics: config.catch_panics,
-                trace_mode: TraceMode::DecisionsOnly,
-                faults: config.faults,
-            },
+            config.runtime.clone(),
             trace.seed,
         );
         setup(&mut runtime);
@@ -187,7 +181,7 @@ fn reference_shrink(
         steps += runtime.steps() as u64;
         match outcome {
             ExecutionOutcome::BugFound(found) if same_bug(&found, bug) => {
-                Some(runtime.into_trace().decisions)
+                Some(runtime.take_trace().decisions)
             }
             _ => None,
         }
@@ -403,7 +397,7 @@ fn reported_trace_is_the_direct_full_recording_of_the_winning_iteration() {
             };
             assert_eq!(bug, found.bug, "{label}");
             // Not `assert_eq!`: a mismatch would print thousands of steps.
-            assert!(direct.into_trace() == found.trace, "{label}");
+            assert!(direct.take_trace() == found.trace, "{label}");
 
             let at_bound = found.trace.total_step_count() == config.max_steps;
             let unfair = strategy
