@@ -45,18 +45,21 @@
 //! | `delay` | binary search for the current machine / its successor | O(log *w*) |
 //! | `prob` | binary search for the current machine | O(log *w*) |
 //! | `replay` | binary search for the recorded machine | O(log *w*) |
-//! | `pct` | one pass over `enabled` reading a dense priority table (one more per change point due); O(1) in the fair tail | O(*w*) |
+//! | `pct` | up to width 64, one pass over `enabled` reading a dense priority table (one more per change point due). Wider, the top of a sorted priority index: one binary search into `enabled` for the machine that stepped and for each send target without an entry, one removal per machine that left and one sorted insert per machine that entered since the last pick (an enabled send target, a fresh id, a machine a change point demoted). O(1) in the fair tail | O(*w*) up to 64; O(log *w*) plus the inserts and removals above it |
 //! | `sleep-set` | one pass over the *s* enabled sleepers, to skip past them and to age them; one binary search into `enabled` per machine put to sleep since the last pick; O(1) per send target in the footprint, O(*s*) if it was asleep | O(*s* log *w*) |
 //! | `dpor` | a backtrack or sticky pick is one binary search plus the ageing pass over the *s* enabled sleepers, an ordinary pick is the sleep-set pick; clock and race work is bounded by constants | O(*s* log *w*) |
 //!
 //! *s*, the number of enabled sleepers, is usually 0–8: a sleeper is woken
 //! after [`SleepSetScheduler::WAKE_AFTER_SKIPS`] pass-overs, and one that
-//! went idle drops out of the enabled set. No strategy is quadratic in *w*
-//! and none hashes per machine: per-machine state (the sleep set, PCT
+//! went idle drops out of the enabled set. A pick that scans `enabled` makes
+//! a start-up drain (*w* machines that each run once and go idle) cost
+//! O(*w*²) in total; sleep-set and DPOR avoid that by reading only the
+//! enabled sleepers, PCT by reading its index while the width is above 64.
+//! No strategy hashes per machine: per-machine state (the sleep set, PCT
 //! priorities, DPOR's clock slots) lives in tables indexed by
 //! [`MachineId::index`], and membership in `enabled` is a binary search.
 //! Debug builds add an O(*w*) check of the enabled sleepers at every
-//! sleep-set and DPOR pick.
+//! sleep-set and DPOR pick, and of the index at every indexed PCT pick.
 
 use crate::error::ReplayError;
 use crate::fault::{Fault, FaultGate};
@@ -243,9 +246,12 @@ pub trait Scheduler: Send + Sync {
     /// Between two [`Scheduler::next_machine`] calls, a machine's membership
     /// in `enabled` changes only if it stepped (this footprint's machine), it
     /// was sent to (one of `sends`), it was created (a fresh id), or a fault
-    /// returned by [`Scheduler::next_fault`] fired. [`Runtime::run`] keeps
-    /// that contract, and the sleep set relies on it to track its enabled
-    /// sleepers without scanning `enabled`.
+    /// returned by [`Scheduler::next_fault`] fired. A fired fault's hook may
+    /// send, and so enable *any* machine (the fabric, vNext and megakv crash
+    /// hooks do), and it reports no footprint. [`Runtime::run`] keeps that
+    /// contract. The sleep set relies on it to track its enabled sleepers,
+    /// and [`PctScheduler`] its priority index, without scanning `enabled`;
+    /// that is why a fired fault clears the sleep set and drops the index.
     ///
     /// [`Runtime::run`]: crate::runtime::Runtime::run
     fn note_footprint(&mut self, footprint: &StepFootprint) {
@@ -493,6 +499,14 @@ impl Scheduler for RandomScheduler {
 /// (uniformly random) tail for the second half of the step bound, so that a
 /// hot liveness monitor at the bound reflects a genuine lack of progress
 /// rather than scheduler starvation.
+///
+/// Up to an enabled width of 64 a pick finds the highest-priority machine by
+/// one pass over `enabled`. Wider, that pass would make a start-up drain (*w*
+/// machines that each run once and go idle) cost O(*w*²), so the scheduler
+/// keeps the enabled machines in a list sorted by priority and reads its top,
+/// until the width falls below 16, a fault fires or the fair tail begins.
+/// Both ways pick the same machine and draw the same priorities in the same
+/// order.
 #[derive(Debug, Clone)]
 pub struct PctScheduler {
     rng: SplitMix64,
@@ -504,6 +518,203 @@ pub struct PctScheduler {
     next_low_priority: u64,
     fair_after: usize,
     fault_gate: FaultGate,
+    /// The priority index wide picks read; `None` while picks scan.
+    index: Option<PriorityIndex>,
+}
+
+/// Enabled width above which a PCT pick builds its [`PriorityIndex`], and
+/// below which it drops the index and scans `enabled` again.
+///
+/// Keeping the index costs a removal and a sorted insert each time a machine
+/// leaves and enters it, and on a narrow system that happens on nearly every
+/// step (at width 5 a ring machine leaves and re-enters after each of its
+/// steps), while a scan of a few machines costs almost nothing. Measured with
+/// the repo benchmark on a 2-core x86-64 host, ten alternated pairs each: an
+/// index kept at every width ran `step_loop` 4.6 % and `clean_sweep` 2.8 %
+/// slower than these gates (medians), while the gated index ran
+/// `wide_scale` 16–22 % faster than the scan alone. The gap between the two
+/// keeps a width that hovers near one gate from building and dropping the
+/// index on alternate picks.
+const PCT_INDEX_ABOVE: usize = 64;
+const PCT_INDEX_BELOW: usize = 16;
+
+/// The sorted priority index a wide PCT pick reads instead of scanning
+/// `enabled`.
+///
+/// `order` holds exactly the enabled machines, sorted by `(priority, id)`, so
+/// its last entry is the top and of equal priorities the higher id wins, as
+/// in the scan. A priority changes only at a change point, which takes the
+/// top out and inserts it again.
+///
+/// The index follows `enabled` without scanning it because of the contract on
+/// [`Scheduler::note_footprint`]. Sends and creations only enable, so a
+/// machine goes disabled only by its own step: the pick after it tests the
+/// machine that stepped with one binary search into `enabled`. A machine
+/// becomes enabled only if a step sent to it, which the pick tests the same
+/// way unless it already has an entry, or it was created: ids are assigned in
+/// creation order, so a fresh id is at or above `seen`, in the tail of
+/// `enabled`. A fired fault may do either to any machine, so it drops the
+/// whole index. A machine that enters without a priority draws it then, in
+/// id order, exactly where the scan would draw it.
+#[derive(Debug, Clone)]
+struct PriorityIndex {
+    order: Vec<(u64, MachineId)>,
+    /// Whether each machine, by [`MachineId::index`], has an entry in `order`.
+    held: Vec<bool>,
+    /// Machines that stepped since the last pick: each may have gone disabled.
+    stepped: Vec<MachineId>,
+    /// Send targets reported since the last pick: each may have become enabled.
+    touched: Vec<MachineId>,
+    /// One above the highest id enabled at any pick since the build.
+    seen: u64,
+}
+
+impl PriorityIndex {
+    /// Indexes every enabled machine; one seen for the first time draws its
+    /// priority on the way, in id order.
+    fn build(enabled: &[MachineId], priorities: &mut [u64], rng: &mut SplitMix64) -> Self {
+        #[cfg(test)]
+        tally(|t| {
+            t.reads += enabled.len() as u64;
+            t.builds += 1;
+        });
+        let highest = enabled[enabled.len() - 1];
+        let mut order: Vec<(u64, MachineId)> = enabled
+            .iter()
+            .map(|&id| (PctScheduler::draw(&mut priorities[id.index()], rng), id))
+            .collect();
+        order.sort_unstable();
+        let mut held = vec![false; highest.index() + 1];
+        for &id in enabled {
+            held[id.index()] = true;
+        }
+        PriorityIndex {
+            order,
+            held,
+            stepped: Vec::new(),
+            touched: Vec::new(),
+            seen: highest.raw() + 1,
+        }
+    }
+
+    /// Brings the index up to `enabled`: drops the machines that stepped and
+    /// went disabled, then enters the send targets below `seen` that became
+    /// enabled, in id order, then the fresh ids. That is the order in which
+    /// the scan draws.
+    fn refresh(&mut self, enabled: &[MachineId], priorities: &mut [u64], rng: &mut SplitMix64) {
+        for i in 0..self.stepped.len() {
+            let id = self.stepped[i];
+            if self.held[id.index()] && enabled.binary_search(&id).is_err() {
+                self.remove(id, priorities[id.index()]);
+            }
+        }
+        self.stepped.clear();
+        self.touched.sort_unstable();
+        for i in 0..self.touched.len() {
+            let id = self.touched[i];
+            if id.raw() >= self.seen {
+                break;
+            }
+            if !self.held[id.index()] && enabled.binary_search(&id).is_ok() {
+                self.insert(id, PctScheduler::draw(&mut priorities[id.index()], rng));
+            }
+        }
+        self.touched.clear();
+        let highest = enabled[enabled.len() - 1];
+        if highest.raw() >= self.seen {
+            cover(&mut self.held, highest.index(), false);
+            let fresh = enabled.partition_point(|id| id.raw() < self.seen);
+            for &id in &enabled[fresh..] {
+                self.insert(id, PctScheduler::draw(&mut priorities[id.index()], rng));
+            }
+            self.seen = highest.raw() + 1;
+        }
+    }
+
+    /// Records a step for the next pick. Kept out of line: PCT's
+    /// `note_footprint` then costs a narrow step only a test of the index,
+    /// where the pushes inlined made it about 0.7 ns dearer per step.
+    #[inline(never)]
+    fn note(&mut self, footprint: &StepFootprint) {
+        self.stepped.push(footprint.machine);
+        self.touched.extend_from_slice(&footprint.sends);
+    }
+
+    fn insert(&mut self, id: MachineId, priority: u64) {
+        #[cfg(test)]
+        tally(|t| t.reads += 1);
+        let entry = (priority, id);
+        let at = self.order.partition_point(|&other| other < entry);
+        self.order.insert(at, entry);
+        self.held[id.index()] = true;
+    }
+
+    fn remove(&mut self, id: MachineId, priority: u64) {
+        #[cfg(test)]
+        tally(|t| t.reads += 1);
+        // Usually the top: a machine that stepped was the top when it was
+        // picked, and a change point demotes the top.
+        match self.order.last() {
+            Some(&(_, top)) if top == id => {
+                self.order.pop();
+            }
+            _ => {
+                let at = self
+                    .order
+                    .binary_search(&(priority, id))
+                    .expect("a held machine has an entry");
+                self.order.remove(at);
+            }
+        }
+        self.held[id.index()] = false;
+    }
+
+    /// The highest-priority enabled machine.
+    fn top(&self, enabled: &[MachineId], priorities: &[u64]) -> MachineId {
+        let (_, top) = *self.order.last().expect("enabled is never empty");
+        debug_assert!(
+            self.order.len() == enabled.len()
+                && Some(top)
+                    == enabled
+                        .iter()
+                        .copied()
+                        .max_by_key(|&id| (priorities[id.index()], id)),
+            "the PCT index is not the enabled set: a machine's enabledness \
+             changed without a step, a send, a creation or a fault"
+        );
+        top
+    }
+}
+
+/// What PCT picks did on this thread: the exact cost a test can gate on, and
+/// the index paths the model test must reach.
+#[cfg(test)]
+#[derive(Debug, Clone, Copy, Default)]
+struct PctTally {
+    /// `enabled` entries read: scanned, or indexed at a build, an insert or
+    /// a removal.
+    reads: u64,
+    builds: u64,
+    /// Indexes dropped because the width fell below [`PCT_INDEX_BELOW`].
+    narrowed: u64,
+    /// Indexes dropped because a fault fired.
+    faulted: u64,
+    /// Indexes dropped because the fair tail began.
+    retired: u64,
+}
+
+#[cfg(test)]
+thread_local! {
+    static PCT_TALLY: std::cell::Cell<PctTally> = std::cell::Cell::new(PctTally::default());
+}
+
+#[cfg(test)]
+fn tally(count: impl FnOnce(&mut PctTally)) {
+    PCT_TALLY.with(|cell| {
+        let mut tally = cell.get();
+        count(&mut tally);
+        cell.set(tally);
+    });
 }
 
 impl PctScheduler {
@@ -539,7 +750,19 @@ impl PctScheduler {
             next_low_priority: 0,
             fair_after,
             fault_gate: FaultGate::new(seed),
+            index: None,
         }
+    }
+
+    /// The priority of a machine, drawn now if it has none yet.
+    fn draw(priority: &mut u64, rng: &mut SplitMix64) -> u64 {
+        if *priority == Self::UNASSIGNED {
+            // New machines receive a random high priority band so they can
+            // preempt or be preempted; the low band is reserved for change
+            // points.
+            *priority = 1_000_000 + rng.next_below(1_000_000) as u64;
+        }
+        *priority
     }
 
     /// The highest-priority enabled machine, in one pass: a machine seen for
@@ -548,20 +771,49 @@ impl PctScheduler {
     /// of a million, so they occur — the highest id wins. Every enabled id
     /// must be within the table.
     fn top(&mut self, enabled: &[MachineId]) -> MachineId {
+        #[cfg(test)]
+        tally(|t| t.reads += enabled.len() as u64);
         let mut top = (enabled[0], 0);
         for &id in enabled {
-            let priority = &mut self.priorities[id.index()];
-            if *priority == Self::UNASSIGNED {
-                // New machines receive a random high priority band so they
-                // can preempt or be preempted; the low band is reserved for
-                // change points.
-                *priority = 1_000_000 + self.rng.next_below(1_000_000) as u64;
-            }
-            if *priority >= top.1 {
-                top = (id, *priority);
+            let priority = Self::draw(&mut self.priorities[id.index()], &mut self.rng);
+            if priority >= top.1 {
+                top = (id, priority);
             }
         }
         top.0
+    }
+
+    /// A pick while the index is kept or the width is above
+    /// [`PCT_INDEX_ABOVE`]: builds or refreshes the index, applies the change
+    /// points due as the scan path does, and reads the top. `None` when the
+    /// width fell below [`PCT_INDEX_BELOW`]: the index is dropped and the
+    /// caller scans.
+    fn indexed_pick(&mut self, enabled: &[MachineId], step: usize) -> Option<MachineId> {
+        match &mut self.index {
+            Some(_) if enabled.len() < PCT_INDEX_BELOW => {
+                #[cfg(test)]
+                tally(|t| t.narrowed += 1);
+                self.index = None;
+                return None;
+            }
+            Some(index) => index.refresh(enabled, &mut self.priorities, &mut self.rng),
+            None => {
+                let index = PriorityIndex::build(enabled, &mut self.priorities, &mut self.rng);
+                self.index = Some(index);
+            }
+        }
+        let index = self.index.as_mut().expect("built or refreshed above");
+        while self.next_change < self.change_steps.len()
+            && step >= self.change_steps[self.next_change]
+        {
+            self.next_change += 1;
+            let top = index.top(enabled, &self.priorities);
+            index.remove(top, self.priorities[top.index()]);
+            index.insert(top, self.next_low_priority);
+            self.priorities[top.index()] = self.next_low_priority;
+            self.next_low_priority += 1;
+        }
+        Some(index.top(enabled, &self.priorities))
     }
 }
 
@@ -572,11 +824,22 @@ impl Scheduler for PctScheduler {
 
     fn next_machine(&mut self, enabled: &[MachineId], step: usize) -> MachineId {
         if step >= self.fair_after {
-            // Fair tail: see the type-level documentation.
+            // Fair tail: see the type-level documentation. Priorities no
+            // longer choose, so the index goes.
+            if self.index.is_some() {
+                #[cfg(test)]
+                tally(|t| t.retired += 1);
+                self.index = None;
+            }
             return enabled[self.rng.next_below(enabled.len())];
         }
         let highest = enabled[enabled.len() - 1];
         cover(&mut self.priorities, highest.index(), Self::UNASSIGNED);
+        if self.index.is_some() || enabled.len() > PCT_INDEX_ABOVE {
+            if let Some(top) = self.indexed_pick(enabled, step) {
+                return top;
+            }
+        }
         // At a change point, deprioritize the currently highest enabled
         // machine. Every change point due at this step is consumed *now*:
         // duplicate or clustered change points fire together (each demoting
@@ -602,7 +865,21 @@ impl Scheduler for PctScheduler {
     }
 
     fn next_fault(&mut self, candidates: &[Fault], _step: usize) -> Option<Fault> {
-        self.fault_gate.pick(candidates)
+        let fault = self.fault_gate.pick(candidates);
+        if fault.is_some() {
+            // The fault's hook may have sent to any machine, and no footprint
+            // says which: the next wide pick builds the index anew.
+            #[cfg(test)]
+            tally(|t| t.faulted += u64::from(self.index.is_some()));
+            self.index = None;
+        }
+        fault
+    }
+
+    fn note_footprint(&mut self, footprint: &StepFootprint) {
+        if let Some(index) = &mut self.index {
+            index.note(footprint);
+        }
     }
 
     fn unfair_prefix_len(&self) -> Option<usize> {
@@ -3082,45 +3359,61 @@ mod tests {
         assert!(s.clocks.row(slot).iter().all(|&c| c == 0));
     }
 
+    /// One generated execution for [`drive_side_by_side`]: the script seed,
+    /// the enabled width it starts at and its number of steps. A `tide`
+    /// script ebbs, every step disabling its machine and no send enabling
+    /// one, until fewer than 8 machines are enabled, then floods, every step
+    /// sending to four machines, until more than 100 are, and so on.
+    #[derive(Debug, Clone, Copy)]
+    struct Shape {
+        script: u64,
+        width: usize,
+        steps: usize,
+        tide: bool,
+    }
+
     /// Drives `production` and `model` side by side through one generated
     /// execution and requires the same answer to every query. The script
-    /// (derived from `script_seed` alone) starts with `width` enabled
-    /// machines on ids with gaps, mixes local, sending and global-effect
-    /// steps, probes for a fault before every pick, creates machines above
-    /// every id seen so far, and now and then steps another machine than the
-    /// pick (as the runtime does when it corrects one).
+    /// (derived from `shape.script` alone) starts with `shape.width` enabled
+    /// machines on ids with gaps, between idle ones, mixes local, sending and
+    /// global-effect steps, probes for a fault before every pick, creates
+    /// machines above every id seen so far, and now and then steps another
+    /// machine than the pick (as the runtime does when it corrects one).
     ///
     /// The enabled set changes only the way a runtime changes it, which is
     /// the contract of [`Scheduler::note_footprint`]: a machine that stepped
     /// may go disabled, a send target and a created machine become enabled,
-    /// and a fired fault crashes the lowest enabled machine. Returns how many
-    /// faults fired.
+    /// and a fired fault crashes the lowest enabled machine while its hook
+    /// sends to, and so enables, another. Returns how many faults fired.
     fn drive_side_by_side(
         production: &mut dyn Scheduler,
         model: &mut dyn Scheduler,
-        script_seed: u64,
-        width: usize,
-        steps: usize,
+        shape: Shape,
     ) -> u64 {
-        let mut script = SplitMix64::new(script_seed);
+        let mut script = SplitMix64::new(shape.script);
         let mut next_raw = 0;
         let mut fresh_id = |script: &mut SplitMix64| {
             next_raw += 1 + script.next_below(3) as u64;
             MachineId::from_raw(next_raw)
         };
-        let mut known: Vec<MachineId> = (0..width).map(|_| fresh_id(&mut script)).collect();
-        let mut enabled = known.clone();
+        // Every fourth machine starts with nothing to do, so the first send
+        // to it enables a machine no pick has seen.
+        let (mut known, mut enabled) = (Vec::new(), Vec::new());
+        while enabled.len() < shape.width {
+            known.push(fresh_id(&mut script));
+            if known.len() % 4 != 0 {
+                enabled.push(known[known.len() - 1]);
+            }
+        }
         let enable = |enabled: &mut Vec<MachineId>, id: MachineId| {
             if let Err(at) = enabled.binary_search(&id) {
                 enabled.insert(at, id);
             }
         };
         let mut faults = 0;
-        for step in 0..steps {
-            let context = format!(
-                "{} script {script_seed} width {width} step {step}",
-                production.name()
-            );
+        let mut ebbing = true;
+        for step in 0..shape.steps {
+            let context = format!("{} {shape:?} step {step}", production.name());
             let candidates = [Fault::Crash(enabled[0])];
             let fault = production.next_fault(&candidates, step);
             assert_eq!(fault, model.next_fault(&candidates, step), "{context}");
@@ -3129,6 +3422,7 @@ mod tests {
                 if enabled.len() > 1 {
                     enabled.remove(0);
                 }
+                enable(&mut enabled, known[script.next_below(known.len())]);
             }
 
             let pick = production.next_machine(&enabled, step);
@@ -3147,15 +3441,37 @@ mod tests {
                     footprint.sends.push(known[script.next_below(known.len())]);
                 }
             }
+            let mut created = None;
             match kind {
                 8 => footprint.notified_monitor = true,
                 9 if script.next_bool() => footprint.made_choice = true,
-                9 => footprint.created_machine = true,
+                9 => {
+                    footprint.created_machine = true;
+                    let id = fresh_id(&mut script);
+                    known.push(id);
+                    created = Some(id);
+                    if script.next_bool() {
+                        // A creator often sends to the machine it created.
+                        footprint.sends.insert(0, id);
+                    }
+                }
                 _ => {}
             }
             if script.next_below(16) == 0 {
                 // Now and then a send re-enables any machine seen so far.
                 footprint.sends.push(known[script.next_below(known.len())]);
+            }
+            if shape.tide {
+                if ebbing && enabled.len() < 8 {
+                    ebbing = false;
+                } else if !ebbing && enabled.len() > 100 {
+                    ebbing = true;
+                }
+                if !ebbing {
+                    for _ in 0..4 {
+                        footprint.sends.push(known[script.next_below(known.len())]);
+                    }
+                }
             }
             if footprint.made_choice {
                 assert_eq!(production.next_int(7), model.next_int(7), "{context}");
@@ -3176,16 +3492,20 @@ mod tests {
                 "{context}"
             );
 
-            if enabled.len() > 1 && script.next_below(3) == 0 {
+            let leaves = match shape.tide {
+                true => ebbing,
+                false => script.next_below(3) == 0,
+            };
+            if enabled.len() > 1 && leaves {
                 let at = enabled.binary_search(&stepped).expect("it ran");
                 enabled.remove(at);
             }
-            for &target in &footprint.sends {
-                enable(&mut enabled, target);
+            if !(shape.tide && ebbing) {
+                for &target in &footprint.sends {
+                    enable(&mut enabled, target);
+                }
             }
-            if footprint.created_machine {
-                let created = fresh_id(&mut script);
-                known.push(created);
+            if let Some(created) = created {
                 enable(&mut enabled, created);
             }
         }
@@ -3193,27 +3513,35 @@ mod tests {
     }
 
     /// Widths around every bound the strategies have (one machine, the
-    /// 24-slot clock window) up to 2,048, with fewer steps where the list
-    /// model is slow.
-    fn side_by_side_shapes() -> impl Iterator<Item = (u64, usize, usize)> {
-        [1, 2, 3, 5, 17, 24, 25, 64, 300, 2_048]
+    /// 24-slot clock window, PCT's index gates) up to 2,048, with fewer steps
+    /// where the list model is slow, and tides that cross PCT's gates both
+    /// ways.
+    fn side_by_side_shapes() -> impl Iterator<Item = Shape> {
+        let widths = [1, 2, 3, 5, 17, 24, 25, 64, 300, 2_048].map(|width| (width, false));
+        widths
             .into_iter()
-            .flat_map(|width| {
-                let steps = if width > 64 { 150 } else { 400 };
-                (0..3).map(move |script| (script * 1_000 + width as u64, width, steps))
+            .chain([(150, true)])
+            .flat_map(|(width, tide)| {
+                let steps = if width > 64 && !tide { 150 } else { 400 };
+                (0..3).map(move |script| Shape {
+                    script: script * 1_000 + width as u64,
+                    width,
+                    steps,
+                    tide,
+                })
             })
     }
 
     #[test]
     fn sleep_set_picks_match_the_list_model() {
         let (mut faults, mut pruned) = (0, 0);
-        for (script, width, steps) in side_by_side_shapes() {
+        for shape in side_by_side_shapes() {
             for wake_after_skips in [1, 3, 8] {
-                let seed = script ^ 0x5eed;
+                let seed = shape.script ^ 0x5eed;
                 let mut production = SleepSetScheduler::new(seed);
                 production.sleep_set = SleepSet::new(wake_after_skips);
                 let mut model = reference::SleepSetModel::new(seed, wake_after_skips);
-                faults += drive_side_by_side(&mut production, &mut model, script, width, steps);
+                faults += drive_side_by_side(&mut production, &mut model, shape);
                 pruned += production.pruned_equivalents();
             }
         }
@@ -3223,11 +3551,11 @@ mod tests {
     #[test]
     fn dpor_picks_match_the_list_model() {
         let (mut faults, mut pruned, mut races, mut backtracks) = (0, 0, 0, 0);
-        for (script, width, steps) in side_by_side_shapes() {
-            let seed = script ^ 0xd90f;
+        for shape in side_by_side_shapes() {
+            let seed = shape.script ^ 0xd90f;
             let mut production = DporScheduler::new(seed, 1_000);
             let mut model = reference::DporModel::new(seed);
-            faults += drive_side_by_side(&mut production, &mut model, script, width, steps);
+            faults += drive_side_by_side(&mut production, &mut model, shape);
             pruned += production.pruned_equivalents();
             races += production.races_detected();
             backtracks += production.backtracks_scheduled();
@@ -3238,40 +3566,109 @@ mod tests {
         );
     }
 
+    fn pct_tally() -> PctTally {
+        PCT_TALLY.with(std::cell::Cell::get)
+    }
+
     #[test]
     fn pct_picks_match_the_hash_map_model() {
-        for (script, width, steps) in side_by_side_shapes() {
+        let (mut faulted, mut retired) = (0, 0);
+        for shape in side_by_side_shapes() {
             for change_points in [2, 5, 10] {
-                let seed = script ^ 0x9c7;
+                let seed = shape.script ^ 0x9c7;
                 // The last quarter of the script runs in the fair tail.
-                let max_steps = steps * 3 / 2;
+                let max_steps = shape.steps * 3 / 2;
                 let mut production = PctScheduler::new(seed, change_points, max_steps);
                 let mut model = reference::PctModel::new(seed, change_points, max_steps);
-                drive_side_by_side(&mut production, &mut model, script, width, steps);
+                let before = pct_tally();
+                drive_side_by_side(&mut production, &mut model, shape);
+                let after = pct_tally();
+                faulted += after.faulted - before.faulted;
+                retired += after.retired - before.retired;
+                // A tide drops the index below the lower gate and builds it
+                // again above the upper one.
+                let (narrowed, builds) = (
+                    after.narrowed - before.narrowed,
+                    after.builds - before.builds,
+                );
+                assert!(
+                    !shape.tide || (narrowed >= 1 && builds >= 2),
+                    "{shape:?} cp {change_points}: {narrowed} narrowed, {builds} builds"
+                );
             }
         }
+        assert!(
+            faulted > 0 && retired > 0,
+            "a fault fires and the fair tail begins while the index is in use"
+        );
+    }
+
+    #[test]
+    fn a_wide_pct_drain_reads_each_machine_a_bounded_number_of_times() {
+        // A start-up drain: every machine starts enabled, every picked
+        // machine goes idle, and one step in 16 sends to an idle machine,
+        // which becomes enabled again. A scan per pick reads about w²/2
+        // entries in all; the index reads each machine a few times.
+        const WIDTH: usize = 1_024;
+        let mut enabled: Vec<MachineId> = (0..WIDTH as u64).map(MachineId::from_raw).collect();
+        let mut idle = Vec::new();
+        let mut script = SplitMix64::new(16);
+        // Both change points land within the drain's ~1,100 steps.
+        let max_steps = 2_200;
+        let mut production = PctScheduler::new(7, 2, max_steps);
+        let mut model = reference::PctModel::new(7, 2, max_steps);
+        let before = pct_tally();
+        let mut step = 0;
+        while !enabled.is_empty() {
+            let pick = production.next_machine(&enabled, step);
+            assert_eq!(pick, model.next_machine(&enabled, step), "step {step}");
+            let mut footprint = StepFootprint::new(pick);
+            if step % 16 == 15 {
+                footprint
+                    .sends
+                    .push(idle.swap_remove(script.next_below(idle.len())));
+            }
+            production.note_footprint(&footprint);
+            enabled.retain(|&id| id != pick);
+            idle.push(pick);
+            for &target in &footprint.sends {
+                let at = enabled.binary_search(&target).expect_err("it was idle");
+                enabled.insert(at, target);
+            }
+            step += 1;
+        }
+        assert!(step < max_steps / 2, "the drain ends before the fair tail");
+        assert_eq!(production.next_change, 2, "both change points fired");
+        let reads = pct_tally().reads - before.reads;
+        assert!(
+            reads <= 32 * WIDTH as u64,
+            "{reads} enabled entries read over a {step}-step drain of {WIDTH} machines"
+        );
     }
 
     #[test]
     fn pct_equal_priorities_run_the_higher_id() {
-        let enabled = ids(&[0, 1]);
-        // On the one-pass pick and on the change-point path alike.
-        for change_steps in [vec![], vec![0]] {
-            let mut production = PctScheduler::new(1, 0, 100);
-            production.priorities = vec![1_500_000, 1_500_000];
-            production.change_steps = change_steps.clone();
-            let mut model = reference::PctModel::new(1, 0, 100);
-            model.priorities = enabled.iter().map(|&id| (id, 1_500_000)).collect();
-            model.change_steps = change_steps.clone();
-            let expected = if change_steps.is_empty() { 1 } else { 0 };
-            let pick = production.next_machine(&enabled, 0);
-            assert_eq!(pick, model.next_machine(&enabled, 0));
-            assert_eq!(
-                pick,
-                MachineId::from_raw(expected),
-                "of two equal priorities the higher id is the top one \
-                 (run, or demoted at a change point)"
-            );
+        // On the scan and on the index, on the one-pass pick and on the
+        // change-point path alike.
+        for width in [2, PCT_INDEX_ABOVE + 1] {
+            let enabled: Vec<MachineId> = (0..width as u64).map(MachineId::from_raw).collect();
+            for change_steps in [vec![], vec![0]] {
+                let mut production = PctScheduler::new(1, 0, 100);
+                production.priorities = vec![1_500_000; width];
+                production.change_steps = change_steps.clone();
+                let mut model = reference::PctModel::new(1, 0, 100);
+                model.priorities = enabled.iter().map(|&id| (id, 1_500_000)).collect();
+                model.change_steps = change_steps.clone();
+                let expected = width as u64 - if change_steps.is_empty() { 1 } else { 2 };
+                let pick = production.next_machine(&enabled, 0);
+                assert_eq!(pick, model.next_machine(&enabled, 0));
+                assert_eq!(
+                    pick,
+                    MachineId::from_raw(expected),
+                    "of two equal priorities the higher id is the top one \
+                     (run, or demoted at a change point)"
+                );
+            }
         }
     }
 }

@@ -9,13 +9,15 @@
 //! sleeper or per enabled machine makes sleep-set and DPOR picks cost *w²*
 //! there.
 //!
-//! Sleep-set and DPOR promise more: a pick reads only the enabled sleepers
-//! (a handful here, since each wakes after a few pass-overs), plus binary
-//! searches into `enabled`. In release builds they must stay within
-//! [`SLEEPER_MAX_RATIO`] from width 128 to 2,048, far below the linear 16×.
-//! Debug builds check the enabled sleepers against a scan of `enabled` at
-//! every pick, which is O(*w*) by design, so there they are held to the
-//! linear bound like the rest. Run the release check with
+//! Sleep-set, DPOR and PCT promise more: a sleep-set or DPOR pick reads only
+//! the enabled sleepers (a handful here, since each wakes after a few
+//! pass-overs), a PCT pick above width 64 reads the top of its priority
+//! index, and all three add binary searches into `enabled`. In release
+//! builds they must stay within [`SLEEPER_MAX_RATIO`] from width 128 to
+//! 2,048, far below the linear 16×. Debug builds check the enabled sleepers
+//! and the index top against a scan of `enabled` at every pick, which is
+//! O(*w*) by design, so there they are held to the linear bound like the
+//! rest. Run the release check with
 //! `cargo test --release -q -p psharp --test pick_scaling`.
 
 use std::time::{Duration, Instant};
@@ -25,13 +27,15 @@ use psharp::prelude::*;
 /// Picks timed per repetition.
 const PICKS: usize = 512;
 const REPETITIONS: usize = 5;
-/// Widest allowed growth of the sleep-set and DPOR picks from `NARROW` to
-/// `WIDE` in a release build: a logarithmic factor and cache effects, with
+/// Widest allowed growth of the sleep-set, DPOR and PCT picks from `NARROW`
+/// to `WIDE` in a release build: a logarithmic factor and cache effects, with
 /// room for timer noise.
 const SLEEPER_MAX_RATIO: f64 = 4.0;
 
 /// The time of `PICKS` picks + footprints at `width`: the quickest of
-/// `REPETITIONS` runs, each on a scheduler of its own.
+/// `REPETITIONS` runs, each on a scheduler of its own. Each run's first pick
+/// is taken before the clock starts: PCT draws every machine's priority
+/// there, once per execution, which is not the per-pick cost this measures.
 fn time_picks(kind: SchedulerKind, width: usize) -> Duration {
     let ids: Vec<MachineId> = (0..2 * width as u64).map(MachineId::from_raw).collect();
     let (idle, enabled) = ids.split_at(width);
@@ -43,8 +47,10 @@ fn time_picks(kind: SchedulerKind, width: usize) -> Duration {
             for &machine in idle {
                 scheduler.note_footprint(&StepFootprint::new(machine));
             }
+            let first = scheduler.next_machine(enabled, 0);
+            scheduler.note_footprint(&StepFootprint::new(first));
             let start = Instant::now();
-            for step in 0..PICKS {
+            for step in 1..=PICKS {
                 let pick = scheduler.next_machine(enabled, step);
                 assert!(
                     enabled.binary_search(&pick).is_ok(),
@@ -76,8 +82,11 @@ fn pick_cost_grows_at_most_linearly_with_the_enabled_width() {
         SchedulerKind::Dpor,
     ];
     for kind in kinds {
-        let reads_only_sleepers = matches!(kind, SchedulerKind::SleepSet | SchedulerKind::Dpor);
-        let bound = if reads_only_sleepers && !cfg!(debug_assertions) {
+        let reads_no_scan = matches!(
+            kind,
+            SchedulerKind::SleepSet | SchedulerKind::Dpor | SchedulerKind::Pct { .. }
+        );
+        let bound = if reads_no_scan && !cfg!(debug_assertions) {
             SLEEPER_MAX_RATIO
         } else {
             MAX_RATIO
