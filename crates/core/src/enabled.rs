@@ -25,15 +25,18 @@
 //!   edit made the mass machine-startup drain of a 10⁴-machine harness
 //!   quadratic in practice, where the `memmove` the `Vec` edit itself
 //!   performs is vectorized and far cheaper.)
-//! * All storage is retained across [`EnabledSet::clear`] /
-//!   [`EnabledSet::rebuild`], so pooled runtimes
+//! * All storage is retained across [`EnabledSet::clear`] and a restore's
+//!   re-derivation, so pooled runtimes
 //!   ([`Runtime::reset`](crate::runtime::Runtime::reset)) and snapshot forks
 //!   ([`Runtime::restore_from`](crate::runtime::Runtime::restore_from)) keep
 //!   the index without reallocating.
 //!
 //! Mutations keep the list sorted with a binary search plus `Vec`
 //! insert/remove; the common creation-order append and the steady-state
-//! "highest active id finishes first" cases hit O(1) fast paths.
+//! "highest active id finishes first" cases hit O(1) fast paths. A snapshot
+//! restore, which may flip every dirty machine at once, goes through
+//! `EnabledSet::resync`: one pass over the bitmap instead of one mid-list
+//! edit per machine.
 
 use crate::machine::MachineId;
 
@@ -48,6 +51,25 @@ pub struct EnabledSet {
     /// Dense id → membership bitmap. Indexed by raw machine id; grown on
     /// demand and retained across clears.
     member: Vec<bool>,
+}
+
+#[cfg(test)]
+thread_local! {
+    /// List entries written or shifted on this thread: the tail a
+    /// `Vec::insert` / `Vec::remove` moves, every push, and every entry a
+    /// resync pass writes. The exact gate on what a restore costs the list.
+    static ENTRY_WRITES: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
+
+#[cfg(test)]
+fn count_writes(entries: usize) {
+    ENTRY_WRITES.set(ENTRY_WRITES.get() + entries as u64);
+}
+
+/// List entries written or shifted on this thread so far.
+#[cfg(test)]
+pub(crate) fn entry_writes() -> u64 {
+    ENTRY_WRITES.get()
 }
 
 impl EnabledSet {
@@ -97,9 +119,15 @@ impl EnabledSet {
         match self.list.last() {
             Some(&last) if last > id => {
                 let at = self.list.partition_point(|&m| m < id);
+                #[cfg(test)]
+                count_writes(self.list.len() - at + 1);
                 self.list.insert(at, id);
             }
-            _ => self.list.push(id),
+            _ => {
+                #[cfg(test)]
+                count_writes(1);
+                self.list.push(id);
+            }
         }
     }
 
@@ -117,32 +145,49 @@ impl EnabledSet {
         }
         let at = self.list.partition_point(|&m| m < id);
         debug_assert_eq!(self.list.get(at), Some(&id), "bitmap/list divergence");
+        #[cfg(test)]
+        count_writes(self.list.len() - at - 1);
         self.list.remove(at);
+    }
+
+    /// Sets each `(id, enabled)` membership of `updates` and, when any
+    /// changed, re-derives the list from the bitmap in one ascending pass up
+    /// to the highest enabled id. O(updates + highest enabled id), where one
+    /// `insert` / `remove` per id would shift the list's tail for every id
+    /// that moved. The snapshot restores' path: the incremental one re-syncs
+    /// its dirty machines, the full one every machine after a
+    /// [`clear`](EnabledSet::clear).
+    pub(crate) fn resync(&mut self, updates: impl IntoIterator<Item = (MachineId, bool)>) {
+        let mut changed = false;
+        let mut end = self.list.last().map_or(0, |last| last.raw() as usize + 1);
+        for (id, enabled) in updates {
+            let index = id.raw() as usize;
+            if self.member.len() <= index {
+                self.member.resize(index + 1, false);
+            }
+            if self.member[index] != enabled {
+                self.member[index] = enabled;
+                changed = true;
+                if enabled {
+                    end = end.max(index + 1);
+                }
+            }
+        }
+        if !changed {
+            return;
+        }
+        self.list.clear();
+        let present = self.member[..end].iter().enumerate().filter(|&(_, &on)| on);
+        self.list
+            .extend(present.map(|(index, _)| MachineId::from_raw(index as u64)));
+        #[cfg(test)]
+        count_writes(self.list.len());
     }
 
     /// Empties the set in O(enabled), retaining all storage.
     pub fn clear(&mut self) {
         for id in self.list.drain(..) {
             self.member[id.raw() as usize] = false;
-        }
-    }
-
-    /// Rebuilds the set from an iterator of enabled ids **in ascending
-    /// order** (the snapshot-restore path, which reconstructs all slots
-    /// anyway). Retains storage; `total` is the machine count the
-    /// membership bitmap must cover.
-    pub fn rebuild(&mut self, total: usize, ids: impl Iterator<Item = MachineId>) {
-        self.clear();
-        if self.member.len() < total {
-            self.member.resize(total, false);
-        }
-        for id in ids {
-            debug_assert!(
-                self.list.last().is_none_or(|&last| last < id),
-                "rebuild input must be ascending"
-            );
-            self.member[id.raw() as usize] = true;
-            self.list.push(id);
         }
     }
 }
@@ -210,11 +255,47 @@ mod tests {
         set.clear();
         assert!(set.is_empty());
         assert!(!set.contains(id(3)));
-        set.rebuild(8, [1, 5, 6].into_iter().map(id));
+        set.resync((0..8).map(|raw| (id(raw), [1, 5, 6].contains(&raw))));
         assert_eq!(ids(&set), vec![1, 5, 6]);
         assert!(set.contains(id(5)));
         assert!(!set.contains(id(0)));
         assert!(!set.contains(id(7)));
+    }
+
+    #[test]
+    fn resync_matches_one_edit_per_id() {
+        let mut state = 0x2545f4914f6cdd1du64;
+        let mut next = move |bound: u64| {
+            state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
+            (state >> 33) % bound
+        };
+        for round in 0..400 {
+            let (mut bulk, mut edits) = (EnabledSet::new(), EnabledSet::new());
+            for raw in 0..64 {
+                if next(2) == 0 {
+                    bulk.insert(id(raw));
+                    edits.insert(id(raw));
+                }
+            }
+            // Distinct ids in shuffled order, some past the bitmap's end.
+            let mut touched: Vec<u64> = (0..80).filter(|_| next(3) > 0).collect();
+            for at in (1..touched.len()).rev() {
+                touched.swap(at, next(at as u64 + 1) as usize);
+            }
+            let updates: Vec<(MachineId, bool)> =
+                touched.iter().map(|&raw| (id(raw), next(2) == 0)).collect();
+            for &(machine, enabled) in &updates {
+                match enabled {
+                    true => edits.insert(machine),
+                    false => edits.remove(machine),
+                }
+            }
+            bulk.resync(updates);
+            assert_eq!(ids(&bulk), ids(&edits), "round {round}");
+            for raw in 0..90 {
+                assert_eq!(bulk.contains(id(raw)), edits.contains(id(raw)));
+            }
+        }
     }
 
     #[test]

@@ -111,13 +111,6 @@ impl LazyMailbox {
         LazyMailbox { inner: None }
     }
 
-    /// Wraps an already materialized mailbox (the snapshot-restore path).
-    pub fn materialized(mailbox: Mailbox) -> Self {
-        LazyMailbox {
-            inner: Some(mailbox),
-        }
-    }
-
     /// Binds a queue if none is bound yet — recycled from `pool` when
     /// possible — and returns it for enqueuing.
     pub fn materialize_from<'a>(&'a mut self, pool: &mut Vec<Mailbox>) -> &'a mut Mailbox {

@@ -144,38 +144,44 @@ impl Default for RuntimeConfig {
 
 /// How a slot holds its machine state.
 ///
-/// Slots start out owning their machine. Taking a snapshot moves every
-/// machine behind an [`Arc`] shared with the snapshot (`Shared`), so an
+/// Slots start out owning their machine. Taking a snapshot captures every
+/// machine behind an [`Arc`] that the slot keeps as its
+/// [`origin`](MachineSlot::origin) and marks the slot `Shared`, so an
 /// untouched machine costs a restore nothing and the *next* snapshot a
 /// pointer bump. The first mutation — a step, a fault hook — breaks the
-/// sharing off into a fresh `Owned` box (copy-on-write), recycled from the
-/// machine pool when possible.
+/// sharing off (copy-on-write): the origin's state is copied into the slot's
+/// own [`spare`](MachineSlot::spare) box, which becomes `Owned`. A restore
+/// parks that box as the spare again. So a slot forked over and over
+/// reuses one box and one origin, and neither a refcount nor the machine
+/// pool is touched per fork.
 enum MachineCell {
     /// Transiently empty while the machine's handler or fault hook runs
     /// (the box is moved out so the handler can borrow the runtime).
     Absent,
     /// The slot owns its machine state and may mutate it in place.
     Owned(Box<dyn Machine>),
-    /// The slot aliases state captured by a [`RuntimeSnapshot`];
-    /// copy-on-write breaks the alias before any mutation.
-    Shared(Arc<dyn Machine>),
+    /// The slot's state is its `origin`, captured by a [`RuntimeSnapshot`];
+    /// copy-on-write breaks it off before any mutation.
+    Shared,
 }
 
-impl MachineCell {
-    /// Borrows the machine state for inspection, whichever way it is held.
-    fn as_dyn(&self) -> Option<&dyn Machine> {
-        match self {
-            MachineCell::Absent => None,
-            MachineCell::Owned(machine) => Some(&**machine),
-            MachineCell::Shared(shared) => Some(&**shared),
-        }
-    }
-}
-
-/// Retired machine boxes keyed by concrete type, recycled by
-/// `create_machine` and copy-on-write break-offs — the machine-state
-/// extension of the `mailbox_pool` pattern.
+/// Retired machine boxes keyed by concrete type — the machine-state
+/// extension of the `mailbox_pool` pattern. Only the slow paths use it:
+/// `create_machine` after a [`Runtime::reset`], and a break-off whose slot
+/// has no spare of the origin's concrete type (a slot first filled by a full
+/// restore, or reused for another machine type). A fork's restore and
+/// break-off use the slot's own spare box instead.
 type MachinePool = HashMap<std::any::TypeId, Vec<Box<dyn Machine>>>;
+
+#[cfg(test)]
+thread_local! {
+    /// Lookups into a [`MachinePool`] made on this thread: the exact gate
+    /// that a fork's restore and break-off never hash a type.
+    static POOL_LOOKUPS: Cell<u64> = const { Cell::new(0) };
+    /// Monitor temperatures read during liveness grace windows on this
+    /// thread (see [`Runtime::run`]).
+    static GRACE_READS: Cell<u64> = const { Cell::new(0) };
+}
 
 /// Dense dirty-slot index mirroring [`EnabledSet`]'s list + bitmap shape:
 /// `mark` is O(1) amortized, `clear` is O(dirty), and iteration visits only
@@ -230,6 +236,16 @@ struct SlotFlags {
 
 struct MachineSlot {
     machine: MachineCell,
+    /// The snapshot state this slot aliases while `Shared`; `None` until the
+    /// machine is first captured. Kept across a break-off, so a restore to
+    /// the same snapshot re-shares the slot without a refcount write. A
+    /// restore re-points it only when it aliases another snapshot's state,
+    /// as after a child snapshot.
+    origin: Option<Arc<dyn Machine>>,
+    /// The slot's own retired box while `Shared`: a break-off copies
+    /// `origin` into it, and a restore parks the owned box here again. A
+    /// slot holds at most one box, owned or spare.
+    spare: Option<Box<dyn Machine>>,
     /// Lazily materialized on first send; machines that never receive a
     /// message never bind a queue.
     mailbox: LazyMailbox,
@@ -237,6 +253,49 @@ struct MachineSlot {
 }
 
 impl MachineSlot {
+    /// Borrows the machine state for inspection, whichever way it is held.
+    fn machine(&self) -> Option<&dyn Machine> {
+        match &self.machine {
+            MachineCell::Absent => None,
+            MachineCell::Owned(machine) => Some(&**machine),
+            MachineCell::Shared => self.origin.as_deref(),
+        }
+    }
+
+    /// Makes the slot share `state`: an owned box is parked as the spare,
+    /// and `origin` is re-pointed only when it aliases something else.
+    fn share(&mut self, state: &Arc<dyn Machine>) {
+        if let MachineCell::Owned(live) = std::mem::replace(&mut self.machine, MachineCell::Shared)
+        {
+            debug_assert!(self.spare.is_none(), "a slot holds one box");
+            self.spare = Some(live);
+        }
+        if !self
+            .origin
+            .as_ref()
+            .is_some_and(|origin| Arc::ptr_eq(origin, state))
+        {
+            self.origin = Some(Arc::clone(state));
+        }
+    }
+
+    /// Rewinds the slot to its copy in a snapshot: the state re-shares the
+    /// captured one, the queue is copied, the flags are taken over.
+    fn rewind(&mut self, source: &SnapshotSlot, mailbox_pool: &mut Vec<Mailbox>) {
+        self.share(&source.machine);
+        match source.mailbox.as_ref() {
+            None => self.mailbox.release_into(mailbox_pool),
+            Some(queued) => {
+                let copied = queued.clone_into(self.mailbox.materialize_from(mailbox_pool));
+                debug_assert!(
+                    copied,
+                    "snapshotted mailboxes hold replicable events by construction"
+                );
+            }
+        }
+        self.flags = source.flags;
+    }
+
     fn is_enabled(&self) -> bool {
         let flags = &self.flags;
         !flags.halted && !flags.crashed && (!flags.started || !self.mailbox.is_empty())
@@ -343,8 +402,9 @@ pub struct Runtime {
     /// pops from here before allocating, so a pooled runtime re-creates its
     /// machines without re-growing their queues.
     mailbox_pool: Vec<Mailbox>,
-    /// Retired machine boxes recycled by `create_machine` and copy-on-write
-    /// break-offs; fed by reset, restore and snapshot's share conversion.
+    /// Retired machine boxes recycled by `create_machine` and by break-offs
+    /// that have no fitting spare; fed by the slots a reset or a restore
+    /// drops, and by spares of the wrong type.
     machine_pool: MachinePool,
     /// The id of the [`RuntimeSnapshot`] this runtime's dirty tracking is
     /// relative to: while `Some(id)`, every mutated machine slot is recorded
@@ -404,29 +464,60 @@ impl Runtime {
         }
     }
 
-    /// Retires a machine cell's box (if it owns one) into the pool for
-    /// recycling by `create_machine` and copy-on-write break-offs.
-    fn retire_machine(pool: &mut MachinePool, cell: MachineCell) {
-        if let MachineCell::Owned(machine) = cell {
-            let type_id = (*machine).as_any().type_id();
-            pool.entry(type_id).or_default().push(machine);
+    /// Retires a machine box into the pool for recycling by
+    /// `create_machine` and by break-offs without a fitting spare.
+    fn retire_machine(pool: &mut MachinePool, machine: Box<dyn Machine>) {
+        #[cfg(test)]
+        POOL_LOOKUPS.set(POOL_LOOKUPS.get() + 1);
+        let type_id = (*machine).as_any().type_id();
+        pool.entry(type_id).or_default().push(machine);
+    }
+
+    /// Retires a dropped slot: its queue goes back to the mailbox pool, and
+    /// its boxes, owned or spare, to the machine pool.
+    fn retire_slot(slot: MachineSlot, mailbox_pool: &mut Vec<Mailbox>, pool: &mut MachinePool) {
+        let MachineSlot {
+            machine,
+            spare,
+            mut mailbox,
+            ..
+        } = slot;
+        mailbox.release_into(mailbox_pool);
+        if let MachineCell::Owned(machine) = machine {
+            Self::retire_machine(pool, machine);
+        }
+        if let Some(spare) = spare {
+            Self::retire_machine(pool, spare);
         }
     }
 
-    /// Materializes an owned copy of shared machine state (the copy-on-write
-    /// break-off), recycling a retired box of the same concrete type when the
-    /// pool has one.
-    fn break_off(pool: &mut MachinePool, shared: &Arc<dyn Machine>) -> Box<dyn Machine> {
-        let source: &dyn Machine = &**shared;
-        if let Some(boxes) = pool.get_mut(&source.as_any().type_id()) {
+    /// Materializes an owned copy of a slot's shared `origin` (the
+    /// copy-on-write break-off) into the slot's `spare` box when it holds the
+    /// same concrete type. Otherwise the spare is retired, and a pooled box of
+    /// the origin's type is recycled when the pool has one.
+    fn break_off(
+        pool: &mut MachinePool,
+        origin: &dyn Machine,
+        spare: Option<Box<dyn Machine>>,
+    ) -> Box<dyn Machine> {
+        let type_id = origin.as_any().type_id();
+        if let Some(mut spare) = spare {
+            if (*spare).as_any().type_id() == type_id && origin.clone_state_into(&mut spare) {
+                return spare;
+            }
+            Self::retire_machine(pool, spare);
+        }
+        #[cfg(test)]
+        POOL_LOOKUPS.set(POOL_LOOKUPS.get() + 1);
+        if let Some(boxes) = pool.get_mut(&type_id) {
             if let Some(mut recycled) = boxes.pop() {
-                if source.clone_state_into(&mut recycled) {
+                if origin.clone_state_into(&mut recycled) {
                     return recycled;
                 }
                 boxes.push(recycled);
             }
         }
-        source
+        origin
             .clone_state()
             .expect("shared machine state stays clonable (it was cloned to build the snapshot)")
     }
@@ -460,9 +551,8 @@ impl Runtime {
             machine_pool,
             ..
         } = self;
-        for mut slot in slots.drain(..) {
-            slot.mailbox.release_into(mailbox_pool);
-            Self::retire_machine(machine_pool, slot.machine);
+        for slot in slots.drain(..) {
+            Self::retire_slot(slot, mailbox_pool, machine_pool);
         }
         self.monitors.clear();
         self.monitor_index.clear();
@@ -514,6 +604,8 @@ impl Runtime {
         let name = self.trace.intern(machine.name());
         // Recycle a retired box of the same concrete type when the pool has
         // one: the fresh machine moves into the old allocation in place.
+        #[cfg(test)]
+        POOL_LOOKUPS.set(POOL_LOOKUPS.get() + 1);
         let boxed: Box<dyn Machine> = match self
             .machine_pool
             .get_mut(&std::any::TypeId::of::<M>())
@@ -530,6 +622,8 @@ impl Runtime {
         };
         self.slots.push(MachineSlot {
             machine: MachineCell::Owned(boxed),
+            origin: None,
+            spare: None,
             // No queue until the first send: at mega-scale most machines
             // never receive a message, so binding a queue eagerly would
             // waste both the allocation and the recycled-pool inventory.
@@ -780,12 +874,18 @@ impl Runtime {
                     Some(mut pending) => {
                         // A monitor that cools — even once — met its
                         // obligation: its bound verdict was a backlog
-                        // artifact, not a stuck system.
-                        pending.pending.retain(|&(index, _)| {
-                            self.monitor_temperature(index) == Temperature::Hot
-                        });
-                        if pending.pending.is_empty() {
-                            return ExecutionOutcome::MaxStepsReached;
+                        // artifact, not a stuck system. A temperature
+                        // changes only inside `observe`, so only a step that
+                        // notified a monitor can have cooled one.
+                        if self.footprint.notified_monitor {
+                            pending.pending.retain(|&(index, _)| {
+                                #[cfg(test)]
+                                GRACE_READS.set(GRACE_READS.get() + 1);
+                                self.monitor_temperature(index) == Temperature::Hot
+                            });
+                            if pending.pending.is_empty() {
+                                return ExecutionOutcome::MaxStepsReached;
+                            }
                         }
                         if self.steps >= pending.deadline {
                             return ExecutionOutcome::BugFound(self.confirm_grace(pending));
@@ -941,9 +1041,13 @@ impl Runtime {
     /// Moves a machine's state out of its slot for a handler or fault hook,
     /// breaking copy-on-write sharing if the slot still aliases a snapshot.
     fn take_machine(&mut self, index: usize) -> Box<dyn Machine> {
-        match std::mem::replace(&mut self.slots[index].machine, MachineCell::Absent) {
+        let slot = &mut self.slots[index];
+        match std::mem::replace(&mut slot.machine, MachineCell::Absent) {
             MachineCell::Owned(machine) => machine,
-            MachineCell::Shared(shared) => Self::break_off(&mut self.machine_pool, &shared),
+            MachineCell::Shared => {
+                let origin = slot.origin.as_deref().expect("a shared slot has an origin");
+                Self::break_off(&mut self.machine_pool, origin, slot.spare.take())
+            }
             MachineCell::Absent => unreachable!("machine is present when scheduled"),
         }
     }
@@ -1321,7 +1425,7 @@ impl Runtime {
     /// concrete type.
     pub fn machine_ref<M: Machine>(&self, id: MachineId) -> Option<&M> {
         let slot = self.slots.get(id.raw() as usize)?;
-        slot.machine.as_dyn()?.as_any().downcast_ref::<M>()
+        slot.machine()?.as_any().downcast_ref::<M>()
     }
 
     /// The replay divergence error, when this runtime was driven by a
@@ -1437,32 +1541,24 @@ impl Runtime {
             return None;
         }
         let mut slots = Vec::with_capacity(self.slots.len());
-        for index in 0..self.slots.len() {
-            let cell = std::mem::replace(&mut self.slots[index].machine, MachineCell::Absent);
-            let machine: Arc<dyn Machine> = match cell {
+        for slot in &mut self.slots {
+            let machine: Arc<dyn Machine> = match &slot.machine {
                 // Already aliasing an earlier snapshot: the state is immutable
                 // while shared, so capturing it is a pointer bump.
-                MachineCell::Shared(shared) => {
-                    self.slots[index].machine = MachineCell::Shared(Arc::clone(&shared));
-                    shared
+                MachineCell::Shared => {
+                    Arc::clone(slot.origin.as_ref().expect("a shared slot has an origin"))
                 }
                 MachineCell::Owned(live) => {
-                    let Some(copy) = live.clone_state() else {
-                        // Put the box back before failing: the runtime must
-                        // stay runnable after a refused snapshot.
-                        self.slots[index].machine = MachineCell::Owned(live);
-                        return None;
-                    };
-                    let captured: Arc<dyn Machine> = Arc::from(copy);
+                    // A refused copy leaves the slot owned: the runtime must
+                    // stay runnable after a refused snapshot.
+                    let captured: Arc<dyn Machine> = Arc::from(live.clone_state()?);
                     // The live slot shares the captured state from here on;
-                    // the owned box it held feeds the machine pool.
-                    self.slots[index].machine = MachineCell::Shared(Arc::clone(&captured));
-                    Self::retire_machine(&mut self.machine_pool, MachineCell::Owned(live));
+                    // the box it owned becomes its spare.
+                    slot.share(&captured);
                     captured
                 }
                 MachineCell::Absent => return None,
             };
-            let slot = &self.slots[index];
             // Vacant lazy slots snapshot as vacant: the fork re-creates the
             // machine queueless, exactly as the original was.
             let mailbox = match slot.mailbox.as_ref() {
@@ -1531,7 +1627,11 @@ impl Runtime {
     /// machines, mailboxes and monitors actually touched since the fork
     /// point are re-synced, O(dirty) instead of O(machines). Every other
     /// slot still aliases the snapshot's state byte-for-byte and is skipped.
-    /// The result is observably identical to [`Runtime::restore_from_full`].
+    /// A dirty slot costs its queue copy and little else: its owned box is
+    /// parked as the slot's spare for the next break-off, its origin already
+    /// is the snapshot's state (no refcount write), and the enabled index
+    /// takes all dirty slots in one pass. The result is observably identical
+    /// to [`Runtime::restore_from_full`].
     pub fn restore_from(&mut self, snapshot: &RuntimeSnapshot) {
         let incremental = self.cow_origin == Some(snapshot.id)
             && self.slots.len() >= snapshot.slots.len()
@@ -1545,7 +1645,9 @@ impl Runtime {
 
     /// O(dirty) restore: `self.cow_origin == snapshot.id`, so every slot not
     /// in the dirty set (and every un-notified monitor) is already in the
-    /// snapshot's state and is left untouched.
+    /// snapshot's state and is left untouched. A dirty slot is rewound in
+    /// place (see [`Runtime::restore_from`] for what that costs), and the
+    /// enabled index re-syncs all of them in one pass.
     fn restore_from_dirty(&mut self, snapshot: &RuntimeSnapshot) {
         let Runtime {
             slots,
@@ -1558,49 +1660,25 @@ impl Runtime {
         // Machines created after the snapshot sit past its slot range.
         while slots.len() > snapshot.slots.len() {
             let index = slots.len() - 1;
-            let mut slot = slots.pop().expect("length checked above");
-            slot.mailbox.release_into(mailbox_pool);
-            Self::retire_machine(machine_pool, slot.machine);
+            let slot = slots.pop().expect("length checked above");
+            Self::retire_slot(slot, mailbox_pool, machine_pool);
             enabled.remove(MachineId::from_raw(index as u64));
         }
+        // One pass over the dirty slots rewinds each and hands its
+        // enabledness to the index. Every enablement edge since the fork
+        // implies a dirty mark, so this (plus the truncation removals above)
+        // fully reconciles the index.
         let mut dirty_list = std::mem::take(&mut dirty.list);
-        for &raw in &dirty_list {
+        enabled.resync(dirty_list.iter().filter_map(|&raw| {
             let index = raw as usize;
             dirty.member[index] = false;
-            if index >= snapshot.slots.len() {
-                // Created after the snapshot; truncated above.
-                continue;
-            }
-            let source = &snapshot.slots[index];
-            let slot = &mut slots[index];
-            let previous = std::mem::replace(
-                &mut slot.machine,
-                MachineCell::Shared(Arc::clone(&source.machine)),
-            );
-            Self::retire_machine(machine_pool, previous);
-            match source.mailbox.as_ref() {
-                None => slot.mailbox.release_into(mailbox_pool),
-                Some(queued) => {
-                    let copied = queued.clone_into(slot.mailbox.materialize_from(mailbox_pool));
-                    debug_assert!(
-                        copied,
-                        "snapshotted mailboxes hold replicable events by construction"
-                    );
-                }
-            }
-            slot.flags = source.flags;
-            // Inline `sync_enabled`: every enablement edge since the fork
-            // implies a dirty mark, so re-syncing the dirty slots (plus the
-            // truncation removals above) fully reconciles the index.
-            let id = MachineId::from_raw(index as u64);
-            if slot.is_enabled() {
-                enabled.insert(id);
-            } else {
-                enabled.remove(id);
-            }
-        }
+            // A slot created after the snapshot was truncated above.
+            let slot = slots.get_mut(index)?;
+            slot.rewind(&snapshot.slots[index], mailbox_pool);
+            Some((MachineId::from_raw(u64::from(raw)), slot.is_enabled()))
+        }));
         dirty_list.clear();
-        self.dirty.list = dirty_list;
+        dirty.list = dirty_list;
         for index in 0..self.monitors.len() {
             if !self.monitor_dirty[index] {
                 continue;
@@ -1620,43 +1698,37 @@ impl Runtime {
         self.restore_scalars(snapshot);
     }
 
-    /// Full restore: rebuilds every slot from the snapshot, regardless of
+    /// Full restore: rewinds every slot to the snapshot, regardless of
     /// dirty state. This is the path for a snapshot this runtime is not
     /// tracking (a different fork point, a foreign runtime) and the oracle
     /// the `cow_snapshot` property test holds the incremental path against.
     /// Machine state is re-installed by `Arc` sharing — O(machines) pointer
-    /// bumps plus mailbox copies, never a deep clone per machine.
+    /// comparisons (a refcount write only for a slot that aliased other
+    /// state) plus mailbox copies, never a deep clone per machine. Slots are
+    /// rewound in place, so each keeps its box as the spare for its next
+    /// break-off.
     pub fn restore_from_full(&mut self, snapshot: &RuntimeSnapshot) {
-        {
-            let Runtime {
-                slots,
-                mailbox_pool,
-                machine_pool,
-                ..
-            } = self;
-            for mut slot in slots.drain(..) {
-                slot.mailbox.release_into(mailbox_pool);
-                Self::retire_machine(machine_pool, slot.machine);
-            }
+        let Runtime {
+            slots,
+            mailbox_pool,
+            machine_pool,
+            ..
+        } = self;
+        let kept = slots.len().min(snapshot.slots.len());
+        for slot in slots.drain(kept..) {
+            Self::retire_slot(slot, mailbox_pool, machine_pool);
         }
-        for slot in &snapshot.slots {
-            let mailbox = match slot.mailbox.as_ref() {
-                None => LazyMailbox::vacant(),
-                Some(source) => {
-                    let mut copy = self.mailbox_pool.pop().unwrap_or_default();
-                    let copied = source.clone_into(&mut copy);
-                    debug_assert!(
-                        copied,
-                        "snapshotted mailboxes hold replicable events by construction"
-                    );
-                    LazyMailbox::materialized(copy)
-                }
-            };
-            self.slots.push(MachineSlot {
-                machine: MachineCell::Shared(Arc::clone(&slot.machine)),
-                mailbox,
-                flags: slot.flags,
-            });
+        for (index, source) in snapshot.slots.iter().enumerate() {
+            if index == slots.len() {
+                slots.push(MachineSlot {
+                    machine: MachineCell::Absent,
+                    origin: None,
+                    spare: None,
+                    mailbox: LazyMailbox::vacant(),
+                    flags: source.flags,
+                });
+            }
+            slots[index].rewind(source, mailbox_pool);
         }
         self.monitors.clear();
         for (monitor, name) in &snapshot.monitors {
@@ -1670,16 +1742,15 @@ impl Runtime {
             });
         }
         self.monitor_index.clone_from(&snapshot.monitor_index);
-        // The restore rebuilt every slot anyway, so re-deriving the index
+        // The restore rewound every slot anyway, so re-deriving the index
         // here is free relative to the restore itself; all storage is
         // retained, so a warm fork does not allocate.
-        self.enabled.rebuild(
-            self.slots.len(),
+        self.enabled.clear();
+        self.enabled.resync(
             self.slots
                 .iter()
                 .enumerate()
-                .filter(|(_, slot)| slot.is_enabled())
-                .map(|(index, _)| MachineId::from_raw(index as u64)),
+                .map(|(index, slot)| (MachineId::from_raw(index as u64), slot.is_enabled())),
         );
         self.fault_targets.clone_from(&snapshot.fault_targets);
         // Every slot now aliases the snapshot: restart dirty tracking
@@ -1978,7 +2049,9 @@ impl<'r> Context<'r> {
 mod tests {
     use super::*;
     use crate::machine::Transition;
-    use crate::scheduler::{RandomScheduler, ReplayScheduler, RoundRobinScheduler, SchedulerKind};
+    use crate::scheduler::{
+        PctScheduler, RandomScheduler, ReplayScheduler, RoundRobinScheduler, SchedulerKind,
+    };
 
     fn runtime(seed: u64) -> Runtime {
         Runtime::new(
@@ -2299,6 +2372,126 @@ mod tests {
         rt.create_machine(PingThenPong);
         assert_eq!(rt.run(), ExecutionOutcome::Quiescent);
         assert!(rt.bug().is_none());
+    }
+
+    /// Runs one machine that heats [`HotUntilPong`] at its start and then
+    /// kicks itself forever, notifying the monitor with a `Ping` on every
+    /// kick when `pinging`, under PCT, whose unfair prefix earns a grace
+    /// window at the bound. Returns (steps past the bound, temperatures
+    /// read during grace).
+    fn hot_through_grace(pinging: bool) -> (usize, u64) {
+        struct Kicker {
+            pinging: bool,
+        }
+        impl Machine for Kicker {
+            fn on_start(&mut self, ctx: &mut Context<'_>) {
+                let me = ctx.id();
+                ctx.notify_monitor::<HotUntilPong>(Event::new(Ping(me)));
+                ctx.send_to_self(Event::new(Kick));
+            }
+            fn handle(&mut self, ctx: &mut Context<'_>, _event: Event) {
+                if self.pinging {
+                    let me = ctx.id();
+                    ctx.notify_monitor::<HotUntilPong>(Event::new(Ping(me)));
+                }
+                ctx.send_to_self(Event::new(Kick));
+            }
+        }
+        const BOUND: usize = 40;
+        let config = RuntimeConfig {
+            max_steps: BOUND,
+            ..RuntimeConfig::default()
+        };
+        let mut rt = Runtime::new(Box::new(PctScheduler::new(5, 2, BOUND)), config, 5);
+        rt.add_monitor(HotUntilPong { hot: false });
+        rt.create_machine(Kicker { pinging });
+        let reads = GRACE_READS.get();
+        let outcome = rt.run();
+        let ExecutionOutcome::BugFound(bug) = outcome else {
+            panic!("the monitor never cools: {outcome:?}");
+        };
+        assert_eq!(bug.kind, BugKind::LivenessViolation);
+        assert_eq!(bug.step, BOUND, "the verdict is the bound's");
+        (rt.steps() - BOUND, GRACE_READS.get() - reads)
+    }
+
+    #[test]
+    fn grace_steps_reread_temperatures_only_after_a_notification() {
+        let (grace_steps, reads) = hot_through_grace(false);
+        assert!(grace_steps > 0, "the run took a grace window");
+        assert_eq!(reads, 0, "no step notified the monitor, so none re-read it");
+        // Notified on every step: one read per grace step and pending monitor.
+        let (pinged_steps, reads) = hot_through_grace(true);
+        assert_eq!(
+            pinged_steps, grace_steps,
+            "the window does not depend on reads"
+        );
+        assert_eq!(reads, pinged_steps as u64);
+    }
+
+    #[test]
+    fn a_wide_fork_hashes_no_type_and_rewrites_enabled_once() {
+        /// Clonable, and mutated by its start step, so starting it breaks
+        /// the slot off its snapshot state.
+        #[derive(Clone)]
+        struct Starter {
+            starts: u32,
+        }
+        impl Machine for Starter {
+            fn on_start(&mut self, _ctx: &mut Context<'_>) {
+                self.starts += 1;
+            }
+            fn handle(&mut self, _ctx: &mut Context<'_>, _event: Event) {}
+            crate::impl_machine_snapshot!();
+        }
+        const WIDTH: usize = 1_024;
+        let mut rt = runtime(33);
+        for _ in 0..WIDTH {
+            rt.create_machine(Starter { starts: 0 });
+        }
+        let snapshot = rt.snapshot().expect("clonable machines snapshot");
+        let mut order: Vec<u64> = (0..WIDTH as u64).collect();
+        let mut state = 0x853c_49e6_748f_ea9bu64;
+        for cycle in 0..10 {
+            // Every machine starts, in a shuffled order, and leaves
+            // `enabled`: the start-up drain of a wide harness.
+            for at in (1..order.len()).rev() {
+                state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
+                order.swap(at, (state >> 33) as usize % (at + 1));
+            }
+            let lookups = POOL_LOOKUPS.get();
+            for &raw in &order {
+                assert!(rt.force_step(MachineId::from_raw(raw)));
+            }
+            assert!(rt.enabled_machines().is_empty(), "every machine started");
+            let dirty = rt.dirty_machine_count();
+            let writes = crate::enabled::entry_writes();
+            rt.restore_from(&snapshot);
+            let written = crate::enabled::entry_writes() - writes;
+            let width = rt.enabled_machines().len();
+            assert_eq!((dirty, width), (WIDTH, WIDTH));
+            assert!(
+                written <= 2 * (width + dirty) as u64,
+                "cycle {cycle}: the restore wrote {written} enabled entries"
+            );
+            if cycle > 0 {
+                assert_eq!(
+                    POOL_LOOKUPS.get() - lookups,
+                    0,
+                    "cycle {cycle}: a break-off or the restore looked up the pool"
+                );
+            }
+            assert_eq!(rt.enabled_machines(), rt.scan_enabled().as_slice());
+            let starts = |raw: u64| {
+                rt.machine_ref::<Starter>(MachineId::from_raw(raw))
+                    .unwrap()
+                    .starts
+            };
+            assert!(
+                (0..WIDTH as u64).all(|raw| starts(raw) == 0),
+                "cycle {cycle}"
+            );
+        }
     }
 
     #[test]

@@ -46,6 +46,21 @@ impl Machine for Node {
     psharp::impl_machine_snapshot!();
 }
 
+/// A second clonable machine type, so a slot can hold one type in one
+/// snapshot and another in the next.
+#[derive(Clone, PartialEq, Eq)]
+struct Sink {
+    absorbed: u32,
+}
+
+impl Machine for Sink {
+    fn handle(&mut self, _ctx: &mut Context<'_>, _event: Event) {
+        self.absorbed += 1;
+    }
+
+    psharp::impl_machine_snapshot!();
+}
+
 /// Notification published on every relay.
 #[derive(Debug, Clone)]
 struct Relayed;
@@ -155,6 +170,12 @@ fn assert_equivalent(cow: &Runtime, full: &Runtime, op: &str) {
         let full_node = full.machine_ref::<Node>(id);
         assert!(
             cow_node == full_node,
+            "machine state diverged for {id:?} after {op}"
+        );
+        let cow_sink = cow.machine_ref::<Sink>(id);
+        let full_sink = full.machine_ref::<Sink>(id);
+        assert!(
+            cow_sink == full_sink,
             "machine state diverged for {id:?} after {op}"
         );
     }
@@ -292,6 +313,168 @@ fn nested_snapshots_rewind_to_the_parent_identically() {
         cow.restore_from(&parent_cow);
         full.restore_from_full(&parent_full);
         assert_equivalent(&cow, &full, "parent rewind");
+    }
+}
+
+/// Applies the same operation to both runtimes.
+fn both(cow: &mut Runtime, full: &mut Runtime, op: impl Fn(&mut Runtime)) {
+    op(cow);
+    op(full);
+}
+
+fn relays_left(rt: &Runtime, raw: u64) -> u32 {
+    rt.machine_ref::<Node>(MachineId::from_raw(raw))
+        .expect("a node")
+        .relays_left
+}
+
+/// A child snapshot that captures state the parent does not have: a slot
+/// that broke off, changed and was captured again aliases the child's copy.
+/// Rewinding to the parent must point it back at the parent's.
+#[test]
+fn a_child_snapshot_of_changed_state_rewinds_to_the_parent() {
+    let (mut cow, mut full) = (new_runtime(5), new_runtime(5));
+    for _ in 0..4 {
+        both(&mut cow, &mut full, |rt| {
+            spawn_node(rt, 6);
+        });
+    }
+    let relay = MachineId::from_raw(1);
+    both(&mut cow, &mut full, |rt| {
+        rt.send(relay, Event::replicable(Work(0)));
+        rt.force_step(relay);
+    });
+    let parent_cow = cow.snapshot().expect("snapshotable");
+    let parent_full = full.snapshot().expect("snapshotable");
+    for round in 0..3 {
+        both(&mut cow, &mut full, |rt| {
+            rt.send(relay, Event::replicable(Work(round)));
+            rt.force_step(relay);
+        });
+        assert_eq!(
+            relays_left(&cow, 1),
+            5,
+            "the child sees a relay the parent does not"
+        );
+        let _child_cow = cow.snapshot().expect("snapshotable");
+        let _child_full = full.snapshot().expect("snapshotable");
+        cow.restore_from(&parent_cow);
+        full.restore_from_full(&parent_full);
+        assert_eq!(relays_left(&cow, 1), 6, "round {round}");
+        assert_equivalent(&cow, &full, "rewind past a changed child");
+    }
+}
+
+/// A restore that finds every slot dirty, touched in a shuffled order, and
+/// flips enabledness both ways.
+#[test]
+fn a_restore_with_every_slot_dirty_matches_the_full_rebuild() {
+    const NODES: u64 = 24;
+    let (mut cow, mut full) = (new_runtime(11), new_runtime(11));
+    for _ in 0..NODES {
+        both(&mut cow, &mut full, |rt| {
+            spawn_node(rt, 4);
+        });
+    }
+    // A mixed fork point: some machines started, some with mail, some both.
+    both(&mut cow, &mut full, |rt| {
+        for raw in 0..NODES {
+            let id = MachineId::from_raw(raw);
+            if raw % 2 == 0 {
+                rt.send(id, Event::replicable(Work(raw as u32)));
+            }
+            if raw % 3 == 0 {
+                rt.force_step(id);
+            }
+        }
+    });
+    let snap_cow = cow.snapshot().expect("snapshotable");
+    let snap_full = full.snapshot().expect("snapshotable");
+    let mut order: Vec<u64> = (0..NODES).collect();
+    let mut rng = Lcg(0x51ed_270b_27d3_8d45);
+    for round in 0..8 {
+        for at in (1..order.len()).rev() {
+            order.swap(at, rng.below(at as u64 + 1) as usize);
+        }
+        for &raw in &order {
+            let id = MachineId::from_raw(raw);
+            let op = rng.below(3);
+            both(&mut cow, &mut full, |rt| match op {
+                0 => {
+                    rt.inject_fault(Fault::Crash(id));
+                }
+                1 => rt.send(id, Event::replicable(Work(round))),
+                _ => {
+                    if !rt.force_step(id) {
+                        rt.send(id, Event::replicable(Work(round)));
+                    }
+                }
+            });
+        }
+        assert_eq!(
+            cow.dirty_machine_count() as u64,
+            NODES,
+            "round {round}: every slot is dirty"
+        );
+        cow.restore_from(&snap_cow);
+        full.restore_from_full(&snap_full);
+        assert_equivalent(&cow, &full, "restore with every slot dirty");
+    }
+}
+
+/// A slot that holds one machine type in one snapshot and another in the
+/// next: its spare box is of the wrong type for the state it must break off.
+#[test]
+fn a_slot_reused_for_another_machine_type_breaks_off_correctly() {
+    let (mut cow, mut full) = (new_runtime(9), new_runtime(9));
+    for _ in 0..3 {
+        both(&mut cow, &mut full, |rt| {
+            spawn_node(rt, 3);
+        });
+    }
+    let parent_cow = cow.snapshot().expect("snapshotable");
+    let parent_full = full.snapshot().expect("snapshotable");
+    let reused = MachineId::from_raw(3);
+    // A child snapshot with a node in slot 3.
+    both(&mut cow, &mut full, |rt| {
+        spawn_node(rt, 3);
+    });
+    let node_cow = cow.snapshot().expect("snapshotable");
+    let node_full = full.snapshot().expect("snapshotable");
+    // Rewinding to the parent truncates slot 3; it is re-created as a sink
+    // and captured, so the slot's box is a sink.
+    cow.restore_from(&parent_cow);
+    full.restore_from_full(&parent_full);
+    assert_eq!(cow.machine_count(), 3, "the rewind truncated slot 3");
+    both(&mut cow, &mut full, |rt| {
+        rt.create_machine(Sink { absorbed: 0 });
+        rt.send(reused, Event::replicable(Work(1)));
+    });
+    assert!(cow.machine_ref::<Sink>(reused).is_some());
+    let _sink_cow = cow.snapshot().expect("snapshotable");
+    let _sink_full = full.snapshot().expect("snapshotable");
+    for round in 0..3 {
+        // Fork the node snapshot: slot 3 shares a node again, and its first
+        // step breaks the node off into a box that held a sink.
+        cow.restore_from(&node_cow);
+        full.restore_from_full(&node_full);
+        assert!(cow.machine_ref::<Node>(reused).is_some(), "round {round}");
+        assert_equivalent(&cow, &full, "fork to another type");
+        both(&mut cow, &mut full, |rt| {
+            rt.send(reused, Event::replicable(Work(round)));
+            rt.force_step(reused);
+            rt.force_step(reused);
+        });
+        assert_equivalent(&cow, &full, "break-off into another type's slot");
+        cow.restore_from(&parent_cow);
+        full.restore_from_full(&parent_full);
+        both(&mut cow, &mut full, |rt| {
+            rt.create_machine(Sink { absorbed: 0 });
+            rt.send(reused, Event::replicable(Work(round)));
+            rt.force_step(reused);
+            rt.force_step(reused);
+        });
+        assert_equivalent(&cow, &full, "a sink in the slot again");
     }
 }
 
