@@ -1,9 +1,8 @@
-//! The three sweeps no `benchmark/` workload runs and that open ROADMAP items
-//! still need: a prefix-tree run at 1 vs 8 workers, megakv per-step
-//! throughput from 256 to 10,240 machines, and the copy-on-write fork against
-//! the full rebuild. Everything else about performance — the six workloads,
-//! the end-to-end metrics that gate a PR, the per-layer figures — is measured
-//! by `benchmark/` (see its README).
+//! The two sweeps no `benchmark/` workload runs and that open ROADMAP items
+//! still need: megakv per-step throughput from 256 to 10,240 machines, and
+//! the copy-on-write fork against the full rebuild. Everything else about
+//! performance — the six workloads, the end-to-end metrics that gate a PR,
+//! the per-layer figures — is measured by `benchmark/` (see its README).
 //!
 //! A plain `harness = false` bench that prints one table. A row accumulates
 //! rounds until its timed window reaches 100 ms (a window of a few
@@ -81,47 +80,6 @@ impl Sweep {
             row.rounds,
         );
         row
-    }
-}
-
-/// Parallel prefix-tree exploration: one bug-free chaintable portfolio budget
-/// explored over a depth-2 prefix tree ([`TestConfig::with_prefix_depth`]),
-/// at 1 and at 8 workers. The tree is expanded level by level and the
-/// iteration space drained over its leaves, so the 8-worker row should scale
-/// like a flat run while paying the expansion once — on a host with the
-/// cores to show it.
-///
-/// One engine run is 2,000 iterations, tens of milliseconds: long enough for
-/// the host to spread the worker threads over its cores. At 200 iterations
-/// (7 ms a run) the 8-worker row read 0.92x or 1.52x the 1-worker rate from
-/// one invocation to the next on a 2-core host.
-fn prefix_tree(sweep: &Sweep, cores: usize) {
-    let base = TestConfig::new()
-        .with_iterations(2_000)
-        .with_max_steps(2_000)
-        .with_seed(42)
-        .with_default_portfolio();
-    let build = |rt: &mut Runtime| {
-        chaintable::build_harness(rt, &chaintable::ChainConfig::fixed());
-    };
-    let [one, eight] = [1usize, 8].map(|workers| {
-        let name = format!("tree_workers_{workers}");
-        sweep
-            .measure("prefix_tree", &name, "exec", |_| {
-                let start = Instant::now();
-                let config = base.clone().with_prefix_depth(2).with_workers(workers);
-                let report = TestEngine::new(config).run(build);
-                (start.elapsed(), report.iterations_run)
-            })
-            .rate()
-    });
-    if cores >= 2 {
-        println!(
-            "    8 workers run {:.2}x the 1-worker rate on {cores} cores",
-            eight / one
-        );
-    } else {
-        println!("    one core: the 8 workers share it, so no scaling figure");
     }
 }
 
@@ -257,12 +215,10 @@ fn main() {
             other => panic!("unknown argument {other:?}: the only flag is --quick"),
         }
     }
-    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     println!(
-        "sweeps ({} mode), cores_available {cores}",
+        "sweeps ({} mode)",
         if sweep.quick { "quick" } else { "full" }
     );
-    prefix_tree(&sweep, cores);
     megakv_scaling(&sweep);
     fork_cost(&sweep);
 }

@@ -284,10 +284,10 @@ fn report_key(report: &TestReport) -> (u64, u64, String, Vec<String>) {
     )
 }
 
-/// A prefix-tree run keeps a flat run's guarantee: a bug-free run's report —
-/// iteration count, step count, per-strategy attribution including
-/// pruned/race/backtrack counters — is byte-identical at 1, 2, 4 and 8
-/// workers, and so is a flat run's on the same harness and portfolio.
+/// A prefix-shared run keeps a flat run's guarantee on a bug-free case study:
+/// its report — iteration count, step count, per-strategy attribution
+/// including pruned/race/backtrack counters — is byte-identical at 1, 2, 4
+/// and 8 workers, and so is a flat run's on the same harness and portfolio.
 #[test]
 fn tree_and_flat_reports_are_byte_identical_at_any_worker_count() {
     let build = |rt: &mut Runtime| {
@@ -298,20 +298,20 @@ fn tree_and_flat_reports_are_byte_identical_at_any_worker_count() {
         .with_max_steps(2_000)
         .with_seed(7)
         .with_default_portfolio();
-    let tree_base = base.clone().with_prefix_depth(2);
+    let shared_base = base.clone().with_prefix_sharing(true);
 
-    let tree_reference = TestEngine::new(tree_base.clone().with_workers(1)).run(build);
+    let shared_reference = TestEngine::new(shared_base.clone().with_workers(1)).run(build);
     assert!(
-        tree_reference.bug.is_none(),
+        shared_reference.bug.is_none(),
         "the fixed chaintable harness must be bug-free"
     );
     let flat_reference = TestEngine::new(base.clone().with_workers(1)).run(build);
     for workers in [2, 4, 8] {
-        let tree = TestEngine::new(tree_base.clone().with_workers(workers)).run(build);
+        let shared = TestEngine::new(shared_base.clone().with_workers(workers)).run(build);
         assert_eq!(
-            report_key(&tree),
-            report_key(&tree_reference),
-            "prefix-tree report diverged at {workers} workers"
+            report_key(&shared),
+            report_key(&shared_reference),
+            "prefix-shared report diverged at {workers} workers"
         );
         let flat = TestEngine::new(base.clone().with_workers(workers)).run(build);
         assert_eq!(
@@ -319,37 +319,5 @@ fn tree_and_flat_reports_are_byte_identical_at_any_worker_count() {
             report_key(&flat_reference),
             "flat parallel report diverged at {workers} workers"
         );
-    }
-}
-
-/// When the harness does have a bug, a prefix-tree run's winner — iteration,
-/// decisions, bug identity — is the same at any worker count, mirroring a
-/// flat run's deterministic first-bug selection.
-#[test]
-fn tree_engine_bug_selection_is_worker_count_independent() {
-    let base = TestConfig::new()
-        .with_iterations(200)
-        .with_max_steps(2_500)
-        .with_seed(2016)
-        .with_faults(replsim::ReplConfig::with_lost_replication_bug().fault_plan())
-        .with_prefix_depth(2);
-    let reference = TestEngine::new(base.clone().with_workers(1)).run(build_replsim_bug);
-    let reference_bug = reference.bug.expect("the seeded replsim bug via the tree");
-
-    for workers in [2, 4, 8] {
-        let report = TestEngine::new(base.clone().with_workers(workers)).run(build_replsim_bug);
-        let bug = report
-            .bug
-            .unwrap_or_else(|| panic!("the prefix tree at {workers} workers lost the bug"));
-        assert_eq!(
-            bug.iteration, reference_bug.iteration,
-            "winning iteration diverged at {workers} workers"
-        );
-        assert_eq!(
-            bug.trace.decisions, reference_bug.trace.decisions,
-            "trace decisions diverged at {workers} workers"
-        );
-        assert_eq!(bug.bug.kind, reference_bug.bug.kind);
-        assert_eq!(bug.bug.message, reference_bug.bug.message);
     }
 }

@@ -6,16 +6,15 @@
 //! the user-supplied bound (number of executions) or the first safety or
 //! liveness violation, which comes back as a [`BugReport`] with the
 //! replayable [`Trace`] of the buggy execution. This module holds that loop
-//! once, in a private explorer over a *frontier* of start states:
+//! once, in a private explorer:
 //!
 //! * workers claim adaptive chunks of the iteration space from a shared
 //!   counter; the iteration index alone determines the execution's seed
 //!   ([`TestConfig::seed_for_iteration`]) and, in portfolio mode, its
 //!   strategy ([`TestConfig::strategy_for_iteration`]);
-//! * an iteration starts either from `reset` + `setup` or by restoring one of
-//!   the frontier's snapshots (the post-setup root, or the leaves of a prefix
-//!   tree grown from it — [`TestConfig::prefix_depth`]) and running only the
-//!   suffix;
+//! * an iteration starts either from `reset` + `setup` or by restoring the
+//!   one post-setup snapshot ([`TestConfig::prefix_sharing`]) and running
+//!   only the suffix;
 //! * the bug at the **lowest iteration index** wins, regardless of which
 //!   worker finished first, and executions above that index are skipped or
 //!   cancelled step-by-step;
@@ -30,15 +29,13 @@
 use std::ops::Range;
 use std::panic::resume_unwind;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use crate::error::Bug;
 use crate::fault::FaultPlan;
-use crate::machine::MachineId;
 use crate::rng::{mix64, GOLDEN_GAMMA};
 use crate::runtime::{CancelToken, ExecutionOutcome, Runtime, RuntimeConfig, RuntimeSnapshot};
-use crate::scheduler::StepFootprint;
 use crate::scheduler::{ReplayScheduler, SchedulerKind};
 use crate::shrink::{record_verified, shrink_trace, ShrinkConfig, ShrinkReport};
 use crate::stats::StrategyStats;
@@ -86,18 +83,16 @@ pub struct TestConfig {
     /// inject into machines the harness marked crashable / restartable /
     /// lossy. See [`crate::fault`].
     pub faults: FaultPlan,
-    /// Where iterations start. `None` (the default) is straight-line: every
-    /// iteration runs the harness's `setup`. Otherwise `setup` runs once per
-    /// run, the post-setup state is captured with [`Runtime::snapshot`], and
-    /// every iteration, on every worker, forks from a snapshot instead:
-    /// `Some(0)` forks from that root itself (results identical to
-    /// straight-line), `Some(d)` from the leaves of a prefix tree grown `d`
-    /// levels below it (see [`TestEngine`]; clamped to
-    /// [`TestConfig::MAX_PREFIX_DEPTH`]). Requires every machine and monitor
-    /// the setup creates to implement `clone_state` (and any event it
-    /// enqueues to be [`Event::replicable`](crate::event::Event::replicable));
-    /// otherwise the run silently falls back to straight-line execution.
-    pub prefix_depth: Option<usize>,
+    /// Where iterations start. `false` (the default) is straight-line: every
+    /// iteration runs the harness's `setup`. `true` runs `setup` once per
+    /// run, captures the post-setup state with [`Runtime::snapshot`], and
+    /// every iteration, on every worker, forks from that snapshot instead —
+    /// with results identical to straight-line. Requires every machine and
+    /// monitor the setup creates to implement `clone_state` (and any event
+    /// it enqueues to be
+    /// [`Event::replicable`](crate::event::Event::replicable)); otherwise the
+    /// run silently falls back to straight-line execution.
+    pub prefix_sharing: bool,
 }
 
 impl Default for TestConfig {
@@ -114,17 +109,12 @@ impl Default for TestConfig {
             shrink: false,
             shrink_budget: 2_000,
             faults: FaultPlan::none(),
-            prefix_depth: None,
+            prefix_sharing: false,
         }
     }
 }
 
 impl TestConfig {
-    /// Bound on [`TestConfig::prefix_depth`]: leaves multiply with the
-    /// enabled-set branching factor per level, so deep trees explode; a
-    /// deeper setting runs as this depth.
-    pub const MAX_PREFIX_DEPTH: usize = 6;
-
     /// Creates a configuration with the default exploration bounds.
     pub fn new() -> Self {
         TestConfig::default()
@@ -193,20 +183,11 @@ impl TestConfig {
         self
     }
 
-    /// Enables (or disables) prefix sharing ([`TestConfig::prefix_depth`]):
+    /// Enables (or disables) prefix sharing ([`TestConfig::prefix_sharing`]):
     /// the harness setup executes once per run and every iteration forks
-    /// from a snapshot of the post-setup state. `true` keeps a depth already
-    /// set and otherwise shares the root alone; `false` clears the depth.
+    /// from a snapshot of the post-setup state.
     pub fn with_prefix_sharing(mut self, prefix_sharing: bool) -> Self {
-        self.prefix_depth = prefix_sharing.then(|| self.prefix_depth.unwrap_or(0));
-        self
-    }
-
-    /// Forks every iteration from the leaves of a prefix tree `depth` levels
-    /// below the post-setup snapshot ([`TestConfig::prefix_depth`]); `0`
-    /// shares the root alone.
-    pub fn with_prefix_depth(mut self, depth: usize) -> Self {
-        self.prefix_depth = Some(depth);
+        self.prefix_sharing = prefix_sharing;
         self
     }
 
@@ -393,8 +374,7 @@ pub struct TestReport {
     /// are not counted.
     pub iterations_run: u64,
     /// Total machine steps executed, including the partial work of
-    /// executions cancelled mid-flight and the forced steps a prefix tree
-    /// spent growing its frontier.
+    /// executions cancelled mid-flight.
     pub total_steps: u64,
     /// Wall-clock time of the whole [`TestEngine::run`] call: the
     /// exploration plus, when a bug was found, rehydrating its annotated
@@ -500,9 +480,12 @@ impl TestReport {
 ///   *iteration index* decides which strategy drives an iteration
 ///   ([`TestConfig::strategy_for_iteration`]), never the worker that claimed
 ///   it, so the strategy mix is identical at any worker count.
-/// * **Start states** ([`TestConfig::prefix_depth`]). Straight-line by
-///   default; otherwise iterations fork from the post-setup snapshot or from
-///   the leaves of a prefix tree grown below it (see below).
+/// * **Start states** ([`TestConfig::prefix_sharing`]). Straight-line by
+///   default; otherwise `setup` runs once, and every iteration restores its
+///   copy-on-write snapshot into the worker's pooled runtime, installs its
+///   own scheduler and seed and runs only the suffix. The recorded trace
+///   replays (and shrinks) from scratch like a straight-line recording, and
+///   the report is the straight-line one.
 ///
 /// # Deterministic first-bug selection
 ///
@@ -520,29 +503,6 @@ impl TestReport {
 /// [`BugReport::time_to_bug`] still depend on how far other workers got
 /// before cancellation. Bug-free runs exhaust every iteration, so their
 /// counters — including the per-strategy rows — are deterministic too.
-///
-/// # Prefix trees
-///
-/// With [`TestConfig::with_prefix_depth`] the harness `setup` executes once,
-/// its state is snapshotted as the root of a **bounded-depth prefix tree**,
-/// and the tree is expanded level by level across the workers: each forks a
-/// claimed node's copy-on-write snapshot into its pooled runtime, executes
-/// one step of one enabled machine per branch (a forced, recorded schedule
-/// decision) and snapshots the result. Siblings are chosen **DPOR-style**
-/// from the step footprints: a later sibling becomes a branch only when its
-/// step is dependent with an already-expanded sibling's (a race); one that
-/// commutes with all of them is pruned and counted in
-/// [`StrategyStats::pruned_schedules`], and **sleep sets** carry the same
-/// commutation argument down the tree. The iterations are then distributed
-/// round-robin over the leaves; each restores its leaf, installs its own
-/// scheduler and seed and runs only the suffix.
-///
-/// Every recorded trace contains the forced prefix decisions, so bug traces
-/// replay (and shrink) from scratch like straight-line recordings. The tree
-/// is a pure function of the [`TestConfig`] and its leaves are sorted by
-/// decision path, so the report is as worker-count-independent as a flat
-/// run's; a bug hit by a forced prefix step counts as iteration 0, the
-/// smallest decision path winning.
 ///
 /// # Examples
 ///
@@ -588,7 +548,7 @@ impl TestEngine {
     /// stopping at the first property violation.
     ///
     /// The `setup` closure is invoked once per execution with an empty
-    /// [`Runtime`] (once per run when [`TestConfig::prefix_depth`] is set);
+    /// [`Runtime`] (once per run when [`TestConfig::prefix_sharing`] is set);
     /// it must create the machines and monitors of the test and may send
     /// initial events. It must be `Send + Sync` because workers invoke it
     /// from their own threads; each execution still runs serialized on
@@ -639,11 +599,13 @@ pub type ParallelTestEngine = TestEngine;
 /// single row for the base scheduler. Every worker builds the same
 /// skeleton, so rows merge index-wise and
 /// [`TestReport::per_strategy`] comes out identical at any worker count.
+/// A worker's tally also holds the lowest-iteration bug that worker found.
 struct StrategyTally {
     rows: Vec<StrategyStats>,
     /// Portfolio index -> row index (entries with equal descriptions share a
     /// row).
     row_of_entry: Vec<usize>,
+    first_bug: Option<FirstBug>,
 }
 
 impl StrategyTally {
@@ -666,7 +628,11 @@ impl StrategyTally {
             }
             _ => rows.push(StrategyStats::new(config.scheduler.describe())),
         }
-        StrategyTally { rows, row_of_entry }
+        StrategyTally {
+            rows,
+            row_of_entry,
+            first_bug: None,
+        }
     }
 
     /// The attribution row of the portfolio entry an iteration ran
@@ -679,11 +645,27 @@ impl StrategyTally {
         &mut self.rows[row]
     }
 
-    /// Folds another tally with the identical skeleton into this one.
+    /// Keeps `candidate` as this tally's bug unless it holds a lower
+    /// iteration already.
+    fn offer_bug(&mut self, candidate: FirstBug) {
+        if self
+            .first_bug
+            .as_ref()
+            .is_none_or(|held| candidate.report.iteration < held.report.iteration)
+        {
+            self.first_bug = Some(candidate);
+        }
+    }
+
+    /// Folds another tally with the identical skeleton into this one; the
+    /// lower-iteration bug of the two survives.
     fn merge(&mut self, other: StrategyTally) {
         debug_assert_eq!(self.rows.len(), other.rows.len());
         for (mine, theirs) in self.rows.iter_mut().zip(&other.rows) {
             mine.absorb(theirs);
+        }
+        if let Some(candidate) = other.first_bug {
+            self.offer_bug(candidate);
         }
     }
 }
@@ -698,7 +680,7 @@ fn no_bug_label(config: &TestConfig) -> &'static str {
     }
 }
 
-/// The lowest-iteration bug found so far, with the strategy that found it.
+/// The lowest-iteration bug a worker found, with the strategy that found it.
 struct FirstBug {
     report: BugReport,
     scheduler: &'static str,
@@ -759,39 +741,10 @@ fn on_workers<T: Send>(
     })
 }
 
-/// One start state of the frontier: the snapshot iterations fork from, keyed
-/// by the path of forced decisions that reached it (empty for the post-setup
-/// root).
-type Leaf = (Vec<u64>, Arc<RuntimeSnapshot>);
-
-/// Where an iteration's execution starts — the only difference between a
-/// flat run and the suffix phase of a prefix tree.
-#[derive(Clone, Copy)]
-enum Start<'a> {
-    /// From an empty runtime: [`Runtime::reset`], then the harness `setup`.
-    Setup,
-    /// From a snapshot: iteration `i` restores leaf `i % leaves.len()`
-    /// ([`Runtime::restore_from`]) and runs only the suffix.
-    Leaves(&'a [Leaf]),
-}
-
-impl<'a> Start<'a> {
-    /// Forks from `leaves`; an empty frontier (the harness is not
-    /// snapshotable, or sharing is off) means every iteration runs `setup`.
-    fn over(leaves: &'a [Leaf]) -> Self {
-        if leaves.is_empty() {
-            Start::Setup
-        } else {
-            Start::Leaves(leaves)
-        }
-    }
-}
-
 /// The one exploration loop behind [`TestEngine::run`]: the state the
-/// workers of a run share. [`Explorer::run`] builds the frontier
-/// ([`Explorer::root_frontier`], [`Explorer::expand`]), has every worker
-/// [`Explorer::drain`] the iteration space over it, and assembles the report
-/// with [`Explorer::finish`].
+/// workers of a run share. [`Explorer::run`] takes the shared root
+/// ([`Explorer::root`]), has every worker [`Explorer::drain`] the iteration
+/// space from it, and assembles the report with [`Explorer::finish`].
 struct Explorer<'a, F> {
     config: &'a TestConfig,
     setup: &'a F,
@@ -804,7 +757,6 @@ struct Explorer<'a, F> {
     /// step-level cancellation bound polled inside every runtime's step loop
     /// via a [`CancelToken`].
     bug_bound: Arc<AtomicU64>,
-    first_bug: Mutex<Option<FirstBug>>,
 }
 
 impl<'a, F: Fn(&mut Runtime) + Send + Sync> Explorer<'a, F> {
@@ -816,34 +768,31 @@ impl<'a, F: Fn(&mut Runtime) + Send + Sync> Explorer<'a, F> {
             threads: threads as u64,
             next: AtomicU64::new(0),
             bug_bound: Arc::new(AtomicU64::new(u64::MAX)),
-            first_bug: Mutex::new(None),
         }
     }
 
-    /// The depth-0 frontier. When [`TestConfig::prefix_depth`] is set, runs
-    /// `setup` once and snapshots the post-setup state as the root; the warm
-    /// runtime becomes the first worker's pooled runtime, so its first
-    /// `restore_from` is the O(dirty) path with nothing dirty. The frontier
-    /// stays empty when sharing is off or the harness state is not
-    /// snapshotable: every iteration then runs `setup` itself.
-    fn root_frontier(&self, pooled: &mut Option<Runtime>) -> Vec<Leaf> {
-        if self.config.prefix_depth.is_none() {
-            return Vec::new();
+    /// The shared start state. When [`TestConfig::prefix_sharing`] is set,
+    /// runs `setup` once and snapshots the post-setup state; the warm runtime
+    /// becomes the first worker's pooled runtime, so its first
+    /// `restore_from` is the O(dirty) path with nothing dirty. `None` when
+    /// sharing is off or the harness state is not snapshotable: every
+    /// iteration then runs `setup` itself.
+    fn root(&self, pooled: &mut Option<Runtime>) -> Option<RuntimeSnapshot> {
+        if !self.config.prefix_sharing {
+            return None;
         }
         let runtime = pooled.insert(self.config.blank_runtime());
         (self.setup)(runtime);
-        let root = runtime.snapshot();
-        root.map(|root| (Vec::new(), Arc::new(root)))
-            .into_iter()
-            .collect()
+        runtime.snapshot()
     }
 
     /// One worker's loop: claims chunks of the iteration space until none
-    /// remain below the bug bound, runs each claimed iteration from `start`
-    /// in the pooled runtime — machines, mailboxes, name table, trace and the
-    /// enabled/fault buffers all keep their grown storage across iterations —
-    /// and tallies it into worker-local rows.
-    fn drain(&self, start: Start<'_>, pooled: &mut Option<Runtime>) -> StrategyTally {
+    /// remain below the bug bound, runs each claimed iteration in the pooled
+    /// runtime — forked from `root` when there is one, from `setup`
+    /// otherwise; machines, mailboxes, name table, trace and the
+    /// enabled/fault buffers all keep their grown storage across iterations
+    /// — and tallies it into worker-local rows.
+    fn drain(&self, root: Option<&RuntimeSnapshot>, pooled: &mut Option<Runtime>) -> StrategyTally {
         let config = self.config;
         let total = config.iterations;
         let mixed_seed = mix64(config.seed);
@@ -870,25 +819,25 @@ impl<'a, F: Fn(&mut Runtime) + Send + Sync> Explorer<'a, F> {
                     None => config.scheduler,
                 };
                 let scheduler = strategy.build(seed, config.max_steps);
-                let mut runtime = match (start, pooled.take()) {
-                    (Start::Setup, None) => Runtime::new(scheduler, config.runtime_config(), seed),
-                    (Start::Setup, Some(mut runtime)) => {
+                let mut runtime = match (root, pooled.take()) {
+                    (None, None) => Runtime::new(scheduler, config.runtime_config(), seed),
+                    (None, Some(mut runtime)) => {
                         runtime.reset(scheduler, config.runtime_config(), seed);
                         runtime
                     }
-                    (Start::Leaves(leaves), pooled) => {
+                    (Some(root), pooled) => {
                         let mut runtime = pooled.unwrap_or_else(|| config.blank_runtime());
-                        runtime.restore_from(&leaves[(iteration % leaves.len() as u64) as usize].1);
+                        runtime.restore_from(root);
                         runtime.set_scheduler(scheduler);
                         runtime.reseed(seed);
                         runtime
                     }
                 };
-                if let Start::Setup = start {
+                if root.is_none() {
                     (self.setup)(&mut runtime);
                 }
                 runtime.set_cancel_token(CancelToken::new(Arc::clone(&self.bug_bound), iteration));
-                // Zero after `setup`, the prefix's steps after a restore.
+                // Zero after `setup`, the snapshot's steps after a restore.
                 let steps_before = runtime.steps();
                 let outcome = runtime.run();
                 let row = tally.row_mut(portfolio_entry);
@@ -913,51 +862,44 @@ impl<'a, F: Fn(&mut Runtime) + Send + Sync> Explorer<'a, F> {
         tally
     }
 
-    /// Tallies a buggy `iteration` and installs it as the run's winner unless
-    /// a lower iteration already holds the slot.
+    /// Tallies a buggy `iteration` and keeps it as the worker's bug unless a
+    /// lower iteration already holds the run's bug bound.
     fn record_bug(&self, tally: &mut StrategyTally, iteration: u64, bug: Bug, trace: Trace) {
         let config = self.config;
         let row = tally.row_mut(config.portfolio_index_for_iteration(iteration));
         row.iterations_run += 1;
         row.bugs_found += 1;
-        // Publish the bound first so other workers stop wasting steps on
-        // higher iterations immediately. The previous bound decides whether
-        // the mutex is worth touching at all: a bound already at (or below)
-        // this iteration means a lower iteration owns — or will own — the
-        // slot, so the candidate is dropped without ever taking the lock.
+        // Publish the bound so other workers stop wasting steps on higher
+        // iterations immediately. A bound already at (or below) this
+        // iteration means a lower iteration has a bug, and some worker's
+        // tally holds it: this candidate can never win.
         if self.bug_bound.fetch_min(iteration, Ordering::Relaxed) <= iteration {
             return;
         }
-        let mut slot = self.first_bug.lock().expect("bug slot lock poisoned");
-        // Re-checked under the lock: two workers can both improve the bound
-        // before either installs.
-        if slot.as_ref().is_none_or(|f| iteration < f.report.iteration) {
-            *slot = Some(FirstBug {
-                report: BugReport {
-                    bug,
-                    iteration,
-                    ndc: trace.decision_count(),
-                    trace,
-                    time_to_bug: self.started.elapsed(),
-                    shrink: None,
-                },
-                scheduler: config.strategy_for_iteration(iteration).label(),
-            });
-        }
+        tally.offer_bug(FirstBug {
+            report: BugReport {
+                bug,
+                iteration,
+                ndc: trace.decision_count(),
+                trace,
+                time_to_bug: self.started.elapsed(),
+                shrink: None,
+            },
+            scheduler: config.strategy_for_iteration(iteration).label(),
+        });
     }
 
-    /// Merges the workers' tallies, then rehydrates and shrinks the winner —
-    /// serially, over the deterministic lowest-iteration bug, so the reported
-    /// trace and minimized counterexample are identical at any worker count.
-    /// `expansion_steps` are the forced steps a prefix tree spent growing the
-    /// frontier; they count toward [`TestReport::total_steps`] only.
-    fn finish(self, tallies: Vec<StrategyTally>, expansion_steps: u64) -> TestReport {
+    /// Merges the workers' tallies — the winner is the lowest of their bugs
+    /// — then rehydrates and shrinks it: serially, over the deterministic
+    /// lowest-iteration bug, so the reported trace and minimized
+    /// counterexample are identical at any worker count.
+    fn finish(self, tallies: Vec<StrategyTally>) -> TestReport {
         let config = self.config;
         let mut merged = StrategyTally::new(config);
         for tally in tallies {
             merged.merge(tally);
         }
-        let winner = self.first_bug.into_inner().expect("bug slot lock poisoned");
+        let winner = merged.first_bug.take();
         let scheduler = match &winner {
             Some(first) => first.scheduler,
             None => no_bug_label(config),
@@ -971,8 +913,7 @@ impl<'a, F: Fn(&mut Runtime) + Send + Sync> Explorer<'a, F> {
         TestReport {
             bug,
             iterations_run: merged.rows.iter().map(|row| row.iterations_run).sum(),
-            total_steps: expansion_steps
-                + merged.rows.iter().map(|row| row.total_steps).sum::<u64>(),
+            total_steps: merged.rows.iter().map(|row| row.total_steps).sum(),
             elapsed: self.started.elapsed(),
             scheduler,
             workers: config.workers.max(1),
@@ -980,8 +921,9 @@ impl<'a, F: Fn(&mut Runtime) + Send + Sync> Explorer<'a, F> {
         }
     }
 
-    /// A whole [`TestEngine::run`]: the frontier [`TestConfig::prefix_depth`]
-    /// asks for, drained on [`TestConfig::workers`] workers.
+    /// A whole [`TestEngine::run`]: the start state
+    /// [`TestConfig::prefix_sharing`] asks for, drained on
+    /// [`TestConfig::workers`] workers.
     fn run(config: &TestConfig, setup: &F) -> TestReport {
         let workers = config.workers.max(1);
         // Results are worker-count-independent by construction, so `workers`
@@ -994,232 +936,9 @@ impl<'a, F: Fn(&mut Runtime) + Send + Sync> Explorer<'a, F> {
         };
         let explorer = Explorer::new(config, setup, threads);
         let mut pool: Vec<Option<Runtime>> = (0..threads).map(|_| None).collect();
-        let mut leaves = explorer.root_frontier(&mut pool[0]);
-        let mut tallies = Vec::new();
-        let mut expansion_steps = 0;
-        // Only a snapshotable root can grow; depth 0 is the root itself.
-        let depth = config
-            .prefix_depth
-            .unwrap_or(0)
-            .min(TestConfig::MAX_PREFIX_DEPTH);
-        if let (1.., [(_, root)]) = (depth, &leaves[..]) {
-            let tree = explorer.expand(Arc::clone(root), depth, &mut pool);
-            (leaves, expansion_steps) = (tree.leaves, tree.steps);
-            tallies.push(tree.tally);
-        }
-        tallies.extend(on_workers(&mut pool, |pooled| {
-            explorer.drain(Start::over(&leaves), pooled)
-        }));
-        explorer.finish(tallies, expansion_steps)
-    }
-
-    /// Grows the root into a prefix tree `depth` levels deep, one level per
-    /// barrier: workers claim the level's nodes chunk-wise and fork each
-    /// claimed node's copy-on-write snapshot into their pooled runtime
-    /// ([`expand_node`]), so expansion parallelizes without any shared
-    /// mutable machine state; the children they collect are the next level.
-    fn expand(
-        &self,
-        root: Arc<RuntimeSnapshot>,
-        depth: usize,
-        pool: &mut [Option<Runtime>],
-    ) -> PrefixTree {
-        let mut grown = ExpandOut::default();
-        grown.children.push(PrefixNode {
-            snapshot: Arc::clone(&root),
-            path: Vec::new(),
-            sleep: Vec::new(),
-            depth,
-        });
-        while !grown.children.is_empty() {
-            let level = std::mem::take(&mut grown.children);
-            let width = level.len() as u64;
-            let crew = &mut pool[..self.threads.min(width) as usize];
-            let threads = crew.len() as u64;
-            let next = AtomicU64::new(0);
-            let outs = on_workers(crew, |pooled| {
-                let runtime = pooled.get_or_insert_with(|| self.config.blank_runtime());
-                let mut out = ExpandOut::default();
-                while let Some(chunk) = claim_chunk(&next, width, width, threads) {
-                    for index in chunk {
-                        expand_node(runtime, &level[index as usize], &mut out);
-                    }
-                }
-                out
-            });
-            for out in outs {
-                grown.absorb(out);
-            }
-        }
-        let mut tally = StrategyTally::new(self.config);
-        tally.rows[0].pruned_schedules += grown.pruned;
-        if let Some(found) = grown.bug {
-            // A shared prefix itself violates a property: every iteration
-            // assigned below the buggy branch would hit it, so it enters the
-            // first-bug rule as iteration 0 and nothing is left to drain.
-            self.record_bug(&mut tally, 0, found.bug, found.trace);
-        }
-        // Canonical leaf order: the tree is a pure function of the config,
-        // but discovery order depends on which worker expanded what. Sorting
-        // by decision-path key makes the iteration→leaf assignment identical
-        // at any worker count.
-        grown.leaves.sort_by(|a, b| a.0.cmp(&b.0));
-        if grown.leaves.is_empty() {
-            // Degenerate: every branch vanished into a sleep set. Suffix the
-            // root itself.
-            grown.leaves.push((Vec::new(), root));
-        }
-        PrefixTree {
-            leaves: grown.leaves,
-            steps: grown.steps,
-            tally,
-        }
-    }
-}
-
-/// One node awaiting expansion in the prefix tree ([`Explorer::expand`]):
-/// the snapshot at the node, the path of forced decisions that reached it
-/// (the node's canonical identity, independent of which worker expands it),
-/// the sleep set inherited on the path (machines whose next step is already
-/// covered by an equivalent sibling ordering, each with the footprint
-/// observed when it executed), and the remaining expansion depth.
-struct PrefixNode {
-    snapshot: Arc<RuntimeSnapshot>,
-    path: Vec<u64>,
-    sleep: Vec<(MachineId, StepFootprint)>,
-    depth: usize,
-}
-
-/// A bug hit by a *forced prefix step* during tree expansion. Candidates
-/// race across workers; the lexicographically smallest path wins, so the
-/// reported bug is worker-count-independent.
-struct PrefixBug {
-    path: Vec<u64>,
-    bug: Bug,
-    trace: Trace,
-}
-
-/// What expanding some nodes of the prefix tree produced: one worker's share
-/// of a level, or every level merged.
-#[derive(Default)]
-struct ExpandOut {
-    leaves: Vec<Leaf>,
-    /// The next level's nodes.
-    children: Vec<PrefixNode>,
-    pruned: u64,
-    steps: u64,
-    bug: Option<PrefixBug>,
-}
-
-impl ExpandOut {
-    fn offer_bug(&mut self, candidate: PrefixBug) {
-        if self.bug.as_ref().is_none_or(|b| candidate.path < b.path) {
-            self.bug = Some(candidate);
-        }
-    }
-
-    fn absorb(&mut self, other: ExpandOut) {
-        self.leaves.extend(other.leaves);
-        self.children.extend(other.children);
-        self.pruned += other.pruned;
-        self.steps += other.steps;
-        if let Some(candidate) = other.bug {
-            self.offer_bug(candidate);
-        }
-    }
-}
-
-/// A grown prefix tree ([`Explorer::expand`]): the frontier in canonical
-/// order, the forced steps spent growing it, and the expansion's own tally
-/// (sibling orderings pruned; a prefix bug's row).
-struct PrefixTree {
-    leaves: Vec<Leaf>,
-    steps: u64,
-    tally: StrategyTally,
-}
-
-/// Expands one node in a worker's pooled runtime: forces one step per
-/// eligible enabled machine, collects children for branches that commit to a
-/// genuinely different partial order, and turns the node into a leaf at depth
-/// 0 (or when a branch's state can no longer be captured).
-///
-/// Sibling selection is DPOR-style. The first non-sleeping branch always
-/// expands; a later sibling expands only when its first step is *dependent*
-/// with at least one already-expanded sibling's step — a race, so the
-/// sibling is a backtrack point whose subtree reaches states no explored
-/// ordering covers. A sibling whose step commutes with every expanded
-/// sibling is pruned: executions starting with it reach, state for state,
-/// configurations some expanded sibling's subtree also reaches. Sleep sets
-/// carry the same commutation argument down the tree.
-fn expand_node(runtime: &mut Runtime, node: &PrefixNode, out: &mut ExpandOut) {
-    runtime.restore_from(&node.snapshot);
-    let enabled: Vec<MachineId> = runtime.enabled_machines().to_vec();
-    if node.depth == 0 || enabled.is_empty() {
-        out.leaves
-            .push((node.path.clone(), Arc::clone(&node.snapshot)));
-        return;
-    }
-    let mut explored: Vec<(MachineId, StepFootprint)> = Vec::new();
-    for &machine in &enabled {
-        if node.sleep.iter().any(|&(asleep, _)| asleep == machine) {
-            // An equivalent sibling ordering already covers this
-            // branch's entire subtree.
-            out.pruned += 1;
-            continue;
-        }
-        runtime.restore_from(&node.snapshot);
-        if !runtime.force_step(machine) {
-            continue;
-        }
-        out.steps += 1;
-        let path = || [node.path.as_slice(), &[machine.raw()]].concat();
-        if let Some(bug) = runtime.bug().cloned() {
-            // The forced prefix itself violates a property; the
-            // smallest decision path across all workers wins.
-            out.offer_bug(PrefixBug {
-                path: path(),
-                bug,
-                trace: runtime.take_trace(),
-            });
-            continue;
-        }
-        let footprint = runtime.last_footprint().clone();
-        let backtrack_worthy = explored.is_empty()
-            || explored
-                .iter()
-                .any(|(_, other)| !other.independent(&footprint));
-        if !backtrack_worthy {
-            // Commutes with every expanded sibling: orderings starting
-            // here are explored inside their subtrees.
-            out.pruned += 1;
-            continue;
-        }
-        let Some(child) = runtime.snapshot() else {
-            // The step enqueued a non-replicable event, so states below
-            // this branch cannot be captured. Keep the node itself as a
-            // leaf instead: its suffix executions still reach every
-            // child ordering through their schedulers.
-            out.leaves
-                .push((node.path.clone(), Arc::clone(&node.snapshot)));
-            break;
-        };
-        // Sleep-set propagation: the child keeps every sleeping (or
-        // earlier-explored) machine whose step commutes with this
-        // branch's step; dependent ones wake.
-        let sleep = node
-            .sleep
-            .iter()
-            .chain(explored.iter())
-            .filter(|(_, other)| other.independent(&footprint))
-            .cloned()
-            .collect();
-        out.children.push(PrefixNode {
-            snapshot: Arc::new(child),
-            path: path(),
-            sleep,
-            depth: node.depth - 1,
-        });
-        explored.push((machine, footprint));
+        let root = explorer.root(&mut pool[0]);
+        let tallies = on_workers(&mut pool, |pooled| explorer.drain(root.as_ref(), pooled));
+        explorer.finish(tallies)
     }
 }
 
@@ -1230,8 +949,6 @@ mod tests {
     use crate::event::Event;
     use crate::machine::Machine;
     use crate::runtime::Context;
-    use crate::shrink::same_bug;
-    use crate::trace::Decision;
 
     /// Two writer machines race to update a shared flag machine. The flag
     /// starts `false` and asserts that it never observes a `SetFlag(false)`
@@ -1578,55 +1295,15 @@ mod tests {
 
     #[test]
     fn prefix_fork_at_depth_zero_matches_straight_line_execution() {
+        // Running every execution from the post-setup snapshot (no forced
+        // steps before it) must pick the same winner as a straight-line run.
         let base = TestConfig::new().with_iterations(300).with_seed(9);
         let straight = TestEngine::new(base.clone()).run(clone_racey_setup);
-        let forked = TestEngine::new(base.with_prefix_depth(0)).run(clone_racey_setup);
+        let forked = TestEngine::new(base.with_prefix_sharing(true)).run(clone_racey_setup);
         let a = straight.bug.as_ref().expect("bug");
         let b = forked.bug.as_ref().expect("bug");
         assert_eq!(a.iteration, b.iteration);
         assert_eq!(a.trace.decisions, b.trace.decisions);
-    }
-
-    #[test]
-    fn prefix_fork_traces_replay_from_scratch() {
-        let base = TestConfig::new().with_iterations(500).with_seed(11);
-        let report = TestEngine::new(base.clone().with_prefix_depth(2)).run(clone_racey_setup);
-        let bug = report.bug.expect("forked exploration still finds the bug");
-        // The trace carries the forced prefix decisions, so an ordinary
-        // from-scratch replay reproduces the violation.
-        let replayed = TestEngine::new(base)
-            .replay(&bug.trace, clone_racey_setup)
-            .expect("replay reproduces");
-        assert_eq!(replayed.kind, bug.bug.kind);
-        assert_eq!(replayed.message, bug.bug.message);
-    }
-
-    #[test]
-    fn prefix_fork_prunes_equivalent_sibling_orderings() {
-        // Three machines whose start steps are local (no sends, no monitor):
-        // all 3! orderings of the first two tree levels are equivalent, so
-        // sleep sets must prune the redundant sibling subtrees.
-        #[derive(Clone)]
-        struct Loner;
-        impl Machine for Loner {
-            fn handle(&mut self, _ctx: &mut Context<'_>, _event: Event) {}
-            fn clone_state(&self) -> Option<Box<dyn Machine>> {
-                Some(Box::new(self.clone()))
-            }
-        }
-        let config = TestConfig::new().with_iterations(10).with_prefix_depth(2);
-        let report = TestEngine::new(config).run(|rt| {
-            rt.create_machine(Loner);
-            rt.create_machine(Loner);
-            rt.create_machine(Loner);
-        });
-        assert!(!report.found_bug());
-        assert_eq!(report.iterations_run, 10);
-        let pruned: u64 = report.per_strategy.iter().map(|r| r.pruned_schedules).sum();
-        assert!(
-            pruned >= 3,
-            "independent sibling orderings must be pruned, got {pruned}"
-        );
     }
 
     #[test]
@@ -1637,7 +1314,7 @@ mod tests {
             for workers in [1, 4] {
                 // The fallback is a flat run at the configured worker count.
                 let forked =
-                    TestEngine::new(base.clone().with_prefix_depth(3).with_workers(workers))
+                    TestEngine::new(base.clone().with_prefix_sharing(true).with_workers(workers))
                         .run(setup);
                 assert_eq!(report_key(&forked), straight, "{workers} workers");
                 assert_eq!(forked.workers, workers);
@@ -1646,10 +1323,23 @@ mod tests {
     }
 
     #[test]
-    fn prefix_depth_and_workers_are_config_values() {
-        // One machine counting down through self-sends: every tree level has
-        // one branch, so a depth-`d` tree spends `d` forced steps once and
-        // every iteration runs the remaining `per_execution - d`.
+    fn prefix_fork_traces_replay_from_scratch() {
+        let base = TestConfig::new().with_iterations(500).with_seed(11);
+        let report = TestEngine::new(base.clone().with_prefix_sharing(true)).run(clone_racey_setup);
+        let bug = report.bug.expect("forked exploration still finds the bug");
+        // A shared run's trace starts at the snapshot's empty recording, so
+        // an ordinary from-scratch replay reproduces the violation.
+        let replayed = TestEngine::new(base)
+            .replay(&bug.trace, clone_racey_setup)
+            .expect("replay reproduces");
+        assert_eq!(replayed.kind, bug.bug.kind);
+        assert_eq!(replayed.message, bug.bug.message);
+    }
+
+    #[test]
+    fn prefix_sharing_and_workers_are_config_values() {
+        // One machine counting down through self-sends, so every execution
+        // runs the same steps from the fork as from `setup`.
         #[derive(Debug, Clone)]
         struct Tick;
         #[derive(Clone)]
@@ -1668,108 +1358,25 @@ mod tests {
                 Some(Box::new(self.clone()))
             }
         }
-        const ITERATIONS: u64 = 20;
-        let base = TestConfig::new().with_iterations(ITERATIONS);
+        let base = TestConfig::new().with_iterations(20);
         let run = |config: TestConfig| {
             TestEngine::new(config).run(|rt| {
                 rt.create_machine(Countdown(20));
             })
         };
         let straight = run(base.clone());
-        let per_execution = straight.total_steps / ITERATIONS;
-        let max = TestConfig::MAX_PREFIX_DEPTH as u64;
-        assert!(per_execution > max + 1, "deep enough to tell depths apart");
-        let tree_steps = |depth: u64| depth + ITERATIONS * (per_execution - depth);
-
-        // A depth above the bound runs as the bound.
-        let beyond = run(base
-            .clone()
-            .with_prefix_depth(TestConfig::MAX_PREFIX_DEPTH + 3));
-        assert_eq!(beyond.total_steps, tree_steps(max));
-        // Turning sharing on keeps a depth already set, or shares the root.
-        let kept = base.clone().with_prefix_depth(2).with_prefix_sharing(true);
-        assert_eq!(kept.prefix_depth, Some(2));
-        assert_eq!(run(kept).total_steps, tree_steps(2));
-        let root = base.clone().with_prefix_sharing(true);
-        assert_eq!(root.prefix_depth, Some(0));
-        assert_eq!(report_key(&run(root)), report_key(&straight));
-        // Turning it off runs straight-line.
-        let cleared = base.clone().with_prefix_depth(2).with_prefix_sharing(false);
-        assert_eq!(cleared.prefix_depth, None);
-        assert_eq!(report_key(&run(cleared)), report_key(&straight));
+        assert!(!base.prefix_sharing);
+        let shared = base.clone().with_prefix_sharing(true);
+        assert!(shared.prefix_sharing);
+        assert_eq!(report_key(&run(shared.clone())), report_key(&straight));
+        // Turning it off again runs straight-line.
+        let cleared = shared.with_prefix_sharing(false);
+        assert_eq!(cleared, base);
 
         // The report names the configured worker count, one worker included.
         for workers in [1, 3] {
-            for config in [base.clone(), base.clone().with_prefix_depth(1)] {
+            for config in [base.clone(), base.clone().with_prefix_sharing(true)] {
                 assert_eq!(run(config.with_workers(workers)).workers, workers);
-            }
-        }
-    }
-
-    #[test]
-    fn forced_prefix_step_bug_is_iteration_zero_at_any_worker_count() {
-        // Machines 1 and 3 violate a safety property in their very first
-        // step, so the tree hits the bug while *expanding*: under path [1] at
-        // level 1 and, below the quiet machine 0, under path [0, 1] at level
-        // 2. The smallest decision path wins, not the shallowest.
-        #[derive(Clone)]
-        struct Starter {
-            bomb: bool,
-        }
-        impl Machine for Starter {
-            fn on_start(&mut self, ctx: &mut Context<'_>) {
-                ctx.assert(!self.bomb, "exploded on start");
-            }
-            fn handle(&mut self, _ctx: &mut Context<'_>, _event: Event) {}
-            fn clone_state(&self) -> Option<Box<dyn Machine>> {
-                Some(Box::new(self.clone()))
-            }
-        }
-        fn setup(rt: &mut Runtime) {
-            for bomb in [false, true, false, true] {
-                rt.create_machine(Starter { bomb });
-            }
-        }
-        let single = TestConfig::new().with_iterations(50).with_seed(3);
-        // The prefix's recording goes through the strict-replay rehydration
-        // like any other winner's.
-        for base in [single.clone(), single.with_default_portfolio()] {
-            let run = |workers| {
-                TestEngine::new(base.clone().with_prefix_depth(2).with_workers(workers)).run(setup)
-            };
-            let reference = run(1);
-            let found = reference
-                .bug
-                .as_ref()
-                .expect("the forced step hits the bug");
-            assert_eq!(found.iteration, 0);
-            assert_eq!(reference.iterations_run, 1);
-            assert_eq!(reference.scheduler, base.strategy_for_iteration(0).label());
-            let path: Vec<Decision> = [0, 1]
-                .map(|raw| Decision::Schedule(MachineId::from_raw(raw)))
-                .to_vec();
-            assert_eq!(found.trace.decisions, path);
-            assert_eq!(found.ndc, 2);
-
-            // The trace strict-replays from scratch to the same bug.
-            let mut replay = Runtime::new(
-                Box::new(ReplayScheduler::from_trace(&found.trace)),
-                base.runtime_config(),
-                found.trace.seed,
-            );
-            setup(&mut replay);
-            let ExecutionOutcome::BugFound(replayed) = replay.run() else {
-                panic!("the replay found no bug");
-            };
-            assert!(same_bug(&replayed, &found.bug));
-            assert!(replay.replay_error().is_none());
-
-            for workers in [2, 8] {
-                assert_eq!(
-                    report_key(&run(workers)),
-                    report_key(&reference),
-                    "{workers} workers"
-                );
             }
         }
     }

@@ -1435,8 +1435,9 @@ impl Runtime {
         self.scheduler.replay_error().cloned()
     }
 
-    /// Replaces the scheduler driving this runtime. Used by prefix-sharing
-    /// engines to install a fresh per-iteration strategy after
+    /// Replaces the scheduler driving this runtime. Prefix sharing
+    /// ([`TestConfig::prefix_sharing`](crate::engine::TestConfig::prefix_sharing))
+    /// uses it to install each iteration's own strategy after
     /// [`Runtime::restore_from`] (the snapshot carries the scheduler state
     /// *at the snapshot point*, which a new suffix usually overrides).
     pub fn set_scheduler(&mut self, scheduler: Box<dyn Scheduler>) {
@@ -1471,13 +1472,6 @@ impl Runtime {
         self.scheduler.backtracks_scheduled()
     }
 
-    /// The side effects of the most recently executed step (empty before the
-    /// first step). Exposed for engines that drive steps one at a time via
-    /// [`Runtime::force_step`] and classify branches by independence.
-    pub fn last_footprint(&self) -> &StepFootprint {
-        &self.footprint
-    }
-
     /// The currently enabled machines, in ascending id order.
     ///
     /// The slice borrows the incrementally maintained enabled index — no
@@ -1502,7 +1496,9 @@ impl Runtime {
 
     /// Executes exactly one step of the given machine, bypassing the
     /// scheduler's choice (the decision is still recorded, so the trace
-    /// replays). Used by prefix-tree engines to expand a specific branch.
+    /// replays). No engine calls it: it drives an exact schedule for the
+    /// fork-cost sweep and for tests that must dirty chosen machines between
+    /// snapshots and restores.
     ///
     /// Returns `false` — without stepping — when the machine is not
     /// currently enabled or a bug is already pending.
@@ -1585,8 +1581,8 @@ impl Runtime {
         let id = NEXT_SNAPSHOT_ID.fetch_add(1, Ordering::Relaxed);
         if self.cow_origin.is_none() {
             // Dirty tracking starts (or restarts) relative to this snapshot.
-            // When an origin is already being tracked it is kept: prefix-tree
-            // engines interleave child snapshots with restores of the parent,
+            // When an origin is already being tracked it is kept: a caller
+            // may interleave later snapshots with restores of the first one,
             // and re-originating here would turn every one of those restores
             // into a full rebuild.
             self.cow_origin = Some(id);
@@ -2963,11 +2959,29 @@ mod tests {
         assert!(!rt.force_step(responder));
         assert!(rt.force_step(requester));
         assert_eq!(rt.steps(), 2);
-        assert_eq!(rt.trace().decision_count(), 2);
-        // The requester's start sent a ping; the footprint recorded it.
-        assert_eq!(rt.last_footprint().machine, requester);
-        assert_eq!(rt.last_footprint().sends, vec![responder]);
+        // Only the two accepted steps are recorded, as schedule decisions.
+        assert_eq!(
+            rt.trace().decisions,
+            vec![Decision::Schedule(responder), Decision::Schedule(requester)]
+        );
+        // The requester's start sent a ping: the responder is enabled again.
+        assert_eq!(rt.enabled_machines(), &[responder]);
         assert_eq!(rt.run(), ExecutionOutcome::Quiescent);
+        // The forced prefix strict-replays from scratch with the run's tail.
+        let trace = rt.take_trace();
+        let mut replay = Runtime::new(
+            Box::new(ReplayScheduler::from_trace(&trace)),
+            RuntimeConfig::default(),
+            trace.seed,
+        );
+        let responder = replay.create_machine(CloneResponder);
+        replay.create_machine(CloneRequester {
+            responder,
+            pongs: 0,
+        });
+        assert_eq!(replay.run(), ExecutionOutcome::Quiescent);
+        assert!(replay.replay_error().is_none());
+        assert_eq!(replay.trace().decisions, trace.decisions);
     }
 
     #[test]

@@ -134,25 +134,6 @@ impl StepFootprint {
     pub fn is_local(&self) -> bool {
         self.sends.is_empty() && !self.has_global_effect()
     }
-
-    /// `true` when this step and `other` (steps of two different machines)
-    /// commute: neither had a global side effect, neither sent to the
-    /// other's machine, and they did not race a send to a common target
-    /// mailbox.
-    pub fn independent(&self, other: &StepFootprint) -> bool {
-        if self.machine == other.machine {
-            return false;
-        }
-        if self.has_global_effect() || other.has_global_effect() {
-            return false;
-        }
-        if self.sends.contains(&other.machine) || other.sends.contains(&self.machine) {
-            return false;
-        }
-        // A send to a common target does not commute: the target's FIFO
-        // mailbox observes the delivery order.
-        !self.sends.iter().any(|t| other.sends.contains(t))
-    }
 }
 
 /// Resolves every nondeterministic choice of an execution.
@@ -1628,6 +1609,20 @@ impl RecentStep {
             global: false,
         }
     }
+
+    /// Overwrites this entry in place (allocation-free) with an executed
+    /// step: its footprint, its machine's clock `slot`, its own clock
+    /// component `epoch`, and whether it had a global side effect.
+    fn record(&mut self, footprint: &StepFootprint, slot: usize, epoch: u32, global: bool) {
+        self.valid = true;
+        self.machine = footprint.machine;
+        self.slot = slot;
+        self.epoch = epoch;
+        self.send_count = footprint.sends.len().min(RACE_SENDS);
+        self.sends[..self.send_count].copy_from_slice(&footprint.sends[..self.send_count]);
+        self.sends_overflow = footprint.sends.len() > RACE_SENDS;
+        self.global = global;
+    }
 }
 
 /// Dynamic partial-order reduction over the footprint stream.
@@ -1637,8 +1632,8 @@ impl RecentStep {
 /// component, handling a message joins the sender's clock at send time
 /// (deliveries establish happens-before), and steps with global side effects
 /// (monitor notifications, machine creation, value choices) serialize
-/// through a shared global clock — exactly the dependency rules of
-/// [`StepFootprint::independent`]. Two dependent steps whose clocks do not
+/// through a shared global clock — exactly the dependency rules of the
+/// scheduler's own (private) `dependent` check. Two dependent steps whose clocks do not
 /// order them are a **race**: the executed order was a scheduling accident,
 /// and the reversed order may reach different states. Each detected race
 /// enqueues a **backtrack point** for the earlier step's machine, which the
@@ -1752,10 +1747,14 @@ impl DporScheduler {
     }
 
     /// `true` when recorded step `entry` and the step described by
-    /// `footprint` are dependent under the [`StepFootprint`] rules
-    /// (conservatively treating truncated send lists as dependent).
+    /// `footprint` may not commute under the [`StepFootprint`] rules: they
+    /// are steps of one machine, either had a global side effect
+    /// (`footprint_global` for the new step), one delivered to the other's
+    /// machine, or both sent to a common mailbox, whose FIFO order observes
+    /// the delivery order. A truncated send list is conservatively dependent
+    /// on any sending step.
     fn dependent(entry: &RecentStep, footprint: &StepFootprint, footprint_global: bool) -> bool {
-        if entry.global || footprint_global {
+        if entry.machine == footprint.machine || entry.global || footprint_global {
             return true;
         }
         let entry_sends = &entry.sends[..entry.send_count];
@@ -1900,6 +1899,8 @@ impl Scheduler for DporScheduler {
         // reversed order gets explored.
         for i in 0..RECENT_STEPS {
             let entry = &self.recent[i];
+            // One machine's steps are dependent, but program order already
+            // orders them: never a race.
             if !entry.valid || entry.machine == footprint.machine {
                 continue;
             }
@@ -1917,18 +1918,9 @@ impl Scheduler for DporScheduler {
             self.enqueue_backtrack(racer);
         }
 
-        // Record this step in the race window (in place, allocation-free).
-        {
-            let entry = &mut self.recent[self.recent_next];
-            entry.valid = true;
-            entry.machine = footprint.machine;
-            entry.slot = slot;
-            entry.epoch = self.clocks.row(slot)[slot];
-            entry.send_count = footprint.sends.len().min(RACE_SENDS);
-            entry.sends[..entry.send_count].copy_from_slice(&footprint.sends[..entry.send_count]);
-            entry.sends_overflow = footprint.sends.len() > RACE_SENDS;
-            entry.global = global;
-        }
+        // Record this step in the race window.
+        let epoch = self.clocks.row(slot)[slot];
+        self.recent[self.recent_next].record(footprint, slot, epoch, global);
         self.recent_next = (self.recent_next + 1) % RECENT_STEPS;
 
         // Deliveries carry the sender's clock to each target's pending ring.
@@ -2895,34 +2887,49 @@ mod tests {
 
     #[test]
     fn footprint_independence_rules() {
-        let a = MachineId::from_raw(0);
-        let b = MachineId::from_raw(1);
-        let c = MachineId::from_raw(2);
-        let local_a = StepFootprint::new(a);
-        let local_b = StepFootprint::new(b);
-        assert!(local_a.independent(&local_b));
-        assert!(
-            !local_a.independent(&local_a),
-            "same machine never commutes"
-        );
+        // DPOR's dependence rule, asked about a recorded step and a later one.
+        let dependent = |earlier: &StepFootprint, later: &StepFootprint| {
+            let mut entry = RecentStep::empty();
+            entry.record(earlier, 0, 1, earlier.has_global_effect());
+            DporScheduler::dependent(&entry, later, later.has_global_effect())
+        };
+        let sending = |machine: u64, targets: &[u64]| {
+            let mut footprint = StepFootprint::new(MachineId::from_raw(machine));
+            footprint.sends = ids(targets);
+            footprint
+        };
+        let (local_a, local_b) = (sending(0, &[]), sending(1, &[]));
+        assert!(!dependent(&local_a, &local_b));
+        assert!(dependent(&local_a, &local_a), "same machine never commutes");
 
-        let mut send_a_to_b = StepFootprint::new(a);
-        send_a_to_b.sends.push(b);
-        assert!(!send_a_to_b.independent(&local_b), "delivery to the peer");
+        let send_a_to_b = sending(0, &[1]);
+        assert!(dependent(&send_a_to_b, &local_b), "delivery to the peer");
+        assert!(dependent(&local_b, &send_a_to_b), "delivery to the peer");
 
-        let mut send_b_to_c = StepFootprint::new(b);
-        send_b_to_c.sends.push(c);
-        let mut send_a_to_c = StepFootprint::new(a);
-        send_a_to_c.sends.push(c);
+        let send_b_to_c = sending(1, &[2]);
         assert!(
-            !send_a_to_c.independent(&send_b_to_c),
+            dependent(&sending(0, &[2]), &send_b_to_c),
             "racing sends to a common mailbox"
         );
-        assert!(!send_a_to_b.independent(&send_b_to_c), "b receives");
+        assert!(dependent(&send_a_to_b, &send_b_to_c), "b receives");
 
-        let mut monitor_step = StepFootprint::new(a);
+        let mut monitor_step = StepFootprint::new(MachineId::from_raw(0));
         monitor_step.notified_monitor = true;
-        assert!(!monitor_step.independent(&local_b), "monitors are shared");
+        assert!(dependent(&monitor_step, &local_b), "monitors are shared");
+        assert!(dependent(&local_b, &monitor_step), "monitors are shared");
+
+        // Only the first `RACE_SENDS` targets of a step are remembered: a
+        // longer send list may hide a common target, so it is dependent on
+        // any later sending step, and still not on a local one.
+        let full: Vec<u64> = (10..10 + RACE_SENDS as u64).collect();
+        let overflowing: Vec<u64> = (10..11 + RACE_SENDS as u64).collect();
+        let send_b_elsewhere = sending(1, &[99]);
+        assert!(!dependent(&sending(0, &full), &send_b_elsewhere));
+        assert!(
+            dependent(&sending(0, &overflowing), &send_b_elsewhere),
+            "a truncated send list"
+        );
+        assert!(!dependent(&sending(0, &overflowing), &local_b));
     }
 
     #[test]

@@ -33,7 +33,7 @@ pub struct TimerTick;
 ///
 /// Clonable (the tick constructor is behind an `Arc`, so the machine stays
 /// `Send + Sync`), so harnesses using timers stay compatible with
-/// snapshot-based prefix sharing and parallel prefix-tree exploration.
+/// snapshot-based prefix sharing.
 #[derive(Clone)]
 pub struct Timer {
     target: MachineId,

@@ -580,12 +580,11 @@ fn low_dirty_fork_at_ten_thousand_machines_costs_o_dirty_not_o_machines() {
     assert_eq!(rt.steps(), TOTAL);
 }
 
-/// One branch expansion of the parallel prefix-tree engine — rewinding a
-/// worker's pooled runtime to the node snapshot, forcing one scheduling
-/// step, and capturing the child snapshot — runs in a small constant budget
-/// once the worker's pools are warm, *independent of how long the suffix the
-/// rewind discards ran*. This is what makes tree forks "cheap": expanding a
-/// node costs O(machines + dirty), never O(steps).
+/// A fork-step-snapshot cycle — rewinding a pooled runtime to a snapshot,
+/// forcing one scheduling step, and capturing a child snapshot — runs in a
+/// small constant budget once the runtime's pools are warm, *independent of
+/// how long the suffix the rewind discards ran*: a fork costs
+/// O(machines + dirty), never O(steps).
 #[test]
 fn parallel_tree_branch_expansion_stays_within_a_constant_allocation_budget() {
     const STEPS: usize = 8_192;
@@ -618,7 +617,7 @@ fn parallel_tree_branch_expansion_stays_within_a_constant_allocation_budget() {
     rt.create_machine(CloneSpinner);
     let node = rt.snapshot().expect("clonable harness snapshots");
 
-    // Warm-up: run a long suffix, then perform the branch-expansion cycle
+    // Warm-up: run a long suffix, then perform the fork-step-snapshot cycle
     // twice so every pool reaches steady state.
     assert_eq!(rt.run(), ExecutionOutcome::MaxStepsReached);
     for _ in 0..2 {
@@ -627,7 +626,7 @@ fn parallel_tree_branch_expansion_stays_within_a_constant_allocation_budget() {
         let _child = rt.snapshot().expect("branch snapshots");
     }
 
-    // The measured expansion: rewind past the 8k-step suffix, force the
+    // The measured cycle: rewind past the 8k-step suffix, force the
     // branch step, capture the child. The budget covers the per-machine
     // state clones of the child snapshot plus the snapshot scheduler clone —
     // nothing proportional to the discarded suffix.
@@ -638,11 +637,11 @@ fn parallel_tree_branch_expansion_stays_within_a_constant_allocation_budget() {
     });
     assert!(
         allocations <= 48,
-        "one tree-branch expansion allocated {allocations} times; \
-         forking a node must cost O(machines), not O(suffix steps)"
+        "one fork-step-snapshot cycle allocated {allocations} times; \
+         forking must cost O(machines), not O(suffix steps)"
     );
 
-    // And the child is a usable tree node: a fork of it runs to the bound.
+    // And the child is a usable snapshot: a fork of it runs to the bound.
     rt.restore_from(&child);
     rt.set_scheduler(SchedulerKind::Random.build(17, STEPS));
     rt.reseed(17);

@@ -276,9 +276,10 @@ fn cow_restore_is_byte_identical_to_full_restore() {
     }
 }
 
-/// Restoring from a *parent* snapshot after taking child snapshots (the
-/// prefix tree's pattern: snapshot at depth d, fork children, rewind to
-/// the parent) must also stay on the incremental path and match the oracle.
+/// Restoring from a *parent* snapshot after taking child snapshots (snapshot
+/// at depth d, fork children, rewind to the parent) must also stay on the
+/// incremental path and match the oracle: the runtime keeps its first
+/// snapshot as the dirty-tracking origin.
 #[test]
 fn nested_snapshots_rewind_to_the_parent_identically() {
     let mut cow = new_runtime(3);
