@@ -19,17 +19,6 @@
 //! harness's designed fault budget (crashes for vNext/Fabric/megakv, message
 //! loss for replsim, crash+restart for MigratingTable), verifying the *fault
 //! tolerance* of the fixed systems, while an explicit plan applies globally.
-//!
-//! Not every strategy is clean yet. The runtime confirms bounded-horizon
-//! liveness verdicts of starvation-prone strategies (PCT, delay-bounding,
-//! the probabilistic walk, DPOR) over a fair grace period, but two known
-//! verdicts at the step bound are still reported as violations (ROADMAP
-//! item 1): the fixed megakv under `--scheduler pct`, `--scheduler delay`
-//! and therefore `--portfolio` ("a client request never completed ... at
-//! step 4000"), and the fixed replsim under `--scheduler sleep-set` by
-//! 3,000 executions ("a client request was never acknowledged ... at step
-//! 2500"). Item 1 records megakv clean under `random`, `prob`, `sleep-set`
-//! and `dpor` at 3,000 executions.
 
 use bench::{parse_scheduler, usage_error, verify_fixed_config, EngineArgs, FaultArg};
 use psharp::prelude::*;

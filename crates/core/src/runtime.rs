@@ -178,9 +178,6 @@ thread_local! {
     /// Lookups into a [`MachinePool`] made on this thread: the exact gate
     /// that a fork's restore and break-off never hash a type.
     static POOL_LOOKUPS: Cell<u64> = const { Cell::new(0) };
-    /// Monitor temperatures read during liveness grace windows on this
-    /// thread (see [`Runtime::run`]).
-    static GRACE_READS: Cell<u64> = const { Cell::new(0) };
 }
 
 /// Dense dirty-slot index mirroring [`EnabledSet`]'s list + bitmap shape:
@@ -339,28 +336,6 @@ struct MonitorSlot {
     monitor: Option<Box<dyn Monitor>>,
     /// Shared so notifying the monitor never copies the name.
     name: Arc<str>,
-}
-
-/// Bookkeeping of a fair grace period (see [`Runtime::run`]): an unfair
-/// strategy ended its bounded execution with at least one hot liveness
-/// monitor, and the runtime keeps fair-scheduling to observe whether they
-/// cool.
-struct LivenessGrace {
-    /// Every monitor that was hot at the bound, with its verdict as captured
-    /// *at the step bound*. An entry is dropped as soon as its monitor
-    /// cools; the first surviving entry is reported if any remain at the
-    /// deadline. Capturing at the bound keeps the bug byte-identical to
-    /// what a strict replay of the trace reports when it reaches the same
-    /// bound.
-    pending: Vec<(usize, Bug)>,
-    /// The step bound at which the verdicts were captured.
-    bound_step: usize,
-    /// Decision count at the bound: on confirmation the trace is truncated
-    /// back to this point, so the reported trace and `#NDC` cover exactly
-    /// the replayable pre-bound execution, not the observation window.
-    decisions_at_bound: usize,
-    /// Step at which the grace period ends.
-    deadline: usize,
 }
 
 /// One execution of the system-under-test: machines, monitors, scheduler and
@@ -586,14 +561,7 @@ impl Runtime {
     /// first step boundary where `cap` decisions are recorded and no bug is
     /// pending. Shares the per-step poll (and the slot) of the cancellation
     /// token: a shrink candidate runs on one thread and never carries both.
-    ///
-    /// Precondition: the installed scheduler has no liveness grace window
-    /// ([`Scheduler::unfair_prefix_len`] is `None`, as for replay). Decisions
-    /// recorded during grace are truncated again when the verdict is
-    /// confirmed, so the cap could fire there on a recording that would have
-    /// ended up shorter than `cap`.
     pub(crate) fn cancel_at_decisions(&mut self, cap: usize) {
-        debug_assert!(self.scheduler.unfair_prefix_len().is_none());
         self.cancel = Some(Cancel::DecisionCap(cap));
     }
 
@@ -815,39 +783,23 @@ impl Runtime {
     /// [`ExecutionOutcome::BugFound`]; after that, [`Runtime::bug`] returns
     /// `None`.
     ///
-    /// # Liveness and unfair strategies: the fair grace period
+    /// # Liveness is judged only under a fair schedule
     ///
-    /// A hot monitor at the step bound is the paper's bounded-horizon
-    /// approximation of "hot forever". Under a *fair* scheduler that verdict
-    /// is trusted as is. Under a starvation-prone strategy (PCT,
-    /// delay-bounding, the probabilistic walk — they report a
-    /// [`Scheduler::unfair_prefix_len`]) the unfair stretch can pile up
-    /// event backlogs that fair scheduling has not finished draining by the
-    /// bound, so "hot at the bound" may just mean "still catching up", not
-    /// "stuck". Instead of reporting immediately, the runtime then enters a
-    /// *fair grace period*: it keeps stepping (PCT and delay-bounding are
-    /// already in their fair random tail past the bound) for up to
-    /// `unfair-prefix × machine-count` additional steps, watching the hot
-    /// monitor. If the monitor cools — even once — the obligation was met
-    /// and the execution ends as a plain [`ExecutionOutcome::MaxStepsReached`].
-    /// Only a monitor that stays hot through the entire grace period is
-    /// reported, and the reported bug is the verdict *as captured at the
-    /// bound*, so a strict replay of the trace (which stops at the same
-    /// bound, with no grace of its own) reproduces the identical bug.
-    /// Violations raised by machines or safety monitors during the grace
-    /// period are discarded: grace steps lie past the configured horizon and
-    /// exist only to confirm or refute the liveness verdict — a bug found
-    /// there could not be replayed within the configured bound.
+    /// A monitor still hot at the step bound is the paper's bounded-horizon
+    /// approximation of "hot forever". That inference holds only when the
+    /// schedule is fair: a starvation-prone strategy (PCT, delay-bounding,
+    /// the probabilistic walk, sleep-set, DPOR — they report a
+    /// [`Scheduler::unfair_prefix_len`]) can leave a backlog undrained at the
+    /// bound that a fair schedule would have drained. So the bound verdict is
+    /// taken only when `unfair_prefix_len()` is `None` (random, round-robin,
+    /// strict replay); under any other strategy the execution ends
+    /// [`ExecutionOutcome::MaxStepsReached`] without one. Safety violations
+    /// and the liveness check at quiescence — where no monitor can cool
+    /// again — apply under every strategy.
     pub fn run(&mut self) -> ExecutionOutcome {
-        let mut grace: Option<LivenessGrace> = None;
         loop {
             if self.bug.is_some() {
-                if grace.is_some() {
-                    // Observation-only window past the horizon; see above.
-                    self.bug = None;
-                } else {
-                    return ExecutionOutcome::BugFound(self.take_bug());
-                }
+                return ExecutionOutcome::BugFound(self.take_bug());
             }
             if let Some(cancel) = &self.cancel {
                 let fired = match cancel {
@@ -859,51 +811,23 @@ impl Runtime {
                 }
             }
             if self.steps >= self.config.max_steps {
-                match grace.take() {
-                    None => {
-                        if let Some(pending) = self.liveness_grace_at_bound() {
-                            grace = Some(pending);
-                        } else {
-                            self.check_liveness();
-                            return match self.bug.is_some() {
-                                true => ExecutionOutcome::BugFound(self.take_bug()),
-                                false => ExecutionOutcome::MaxStepsReached,
-                            };
-                        }
-                    }
-                    Some(mut pending) => {
-                        // A monitor that cools — even once — met its
-                        // obligation: its bound verdict was a backlog
-                        // artifact, not a stuck system. A temperature
-                        // changes only inside `observe`, so only a step that
-                        // notified a monitor can have cooled one.
-                        if self.footprint.notified_monitor {
-                            pending.pending.retain(|&(index, _)| {
-                                #[cfg(test)]
-                                GRACE_READS.set(GRACE_READS.get() + 1);
-                                self.monitor_temperature(index) == Temperature::Hot
-                            });
-                            if pending.pending.is_empty() {
-                                return ExecutionOutcome::MaxStepsReached;
-                            }
-                        }
-                        if self.steps >= pending.deadline {
-                            return ExecutionOutcome::BugFound(self.confirm_grace(pending));
-                        }
-                        grace = Some(pending);
-                    }
+                if self.scheduler.unfair_prefix_len().is_none() {
+                    self.check_liveness();
                 }
+                return match self.bug.is_some() {
+                    true => ExecutionOutcome::BugFound(self.take_bug()),
+                    false => ExecutionOutcome::MaxStepsReached,
+                };
             }
-            // Fault injection point: while budget remains (and only within
-            // the configured horizon — the grace window is observation-only),
-            // offer the applicable faults to the scheduler. An injected fault
-            // is recorded as a decision and does not consume a machine step;
+            // Fault injection point: while budget remains, offer the
+            // applicable faults to the scheduler. An injected fault is
+            // recorded as a decision and does not consume a machine step;
             // the loop re-evaluates so the schedule sees the post-fault
             // enabled set. `fault_probe_applicable` is the fast path: runs
             // with no remaining budget — or a budget no marked machine can
             // absorb (e.g. a crash budget with nothing marked crashable) —
             // skip the candidate collection and scheduler probe entirely.
-            if grace.is_none() && self.fault_probe_applicable() {
+            if self.fault_probe_applicable() {
                 self.collect_fault_candidates();
                 if !self.fault_buf.is_empty() {
                     if let Some(fault) = self.scheduler.next_fault(&self.fault_buf, self.steps) {
@@ -919,12 +843,6 @@ impl Runtime {
                 }
             }
             if self.enabled.is_empty() {
-                if let Some(pending) = grace {
-                    // Quiescent while hot (the cooled entries were retained
-                    // away above): the monitor can never cool again, so the
-                    // bound verdict is confirmed.
-                    return ExecutionOutcome::BugFound(self.confirm_grace(pending));
-                }
                 if self.config.check_liveness_at_quiescence {
                     self.check_liveness();
                 }
@@ -1230,98 +1148,20 @@ impl Runtime {
         if self.bug.is_some() {
             return;
         }
-        if let Some(index) = self.first_hot_monitor() {
-            self.bug = Some(self.liveness_bug(index));
+        for slot in &self.monitors {
+            let monitor = slot
+                .monitor
+                .as_ref()
+                .expect("monitor is present outside of observe calls");
+            if monitor.temperature() == Temperature::Hot {
+                self.bug = Some(
+                    Bug::new(BugKind::LivenessViolation, monitor.hot_message())
+                        .with_source(Arc::clone(&slot.name))
+                        .with_step(self.steps),
+                );
+                return;
+            }
         }
-    }
-
-    /// The index of the first registered monitor that is currently hot.
-    fn first_hot_monitor(&self) -> Option<usize> {
-        (0..self.monitors.len()).find(|&index| self.monitor_temperature(index) == Temperature::Hot)
-    }
-
-    /// The current temperature of the monitor at `index`.
-    fn monitor_temperature(&self, index: usize) -> Temperature {
-        self.monitors[index]
-            .monitor
-            .as_ref()
-            .expect("monitor is present outside of observe calls")
-            .temperature()
-    }
-
-    /// Builds the liveness-violation bug for the (hot) monitor at `index`.
-    fn liveness_bug(&self, index: usize) -> Bug {
-        let slot = &self.monitors[index];
-        let monitor = slot
-            .monitor
-            .as_ref()
-            .expect("monitor is present outside of observe calls");
-        Bug::new(BugKind::LivenessViolation, monitor.hot_message())
-            .with_source(Arc::clone(&slot.name))
-            .with_step(self.steps)
-    }
-
-    /// Decides at the step bound whether a fair grace period should start
-    /// instead of an immediate liveness verdict: only for starvation-prone
-    /// strategies, and only when a liveness monitor is actually hot. Every
-    /// monitor hot at the bound is watched, each with its verdict captured
-    /// here.
-    fn liveness_grace_at_bound(&self) -> Option<LivenessGrace> {
-        let prefix = self.scheduler.unfair_prefix_len()?;
-        let pending: Vec<(usize, Bug)> = (0..self.monitors.len())
-            .filter(|&index| self.monitor_temperature(index) == Temperature::Hot)
-            .map(|index| (index, self.liveness_bug(index)))
-            .collect();
-        if pending.is_empty() {
-            return None;
-        }
-        // The unfair prefix can queue O(prefix) events into one starved
-        // mailbox, and fair scheduling over M machines drains such a backlog
-        // at a net rate well below one event per step (producers keep
-        // producing). The worst-case window therefore scales with both the
-        // prefix length and the machine count.
-        let machines = self.slots.len().max(2);
-        let worst_case = prefix.max(1).saturating_mul(machines);
-        // Adaptive early-confirm: the window only exists so a backlog the
-        // unfair prefix *actually* piled up can drain — so size it by the
-        // backlog measured at the bound, not by what the prefix could have
-        // built in theory. Draining `B` queued events costs one visit to the
-        // starved machine per event, each visit spaced by the scheduler's
-        // post-bound visit spacing (`machines` for a uniformly random fair
-        // tail, more for the sticky probabilistic walk). The backlog term is
-        // doubled because draining spawns follow-up work the bound-time
-        // measurement cannot see (request → reply → monitor-cooling chains),
-        // and a slack of `8 × machines` extra visits covers the post-drain
-        // completion round trips (retries, timer-driven resyncs) that cool
-        // the monitor. A genuinely stuck system — whose backlog is a small
-        // steady-state ripple, not a prefix artifact — now confirms its
-        // verdict in O(spacing × machines) steps instead of paying the full
-        // `unfair-prefix × machine-count` window.
-        let backlog: usize = self
-            .slots
-            .iter()
-            .filter(|slot| !slot.flags.halted && !slot.flags.crashed)
-            .map(|slot| slot.mailbox.len())
-            .sum();
-        let spacing = self.scheduler.fair_step_spacing(machines).max(1);
-        let adaptive = spacing.saturating_mul(2 * backlog + 8 * machines);
-        let grace = worst_case.min(adaptive);
-        Some(LivenessGrace {
-            pending,
-            bound_step: self.steps,
-            decisions_at_bound: self.trace.decision_count(),
-            deadline: self.steps + grace,
-        })
-    }
-
-    /// Confirms a grace period's surviving verdict: the trace is rolled back
-    /// to the step bound (the grace window exists only to observe the
-    /// monitors, and a strict replay stops at the bound anyway), and the
-    /// first surviving bound verdict is returned.
-    fn confirm_grace(&mut self, mut grace: LivenessGrace) -> Bug {
-        self.trace
-            .truncate_to_step(grace.decisions_at_bound, grace.bound_step);
-        grace.pending.remove(0).1
     }
 
     fn deliver_to_monitor<M: Monitor>(&mut self, event: &Event, step: usize) {
@@ -2370,15 +2210,14 @@ mod tests {
         assert!(rt.bug().is_none());
     }
 
-    /// Runs one machine that heats [`HotUntilPong`] at its start and then
-    /// kicks itself forever, notifying the monitor with a `Ping` on every
-    /// kick when `pinging`, under PCT, whose unfair prefix earns a grace
-    /// window at the bound. Returns (steps past the bound, temperatures
-    /// read during grace).
-    fn hot_through_grace(pinging: bool) -> (usize, u64) {
-        struct Kicker {
-            pinging: bool,
-        }
+    /// Only a fair strategy judges liveness at the step bound: a machine
+    /// heats [`HotUntilPong`] and then kicks itself forever, so the monitor
+    /// is hot at the bound under every strategy. Random reports it there;
+    /// PCT, whose priority prefix is unfair, ends the execution without a
+    /// verdict.
+    #[test]
+    fn only_a_fair_strategy_judges_liveness_at_the_bound() {
+        struct Kicker;
         impl Machine for Kicker {
             fn on_start(&mut self, ctx: &mut Context<'_>) {
                 let me = ctx.id();
@@ -2386,43 +2225,31 @@ mod tests {
                 ctx.send_to_self(Event::new(Kick));
             }
             fn handle(&mut self, ctx: &mut Context<'_>, _event: Event) {
-                if self.pinging {
-                    let me = ctx.id();
-                    ctx.notify_monitor::<HotUntilPong>(Event::new(Ping(me)));
-                }
                 ctx.send_to_self(Event::new(Kick));
             }
         }
         const BOUND: usize = 40;
-        let config = RuntimeConfig {
-            max_steps: BOUND,
-            ..RuntimeConfig::default()
+        let run = |scheduler: Box<dyn Scheduler>| {
+            let config = RuntimeConfig {
+                max_steps: BOUND,
+                ..RuntimeConfig::default()
+            };
+            let mut rt = Runtime::new(scheduler, config, 5);
+            rt.add_monitor(HotUntilPong { hot: false });
+            rt.create_machine(Kicker);
+            let outcome = rt.run();
+            assert_eq!(rt.steps(), BOUND);
+            outcome
         };
-        let mut rt = Runtime::new(Box::new(PctScheduler::new(5, 2, BOUND)), config, 5);
-        rt.add_monitor(HotUntilPong { hot: false });
-        rt.create_machine(Kicker { pinging });
-        let reads = GRACE_READS.get();
-        let outcome = rt.run();
-        let ExecutionOutcome::BugFound(bug) = outcome else {
-            panic!("the monitor never cools: {outcome:?}");
+        let ExecutionOutcome::BugFound(bug) = run(Box::new(RandomScheduler::new(5))) else {
+            panic!("random must judge the hot monitor at the bound");
         };
         assert_eq!(bug.kind, BugKind::LivenessViolation);
-        assert_eq!(bug.step, BOUND, "the verdict is the bound's");
-        (rt.steps() - BOUND, GRACE_READS.get() - reads)
-    }
-
-    #[test]
-    fn grace_steps_reread_temperatures_only_after_a_notification() {
-        let (grace_steps, reads) = hot_through_grace(false);
-        assert!(grace_steps > 0, "the run took a grace window");
-        assert_eq!(reads, 0, "no step notified the monitor, so none re-read it");
-        // Notified on every step: one read per grace step and pending monitor.
-        let (pinged_steps, reads) = hot_through_grace(true);
+        assert_eq!(bug.step, BOUND);
         assert_eq!(
-            pinged_steps, grace_steps,
-            "the window does not depend on reads"
+            run(Box::new(PctScheduler::new(5, 2, BOUND))),
+            ExecutionOutcome::MaxStepsReached
         );
-        assert_eq!(reads, pinged_steps as u64);
     }
 
     #[test]

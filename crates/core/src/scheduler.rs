@@ -185,34 +185,26 @@ pub trait Scheduler: Send + Sync {
         None
     }
 
-    /// The length of the execution prefix during which this strategy may
-    /// starve individual machines: the priority-driven prefix for PCT and
-    /// delay-bounding (their fair tail takes over afterwards), the entire
-    /// bounded horizon for the probabilistic random walk and for DPOR's
-    /// run-to-completion bias. `None` for strategies that starve no machine
-    /// for more than a bounded number of scheduling points (random,
-    /// round-robin, sleep-set with its wake bound, replay).
+    /// The fairness signal: `None` for a fair strategy (random,
+    /// round-robin, replay), otherwise the length of the execution prefix
+    /// during which this strategy may starve individual machines — the
+    /// priority-driven prefix for PCT and delay-bounding (their fair tail
+    /// takes over afterwards), the entire bounded horizon for the
+    /// probabilistic random walk, sleep-set and DPOR.
     ///
-    /// The runtime uses this to qualify bounded-horizon liveness verdicts:
-    /// under a starvation-prone strategy, a monitor that is hot at the step
-    /// bound may just reflect a backlog the starved machines have not
-    /// finished draining, so the runtime confirms the verdict over a fair
-    /// grace period (see [`Runtime::run`](crate::runtime::Runtime::run))
-    /// instead of reporting it immediately.
+    /// Only a fair strategy judges liveness at the step bound: under a
+    /// starvation-prone one, a monitor that is hot at the bound may just
+    /// reflect a backlog the starved machines have not finished draining,
+    /// so the runtime ends such an execution without a liveness verdict
+    /// (see [`Runtime::run`](crate::runtime::Runtime::run)).
     fn unfair_prefix_len(&self) -> Option<usize> {
         None
     }
 
     /// Expected number of steps between two consecutive visits to any given
-    /// machine once the strategy schedules past the step bound (i.e. during
-    /// a liveness grace window), given `machines` live machines. The runtime
-    /// scales its adaptive grace window by this spacing: draining a backlog
-    /// of `B` events costs roughly `B × spacing` steps.
-    ///
-    /// The default — uniformly random fair scheduling — visits each machine
-    /// every `machines` steps in expectation. Strategies whose post-bound
-    /// regime is less fair (the probabilistic walk keeps parking on one
-    /// machine) report a larger spacing.
+    /// machine, given `machines` live machines. The runtime no longer reads
+    /// it; ROADMAP item 7 deletes it together with the benchmark adapter's
+    /// forwarding call.
     fn fair_step_spacing(&self, machines: usize) -> usize {
         machines
     }
@@ -325,7 +317,7 @@ impl SchedulerKind {
     ///
     /// `seed` parameterizes the random choices; `max_steps` places PCT's and
     /// delay-bounding's priority prefix and is the starvation-prone horizon
-    /// the probabilistic walk and DPOR declare.
+    /// the probabilistic walk, sleep-set and DPOR declare.
     pub fn build(self, seed: u64, max_steps: usize) -> Box<dyn Scheduler> {
         match self {
             SchedulerKind::Random => Box::new(RandomScheduler::new(seed)),
@@ -339,7 +331,7 @@ impl SchedulerKind {
                 ProbabilisticRandomScheduler::new(seed, switch_percent, max_steps),
             ),
             SchedulerKind::RoundRobin => Box::new(RoundRobinScheduler::new(seed)),
-            SchedulerKind::SleepSet => Box::new(SleepSetScheduler::new(seed)),
+            SchedulerKind::SleepSet => Box::new(SleepSetScheduler::new(seed, max_steps)),
             SchedulerKind::Dpor => Box::new(DporScheduler::new(seed, max_steps)),
         }
     }
@@ -475,11 +467,11 @@ impl Scheduler for RandomScheduler {
 /// context switch at an adversarial moment.
 ///
 /// Strict priority scheduling is unfair: one machine can monopolise the whole
-/// bounded execution, which would make every liveness property look violated.
-/// Like P#'s liveness checking, the scheduler therefore switches to a *fair*
-/// (uniformly random) tail for the second half of the step bound, so that a
-/// hot liveness monitor at the bound reflects a genuine lack of progress
-/// rather than scheduler starvation.
+/// bounded execution. The scheduler therefore switches to a *fair* (uniformly
+/// random) tail for the second half of the step bound. The priority prefix
+/// still makes the schedule unfair, so the strategy reports it as its
+/// [`Scheduler::unfair_prefix_len`] and takes no liveness verdict at the
+/// bound.
 ///
 /// Up to an enabled width of 64 a pick finds the highest-priority machine by
 /// one pass over `enabled`. Wider, that pass would make a start-up drain (*w*
@@ -885,10 +877,10 @@ impl Scheduler for PctScheduler {
 /// space than uniform randomness.
 ///
 /// Like [`PctScheduler`], the deterministic base schedule is unfair (it can
-/// starve machines for the whole bounded execution, making every liveness
-/// property look violated), so the scheduler switches to a fair (uniformly
-/// random) tail for the second half of the step bound, and its delays are
-/// sampled over the deterministic prefix where they actually matter.
+/// starve machines for the whole bounded execution), so the scheduler
+/// switches to a fair (uniformly random) tail for the second half of the
+/// step bound, reports the prefix as unfair, and samples its delays over the
+/// deterministic prefix where they actually matter.
 #[derive(Debug, Clone)]
 pub struct DelayBoundingScheduler {
     rng: SplitMix64,
@@ -994,8 +986,8 @@ pub struct ProbabilisticRandomScheduler {
     current: Option<MachineId>,
     /// The bounded horizon of the execution, reported as the strategy's
     /// starvation-prone prefix: the walk can park on one machine for long
-    /// stretches at *any* point of the run, so liveness verdicts at the
-    /// bound always go through the runtime's fair grace period.
+    /// stretches at *any* point of the run, so it never judges liveness at
+    /// the bound.
     horizon: usize,
     fault_gate: FaultGate,
 }
@@ -1057,15 +1049,6 @@ impl Scheduler for ProbabilisticRandomScheduler {
 
     fn unfair_prefix_len(&self) -> Option<usize> {
         Some(self.horizon)
-    }
-
-    fn fair_step_spacing(&self, machines: usize) -> usize {
-        // The walk switches away from the current machine with
-        // `switch_percent`% probability per step, so it reaches any given
-        // other machine ~100/p times more slowly than uniform randomness.
-        machines
-            .saturating_mul((100 / self.switch_percent.max(1)) as usize)
-            .max(machines)
     }
 
     fn clone_box(&self) -> Option<Box<dyn Scheduler>> {
@@ -1341,9 +1324,11 @@ impl SleepSet {
 ///   the random pick wakes), when a fault fires (faults invalidate
 ///   commutativity assumptions wholesale), or after
 ///   [`SleepSetScheduler::WAKE_AFTER_SKIPS`] consecutive pass-overs — a
-///   fairness bound that keeps the strategy sound for liveness checking:
-///   no machine is ever starved for more than a constant number of
-///   scheduling points.
+///   fairness bound: no machine is ever starved for more than a constant
+///   number of scheduling points. Passing sleepers over still skews the
+///   schedule away from uniform, so the strategy declares its horizon as an
+///   unfair prefix and takes no liveness verdict at its step bound (see
+///   [`Scheduler::unfair_prefix_len`]).
 ///
 /// The recorded trace contains only the final picks, so replay and shrinking
 /// work unchanged. The pruning is a heuristic under-approximation of full
@@ -1357,6 +1342,9 @@ pub struct SleepSetScheduler {
     fault_gate: FaultGate,
     sleep_set: SleepSet,
     pruned: u64,
+    /// The bounded horizon of the execution, reported as the strategy's
+    /// starvation-prone prefix.
+    horizon: usize,
 }
 
 impl SleepSetScheduler {
@@ -1365,13 +1353,15 @@ impl SleepSetScheduler {
     /// defer any machine.
     pub const WAKE_AFTER_SKIPS: u32 = 8;
 
-    /// Creates a sleep-set scheduler driven by `seed`.
-    pub fn new(seed: u64) -> Self {
+    /// Creates a sleep-set scheduler driven by `seed`, for executions
+    /// bounded by `max_steps`.
+    pub fn new(seed: u64, max_steps: usize) -> Self {
         SleepSetScheduler {
             rng: SplitMix64::new(seed),
             fault_gate: FaultGate::new(seed),
             sleep_set: SleepSet::new(Self::WAKE_AFTER_SKIPS),
             pruned: 0,
+            horizon: max_steps,
         }
     }
 }
@@ -1413,6 +1403,10 @@ impl Scheduler for SleepSetScheduler {
         self.pruned
     }
 
+    fn unfair_prefix_len(&self) -> Option<usize> {
+        Some(self.horizon)
+    }
+
     fn clone_box(&self) -> Option<Box<dyn Scheduler>> {
         Some(Box::new(self.clone()))
     }
@@ -1447,7 +1441,7 @@ const BACKTRACK_CAP: usize = 8;
 /// Races can arrive faster than backtracks are consumed (every step is
 /// scanned against [`RECENT_STEPS`] predecessors), so without a cap two
 /// racing machines can ping-pong through the queue forever and starve every
-/// other machine unboundedly — past even the liveness grace window. After
+/// other machine unboundedly. After
 /// this many forced picks in a row one ordinary (sleep-set) pick intervenes,
 /// making the queue's priority fairness-bounded like the sticky bias.
 const BACKTRACK_RUN_CAP: u32 = 16;
@@ -1658,10 +1652,10 @@ impl RecentStep {
 /// aggressively for machines it lost track of, and its fairness bounds
 /// (sticky cap, sleep-set wake bound, backtrack run cap) are unconditional.
 /// The strategy is still starvation-prone *within* those bounds, so it
-/// declares its horizon as an unfair prefix and the runtime confirms
-/// hot-at-bound liveness verdicts over a fair grace period, exactly like
-/// PCT and the probabilistic walk. `por_soundness.rs` checks the strategy
-/// still finds every seeded case-study bug and keeps every fixed system
+/// declares its horizon as an unfair prefix and the runtime takes no
+/// liveness verdict at its step bound, exactly as under sleep-set, PCT and
+/// the probabilistic walk. `por_soundness.rs` checks the strategy still
+/// finds every seeded case-study safety bug and keeps every fixed system
 /// clean.
 #[derive(Debug, Clone)]
 pub struct DporScheduler {
@@ -1698,8 +1692,8 @@ pub struct DporScheduler {
     /// The bounded horizon of the execution, reported as the strategy's
     /// starvation-prone prefix: the run-to-completion bias and backtrack
     /// priority can defer any given machine for long stretches at *any*
-    /// point of the run, so liveness verdicts at the step bound need the
-    /// fair grace period (see [`Scheduler::unfair_prefix_len`]).
+    /// point of the run, so it never judges liveness at the step bound (see
+    /// [`Scheduler::unfair_prefix_len`]).
     horizon: usize,
 }
 
@@ -1955,17 +1949,6 @@ impl Scheduler for DporScheduler {
 
     fn unfair_prefix_len(&self) -> Option<usize> {
         Some(self.horizon)
-    }
-
-    fn fair_step_spacing(&self, machines: usize) -> usize {
-        // The run-to-completion bias parks on one machine for up to
-        // `STICKY_CAP` consecutive steps, and a sleeping machine is passed
-        // over up to `wake_after_skips` times before the aging rule wakes
-        // it, so visits to any given machine are up to that much sparser
-        // than uniform-random scheduling.
-        machines
-            .saturating_mul((STICKY_CAP.max(self.sleep_set.wake_after_skips)) as usize)
-            .max(machines)
     }
 
     fn clone_box(&self) -> Option<Box<dyn Scheduler>> {
@@ -2823,8 +2806,8 @@ mod tests {
     #[test]
     fn sleep_set_is_deterministic_per_seed() {
         let enabled = ids(&[0, 1, 2, 3]);
-        let mut a = SleepSetScheduler::new(17);
-        let mut b = SleepSetScheduler::new(17);
+        let mut a = SleepSetScheduler::new(17, 1_000);
+        let mut b = SleepSetScheduler::new(17, 1_000);
         for step in 0..100 {
             let pick_a = a.next_machine(&enabled, step);
             let pick_b = b.next_machine(&enabled, step);
@@ -2844,7 +2827,7 @@ mod tests {
         // stepper goes to sleep, so scheduling points increasingly skip
         // sleepers — but the fairness bound still schedules everyone.
         let enabled = ids(&[0, 1, 2]);
-        let mut s = SleepSetScheduler::new(5);
+        let mut s = SleepSetScheduler::new(5, 1_000);
         let mut seen = [false; 3];
         for step in 0..200 {
             let pick = s.next_machine(&enabled, step);
@@ -2862,7 +2845,7 @@ mod tests {
     #[test]
     fn sleep_set_wakes_receiver_on_send() {
         let enabled = ids(&[0, 1]);
-        let mut s = SleepSetScheduler::new(1);
+        let mut s = SleepSetScheduler::new(1, 1_000);
         // Machine 0 takes a local step and falls asleep.
         s.note_footprint(&StepFootprint::new(MachineId::from_raw(0)));
         assert!(s.sleep_set.is_asleep(MachineId::from_raw(0)));
@@ -2878,7 +2861,7 @@ mod tests {
 
     #[test]
     fn sleep_set_monitor_steps_never_sleep() {
-        let mut s = SleepSetScheduler::new(1);
+        let mut s = SleepSetScheduler::new(1, 1_000);
         let mut fp = StepFootprint::new(MachineId::from_raw(0));
         fp.notified_monitor = true;
         s.note_footprint(&fp);
@@ -3049,8 +3032,8 @@ mod tests {
     fn unfair_prefix_reported_by_starvation_prone_strategies_only() {
         // Each strategy built directly and through its `SchedulerKind` must
         // declare the same prefix: PCT and delay-bounding their priority
-        // prefix, the probabilistic walk and DPOR (whose run-to-completion
-        // bias can park at any point) their whole horizon.
+        // prefix, the probabilistic walk, sleep-set and DPOR (whose
+        // run-to-completion bias can park at any point) their whole horizon.
         let max_steps = 2_000;
         let cases: [(SchedulerKind, Box<dyn Scheduler>, Option<usize>); 7] = [
             (
@@ -3080,8 +3063,8 @@ mod tests {
             ),
             (
                 SchedulerKind::SleepSet,
-                Box::new(SleepSetScheduler::new(1)),
-                None,
+                Box::new(SleepSetScheduler::new(1, max_steps)),
+                Some(max_steps),
             ),
             (
                 SchedulerKind::Dpor,
@@ -3151,7 +3134,7 @@ mod tests {
         // (fairer, less pruning) while a looser one prunes more.
         let enabled = ids(&[0, 1, 2, 3]);
         let pruned_with = |skips: u32| {
-            let mut s = SleepSetScheduler::new(5);
+            let mut s = SleepSetScheduler::new(5, 1_000);
             s.sleep_set = SleepSet::new(skips);
             for step in 0..400 {
                 let pick = s.next_machine(&enabled, step);
@@ -3333,7 +3316,7 @@ mod tests {
         // bench group measures.
         let enabled = ids(&(0..20).collect::<Vec<u64>>());
         let points = 4_000;
-        let mut sleep = SleepSetScheduler::new(9);
+        let mut sleep = SleepSetScheduler::new(9, 1_000);
         for step in 0..points {
             let pick = sleep.next_machine(&enabled, step);
             sleep.note_footprint(&StepFootprint::new(pick));
@@ -3545,7 +3528,7 @@ mod tests {
         for shape in side_by_side_shapes() {
             for wake_after_skips in [1, 3, 8] {
                 let seed = shape.script ^ 0x5eed;
-                let mut production = SleepSetScheduler::new(seed);
+                let mut production = SleepSetScheduler::new(seed, 1_000);
                 production.sleep_set = SleepSet::new(wake_after_skips);
                 let mut model = reference::SleepSetModel::new(seed, wake_after_skips);
                 faults += drive_side_by_side(&mut production, &mut model, shape);

@@ -442,23 +442,6 @@ impl Trace {
         self.dropped_steps += 1;
     }
 
-    /// Rolls the trace back to the state it had after `bound_step` machine
-    /// steps: the decision stream is truncated to `decision_count` and every
-    /// annotated step at or past the bound is discarded. Used by the runtime
-    /// when a liveness grace period confirms a bound verdict — the
-    /// observation window's recording must not leak into the reported trace.
-    /// [`Trace::total_step_count`] equals `bound_step` afterwards (the
-    /// runtime records or counts one annotated step per machine step).
-    pub fn truncate_to_step(&mut self, decision_count: usize, bound_step: usize) {
-        self.decisions.truncate(decision_count);
-        let kept = self.steps.partition_point(|step| step.step < bound_step);
-        self.steps.truncate(kept);
-        self.dropped_steps = match self.mode {
-            TraceMode::Full => 0,
-            TraceMode::DecisionsOnly => bound_step,
-        };
-    }
-
     /// Interns a name into this trace's table.
     pub fn intern(&mut self, name: &str) -> NameId {
         self.names.intern(name)

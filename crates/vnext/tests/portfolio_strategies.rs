@@ -1,28 +1,33 @@
-//! Portfolio coverage of the vNext liveness bug with the PR 3 strategy set:
-//! the default portfolio (now including delay-bounding and probabilistic
-//! random) hunts the seeded bug deterministically at any worker count, and
-//! the probabilistic-random strategy finds the liveness violation on its own.
+//! Portfolio coverage of the vNext liveness bug: the default portfolio
+//! hunts the seeded bug deterministically at any worker count, and only a
+//! fair strategy's iteration can win it, because only a fair strategy judges
+//! liveness at the step bound.
 
 use psharp::prelude::*;
 use vnext::{build_harness, VnextConfig};
 
 #[test]
-fn probabilistic_random_finds_the_liveness_bug() {
+fn portfolio_finds_the_liveness_bug_with_a_fair_strategy() {
     let config = VnextConfig::with_liveness_bug();
-    let engine = TestEngine::new(
-        TestConfig::new()
-            .with_iterations(500)
-            .with_max_steps(3_000)
-            .with_seed(5)
-            .with_faults(config.fault_plan())
-            .with_scheduler(SchedulerKind::ProbabilisticRandom { switch_percent: 10 }),
-    );
-    let report = engine.run(move |rt| {
+    let test_config = TestConfig::new()
+        .with_iterations(500)
+        .with_max_steps(3_000)
+        .with_seed(5)
+        .with_faults(config.fault_plan())
+        .with_default_portfolio();
+    let report = TestEngine::new(test_config.clone()).run(move |rt| {
         build_harness(rt, &config);
     });
-    let bug = report.bug.expect("probabilistic random finds the bug");
+    let bug = report.bug.expect("the portfolio finds the bug");
     assert_eq!(bug.bug.kind, BugKind::LivenessViolation);
-    assert_eq!(report.scheduler, "prob");
+    let winner = test_config.strategy_for_iteration(bug.iteration);
+    let scheduler = winner.build(0, 3_000);
+    assert_eq!(scheduler.name(), report.scheduler);
+    assert_eq!(
+        scheduler.unfair_prefix_len(),
+        None,
+        "won by the unfair {winner:?}"
+    );
 }
 
 #[test]

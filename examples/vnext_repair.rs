@@ -43,20 +43,9 @@ fn main() {
         describe_shrink(bug);
     }
 
-    // With the priority-based scheduler as well, as in Table 2.
-    let engine = TestEngine::new(
-        TestConfig::new()
-            .with_iterations(20_000)
-            .with_max_steps(3_000)
-            .with_seed(2016)
-            .with_faults(faults)
-            .with_scheduler(SchedulerKind::Pct { change_points: 2 }),
-    );
-    let report = engine.run(|rt| {
-        build_harness(rt, &VnextConfig::with_liveness_bug());
-    });
-    println!("\n-- same bug, priority-based scheduler --");
-    println!("{}", report.summary());
+    // The bug is a liveness verdict at the step bound, so only a fair
+    // strategy can report it: PCT (Table 2's other column) is
+    // starvation-prone and takes no liveness verdict at the bound.
 
     // After the fix (ignore sync reports from expired extent nodes), the same
     // harness — crash faults included — runs clean.
