@@ -7,7 +7,7 @@ use psharp::prelude::*;
 use crate::machines::{MigratorMachine, ServiceMachine, SpecMonitor, TablesMachine};
 use crate::migrate::{ChainBugs, MigratingStore};
 use crate::spec::SpecModel;
-use crate::table::{ChainTableExt, Row, TableOperation};
+use crate::table::{ChainTable, Row, TableOperation};
 
 /// Configuration of the MigratingTable harness.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -162,16 +162,20 @@ pub fn build_harness(rt: &mut Runtime, config: &ChainConfig) -> ChainHarness {
     let mut model = SpecModel::new();
     for index in 0..config.initial_rows {
         let key = format!("k{}", index % config.key_space.max(1));
-        let row = Row::with_int(key.clone(), "v", index as i64);
-        if let Ok(result) = store.old.execute(TableOperation::Insert(row.clone())) {
-            model.seed(row.clone(), result.etag.expect("insert returns an etag"));
+        let insert = [TableOperation::Insert(Row::with_int(
+            key,
+            "v",
+            index as i64,
+        ))];
+        if let Ok(results) = store.old.execute_batch(&insert) {
             if config.prepopulate_new && index % 2 == 0 {
                 // A previously interrupted migration already copied some rows.
-                store
-                    .new
-                    .execute(TableOperation::Insert(row))
-                    .expect("prepopulated copy");
+                store.new.execute_batch(&insert).expect("prepopulated copy");
             }
+            let [TableOperation::Insert(row)] = insert else {
+                unreachable!("the batch is one insert")
+            };
+            model.seed(row, results[0].etag.expect("insert returns an etag"));
         }
     }
 

@@ -180,14 +180,19 @@ impl TablesMachine {
 
 impl Machine for TablesMachine {
     fn handle(&mut self, ctx: &mut Context<'_>, event: Event) {
-        if let Some(req) = event.downcast_ref::<WriteRequest>() {
-            let outcome = self.store.execute_write(&req.op);
-            ctx.notify_monitor::<SpecMonitor>(Event::new(NotifyWrite {
-                op: req.op.clone(),
-                outcome: outcome.clone(),
-            }));
-            ctx.send(req.from, Event::new(WriteResponse { outcome }));
-        } else if let Some(req) = event.downcast_ref::<ReadAtomicRequest>() {
+        let event = match event.downcast::<WriteRequest>() {
+            Ok(WriteRequest { from, op }) => {
+                let outcome = self.store.execute_write(&op);
+                ctx.notify_monitor::<SpecMonitor>(Event::new(NotifyWrite {
+                    op,
+                    outcome: outcome.clone(),
+                }));
+                ctx.send(from, Event::new(WriteResponse { outcome }));
+                return;
+            }
+            Err(event) => event,
+        };
+        if let Some(req) = event.downcast_ref::<ReadAtomicRequest>() {
             let rows = self.store.backend_query_atomic(req.backend, &req.filter);
             ctx.send(
                 req.from,
@@ -569,7 +574,7 @@ impl ServiceMachine {
         old_rows: Vec<StoredRow>,
         phase: Phase,
     ) {
-        let mut merged = merge_atomic(phase, &old_rows, &new_rows);
+        let mut merged = merge_atomic(phase, old_rows, new_rows);
         if !self.bugs.query_atomic_filter_shadowing {
             // Fixed behaviour: fetch everything, merge, then filter.
             merged.retain(|row| filter.matches(row));
@@ -624,7 +629,11 @@ impl ServiceMachine {
                 self.complete_query(ctx, qid, filter, collected);
             }
             Some((stored, from_new)) => {
-                stream.cursor = format!("{}\u{0}", stored.row.key);
+                // The cursor moves just past the emitted key; its buffer is
+                // reused for the whole stream.
+                stream.cursor.clear();
+                stream.cursor.push_str(&stored.row.key);
+                stream.cursor.push('\u{0}');
                 // Tombstones are never emitted; non-matching rows are skipped
                 // (the fixed path fetches unfiltered rows and filters here).
                 let emit =
@@ -652,12 +661,16 @@ impl Machine for ServiceMachine {
                 // workload finished); ignore it.
             }
             OpState::AwaitingWrite => {
-                if let Some(response) = event.downcast_ref::<WriteResponse>() {
-                    if let Ok(result) = &response.outcome {
-                        if let Some(etag) = result.etag {
-                            self.last_etags.insert(result.key.clone(), etag);
-                        } else {
-                            self.last_etags.remove(&result.key);
+                if let Ok(response) = event.downcast::<WriteResponse>() {
+                    if let Ok(result) = response.outcome {
+                        match (result.etag, self.last_etags.get_mut(&result.key)) {
+                            (Some(etag), Some(last)) => *last = etag,
+                            (Some(etag), None) => {
+                                self.last_etags.insert(result.key, etag);
+                            }
+                            (None, _) => {
+                                self.last_etags.remove(&result.key);
+                            }
                         }
                     }
                     self.finish_op(ctx);
@@ -670,20 +683,20 @@ impl Machine for ServiceMachine {
                 fetch_filter,
                 qid,
             } => {
-                if let Some(response) = event.downcast_ref::<ReadAtomicResponse>() {
+                if let Ok(response) = event.downcast::<ReadAtomicResponse>() {
                     let from = ctx.id();
                     ctx.send(
                         self.tables,
                         Event::new(ReadAtomicRequest {
                             from,
                             backend: Backend::New,
-                            filter: fetch_filter.clone(),
+                            filter: fetch_filter,
                         }),
                     );
                     self.state = OpState::AtomicAwaitNew {
                         filter,
                         qid,
-                        old_rows: response.rows.clone(),
+                        old_rows: response.rows,
                     };
                 } else {
                     self.state = OpState::AtomicAwaitOld {
@@ -698,10 +711,8 @@ impl Machine for ServiceMachine {
                 qid,
                 old_rows,
             } => {
-                if let Some(response) = event.downcast_ref::<ReadAtomicResponse>() {
-                    let new_rows = response.rows.clone();
-                    let phase = response.phase;
-                    self.finish_atomic(ctx, filter, qid, new_rows, old_rows, phase);
+                if let Ok(response) = event.downcast::<ReadAtomicResponse>() {
+                    self.finish_atomic(ctx, filter, qid, response.rows, old_rows, response.phase);
                 } else {
                     self.state = OpState::AtomicAwaitNew {
                         filter,
@@ -711,20 +722,19 @@ impl Machine for ServiceMachine {
                 }
             }
             OpState::StreamFetchNew(mut stream) => {
-                if let Some(response) = event.downcast_ref::<ReadNextResponse>() {
+                if let Ok(response) = event.downcast::<ReadNextResponse>() {
                     if stream.phase_at_start.is_none() {
                         stream.phase_at_start = Some(response.phase);
                     }
-                    let new_next = response.row.clone();
                     self.send_stream_fetch(ctx, Backend::Old, &stream);
-                    self.state = OpState::StreamFetchOld(stream, new_next);
+                    self.state = OpState::StreamFetchOld(stream, response.row);
                 } else {
                     self.state = OpState::StreamFetchNew(stream);
                 }
             }
             OpState::StreamFetchOld(stream, new_next) => {
-                if let Some(response) = event.downcast_ref::<ReadNextResponse>() {
-                    let old_next = response.row.clone();
+                if let Ok(response) = event.downcast::<ReadNextResponse>() {
+                    let old_next = response.row;
                     let phase = response.phase;
                     if self.bugs.query_streamed_back_up_new_stream {
                         // BUG: trust the possibly-stale new-table row fetched
@@ -741,10 +751,8 @@ impl Machine for ServiceMachine {
                 }
             }
             OpState::StreamRecheckNew(stream, old_next) => {
-                if let Some(response) = event.downcast_ref::<ReadNextResponse>() {
-                    let new_next = response.row.clone();
-                    let phase = response.phase;
-                    self.finish_stream_step(ctx, stream, new_next, old_next, phase);
+                if let Ok(response) = event.downcast::<ReadNextResponse>() {
+                    self.finish_stream_step(ctx, stream, response.row, old_next, response.phase);
                 } else {
                     self.state = OpState::StreamRecheckNew(stream, old_next);
                 }
@@ -908,7 +916,11 @@ impl Machine for MigratorMachine {
         match self.plan.get(self.step) {
             Some(MigrationStep::CopyPass) => {
                 if let Some(copied) = &response.copied_key {
-                    self.copy_cursor = format!("{copied}\u{0}");
+                    // Resume just past the copied key, in the cursor's own
+                    // buffer.
+                    self.copy_cursor.clear();
+                    self.copy_cursor.push_str(copied);
+                    self.copy_cursor.push('\u{0}');
                 } else {
                     self.step += 1;
                 }
@@ -941,7 +953,7 @@ impl Machine for MigratorMachine {
             // Fixed: redo the current step from the beginning of its pass.
             // Every step is idempotent (phase announcements repeat, copies
             // are insert-if-absent), so redoing is always safe.
-            self.copy_cursor = String::new();
+            self.copy_cursor.clear();
         }
         self.issue_current_step(ctx);
     }

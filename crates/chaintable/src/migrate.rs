@@ -12,10 +12,10 @@
 //! Every named bug of Table 2 in the paper is re-introducible through a flag
 //! in [`ChainBugs`]; the fixed behaviour is the default.
 
-use std::collections::BTreeMap;
+use std::cmp::Ordering;
 
 use crate::table::{
-    ChainTable, ChainTableExt, ETagMatch, Filter, InMemoryTable, OpResult, Row, StoredRow,
+    ChainTable, ChainTableExt, ETag, ETagMatch, Filter, InMemoryTable, OpResult, Row, StoredRow,
     TableError, TableOperation, Value,
 };
 
@@ -215,13 +215,21 @@ impl MigratingStore {
     /// Reads the virtual-table row for `key` under the current phase,
     /// resolving shadowing and tombstones.
     pub fn virtual_read(&self, key: &str) -> Option<StoredRow> {
+        self.virtual_entry(key).map(|(row, etag)| StoredRow {
+            row: row.clone(),
+            etag,
+        })
+    }
+
+    /// [`MigratingStore::virtual_read`] without copying the row.
+    fn virtual_entry(&self, key: &str) -> Option<(&Row, ETag)> {
         let new_row = if self.phase.reads_new() {
-            self.new.read(key)
+            self.new.get(key)
         } else {
             None
         };
         let old_row = if self.phase.reads_old() {
-            self.old.read(key)
+            self.old.get(key)
         } else {
             None
         };
@@ -229,14 +237,14 @@ impl MigratingStore {
             (Some(new), Some(old)) => {
                 if self.phase.old_wins() {
                     Some(old)
-                } else if is_tombstone(&new.row) {
+                } else if is_tombstone(new.0) {
                     None
                 } else {
                     Some(new)
                 }
             }
             (Some(new), None) => {
-                if is_tombstone(&new.row) {
+                if is_tombstone(new.0) {
                     None
                 } else {
                     Some(new)
@@ -246,12 +254,12 @@ impl MigratingStore {
         }
     }
 
-    fn check_condition(&self, key: &str, condition: ETagMatch) -> Result<StoredRow, TableError> {
-        match self.virtual_read(key) {
+    fn check_condition(&self, key: &str, condition: ETagMatch) -> Result<&Row, TableError> {
+        match self.virtual_entry(key) {
             None => Err(TableError::NotFound(key.to_string())),
-            Some(stored) => match condition {
-                ETagMatch::Any => Ok(stored),
-                ETagMatch::Exact(expected) if expected == stored.etag => Ok(stored),
+            Some((row, etag)) => match condition {
+                ETagMatch::Any => Ok(row),
+                ETagMatch::Exact(expected) if expected == etag => Ok(row),
                 ETagMatch::Exact(_) => Err(TableError::ConditionFailed(key.to_string())),
             },
         }
@@ -266,10 +274,10 @@ impl MigratingStore {
     pub fn execute_write(&mut self, op: &TableOperation) -> Result<OpResult, TableError> {
         if !self.phase.writes_new() {
             // UseOld / PreferOld: the old table is authoritative.
-            return self.old.execute(op.clone());
+            return execute_one(&mut self.old, op);
         }
         if self.phase == Phase::UseNew {
-            return self.new.execute(op.clone());
+            return execute_one(&mut self.new, op);
         }
         // Tombstone phases: translate onto the new table.
         match op {
@@ -279,9 +287,9 @@ impl MigratingStore {
                     // copy pass has already moved beyond this key the row is
                     // never copied and is lost once reads stop consulting the
                     // old table.
-                    return self.old.execute(op.clone());
+                    return execute_one(&mut self.old, op);
                 }
-                if self.virtual_read(&row.key).is_some() {
+                if self.virtual_entry(&row.key).is_some() {
                     return Err(TableError::AlreadyExists(row.key.clone()));
                 }
                 self.new
@@ -293,8 +301,7 @@ impl MigratingStore {
                     .execute(TableOperation::InsertOrReplace(row.clone()))
             }
             TableOperation::Merge(row, condition) => {
-                let current = self.check_condition(&row.key, *condition)?;
-                let mut merged = current.row.clone();
+                let mut merged = self.check_condition(&row.key, *condition)?.clone();
                 for (name, value) in &row.properties {
                     merged.properties.insert(name.clone(), value.clone());
                 }
@@ -308,7 +315,7 @@ impl MigratingStore {
                 if self.bugs.delete_no_leave_tombstones_etag {
                     // BUG: the ETag precondition is dropped; the delete
                     // succeeds even when a concurrent writer bumped the row.
-                    if self.virtual_read(key).is_none() {
+                    if self.virtual_entry(key).is_none() {
                         return Err(TableError::NotFound(key.clone()));
                     }
                 } else {
@@ -385,10 +392,8 @@ impl MigratingStore {
         let key = next.row.key.clone();
         // Insert-if-absent: an existing new-table row (client write or
         // tombstone) always wins over the stale old copy.
-        if self.new.read(&key).is_none() {
-            self.new
-                .execute(TableOperation::Insert(next.row.clone()))
-                .ok();
+        if self.new.get(&key).is_none() {
+            self.new.execute(TableOperation::Insert(next.row)).ok();
         }
         if delete_after_copy {
             self.old
@@ -401,29 +406,19 @@ impl MigratingStore {
     /// Migrator primitive: removes one tombstone row from the new table.
     /// Returns `false` when no tombstones remain.
     pub fn migrator_clean_tombstone(&mut self) -> bool {
-        let tombstone = self
-            .new
-            .query_atomic(&Filter::PropertyEquals {
-                name: TOMBSTONE_PROPERTY.to_string(),
-                value: Value::Bool(true),
-            })
-            .into_iter()
-            .next();
-        match tombstone {
-            Some(stored) => {
-                let key = stored.row.key;
-                self.new
-                    .execute(TableOperation::Delete(key.clone(), ETagMatch::Any))
-                    .ok();
-                // Removing the tombstone would un-shadow a leftover old-table
-                // row, so cleanup deletes that row as well.
-                self.old
-                    .execute(TableOperation::Delete(key, ETagMatch::Any))
-                    .ok();
-                true
-            }
-            None => false,
-        }
+        let Some((tombstone, _)) = self.new.find_from("", is_tombstone) else {
+            return false;
+        };
+        let key = tombstone.key.clone();
+        self.new
+            .execute(TableOperation::Delete(key.clone(), ETagMatch::Any))
+            .ok();
+        // Removing the tombstone would un-shadow a leftover old-table row, so
+        // cleanup deletes that row as well.
+        self.old
+            .execute(TableOperation::Delete(key, ETagMatch::Any))
+            .ok();
+        true
     }
 
     /// Returns every virtual-table row matching `filter` (the ground truth a
@@ -450,32 +445,55 @@ impl MigratingStore {
     }
 }
 
+/// Executes one borrowed operation as a one-element batch, so the caller's
+/// operation is not copied just to be applied.
+fn execute_one(table: &mut InMemoryTable, op: &TableOperation) -> Result<OpResult, TableError> {
+    table
+        .execute_batch(std::slice::from_ref(op))
+        .map(|mut results| results.swap_remove(0))
+}
+
 /// Merges the two backends' snapshot results into virtual-table rows
 /// (client-side logic of an atomic query).
 ///
-/// `old_rows` and `new_rows` must be sorted by key (as returned by the
-/// backends). Tombstones and shadowed old rows are resolved per `phase`.
-pub fn merge_atomic(phase: Phase, old_rows: &[StoredRow], new_rows: &[StoredRow]) -> Vec<Row> {
-    let mut by_key: BTreeMap<String, Row> = BTreeMap::new();
-    if phase.reads_old() {
-        for stored in old_rows {
-            by_key.insert(stored.row.key.clone(), stored.row.clone());
-        }
+/// `old_rows` and `new_rows` must be sorted by key with each key at most once
+/// (as returned by the backends). Tombstones and shadowed old rows are
+/// resolved per `phase`: the lists are merged by value in one pass, and the
+/// rows returned are the ones moved out of them.
+pub fn merge_atomic(phase: Phase, old_rows: Vec<StoredRow>, new_rows: Vec<StoredRow>) -> Vec<Row> {
+    let old_rows = if phase.reads_old() {
+        old_rows
+    } else {
+        Vec::new()
+    };
+    let new_rows = if phase.reads_new() {
+        new_rows
+    } else {
+        Vec::new()
+    };
+    let mut merged = Vec::with_capacity(old_rows.len() + new_rows.len());
+    let mut old = old_rows.into_iter().peekable();
+    let mut new = new_rows.into_iter().peekable();
+    loop {
+        let order = match (old.peek(), new.peek()) {
+            (None, None) => break,
+            (Some(_), None) => Ordering::Less,
+            (None, Some(_)) => Ordering::Greater,
+            (Some(o), Some(n)) => o.row.key.cmp(&n.row.key),
+        };
+        let (old_row, new_row) = match order {
+            Ordering::Less => (old.next(), None),
+            Ordering::Greater => (None, new.next()),
+            Ordering::Equal => (old.next(), new.next()),
+        };
+        let winner = match (old_row, new_row) {
+            (Some(old_row), Some(_)) if phase.old_wins() => Some(old_row.row),
+            (_, Some(new_row)) => (!is_tombstone(&new_row.row)).then_some(new_row.row),
+            (old_row, None) => old_row.map(|stored| stored.row),
+        };
+        merged.extend(winner);
     }
-    if phase.reads_new() {
-        for stored in new_rows {
-            let key = stored.row.key.clone();
-            if phase.old_wins() && by_key.contains_key(&key) {
-                continue;
-            }
-            if is_tombstone(&stored.row) {
-                by_key.remove(&key);
-            } else {
-                by_key.insert(key, stored.row.clone());
-            }
-        }
-    }
-    by_key.into_values().collect()
+    merged
 }
 
 #[cfg(test)]
@@ -755,16 +773,16 @@ mod tests {
                 etag: crate::table::ETag(5),
             },
         ];
-        let merged = merge_atomic(Phase::UseNewWithTombstones, &old, &new);
+        let merged = merge_atomic(Phase::UseNewWithTombstones, old.clone(), new.clone());
         assert_eq!(merged, vec![row("a", 9), row("c", 3)]);
 
-        let prefer_old = merge_atomic(Phase::PreferOld, &old, &new);
+        let prefer_old = merge_atomic(Phase::PreferOld, old.clone(), new.clone());
         assert_eq!(prefer_old, vec![row("a", 1), row("b", 2), row("c", 3)]);
 
-        let old_only = merge_atomic(Phase::UseOld, &old, &new);
+        let old_only = merge_atomic(Phase::UseOld, old.clone(), new.clone());
         assert_eq!(old_only, vec![row("a", 1), row("b", 2)]);
 
-        let new_only = merge_atomic(Phase::UseNew, &old, &new);
+        let new_only = merge_atomic(Phase::UseNew, old, new);
         assert_eq!(new_only, vec![row("a", 9), row("c", 3)]);
     }
 

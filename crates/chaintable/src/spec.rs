@@ -16,6 +16,12 @@
 //!   written concurrently with the query are exempt. This is weaker than full
 //!   linearizability but catches every missed-row, shadowing, tombstone and
 //!   resurrection defect seeded in this case study (see DESIGN.md).
+//!
+//! Stability is decided by write sequence numbers. The model numbers every
+//! write it applies and remembers, per key, the number of the key's last
+//! write; a query's [`VersionSnapshot`] is the number of writes applied when
+//! it started. A key is stable over the query iff its last write is at or
+//! before that snapshot, so starting a query copies one counter, not a map.
 
 use std::collections::BTreeMap;
 
@@ -37,9 +43,10 @@ pub enum ExpectedOutcome {
     ConditionFailed,
 }
 
-/// Per-key snapshot of write versions, used to decide stability of a key over
-/// a query's lifetime.
-pub type VersionSnapshot = BTreeMap<String, u64>;
+/// The model's write counter when a query started: a key is stable over the
+/// query iff the model's last write to it is numbered at or below this.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct VersionSnapshot(u64);
 
 #[derive(Debug, Clone, PartialEq, Eq)]
 struct ModelRow {
@@ -51,7 +58,10 @@ struct ModelRow {
 #[derive(Debug, Clone, Default)]
 pub struct SpecModel {
     rows: BTreeMap<String, ModelRow>,
-    versions: BTreeMap<String, u64>,
+    /// Writes applied so far; the `n`th applied write is numbered `n`.
+    writes: u64,
+    /// Per key, the number of its last applied write (absent: never written).
+    last_write: BTreeMap<String, u64>,
 }
 
 impl SpecModel {
@@ -87,17 +97,24 @@ impl SpecModel {
         self.rows.get(key).map(|m| &m.row)
     }
 
-    /// A snapshot of the per-key write versions, taken when a query starts.
+    /// The write counter, taken when a query starts.
     pub fn version_snapshot(&self) -> VersionSnapshot {
-        self.versions.clone()
+        VersionSnapshot(self.writes)
     }
 
-    fn version(&self, key: &str) -> u64 {
-        self.versions.get(key).copied().unwrap_or(0)
+    /// Whether `key` has not been written since `started` was taken.
+    fn stable_since(&self, started: VersionSnapshot, key: &str) -> bool {
+        self.last_write.get(key).is_none_or(|&n| n <= started.0)
     }
 
     fn bump(&mut self, key: &str) {
-        *self.versions.entry(key.to_string()).or_insert(0) += 1;
+        self.writes += 1;
+        match self.last_write.get_mut(key) {
+            Some(n) => *n = self.writes,
+            None => {
+                self.last_write.insert(key.to_string(), self.writes);
+            }
+        }
     }
 
     fn check_condition(&self, key: &str, condition: ETagMatch) -> Option<ExpectedOutcome> {
@@ -138,13 +155,16 @@ impl SpecModel {
             TableOperation::Insert(row)
             | TableOperation::Replace(row, _)
             | TableOperation::InsertOrReplace(row) => {
-                self.rows.insert(
-                    row.key.clone(),
-                    ModelRow {
-                        row: row.clone(),
-                        etag: result.etag,
-                    },
-                );
+                let stored = ModelRow {
+                    row: row.clone(),
+                    etag: result.etag,
+                };
+                match self.rows.get_mut(&row.key) {
+                    Some(slot) => *slot = stored,
+                    None => {
+                        self.rows.insert(row.key.clone(), stored);
+                    }
+                }
                 self.bump(&row.key);
             }
             TableOperation::Merge(row, _) => {
@@ -222,7 +242,7 @@ impl SpecModel {
         filter: &Filter,
         results: &[Row],
     ) -> Option<String> {
-        let stable = |key: &str| started.get(key).copied().unwrap_or(0) == self.version(key);
+        let stable = |key: &str| self.stable_since(*started, key);
 
         // 1. Every returned row with a stable key must match the model.
         for returned in results {
@@ -271,8 +291,86 @@ impl SpecModel {
     }
 }
 
+/// The per-key version map the write sequence numbers replaced: every
+/// applied write bumps its key's version, a query start clones the whole map,
+/// and a key is stable iff its version is unchanged. Kept only so the
+/// differential test below can require identical verdicts.
+#[cfg(test)]
+mod reference {
+    use super::*;
+
+    #[derive(Debug, Clone, Default)]
+    pub(super) struct VersionMap(BTreeMap<String, u64>);
+
+    impl VersionMap {
+        fn version(&self, key: &str) -> u64 {
+            self.0.get(key).copied().unwrap_or(0)
+        }
+
+        pub(super) fn bump(&mut self, key: &str) {
+            *self.0.entry(key.to_string()).or_insert(0) += 1;
+        }
+
+        /// `SpecModel::check_query` as it read with the version-map rule.
+        pub(super) fn check_query(
+            &self,
+            model: &SpecModel,
+            started: &VersionMap,
+            filter: &Filter,
+            results: &[Row],
+        ) -> Option<String> {
+            let stable = |key: &str| started.version(key) == self.version(key);
+
+            for returned in results {
+                if !stable(&returned.key) {
+                    continue;
+                }
+                match model.rows.get(&returned.key) {
+                    None => {
+                        return Some(format!(
+                            "query returned row {:?} although the key is stably deleted",
+                            returned.key
+                        ));
+                    }
+                    Some(stored) => {
+                        if stored.row.properties != returned.properties {
+                            return Some(format!(
+                                "query returned stale contents for stable key {:?}: got {:?}, expected {:?}",
+                                returned.key, returned.properties, stored.row.properties
+                            ));
+                        }
+                        if !filter.matches(&stored.row) {
+                            return Some(format!(
+                                "query returned key {:?} although its stable value does not match the filter",
+                                returned.key
+                            ));
+                        }
+                    }
+                }
+            }
+
+            for (key, stored) in &model.rows {
+                if stable(key) && filter.matches(&stored.row) {
+                    let found = results.iter().filter(|r| &r.key == key).count();
+                    if found == 0 {
+                        return Some(format!(
+                            "query missed stable row {key:?} that matches the filter"
+                        ));
+                    }
+                    if found > 1 {
+                        return Some(format!("query returned stable row {key:?} {found} times"));
+                    }
+                }
+            }
+            None
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
+    use psharp::rng::SplitMix64;
+
     use super::*;
     use crate::table::Value;
 
@@ -437,6 +535,133 @@ mod tests {
         assert!(model
             .check_query(&snapshot, &filter, &[row("a", 1), row("b", 2)])
             .is_some());
+    }
+
+    /// A write drawn for the differential test, with the system outcome
+    /// reported for it and whether the model applies it.
+    fn random_write(
+        rng: &mut SplitMix64,
+        model: &SpecModel,
+        next_etag: &mut u64,
+    ) -> (TableOperation, Result<OpResult, TableError>, bool) {
+        let key = format!("k{}", rng.next_below(5));
+        let row = Row::with_int(key.clone(), "v", rng.next_below(3) as i64);
+        let condition = match model.rows.get(&key).and_then(|m| m.etag) {
+            Some(etag) if rng.next_below(3) == 0 => ETagMatch::Exact(etag),
+            _ if rng.next_below(4) == 0 => ETagMatch::Exact(ETag(0)),
+            _ => ETagMatch::Any,
+        };
+        let op = match rng.next_below(5) {
+            0 => TableOperation::Insert(row),
+            1 => TableOperation::Replace(row, condition),
+            2 => TableOperation::Merge(row, condition),
+            3 => TableOperation::InsertOrReplace(row),
+            _ => TableOperation::Delete(key.clone(), condition),
+        };
+        *next_etag += 1;
+        let expected = model.expected_outcome(&op);
+        let (outcome, applied) = match (expected, rng.next_below(8)) {
+            // A spurious conflict the specification tolerates: not applied.
+            (ExpectedOutcome::Success { .. }, 0) => {
+                (Err(TableError::ConditionFailed(key.clone())), false)
+            }
+            // A divergent outcome (a violation): not applied.
+            (_, 1) => (Err(TableError::NotFound(key.clone())), false),
+            (ExpectedOutcome::Success { returns_etag }, _) => (
+                Ok(OpResult {
+                    key: key.clone(),
+                    etag: returns_etag.then_some(ETag(*next_etag)),
+                }),
+                true,
+            ),
+            (ExpectedOutcome::AlreadyExists, _) => {
+                (Err(TableError::AlreadyExists(key.clone())), false)
+            }
+            (ExpectedOutcome::NotFound, _) => (Err(TableError::NotFound(key.clone())), false),
+            (ExpectedOutcome::ConditionFailed, _) => {
+                (Err(TableError::ConditionFailed(key.clone())), false)
+            }
+        };
+        (op, outcome, applied)
+    }
+
+    /// Rows a query might return: half the time the model's exact answer,
+    /// otherwise one with keys missed, duplicated, stale or foreign.
+    fn random_results(rng: &mut SplitMix64, model: &SpecModel, filter: &Filter) -> Vec<Row> {
+        let exact = rng.next_below(2) == 0;
+        let mut rows = Vec::new();
+        for i in 0..5 {
+            let key = format!("k{i}");
+            let copies = match rng.next_below(6) {
+                _ if exact => 1,
+                0 => 0,
+                1 => 2,
+                _ => 1,
+            };
+            for _ in 0..copies {
+                match model.row(&key) {
+                    Some(row) if exact || rng.next_below(5) != 0 => rows.push(row.clone()),
+                    _ if exact => {}
+                    _ => rows.push(Row::with_int(key.clone(), "v", rng.next_below(3) as i64)),
+                }
+            }
+        }
+        if exact {
+            rows.retain(|row| filter.matches(row));
+        }
+        rows
+    }
+
+    /// The write-sequence rule gives the identical verdict string as the
+    /// per-key version map over seeded interleavings of writes and
+    /// overlapping queries.
+    #[test]
+    fn write_sequence_rule_matches_the_version_map_reference() {
+        let mut verdicts = BTreeMap::<bool, usize>::new();
+        for case in 0..300u64 {
+            let mut rng = SplitMix64::new(0x5EC ^ case);
+            let mut model = SpecModel::new();
+            let mut versions = reference::VersionMap::default();
+            for i in 0..rng.next_below(3) {
+                model.seed(Row::with_int(format!("k{i}"), "v", 0), ETag(i as u64 + 1));
+            }
+            let mut next_etag = 100;
+            let mut open: Vec<(VersionSnapshot, reference::VersionMap)> = Vec::new();
+            for _ in 0..60 {
+                match rng.next_below(4) {
+                    0 | 1 => {
+                        let (op, outcome, applied) = random_write(&mut rng, &model, &mut next_etag);
+                        let violation = model.record_write(&op, &outcome);
+                        if applied {
+                            assert!(violation.is_none(), "case {case}: {op:?}");
+                            versions.bump(op.key());
+                        }
+                    }
+                    2 => open.push((model.version_snapshot(), versions.clone())),
+                    _ if !open.is_empty() => {
+                        let (snapshot, started) = open.swap_remove(rng.next_below(open.len()));
+                        let filter = if rng.next_below(2) == 0 {
+                            Filter::All
+                        } else {
+                            Filter::PropertyEquals {
+                                name: "v".to_string(),
+                                value: Value::Int(rng.next_below(3) as i64),
+                            }
+                        };
+                        let results = random_results(&mut rng, &model, &filter);
+                        let actual = model.check_query(&snapshot, &filter, &results);
+                        let expected = versions.check_query(&model, &started, &filter, &results);
+                        assert_eq!(actual, expected, "case {case}");
+                        *verdicts.entry(actual.is_some()).or_default() += 1;
+                    }
+                    _ => {}
+                }
+            }
+        }
+        assert!(
+            verdicts.values().all(|&n| n > 500),
+            "both verdicts must be exercised: {verdicts:?}"
+        );
     }
 
     #[test]

@@ -10,6 +10,7 @@
 
 use std::collections::BTreeMap;
 use std::fmt;
+use std::ops::Bound;
 
 /// A property value stored in a row.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -88,6 +89,16 @@ pub struct StoredRow {
     pub row: Row,
     /// The row's current version.
     pub etag: ETag,
+}
+
+impl StoredRow {
+    /// Copies a borrowed stored row out of its table.
+    fn copied((row, etag): (&Row, ETag)) -> StoredRow {
+        StoredRow {
+            row: row.clone(),
+            etag,
+        }
+    }
 }
 
 /// A single table operation, applied atomically (possibly within a batch).
@@ -189,6 +200,12 @@ pub trait ChainTable {
     /// Executes `ops` atomically: either every operation succeeds, or the
     /// first failing operation's error is returned and nothing is applied.
     ///
+    /// Later operations see the effects of earlier ones (an insert followed by
+    /// a replace of the same key succeeds). Atomicity is a guarantee about the
+    /// outcome, not a method: [`InMemoryTable`] applies each operation in
+    /// place as it validates and, when one fails, undoes the applied prefix
+    /// rather than working on a scratch copy of the table.
+    ///
     /// # Errors
     ///
     /// Returns the error of the first failing operation.
@@ -203,6 +220,17 @@ pub trait ChainTable {
     /// an advancing cursor, so each returned row may reflect the table state
     /// at a different time — the weak consistency the specification allows.
     fn query_first_at_or_after(&self, start: &str, filter: &Filter) -> Option<StoredRow>;
+
+    /// Returns the row stored under exactly `key`, if any.
+    ///
+    /// The default scans from `key` with
+    /// [`ChainTable::query_first_at_or_after`], which copies the next row
+    /// even when `key` itself is absent; an implementation with a point
+    /// lookup overrides it so that a miss copies nothing.
+    fn query_key(&self, key: &str) -> Option<StoredRow> {
+        self.query_first_at_or_after(key, &Filter::All)
+            .filter(|stored| stored.row.key == key)
+    }
 }
 
 /// Convenience helpers shared by every [`ChainTable`].
@@ -217,10 +245,9 @@ pub trait ChainTableExt: ChainTable {
         Ok(results.remove(0))
     }
 
-    /// Reads one row by key.
+    /// Reads one row by key. It allocates only the row it returns.
     fn read(&self, key: &str) -> Option<StoredRow> {
-        self.query_first_at_or_after(key, &Filter::All)
-            .filter(|stored| stored.row.key == key)
+        self.query_key(key)
     }
 }
 
@@ -260,6 +287,24 @@ impl InMemoryTable {
         self.rows.is_empty()
     }
 
+    /// The row stored under `key` and its ETag, borrowed.
+    pub(crate) fn get(&self, key: &str) -> Option<(&Row, ETag)> {
+        self.rows.get(key).map(|(row, etag)| (row, *etag))
+    }
+
+    /// The first row (by key order) with key `>= start` that satisfies
+    /// `matches`, borrowed.
+    pub(crate) fn find_from(
+        &self,
+        start: &str,
+        matches: impl Fn(&Row) -> bool,
+    ) -> Option<(&Row, ETag)> {
+        self.rows
+            .range::<str, _>((Bound::Included(start), Bound::Unbounded))
+            .map(|(_, (row, etag))| (row, *etag))
+            .find(|(row, _)| matches(row))
+    }
+
     fn allocate_etag(&mut self) -> ETag {
         self.next_etag += 1;
         ETag(self.next_etag)
@@ -293,23 +338,38 @@ impl InMemoryTable {
         }
     }
 
-    fn apply(&mut self, op: &TableOperation) -> OpResult {
-        match op {
-            TableOperation::Insert(row) | TableOperation::InsertOrReplace(row) => {
-                let etag = self.allocate_etag();
+    /// Stores `row` under a fresh ETag, reusing the key of an existing entry,
+    /// and returns the entry it overwrote.
+    fn put(&mut self, row: &Row) -> (ETag, Option<(Row, ETag)>) {
+        let etag = self.allocate_etag();
+        let previous = match self.rows.get_mut(&row.key) {
+            Some(slot) => Some(std::mem::replace(slot, (row.clone(), etag))),
+            None => {
                 self.rows.insert(row.key.clone(), (row.clone(), etag));
-                OpResult {
-                    key: row.key.clone(),
-                    etag: Some(etag),
-                }
+                None
             }
-            TableOperation::Replace(row, _) => {
-                let etag = self.allocate_etag();
-                self.rows.insert(row.key.clone(), (row.clone(), etag));
-                OpResult {
-                    key: row.key.clone(),
-                    etag: Some(etag),
-                }
+        };
+        (etag, previous)
+    }
+
+    /// Applies a validated operation and returns its result plus how to undo
+    /// it (built only when `keep_undo`: the last operation of a batch can no
+    /// longer be rolled back by a later failure).
+    fn apply<'op>(
+        &mut self,
+        op: &'op TableOperation,
+        keep_undo: bool,
+    ) -> (OpResult, Option<Undo<'op>>) {
+        let (key, etag, undo) = match op {
+            TableOperation::Insert(row)
+            | TableOperation::InsertOrReplace(row)
+            | TableOperation::Replace(row, _) => {
+                let (etag, previous) = self.put(row);
+                let undo = match previous {
+                    Some(entry) => Undo::Overwrote(&row.key, entry),
+                    None => Undo::Inserted(&row.key),
+                };
+                (&row.key, Some(etag), keep_undo.then_some(undo))
             }
             TableOperation::Merge(row, _) => {
                 let etag = self.allocate_etag();
@@ -317,39 +377,84 @@ impl InMemoryTable {
                     .rows
                     .get_mut(&row.key)
                     .expect("validated: row exists for merge");
+                let undo = keep_undo.then(|| Undo::Overwrote(&row.key, entry.clone()));
                 for (name, value) in &row.properties {
                     entry.0.properties.insert(name.clone(), value.clone());
                 }
                 entry.1 = etag;
-                OpResult {
-                    key: row.key.clone(),
-                    etag: Some(etag),
-                }
+                (&row.key, Some(etag), undo)
             }
             TableOperation::Delete(key, _) => {
+                let (stored_key, entry) = self
+                    .rows
+                    .remove_entry(key.as_str())
+                    .expect("validated: row exists for delete");
+                (
+                    key,
+                    None,
+                    keep_undo.then_some(Undo::Deleted(stored_key, entry)),
+                )
+            }
+        };
+        let result = OpResult {
+            key: key.clone(),
+            etag,
+        };
+        (result, undo)
+    }
+
+    /// Reverts one applied operation; undone newest first, the table returns
+    /// to its state before the batch.
+    fn undo(&mut self, undo: Undo<'_>) {
+        match undo {
+            Undo::Inserted(key) => {
                 self.rows.remove(key);
-                OpResult {
-                    key: key.clone(),
-                    etag: None,
-                }
+            }
+            Undo::Overwrote(key, entry) => {
+                *self
+                    .rows
+                    .get_mut(key)
+                    .expect("undo: overwritten row exists") = entry;
+            }
+            Undo::Deleted(key, entry) => {
+                self.rows.insert(key, entry);
             }
         }
     }
 }
 
+/// What one applied batch operation replaced, kept until the batch commits.
+enum Undo<'op> {
+    /// The key was absent before the operation.
+    Inserted(&'op str),
+    /// The key held this row and ETag before the operation.
+    Overwrote(&'op str, (Row, ETag)),
+    /// The operation removed this entry (its key string included).
+    Deleted(String, (Row, ETag)),
+}
+
 impl ChainTable for InMemoryTable {
     fn execute_batch(&mut self, ops: &[TableOperation]) -> Result<Vec<OpResult>, TableError> {
-        // Validate everything against the pre-state first so a failing batch
-        // leaves the table untouched (atomicity). Later operations in the
-        // batch may target keys earlier operations created; re-validate
-        // incrementally against a scratch copy to handle that correctly.
-        let mut scratch = self.clone();
+        // Each operation is validated against the state its predecessors
+        // left and applied in place. When one fails, the applied prefix is
+        // undone newest first and the ETag counter rewound, so a failed batch
+        // leaves the table exactly as it found it. A one-operation batch
+        // validates before it touches anything and keeps no undo record.
+        let etag_before = self.next_etag;
         let mut results = Vec::with_capacity(ops.len());
-        for op in ops {
-            scratch.validate(op)?;
-            results.push(scratch.apply(op));
+        let mut undo = Vec::new();
+        for (i, op) in ops.iter().enumerate() {
+            if let Err(err) = self.validate(op) {
+                while let Some(step) = undo.pop() {
+                    self.undo(step);
+                }
+                self.next_etag = etag_before;
+                return Err(err);
+            }
+            let (result, step) = self.apply(op, i + 1 < ops.len());
+            results.push(result);
+            undo.extend(step);
         }
-        *self = scratch;
         Ok(results)
     }
 
@@ -365,18 +470,79 @@ impl ChainTable for InMemoryTable {
     }
 
     fn query_first_at_or_after(&self, start: &str, filter: &Filter) -> Option<StoredRow> {
-        self.rows
-            .range(start.to_string()..)
-            .find(|(_, (row, _))| filter.matches(row))
-            .map(|(_, (row, etag))| StoredRow {
-                row: row.clone(),
-                etag: *etag,
-            })
+        self.find_from(start, |row| filter.matches(row))
+            .map(StoredRow::copied)
+    }
+
+    fn query_key(&self, key: &str) -> Option<StoredRow> {
+        self.get(key).map(StoredRow::copied)
+    }
+}
+
+/// The clone-then-swap batch the in-place undo replaced: validate and apply
+/// every operation on a scratch copy of the whole table, then swap it in.
+/// Kept only so the differential test below can require the production batch
+/// to agree with it.
+#[cfg(test)]
+mod reference {
+    use super::*;
+
+    fn apply(table: &mut InMemoryTable, op: &TableOperation) -> OpResult {
+        match op {
+            TableOperation::Insert(row)
+            | TableOperation::InsertOrReplace(row)
+            | TableOperation::Replace(row, _) => {
+                let etag = table.allocate_etag();
+                table.rows.insert(row.key.clone(), (row.clone(), etag));
+                OpResult {
+                    key: row.key.clone(),
+                    etag: Some(etag),
+                }
+            }
+            TableOperation::Merge(row, _) => {
+                let etag = table.allocate_etag();
+                let entry = table
+                    .rows
+                    .get_mut(&row.key)
+                    .expect("validated: row exists for merge");
+                for (name, value) in &row.properties {
+                    entry.0.properties.insert(name.clone(), value.clone());
+                }
+                entry.1 = etag;
+                OpResult {
+                    key: row.key.clone(),
+                    etag: Some(etag),
+                }
+            }
+            TableOperation::Delete(key, _) => {
+                table.rows.remove(key);
+                OpResult {
+                    key: key.clone(),
+                    etag: None,
+                }
+            }
+        }
+    }
+
+    pub(super) fn execute_batch(
+        table: &mut InMemoryTable,
+        ops: &[TableOperation],
+    ) -> Result<Vec<OpResult>, TableError> {
+        let mut scratch = table.clone();
+        let mut results = Vec::with_capacity(ops.len());
+        for op in ops {
+            scratch.validate(op)?;
+            results.push(apply(&mut scratch, op));
+        }
+        *table = scratch;
+        Ok(results)
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use psharp::rng::SplitMix64;
+
     use super::*;
 
     fn row(key: &str, v: i64) -> Row {
@@ -538,6 +704,101 @@ mod tests {
             "c"
         );
         assert!(t.query_first_at_or_after("d", &Filter::All).is_none());
+    }
+
+    #[test]
+    fn failed_batch_rewinds_the_etag_counter() {
+        let mut t = InMemoryTable::with_etag_base(10);
+        t.execute(TableOperation::Insert(row("a", 1))).unwrap();
+        let batch = [
+            TableOperation::Merge(row("a", 2), ETagMatch::Any),
+            TableOperation::Delete("a".to_string(), ETagMatch::Any),
+            TableOperation::Insert(row("b", 3)),
+            TableOperation::Replace(row("c", 4), ETagMatch::Any), // fails: missing
+        ];
+        assert_eq!(
+            t.execute_batch(&batch),
+            Err(TableError::NotFound("c".to_string()))
+        );
+        assert_eq!(t.read("a").unwrap().row, row("a", 1));
+        assert_eq!(t.read("a").unwrap().etag, ETag(11));
+        assert!(t.read("b").is_none());
+        let next = t.execute(TableOperation::Insert(row("b", 3))).unwrap();
+        assert_eq!(next.etag, Some(ETag(12)), "the failed batch used no etag");
+    }
+
+    fn random_op(rng: &mut SplitMix64, etags: &[ETag]) -> TableOperation {
+        let key = format!("k{}", rng.next_below(4));
+        let row = Row::with_int(
+            key.clone(),
+            ["v", "w"][rng.next_below(2)],
+            rng.next_below(3) as i64,
+        );
+        let condition = match rng.next_below(3) {
+            0 if !etags.is_empty() => ETagMatch::Exact(etags[rng.next_below(etags.len())]),
+            1 => ETagMatch::Exact(ETag(rng.next_below(40) as u64)),
+            _ => ETagMatch::Any,
+        };
+        match rng.next_below(5) {
+            0 => TableOperation::Insert(row),
+            1 => TableOperation::Replace(row, condition),
+            2 => TableOperation::Merge(row, condition),
+            3 => TableOperation::InsertOrReplace(row),
+            _ => TableOperation::Delete(key, condition),
+        }
+    }
+
+    fn contents(t: &InMemoryTable) -> (Vec<StoredRow>, u64) {
+        (t.query_atomic(&Filter::All), t.next_etag)
+    }
+
+    /// The in-place batch with undo agrees with the clone-then-swap reference
+    /// on results, errors, rows, ETags and the ETag counter after every batch
+    /// of 1–4 operations, and a failed batch changes nothing, also when it
+    /// fails part-way.
+    #[test]
+    fn in_place_batch_matches_clone_then_swap_reference() {
+        let (mut failed, mut part_way) = (0, 0);
+        for case in 0..200u64 {
+            let mut rng = SplitMix64::new(0xBA7C4 ^ case);
+            let mut table = InMemoryTable::with_etag_base(case);
+            let mut reference = table.clone();
+            let mut etags = Vec::new();
+            for batch_no in 0..30 {
+                let len = 1 + rng.next_below(4);
+                let ops: Vec<TableOperation> =
+                    (0..len).map(|_| random_op(&mut rng, &etags)).collect();
+                let before = contents(&table);
+                let mut probe = table.clone();
+                let applies = ops
+                    .iter()
+                    .take_while(|op| probe.execute(TableOperation::clone(op)).is_ok())
+                    .count();
+                let actual = table.execute_batch(&ops);
+                let expected = reference::execute_batch(&mut reference, &ops);
+                assert_eq!(actual, expected, "case {case} batch {batch_no}: {ops:?}");
+                assert_eq!(
+                    contents(&table),
+                    contents(&reference),
+                    "case {case} batch {batch_no}: {ops:?}"
+                );
+                match actual {
+                    Ok(results) => etags.extend(results.iter().filter_map(|r| r.etag)),
+                    Err(_) => {
+                        assert_eq!(contents(&table), before, "case {case} batch {batch_no}");
+                        failed += 1;
+                        part_way += usize::from(applies > 0);
+                    }
+                }
+            }
+        }
+        // The draw covers committed batches, failed ones, and failures after
+        // at least one applied operation.
+        let committed = 200 * 30 - failed;
+        assert!(
+            committed > 500 && part_way > 1_000,
+            "{committed} committed, {part_way} of {failed} failures part-way"
+        );
     }
 
     #[test]
