@@ -4,10 +4,12 @@
 
 use psharp::prelude::*;
 
-use crate::machines::{MigratorMachine, ServiceMachine, SpecMonitor, TablesMachine};
+use crate::machines::{
+    MigratorMachine, RowPool, ServiceMachine, SpecMonitor, TablesMachine, WRITE_VALUES,
+};
 use crate::migrate::{ChainBugs, MigratingStore};
 use crate::spec::SpecModel;
-use crate::table::{ChainTable, Row, TableOperation};
+use crate::table::{ChainTable, TableOperation};
 
 /// Configuration of the MigratingTable harness.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -157,25 +159,19 @@ pub struct ChainHarness {
 /// ids.
 pub fn build_harness(rt: &mut Runtime, config: &ChainConfig) -> ChainHarness {
     // Pre-load the old table (and optionally the new table) with initial
-    // rows, seeding the reference model with the same data.
+    // rows, seeding the reference model with the same (shared) rows.
+    let pool = RowPool::new(config.key_space, WRITE_VALUES.max(config.initial_rows));
     let mut store = MigratingStore::new(config.bugs);
     let mut model = SpecModel::new();
     for index in 0..config.initial_rows {
-        let key = format!("k{}", index % config.key_space.max(1));
-        let insert = [TableOperation::Insert(Row::with_int(
-            key,
-            "v",
-            index as i64,
-        ))];
-        if let Ok(results) = store.old.execute_batch(&insert) {
+        let row = pool.row(index % pool.key_space(), index);
+        let insert = TableOperation::Insert(row.clone());
+        if let Ok(result) = store.old.execute_one(&insert) {
             if config.prepopulate_new && index % 2 == 0 {
                 // A previously interrupted migration already copied some rows.
-                store.new.execute_batch(&insert).expect("prepopulated copy");
+                store.new.execute_one(&insert).expect("prepopulated copy");
             }
-            let [TableOperation::Insert(row)] = insert else {
-                unreachable!("the batch is one insert")
-            };
-            model.seed(row, results[0].etag.expect("insert returns an etag"));
+            model.seed(row, result.etag.expect("insert returns an etag"));
         }
     }
 
@@ -197,7 +193,7 @@ pub fn build_harness(rt: &mut Runtime, config: &ChainConfig) -> ChainHarness {
                 tables,
                 config.bugs,
                 config.ops_per_service,
-                config.key_space,
+                pool.clone(),
             ))
         })
         .collect();

@@ -11,7 +11,11 @@
 //! The crate contains:
 //!
 //! * [`table`] — the chain-table specification (`IChainTable` in the paper)
-//!   and the in-memory reference implementation used for both backends;
+//!   and the in-memory reference implementation used for both backends. A
+//!   row is an immutable value that is shared, not copied: its key and its
+//!   property bag are reference counted, so storing, querying, recording or
+//!   sending a row costs reference-count increments, and a `Merge` copies
+//!   the bag on write;
 //! * [`migrate`] — the migration protocol: phases, write translation, read
 //!   merging, tombstones, the migrator's primitives, and the eleven
 //!   re-introducible defects of Table 2 ([`migrate::ChainBugs`]);

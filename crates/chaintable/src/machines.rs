@@ -3,17 +3,78 @@
 //! backend tables, the Service machines that issue random logical operations
 //! through the migration protocol, the Migrator machine that moves the data
 //! in the background, and the spec-compliance safety monitor.
+//!
+//! Rows cross machine boundaries shared, never copied: a row a service
+//! draws, the Tables machine stores, a query returns and the monitor records
+//! is the same immutable value. A stream's cursor buffer travels inside its
+//! request and comes back in the response, so the requester never copies it.
 
 use std::collections::BTreeMap;
+use std::fmt::Write as _;
+use std::sync::Arc;
 
 use psharp::prelude::*;
 
 use crate::migrate::{is_tombstone, merge_atomic, Backend, ChainBugs, MigratingStore, Phase};
 use crate::spec::{SpecModel, VersionSnapshot};
-use crate::table::{ETag, ETagMatch, Filter, OpResult, Row, StoredRow, TableError, TableOperation};
+use crate::table::{
+    ETag, ETagMatch, Filter, Key, OpResult, Properties, Row, StoredRow, TableError, TableOperation,
+    Value,
+};
 
 /// Identifier of one logical query, unique within an execution.
 pub type QueryId = (u64, u64);
+
+/// Number of values of property `v` a service writes and filters on: `0`,
+/// `1` and `2`.
+pub const WRITE_VALUES: usize = 3;
+
+/// The keys and `v` property bags a harness's rows are drawn from, built
+/// once per harness. A drawn row shares them (two reference-count
+/// increments) instead of formatting a key and building a bag.
+#[derive(Debug, Clone)]
+pub struct RowPool {
+    keys: Arc<[Key]>,
+    values: Arc<[Properties]>,
+}
+
+impl RowPool {
+    /// Keys `k0`, `k1`, … for `key_space` keys (at least one), and a bag
+    /// `{"v": n}` for every `n` below `values`.
+    pub fn new(key_space: usize, values: usize) -> Self {
+        let mut name = String::new();
+        RowPool {
+            keys: (0..key_space.max(1))
+                .map(|index| {
+                    name.clear();
+                    write!(name, "k{index}").expect("writing to a String cannot fail");
+                    Key::from(name.as_str())
+                })
+                .collect(),
+            values: (0..values)
+                .map(|v| Properties::one("v", Value::Int(v as i64)))
+                .collect(),
+        }
+    }
+
+    /// Number of keys.
+    pub fn key_space(&self) -> usize {
+        self.keys.len()
+    }
+
+    /// Key number `index`.
+    pub fn key(&self, index: usize) -> &Key {
+        &self.keys[index]
+    }
+
+    /// The row of key number `index` whose property `v` is `value`.
+    pub fn row(&self, index: usize, value: usize) -> Row {
+        Row {
+            key: self.keys[index].clone(),
+            properties: self.values[value].clone(),
+        }
+    }
+}
 
 // ---------------------------------------------------------------------------
 // Events
@@ -42,7 +103,7 @@ pub struct ReadAtomicRequest {
     pub from: MachineId,
     /// Which backend to read.
     pub backend: Backend,
-    /// The filter pushed down to the backend.
+    /// The filter pushed down to the backend; it comes back in the response.
     pub filter: Filter,
 }
 
@@ -55,6 +116,8 @@ pub struct ReadAtomicResponse {
     pub rows: Vec<StoredRow>,
     /// The migration phase at the time of the read.
     pub phase: Phase,
+    /// The request's filter, handed back.
+    pub filter: Filter,
 }
 
 /// A single-row streaming read of one backend table.
@@ -64,8 +127,9 @@ pub struct ReadNextRequest {
     pub from: MachineId,
     /// Which backend to read.
     pub backend: Backend,
-    /// The stream cursor: the first key (inclusive) still of interest.
-    pub start: String,
+    /// The stream cursor: the first key (inclusive) still of interest. The
+    /// buffer comes back in the response.
+    pub cursor: String,
     /// The filter pushed down to the backend.
     pub filter: Filter,
 }
@@ -79,6 +143,8 @@ pub struct ReadNextResponse {
     pub row: Option<StoredRow>,
     /// The migration phase at the time of the read.
     pub phase: Phase,
+    /// The request's cursor, handed back.
+    pub cursor: String,
 }
 
 /// A background-migration step, executed by the Tables machine.
@@ -107,7 +173,8 @@ pub enum MigratorAction {
     SetPhaseUnlessPopulated(Phase),
     /// Copy the next old-table row at or after `cursor` into the new table.
     CopyNext {
-        /// Resume position of the copy pass.
+        /// Resume position of the copy pass; the buffer comes back in the
+        /// response.
         cursor: String,
         /// Whether the old-table row is deleted after copying.
         delete_after_copy: bool,
@@ -121,11 +188,13 @@ pub enum MigratorAction {
 pub struct MigratorResponse {
     /// For copy steps: the key that was copied, or `None` when the pass is
     /// complete. For cleanup steps: `None` when no tombstones remain.
-    pub copied_key: Option<String>,
+    pub copied_key: Option<Key>,
     /// For cleanup steps: whether a tombstone was removed.
     pub progressed: bool,
     /// The requesting incarnation's epoch, echoed back.
     pub epoch: u64,
+    /// For copy steps: the request's cursor, handed back (empty otherwise).
+    pub cursor: String,
 }
 
 /// Monitor notification: a logical write executed (its linearization point).
@@ -178,85 +247,112 @@ impl TablesMachine {
     }
 }
 
+impl TablesMachine {
+    fn write(&mut self, ctx: &mut Context<'_>, WriteRequest { from, op }: WriteRequest) {
+        let outcome = self.store.execute_write(&op);
+        ctx.notify_monitor::<SpecMonitor>(Event::new(NotifyWrite {
+            op,
+            outcome: outcome.clone(),
+        }));
+        ctx.send(from, Event::new(WriteResponse { outcome }));
+    }
+
+    fn read_atomic(&mut self, ctx: &mut Context<'_>, req: ReadAtomicRequest) {
+        let rows = self.store.backend_query_atomic(req.backend, &req.filter);
+        ctx.send(
+            req.from,
+            Event::new(ReadAtomicResponse {
+                backend: req.backend,
+                rows,
+                phase: self.store.phase(),
+                filter: req.filter,
+            }),
+        );
+    }
+
+    fn read_next(&mut self, ctx: &mut Context<'_>, req: ReadNextRequest) {
+        let row = self
+            .store
+            .backend_first_at_or_after(req.backend, &req.cursor, &req.filter);
+        ctx.send(
+            req.from,
+            Event::new(ReadNextResponse {
+                backend: req.backend,
+                row,
+                phase: self.store.phase(),
+                cursor: req.cursor,
+            }),
+        );
+    }
+
+    fn migrate(&mut self, ctx: &mut Context<'_>, req: MigratorRequest) {
+        let epoch = req.epoch;
+        let response = match req.action {
+            MigratorAction::SetPhase(phase) => {
+                self.store.set_phase(phase);
+                MigratorResponse {
+                    copied_key: None,
+                    progressed: true,
+                    epoch,
+                    cursor: String::new(),
+                }
+            }
+            MigratorAction::SetPhaseUnlessPopulated(phase) => {
+                let populated = !self.store.new.is_empty();
+                if !populated {
+                    self.store.set_phase(phase);
+                }
+                MigratorResponse {
+                    copied_key: None,
+                    progressed: !populated,
+                    epoch,
+                    cursor: String::new(),
+                }
+            }
+            MigratorAction::CopyNext {
+                cursor,
+                delete_after_copy,
+            } => {
+                let copied = self.store.migrator_copy_next(&cursor, delete_after_copy);
+                MigratorResponse {
+                    progressed: copied.is_some(),
+                    copied_key: copied,
+                    epoch,
+                    cursor,
+                }
+            }
+            MigratorAction::CleanTombstone => {
+                let progressed = self.store.migrator_clean_tombstone();
+                MigratorResponse {
+                    copied_key: None,
+                    progressed,
+                    epoch,
+                    cursor: String::new(),
+                }
+            }
+        };
+        ctx.send(req.from, Event::new(response));
+    }
+}
+
 impl Machine for TablesMachine {
     fn handle(&mut self, ctx: &mut Context<'_>, event: Event) {
+        // Each request is taken by value, so what it carries (the write's
+        // rows, a cursor, a filter) moves on instead of being copied.
         let event = match event.downcast::<WriteRequest>() {
-            Ok(WriteRequest { from, op }) => {
-                let outcome = self.store.execute_write(&op);
-                ctx.notify_monitor::<SpecMonitor>(Event::new(NotifyWrite {
-                    op,
-                    outcome: outcome.clone(),
-                }));
-                ctx.send(from, Event::new(WriteResponse { outcome }));
-                return;
-            }
+            Ok(req) => return self.write(ctx, req),
             Err(event) => event,
         };
-        if let Some(req) = event.downcast_ref::<ReadAtomicRequest>() {
-            let rows = self.store.backend_query_atomic(req.backend, &req.filter);
-            ctx.send(
-                req.from,
-                Event::new(ReadAtomicResponse {
-                    backend: req.backend,
-                    rows,
-                    phase: self.store.phase(),
-                }),
-            );
-        } else if let Some(req) = event.downcast_ref::<ReadNextRequest>() {
-            let row = self
-                .store
-                .backend_first_at_or_after(req.backend, &req.start, &req.filter);
-            ctx.send(
-                req.from,
-                Event::new(ReadNextResponse {
-                    backend: req.backend,
-                    row,
-                    phase: self.store.phase(),
-                }),
-            );
-        } else if let Some(req) = event.downcast_ref::<MigratorRequest>() {
-            let epoch = req.epoch;
-            let response = match &req.action {
-                MigratorAction::SetPhase(phase) => {
-                    self.store.set_phase(*phase);
-                    MigratorResponse {
-                        copied_key: None,
-                        progressed: true,
-                        epoch,
-                    }
-                }
-                MigratorAction::SetPhaseUnlessPopulated(phase) => {
-                    let populated = !self.store.new.is_empty();
-                    if !populated {
-                        self.store.set_phase(*phase);
-                    }
-                    MigratorResponse {
-                        copied_key: None,
-                        progressed: !populated,
-                        epoch,
-                    }
-                }
-                MigratorAction::CopyNext {
-                    cursor,
-                    delete_after_copy,
-                } => {
-                    let copied = self.store.migrator_copy_next(cursor, *delete_after_copy);
-                    MigratorResponse {
-                        progressed: copied.is_some(),
-                        copied_key: copied,
-                        epoch,
-                    }
-                }
-                MigratorAction::CleanTombstone => {
-                    let progressed = self.store.migrator_clean_tombstone();
-                    MigratorResponse {
-                        copied_key: None,
-                        progressed,
-                        epoch,
-                    }
-                }
-            };
-            ctx.send(req.from, Event::new(response));
+        let event = match event.downcast::<ReadNextRequest>() {
+            Ok(req) => return self.read_next(ctx, req),
+            Err(event) => event,
+        };
+        let event = match event.downcast::<ReadAtomicRequest>() {
+            Ok(req) => return self.read_atomic(ctx, req),
+            Err(event) => event,
+        };
+        if let Ok(req) = event.downcast::<MigratorRequest>() {
+            self.migrate(ctx, req);
         }
     }
 
@@ -353,9 +449,9 @@ enum OpState {
     /// Waiting for the old-table snapshot (read first: the migration only
     /// moves rows old → new, so reading the source before the destination
     /// guarantees a row in flight is seen on at least one side).
+    /// The filter pushed down to the backends is in the request.
     AtomicAwaitOld {
         filter: Filter,
-        fetch_filter: Filter,
         qid: QueryId,
     },
     /// Waiting for the new-table snapshot.
@@ -374,6 +470,7 @@ struct StreamState {
     filter: Filter,
     fetch_filter: Filter,
     qid: QueryId,
+    /// Empty while a fetch is in flight: the buffer travels with it.
     cursor: String,
     collected: Vec<Row>,
     phase_at_start: Option<Phase>,
@@ -387,21 +484,22 @@ pub struct ServiceMachine {
     tables: MachineId,
     bugs: ChainBugs,
     ops_remaining: usize,
-    key_space: usize,
-    last_etags: BTreeMap<String, ETag>,
+    pool: RowPool,
+    last_etags: BTreeMap<Key, ETag>,
     next_query_seq: u64,
     state: OpState,
     completed_ops: usize,
 }
 
 impl ServiceMachine {
-    /// Creates a service that will issue `ops` logical operations.
-    pub fn new(tables: MachineId, bugs: ChainBugs, ops: usize, key_space: usize) -> Self {
+    /// Creates a service that will issue `ops` logical operations on rows
+    /// drawn from `pool`.
+    pub fn new(tables: MachineId, bugs: ChainBugs, ops: usize, pool: RowPool) -> Self {
         ServiceMachine {
             tables,
             bugs,
             ops_remaining: ops,
-            key_space: key_space.max(1),
+            pool,
             last_etags: BTreeMap::new(),
             next_query_seq: 0,
             state: OpState::Idle,
@@ -414,14 +512,16 @@ impl ServiceMachine {
         self.completed_ops
     }
 
-    fn random_key(&self, ctx: &mut Context<'_>) -> String {
-        format!("k{}", ctx.random_index(self.key_space))
+    fn random_key(&self, ctx: &mut Context<'_>) -> Key {
+        self.pool
+            .key(ctx.random_index(self.pool.key_space()))
+            .clone()
     }
 
     fn random_row(&self, ctx: &mut Context<'_>) -> Row {
-        let key = self.random_key(ctx);
-        let value = ctx.random_index(3) as i64;
-        Row::with_int(key, "v", value)
+        let index = ctx.random_index(self.pool.key_space());
+        let value = ctx.random_index(WRITE_VALUES);
+        self.pool.row(index, value)
     }
 
     fn random_condition(&self, ctx: &mut Context<'_>, key: &str) -> ETagMatch {
@@ -436,8 +536,8 @@ impl ServiceMachine {
             Filter::All
         } else {
             Filter::PropertyEquals {
-                name: "v".to_string(),
-                value: crate::table::Value::Int(ctx.random_index(3) as i64),
+                name: "v",
+                value: Value::Int(ctx.random_index(WRITE_VALUES) as i64),
             }
         }
     }
@@ -504,14 +604,10 @@ impl ServiceMachine {
             Event::new(ReadAtomicRequest {
                 from,
                 backend: Backend::Old,
-                filter: fetch_filter.clone(),
+                filter: fetch_filter,
             }),
         );
-        self.state = OpState::AtomicAwaitOld {
-            filter,
-            fetch_filter,
-            qid,
-        };
+        self.state = OpState::AtomicAwaitOld { filter, qid };
     }
 
     fn start_query_streamed(&mut self, ctx: &mut Context<'_>) {
@@ -523,7 +619,7 @@ impl ServiceMachine {
         };
         let qid = self.next_qid(ctx);
         ctx.notify_monitor::<SpecMonitor>(Event::new(NotifyQueryStart { qid }));
-        let stream = StreamState {
+        let mut stream = StreamState {
             filter,
             fetch_filter,
             qid,
@@ -531,18 +627,19 @@ impl ServiceMachine {
             collected: Vec::new(),
             phase_at_start: None,
         };
-        self.send_stream_fetch(ctx, Backend::New, &stream);
+        self.send_stream_fetch(ctx, Backend::New, &mut stream);
         self.state = OpState::StreamFetchNew(stream);
     }
 
-    fn send_stream_fetch(&self, ctx: &mut Context<'_>, backend: Backend, stream: &StreamState) {
+    /// Sends the stream's next fetch; the cursor buffer goes with it.
+    fn send_stream_fetch(&self, ctx: &mut Context<'_>, backend: Backend, stream: &mut StreamState) {
         let from = ctx.id();
         ctx.send(
             self.tables,
             Event::new(ReadNextRequest {
                 from,
                 backend,
-                start: stream.cursor.clone(),
+                cursor: std::mem::take(&mut stream.cursor),
                 filter: stream.fetch_filter.clone(),
             }),
         );
@@ -641,7 +738,7 @@ impl ServiceMachine {
                 if emit {
                     stream.collected.push(stored.row);
                 }
-                self.send_stream_fetch(ctx, Backend::New, &stream);
+                self.send_stream_fetch(ctx, Backend::New, &mut stream);
                 self.state = OpState::StreamFetchNew(stream);
             }
         }
@@ -678,11 +775,7 @@ impl Machine for ServiceMachine {
                     self.state = OpState::AwaitingWrite;
                 }
             }
-            OpState::AtomicAwaitOld {
-                filter,
-                fetch_filter,
-                qid,
-            } => {
+            OpState::AtomicAwaitOld { filter, qid } => {
                 if let Ok(response) = event.downcast::<ReadAtomicResponse>() {
                     let from = ctx.id();
                     ctx.send(
@@ -690,7 +783,7 @@ impl Machine for ServiceMachine {
                         Event::new(ReadAtomicRequest {
                             from,
                             backend: Backend::New,
-                            filter: fetch_filter,
+                            filter: response.filter,
                         }),
                     );
                     self.state = OpState::AtomicAwaitNew {
@@ -699,11 +792,7 @@ impl Machine for ServiceMachine {
                         old_rows: response.rows,
                     };
                 } else {
-                    self.state = OpState::AtomicAwaitOld {
-                        filter,
-                        fetch_filter,
-                        qid,
-                    };
+                    self.state = OpState::AtomicAwaitOld { filter, qid };
                 }
             }
             OpState::AtomicAwaitNew {
@@ -723,17 +812,19 @@ impl Machine for ServiceMachine {
             }
             OpState::StreamFetchNew(mut stream) => {
                 if let Ok(response) = event.downcast::<ReadNextResponse>() {
+                    stream.cursor = response.cursor;
                     if stream.phase_at_start.is_none() {
                         stream.phase_at_start = Some(response.phase);
                     }
-                    self.send_stream_fetch(ctx, Backend::Old, &stream);
+                    self.send_stream_fetch(ctx, Backend::Old, &mut stream);
                     self.state = OpState::StreamFetchOld(stream, response.row);
                 } else {
                     self.state = OpState::StreamFetchNew(stream);
                 }
             }
-            OpState::StreamFetchOld(stream, new_next) => {
+            OpState::StreamFetchOld(mut stream, new_next) => {
                 if let Ok(response) = event.downcast::<ReadNextResponse>() {
+                    stream.cursor = response.cursor;
                     let old_next = response.row;
                     let phase = response.phase;
                     if self.bugs.query_streamed_back_up_new_stream {
@@ -743,15 +834,16 @@ impl Machine for ServiceMachine {
                     } else {
                         // Fixed: re-read the new table ("back up the new
                         // stream") so rows copied in the meantime are seen.
-                        self.send_stream_fetch(ctx, Backend::New, &stream);
+                        self.send_stream_fetch(ctx, Backend::New, &mut stream);
                         self.state = OpState::StreamRecheckNew(stream, old_next);
                     }
                 } else {
                     self.state = OpState::StreamFetchOld(stream, new_next);
                 }
             }
-            OpState::StreamRecheckNew(stream, old_next) => {
+            OpState::StreamRecheckNew(mut stream, old_next) => {
                 if let Ok(response) = event.downcast::<ReadNextResponse>() {
+                    stream.cursor = response.cursor;
                     self.finish_stream_step(ctx, stream, response.row, old_next, response.phase);
                 } else {
                     self.state = OpState::StreamRecheckNew(stream, old_next);
@@ -796,6 +888,8 @@ pub struct MigratorMachine {
     bugs: ChainBugs,
     plan: Vec<MigrationStep>,
     step: usize,
+    /// The copy pass's resume position. Empty while a copy request is in
+    /// flight: the buffer travels with it and comes back in the response.
     copy_cursor: String,
     delete_after_copy: bool,
     finished: bool,
@@ -880,7 +974,7 @@ impl MigratorMachine {
                 MigratorAction::SetPhaseUnlessPopulated(*phase)
             }
             MigrationStep::CopyPass => MigratorAction::CopyNext {
-                cursor: self.copy_cursor.clone(),
+                cursor: std::mem::take(&mut self.copy_cursor),
                 delete_after_copy: self.delete_after_copy,
             },
             MigrationStep::CleanPass => MigratorAction::CleanTombstone,
@@ -904,7 +998,7 @@ impl Machine for MigratorMachine {
     }
 
     fn handle(&mut self, ctx: &mut Context<'_>, event: Event) {
-        let Some(response) = event.downcast_ref::<MigratorResponse>() else {
+        let Ok(response) = event.downcast::<MigratorResponse>() else {
             return;
         };
         if response.epoch != self.epoch {
@@ -915,6 +1009,7 @@ impl Machine for MigratorMachine {
         }
         match self.plan.get(self.step) {
             Some(MigrationStep::CopyPass) => {
+                self.copy_cursor = response.cursor;
                 if let Some(copied) = &response.copied_key {
                     // Resume just past the copied key, in the cursor's own
                     // buffer.
@@ -952,7 +1047,8 @@ impl Machine for MigratorMachine {
         } else {
             // Fixed: redo the current step from the beginning of its pass.
             // Every step is idempotent (phase announcements repeat, copies
-            // are insert-if-absent), so redoing is always safe.
+            // are insert-if-absent), so redoing is always safe. (A copy
+            // cursor in flight was lost with the request; start afresh.)
             self.copy_cursor.clear();
         }
         self.issue_current_step(ctx);

@@ -15,8 +15,8 @@
 use std::cmp::Ordering;
 
 use crate::table::{
-    ChainTable, ChainTableExt, ETag, ETagMatch, Filter, InMemoryTable, OpResult, Row, StoredRow,
-    TableError, TableOperation, Value,
+    ChainTable, ETagMatch, Filter, InMemoryTable, Key, OpResult, Row, StoredRow, TableError,
+    TableOperation, Value,
 };
 
 /// Property name marking a new-table row as a tombstone for a deleted key.
@@ -161,7 +161,7 @@ pub fn is_tombstone(row: &Row) -> bool {
 }
 
 /// Builds the tombstone row hiding `key`.
-pub fn tombstone_row(key: &str) -> Row {
+pub fn tombstone_row(key: impl Into<Key>) -> Row {
     Row::empty(key).with_property(TOMBSTONE_PROPERTY, Value::Bool(true))
 }
 
@@ -215,14 +215,11 @@ impl MigratingStore {
     /// Reads the virtual-table row for `key` under the current phase,
     /// resolving shadowing and tombstones.
     pub fn virtual_read(&self, key: &str) -> Option<StoredRow> {
-        self.virtual_entry(key).map(|(row, etag)| StoredRow {
-            row: row.clone(),
-            etag,
-        })
+        self.virtual_entry(key).cloned()
     }
 
-    /// [`MigratingStore::virtual_read`] without copying the row.
-    fn virtual_entry(&self, key: &str) -> Option<(&Row, ETag)> {
+    /// [`MigratingStore::virtual_read`], borrowed.
+    fn virtual_entry(&self, key: &str) -> Option<&StoredRow> {
         let new_row = if self.phase.reads_new() {
             self.new.get(key)
         } else {
@@ -237,14 +234,14 @@ impl MigratingStore {
             (Some(new), Some(old)) => {
                 if self.phase.old_wins() {
                     Some(old)
-                } else if is_tombstone(new.0) {
+                } else if is_tombstone(&new.row) {
                     None
                 } else {
                     Some(new)
                 }
             }
             (Some(new), None) => {
-                if is_tombstone(new.0) {
+                if is_tombstone(&new.row) {
                     None
                 } else {
                     Some(new)
@@ -254,13 +251,13 @@ impl MigratingStore {
         }
     }
 
-    fn check_condition(&self, key: &str, condition: ETagMatch) -> Result<&Row, TableError> {
+    fn check_condition(&self, key: &Key, condition: ETagMatch) -> Result<&Row, TableError> {
         match self.virtual_entry(key) {
-            None => Err(TableError::NotFound(key.to_string())),
-            Some((row, etag)) => match condition {
-                ETagMatch::Any => Ok(row),
-                ETagMatch::Exact(expected) if expected == etag => Ok(row),
-                ETagMatch::Exact(_) => Err(TableError::ConditionFailed(key.to_string())),
+            None => Err(TableError::NotFound(key.clone())),
+            Some(stored) => match condition {
+                ETagMatch::Any => Ok(&stored.row),
+                ETagMatch::Exact(expected) if expected == stored.etag => Ok(&stored.row),
+                ETagMatch::Exact(_) => Err(TableError::ConditionFailed(key.clone())),
             },
         }
     }
@@ -274,10 +271,10 @@ impl MigratingStore {
     pub fn execute_write(&mut self, op: &TableOperation) -> Result<OpResult, TableError> {
         if !self.phase.writes_new() {
             // UseOld / PreferOld: the old table is authoritative.
-            return execute_one(&mut self.old, op);
+            return self.old.execute_one(op);
         }
         if self.phase == Phase::UseNew {
-            return execute_one(&mut self.new, op);
+            return self.new.execute_one(op);
         }
         // Tombstone phases: translate onto the new table.
         match op {
@@ -287,30 +284,31 @@ impl MigratingStore {
                     // copy pass has already moved beyond this key the row is
                     // never copied and is lost once reads stop consulting the
                     // old table.
-                    return execute_one(&mut self.old, op);
+                    return self.old.execute_one(op);
                 }
                 if self.virtual_entry(&row.key).is_some() {
                     return Err(TableError::AlreadyExists(row.key.clone()));
                 }
                 self.new
-                    .execute(TableOperation::InsertOrReplace(row.clone()))
+                    .execute_one(&TableOperation::InsertOrReplace(row.clone()))
             }
             TableOperation::Replace(row, condition) => {
                 self.check_condition(&row.key, *condition)?;
                 self.new
-                    .execute(TableOperation::InsertOrReplace(row.clone()))
+                    .execute_one(&TableOperation::InsertOrReplace(row.clone()))
             }
             TableOperation::Merge(row, condition) => {
-                let mut merged = self.check_condition(&row.key, *condition)?.clone();
-                for (name, value) in &row.properties {
-                    merged.properties.insert(name.clone(), value.clone());
-                }
-                merged.key = row.key.clone();
-                self.new.execute(TableOperation::InsertOrReplace(merged))
+                // Copy on write: the merged row is new; the row it is built
+                // from stays as it was wherever it is held.
+                let base = self.check_condition(&row.key, *condition)?;
+                let merged = Row {
+                    key: row.key.clone(),
+                    properties: base.properties.merged(&row.properties),
+                };
+                self.new
+                    .execute_one(&TableOperation::InsertOrReplace(merged))
             }
-            TableOperation::InsertOrReplace(row) => self
-                .new
-                .execute(TableOperation::InsertOrReplace(row.clone())),
+            TableOperation::InsertOrReplace(_) => self.new.execute_one(op),
             TableOperation::Delete(key, condition) => {
                 if self.bugs.delete_no_leave_tombstones_etag {
                     // BUG: the ETag precondition is dropped; the delete
@@ -326,7 +324,7 @@ impl MigratingStore {
                     // table, so the row (or a leftover tombstone) is simply
                     // removed from it.
                     self.new
-                        .execute(TableOperation::Delete(key.clone(), ETagMatch::Any))
+                        .execute_one(&TableOperation::Delete(key.clone(), ETagMatch::Any))
                         .ok();
                     return Ok(OpResult {
                         key: key.clone(),
@@ -336,15 +334,12 @@ impl MigratingStore {
                 let tombstone_key = if self.bugs.delete_primary_key {
                     // BUG: the tombstone is written under a mangled key and
                     // never hides the real row.
-                    format!("{key}#deleted")
+                    Key::from(format!("{key}#deleted"))
                 } else {
                     key.clone()
                 };
-                let result = self
-                    .new
-                    .execute(TableOperation::InsertOrReplace(tombstone_row(
-                        &tombstone_key,
-                    )))?;
+                let tombstone = TableOperation::InsertOrReplace(tombstone_row(tombstone_key));
+                let result = self.new.execute_one(&tombstone)?;
                 if self.bugs.tombstone_output_etag {
                     // BUG: the caller sees the tombstone row's ETag instead of
                     // the delete-result contract (no ETag).
@@ -387,17 +382,17 @@ impl MigratingStore {
     /// into the new table (insert-if-absent) and, when `delete_after_copy` is
     /// set, deletes it from the old table. Returns the copied key, or `None`
     /// when the copy pass is complete.
-    pub fn migrator_copy_next(&mut self, cursor: &str, delete_after_copy: bool) -> Option<String> {
+    pub fn migrator_copy_next(&mut self, cursor: &str, delete_after_copy: bool) -> Option<Key> {
         let next = self.old.query_first_at_or_after(cursor, &Filter::All)?;
         let key = next.row.key.clone();
         // Insert-if-absent: an existing new-table row (client write or
         // tombstone) always wins over the stale old copy.
         if self.new.get(&key).is_none() {
-            self.new.execute(TableOperation::Insert(next.row)).ok();
+            self.new.execute_one(&TableOperation::Insert(next.row)).ok();
         }
         if delete_after_copy {
             self.old
-                .execute(TableOperation::Delete(key.clone(), ETagMatch::Any))
+                .execute_one(&TableOperation::Delete(key.clone(), ETagMatch::Any))
                 .ok();
         }
         Some(key)
@@ -406,25 +401,21 @@ impl MigratingStore {
     /// Migrator primitive: removes one tombstone row from the new table.
     /// Returns `false` when no tombstones remain.
     pub fn migrator_clean_tombstone(&mut self) -> bool {
-        let Some((tombstone, _)) = self.new.find_from("", is_tombstone) else {
+        let Some(tombstone) = self.new.find_from("", is_tombstone) else {
             return false;
         };
-        let key = tombstone.key.clone();
-        self.new
-            .execute(TableOperation::Delete(key.clone(), ETagMatch::Any))
-            .ok();
+        let delete = TableOperation::Delete(tombstone.row.key.clone(), ETagMatch::Any);
+        self.new.execute_one(&delete).ok();
         // Removing the tombstone would un-shadow a leftover old-table row, so
         // cleanup deletes that row as well.
-        self.old
-            .execute(TableOperation::Delete(key, ETagMatch::Any))
-            .ok();
+        self.old.execute_one(&delete).ok();
         true
     }
 
     /// Returns every virtual-table row matching `filter` (the ground truth a
     /// fully synchronized reader would see). Used by tests.
     pub fn virtual_snapshot(&self, filter: &Filter) -> Vec<Row> {
-        let mut keys: Vec<String> = self
+        let mut keys: Vec<Key> = self
             .old
             .query_atomic(&Filter::All)
             .into_iter()
@@ -443,14 +434,6 @@ impl MigratingStore {
             .filter(|row| filter.matches(row))
             .collect()
     }
-}
-
-/// Executes one borrowed operation as a one-element batch, so the caller's
-/// operation is not copied just to be applied.
-fn execute_one(table: &mut InMemoryTable, op: &TableOperation) -> Result<OpResult, TableError> {
-    table
-        .execute_batch(std::slice::from_ref(op))
-        .map(|mut results| results.swap_remove(0))
 }
 
 /// Merges the two backends' snapshot results into virtual-table rows
@@ -499,6 +482,7 @@ pub fn merge_atomic(phase: Phase, old_rows: Vec<StoredRow>, new_rows: Vec<Stored
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::table::{ChainTableExt, ETag};
 
     fn row(key: &str, v: i64) -> Row {
         Row::with_int(key, "v", v)
@@ -552,7 +536,7 @@ mod tests {
             .unwrap();
         store.set_phase(Phase::UseNewWithTombstones);
         let result = store
-            .execute_write(&TableOperation::Delete("a".to_string(), ETagMatch::Any))
+            .execute_write(&TableOperation::Delete("a".into(), ETagMatch::Any))
             .unwrap();
         assert_eq!(result.etag, None, "deletes report no etag");
         assert!(store.old.read("a").is_some(), "old copy still present");
@@ -591,11 +575,11 @@ mod tests {
         // The stale etag must now be rejected.
         let err = store
             .execute_write(&TableOperation::Delete(
-                "a".to_string(),
+                "a".into(),
                 ETagMatch::Exact(first.etag.unwrap()),
             ))
             .unwrap_err();
-        assert_eq!(err, TableError::ConditionFailed("a".to_string()));
+        assert_eq!(err, TableError::ConditionFailed("a".into()));
     }
 
     #[test]
@@ -618,7 +602,7 @@ mod tests {
         // The stale etag should be rejected, but the buggy translation
         // deletes anyway.
         let result = store2.execute_write(&TableOperation::Delete(
-            "a".to_string(),
+            "a".into(),
             ETagMatch::Exact(first.etag.unwrap()),
         ));
         assert!(result.is_ok());
@@ -640,7 +624,7 @@ mod tests {
         );
         buggy.old = store.old.clone();
         buggy
-            .execute_write(&TableOperation::Delete("a".to_string(), ETagMatch::Any))
+            .execute_write(&TableOperation::Delete("a".into(), ETagMatch::Any))
             .unwrap();
         assert!(
             buggy.virtual_read("a").is_some(),
@@ -661,7 +645,7 @@ mod tests {
             .execute_write(&TableOperation::Insert(row("a", 1)))
             .unwrap();
         let result = buggy
-            .execute_write(&TableOperation::Delete("a".to_string(), ETagMatch::Any))
+            .execute_write(&TableOperation::Delete("a".into(), ETagMatch::Any))
             .unwrap();
         assert!(result.etag.is_some(), "the defect leaks the tombstone etag");
     }
@@ -689,7 +673,7 @@ mod tests {
             .execute_write(&TableOperation::Insert(row("a", 1)))
             .unwrap();
         store
-            .execute_write(&TableOperation::Delete("a".to_string(), ETagMatch::Any))
+            .execute_write(&TableOperation::Delete("a".into(), ETagMatch::Any))
             .unwrap();
         store
             .execute_write(&TableOperation::Insert(row("a", 2)))
@@ -723,7 +707,7 @@ mod tests {
             .unwrap();
         store.set_phase(Phase::UseNewWithTombstones);
         store
-            .execute_write(&TableOperation::Delete("a".to_string(), ETagMatch::Any))
+            .execute_write(&TableOperation::Delete("a".into(), ETagMatch::Any))
             .unwrap();
         store.migrator_copy_next("", true);
         assert!(store.virtual_read("a").is_none(), "the tombstone wins");
@@ -739,7 +723,7 @@ mod tests {
             .execute_write(&TableOperation::Insert(row("b", 2)))
             .unwrap();
         store
-            .execute_write(&TableOperation::Delete("a".to_string(), ETagMatch::Any))
+            .execute_write(&TableOperation::Delete("a".into(), ETagMatch::Any))
             .unwrap();
         assert!(store.migrator_clean_tombstone());
         assert!(!store.migrator_clean_tombstone());
@@ -752,25 +736,25 @@ mod tests {
         let old = vec![
             StoredRow {
                 row: row("a", 1),
-                etag: crate::table::ETag(1),
+                etag: ETag(1),
             },
             StoredRow {
                 row: row("b", 2),
-                etag: crate::table::ETag(2),
+                etag: ETag(2),
             },
         ];
         let new = vec![
             StoredRow {
                 row: row("a", 9),
-                etag: crate::table::ETag(3),
+                etag: ETag(3),
             },
             StoredRow {
                 row: tombstone_row("b"),
-                etag: crate::table::ETag(4),
+                etag: ETag(4),
             },
             StoredRow {
                 row: row("c", 3),
-                etag: crate::table::ETag(5),
+                etag: ETag(5),
             },
         ];
         let merged = merge_atomic(Phase::UseNewWithTombstones, old.clone(), new.clone());
@@ -799,7 +783,7 @@ mod tests {
             .execute_write(&TableOperation::Replace(row("b", 9), ETagMatch::Any))
             .unwrap();
         store
-            .execute_write(&TableOperation::Delete("c".to_string(), ETagMatch::Any))
+            .execute_write(&TableOperation::Delete("c".into(), ETagMatch::Any))
             .unwrap();
         let snapshot = store.virtual_snapshot(&Filter::All);
         assert_eq!(snapshot, vec![row("a", 1), row("b", 9)]);

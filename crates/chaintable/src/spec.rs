@@ -22,10 +22,13 @@
 //! write; a query's [`VersionSnapshot`] is the number of writes applied when
 //! it started. A key is stable over the query iff its last write is at or
 //! before that snapshot, so starting a query copies one counter, not a map.
+//!
+//! The model records the rows it is handed, shared: a recorded write costs
+//! reference-count increments, and a `Merge` builds the merged bag anew.
 
 use std::collections::BTreeMap;
 
-use crate::table::{ETag, ETagMatch, Filter, OpResult, Row, TableError, TableOperation};
+use crate::table::{ETag, ETagMatch, Filter, Key, OpResult, Row, TableError, TableOperation};
 
 /// The outcome the specification prescribes for a write.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -57,11 +60,11 @@ struct ModelRow {
 /// The reference model of the virtual table.
 #[derive(Debug, Clone, Default)]
 pub struct SpecModel {
-    rows: BTreeMap<String, ModelRow>,
+    rows: BTreeMap<Key, ModelRow>,
     /// Writes applied so far; the `n`th applied write is numbered `n`.
     writes: u64,
     /// Per key, the number of its last applied write (absent: never written).
-    last_write: BTreeMap<String, u64>,
+    last_write: BTreeMap<Key, u64>,
 }
 
 impl SpecModel {
@@ -107,17 +110,12 @@ impl SpecModel {
         self.last_write.get(key).is_none_or(|&n| n <= started.0)
     }
 
-    fn bump(&mut self, key: &str) {
+    fn bump(&mut self, key: &Key) {
         self.writes += 1;
-        match self.last_write.get_mut(key) {
-            Some(n) => *n = self.writes,
-            None => {
-                self.last_write.insert(key.to_string(), self.writes);
-            }
-        }
+        self.last_write.insert(key.clone(), self.writes);
     }
 
-    fn check_condition(&self, key: &str, condition: ETagMatch) -> Option<ExpectedOutcome> {
+    fn check_condition(&self, key: &Key, condition: ETagMatch) -> Option<ExpectedOutcome> {
         match self.rows.get(key) {
             None => Some(ExpectedOutcome::NotFound),
             Some(stored) => match condition {
@@ -159,26 +157,27 @@ impl SpecModel {
                     row: row.clone(),
                     etag: result.etag,
                 };
-                match self.rows.get_mut(&row.key) {
-                    Some(slot) => *slot = stored,
-                    None => {
-                        self.rows.insert(row.key.clone(), stored);
-                    }
-                }
+                self.rows.insert(row.key.clone(), stored);
                 self.bump(&row.key);
             }
             TableOperation::Merge(row, _) => {
-                let entry = self
-                    .rows
-                    .entry(row.key.clone())
-                    .or_insert_with(|| ModelRow {
-                        row: Row::empty(row.key.clone()),
+                // Copy on write: a row recorded earlier and held elsewhere
+                // keeps its bag.
+                let properties = match self.rows.get(&row.key) {
+                    Some(model) => model.row.properties.merged(&row.properties),
+                    None => row.properties.clone(),
+                };
+                let merged = Row {
+                    key: row.key.clone(),
+                    properties,
+                };
+                self.rows.insert(
+                    row.key.clone(),
+                    ModelRow {
+                        row: merged,
                         etag: result.etag,
-                    });
-                for (name, value) in &row.properties {
-                    entry.row.properties.insert(name.clone(), value.clone());
-                }
-                entry.etag = result.etag;
+                    },
+                );
                 self.bump(&row.key);
             }
             TableOperation::Delete(key, _) => {
@@ -276,7 +275,7 @@ impl SpecModel {
         // 2. Every stable, filter-matching model row must be returned.
         for (key, model) in &self.rows {
             if stable(key) && filter.matches(&model.row) {
-                let found = results.iter().filter(|r| &r.key == key).count();
+                let found = results.iter().filter(|r| r.key == *key).count();
                 if found == 0 {
                     return Some(format!(
                         "query missed stable row {key:?} that matches the filter"
@@ -351,7 +350,7 @@ mod reference {
 
             for (key, stored) in &model.rows {
                 if stable(key) && filter.matches(&stored.row) {
-                    let found = results.iter().filter(|r| &r.key == key).count();
+                    let found = results.iter().filter(|r| r.key == *key).count();
                     if found == 0 {
                         return Some(format!(
                             "query missed stable row {key:?} that matches the filter"
@@ -380,7 +379,7 @@ mod tests {
 
     fn ok(key: &str, etag: Option<u64>) -> Result<OpResult, TableError> {
         Ok(OpResult {
-            key: key.to_string(),
+            key: key.into(),
             etag: etag.map(ETag),
         })
     }
@@ -407,7 +406,7 @@ mod tests {
         let mut model = SpecModel::new();
         model.record_write(&TableOperation::Insert(row("a", 1)), &ok("a", Some(1)));
         let violation = model.record_write(
-            &TableOperation::Delete("a".to_string(), ETagMatch::Any),
+            &TableOperation::Delete("a".into(), ETagMatch::Any),
             &ok("a", Some(7)),
         );
         assert!(violation.unwrap().contains("etag"));
@@ -508,7 +507,7 @@ mod tests {
         let mut model = SpecModel::new();
         model.record_write(&TableOperation::Insert(row("a", 1)), &ok("a", Some(1)));
         model.record_write(
-            &TableOperation::Delete("a".to_string(), ETagMatch::Any),
+            &TableOperation::Delete("a".into(), ETagMatch::Any),
             &ok("a", None),
         );
         let snapshot = model.version_snapshot();
@@ -525,7 +524,7 @@ mod tests {
         model.record_write(&TableOperation::Insert(row("b", 2)), &ok("b", Some(2)));
         let snapshot = model.version_snapshot();
         let filter = Filter::PropertyEquals {
-            name: "v".to_string(),
+            name: "v",
             value: Value::Int(2),
         };
         assert!(model
@@ -544,7 +543,7 @@ mod tests {
         model: &SpecModel,
         next_etag: &mut u64,
     ) -> (TableOperation, Result<OpResult, TableError>, bool) {
-        let key = format!("k{}", rng.next_below(5));
+        let key = Key::from(format!("k{}", rng.next_below(5)));
         let row = Row::with_int(key.clone(), "v", rng.next_below(3) as i64);
         let condition = match model.rows.get(&key).and_then(|m| m.etag) {
             Some(etag) if rng.next_below(3) == 0 => ETagMatch::Exact(etag),
@@ -644,7 +643,7 @@ mod tests {
                             Filter::All
                         } else {
                             Filter::PropertyEquals {
-                                name: "v".to_string(),
+                                name: "v",
                                 value: Value::Int(rng.next_below(3) as i64),
                             }
                         };

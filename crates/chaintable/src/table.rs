@@ -7,18 +7,30 @@
 //! The same in-memory implementation is used for the backend tables and for
 //! the reference table, exactly as in the paper ("this reference
 //! implementation was reused for the BTs").
+//!
+//! A [`Row`] is an immutable value that is shared, not copied: its [`Key`]
+//! and its [`Properties`] are reference counted, so storing a row, returning
+//! it from a query, recording it in the spec model or handing it to another
+//! machine costs a reference-count increment. Nothing mutates a shared row in
+//! place; a `Merge` builds a new property bag (copy on write), so every
+//! holder of the old row keeps seeing the old value.
 
 use std::collections::BTreeMap;
 use std::fmt;
 use std::ops::Bound;
+use std::sync::Arc;
+
+/// A row key. Shared: putting one into a row, an [`OpResult`] or a
+/// [`TableError`] is a reference-count increment, not a string copy.
+pub type Key = Arc<str>;
 
 /// A property value stored in a row.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Value {
     /// An integer property.
     Int(i64),
-    /// A string property.
-    Str(String),
+    /// A string property (shared, like a [`Key`]).
+    Str(Arc<str>),
     /// A boolean property.
     Bool(bool),
 }
@@ -30,6 +42,62 @@ impl fmt::Display for Value {
             Value::Str(v) => write!(f, "{v:?}"),
             Value::Bool(v) => write!(f, "{v}"),
         }
+    }
+}
+
+/// A row's property bag: `&'static str` names, each at most once and sorted,
+/// with their values.
+///
+/// The bag is shared and immutable: cloning it is a reference-count
+/// increment, and [`Properties::merged`] / [`Properties::with`] build a new
+/// bag, leaving every holder of the old one untouched. It prints, compares
+/// and looks up like the name-to-value map it stands for.
+#[derive(Clone, PartialEq, Eq)]
+pub struct Properties(Arc<[(&'static str, Value)]>);
+
+impl Properties {
+    /// A bag holding one property.
+    pub fn one(name: &'static str, value: Value) -> Self {
+        Properties(Arc::from([(name, value)]))
+    }
+
+    /// A bag holding no property.
+    pub fn empty() -> Self {
+        Properties(Arc::from([]))
+    }
+
+    /// The value of property `name`, if the bag holds one.
+    pub fn get(&self, name: &str) -> Option<&Value> {
+        self.0
+            .binary_search_by(|(held, _)| (*held).cmp(name))
+            .ok()
+            .map(|index| &self.0[index].1)
+    }
+
+    /// The properties, sorted by name.
+    pub fn iter(&self) -> impl Iterator<Item = (&'static str, &Value)> {
+        self.0.iter().map(|(name, value)| (*name, value))
+    }
+
+    /// A new bag: this one with every property of `update` added or
+    /// replaced (the contents a `Merge` leaves).
+    pub fn merged(&self, update: &Properties) -> Properties {
+        // Collecting into a map keeps the last value of each name, so
+        // `update` wins.
+        let merged: BTreeMap<&'static str, Value> =
+            self.0.iter().chain(update.0.iter()).cloned().collect();
+        Properties(merged.into_iter().collect())
+    }
+
+    /// A new bag: this one with property `name` added or replaced.
+    pub fn with(&self, name: &'static str, value: Value) -> Properties {
+        self.merged(&Properties::one(name, value))
+    }
+}
+
+impl fmt::Debug for Properties {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_map().entries(self.iter()).finish()
     }
 }
 
@@ -47,58 +115,54 @@ pub enum ETagMatch {
 }
 
 /// A row: a key plus a property bag. The stored ETag is managed by the table.
+///
+/// A row is an immutable shared value: both fields are reference counted, so
+/// a clone allocates nothing, and no operation changes a row someone holds.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Row {
     /// The row key (unique within a table).
-    pub key: String,
+    pub key: Key,
     /// The row's properties.
-    pub properties: BTreeMap<String, Value>,
+    pub properties: Properties,
 }
 
 impl Row {
-    /// Creates a row with a single integer property `v`, the common shape in
-    /// the tests and workloads.
-    pub fn with_int(key: impl Into<String>, name: impl Into<String>, v: i64) -> Self {
-        let mut properties = BTreeMap::new();
-        properties.insert(name.into(), Value::Int(v));
+    /// Creates a row with a single integer property, the common shape in the
+    /// tests and workloads.
+    pub fn with_int(key: impl Into<Key>, name: &'static str, v: i64) -> Self {
         Row {
             key: key.into(),
-            properties,
+            properties: Properties::one(name, Value::Int(v)),
         }
     }
 
     /// Creates a row with an empty property bag.
-    pub fn empty(key: impl Into<String>) -> Self {
+    pub fn empty(key: impl Into<Key>) -> Self {
         Row {
             key: key.into(),
-            properties: BTreeMap::new(),
+            properties: Properties::empty(),
         }
     }
 
-    /// Returns a copy with one property added or replaced.
-    pub fn with_property(mut self, name: impl Into<String>, value: Value) -> Self {
-        self.properties.insert(name.into(), value);
-        self
+    /// Returns the row with one property added or replaced.
+    pub fn with_property(self, name: &'static str, value: Value) -> Self {
+        Row {
+            key: self.key,
+            properties: self.properties.with(name, value),
+        }
     }
 }
 
 /// A stored row as returned by queries: the row plus its current ETag.
+///
+/// The table keeps its rows in this form, so a query result is a clone of
+/// the stored entry: two reference-count increments.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StoredRow {
     /// The row contents.
     pub row: Row,
     /// The row's current version.
     pub etag: ETag,
-}
-
-impl StoredRow {
-    /// Copies a borrowed stored row out of its table.
-    fn copied((row, etag): (&Row, ETag)) -> StoredRow {
-        StoredRow {
-            row: row.clone(),
-            etag,
-        }
-    }
 }
 
 /// A single table operation, applied atomically (possibly within a batch).
@@ -113,12 +177,12 @@ pub enum TableOperation {
     /// Insert the row or replace whatever is stored, unconditionally.
     InsertOrReplace(Row),
     /// Delete a row; fails if missing or the ETag mismatches.
-    Delete(String, ETagMatch),
+    Delete(Key, ETagMatch),
 }
 
 impl TableOperation {
     /// The key this operation addresses.
-    pub fn key(&self) -> &str {
+    pub fn key(&self) -> &Key {
         match self {
             TableOperation::Insert(row)
             | TableOperation::Replace(row, _)
@@ -132,21 +196,21 @@ impl TableOperation {
 /// Result of one successful operation.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct OpResult {
-    /// The key the operation addressed.
-    pub key: String,
+    /// The key the operation addressed (shared with the operation's row).
+    pub key: Key,
     /// The new ETag of the row, or `None` for deletes.
     pub etag: Option<ETag>,
 }
 
-/// Errors returned by chain tables.
+/// Errors returned by chain tables. Each names the operation's key, shared.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum TableError {
     /// Insert of a key that already exists.
-    AlreadyExists(String),
+    AlreadyExists(Key),
     /// Conditional operation on a missing key.
-    NotFound(String),
+    NotFound(Key),
     /// ETag precondition failed.
-    ConditionFailed(String),
+    ConditionFailed(Key),
 }
 
 impl fmt::Display for TableError {
@@ -161,7 +225,7 @@ impl fmt::Display for TableError {
 
 impl std::error::Error for TableError {}
 
-/// Row filter used by queries.
+/// Row filter used by queries. Cloning one allocates nothing.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Filter {
     /// Match every row.
@@ -169,14 +233,14 @@ pub enum Filter {
     /// Match rows whose key lies in `[from, to]` (inclusive).
     KeyRange {
         /// Lower bound (inclusive).
-        from: String,
+        from: Key,
         /// Upper bound (inclusive).
-        to: String,
+        to: Key,
     },
     /// Match rows whose property `name` equals `value`.
     PropertyEquals {
         /// The property name.
-        name: String,
+        name: &'static str,
         /// The value to compare against.
         value: Value,
     },
@@ -187,9 +251,7 @@ impl Filter {
     pub fn matches(&self, row: &Row) -> bool {
         match self {
             Filter::All => true,
-            Filter::KeyRange { from, to } => {
-                row.key.as_str() >= from.as_str() && row.key.as_str() <= to.as_str()
-            }
+            Filter::KeyRange { from, to } => row.key >= *from && row.key <= *to,
             Filter::PropertyEquals { name, value } => row.properties.get(name) == Some(value),
         }
     }
@@ -197,14 +259,24 @@ impl Filter {
 
 /// The chain-table interface (the paper's `IChainTable`).
 pub trait ChainTable {
+    /// Executes one operation: it either succeeds or fails with its error and
+    /// changes nothing. This is the write path of a single-row write; a
+    /// batch is a loop over it.
+    ///
+    /// # Errors
+    ///
+    /// Returns the operation's error.
+    fn execute_one(&mut self, op: &TableOperation) -> Result<OpResult, TableError>;
+
     /// Executes `ops` atomically: either every operation succeeds, or the
     /// first failing operation's error is returned and nothing is applied.
     ///
     /// Later operations see the effects of earlier ones (an insert followed by
     /// a replace of the same key succeeds). Atomicity is a guarantee about the
-    /// outcome, not a method: [`InMemoryTable`] applies each operation in
-    /// place as it validates and, when one fails, undoes the applied prefix
-    /// rather than working on a scratch copy of the table.
+    /// outcome, not a method: [`InMemoryTable`] applies each operation with
+    /// [`ChainTable::execute_one`] and, when one fails, puts back the entries
+    /// the applied prefix replaced. Rows are shared, so remembering an entry
+    /// is a reference-count increment, not a copy.
     ///
     /// # Errors
     ///
@@ -220,34 +292,23 @@ pub trait ChainTable {
     /// an advancing cursor, so each returned row may reflect the table state
     /// at a different time — the weak consistency the specification allows.
     fn query_first_at_or_after(&self, start: &str, filter: &Filter) -> Option<StoredRow>;
-
-    /// Returns the row stored under exactly `key`, if any.
-    ///
-    /// The default scans from `key` with
-    /// [`ChainTable::query_first_at_or_after`], which copies the next row
-    /// even when `key` itself is absent; an implementation with a point
-    /// lookup overrides it so that a miss copies nothing.
-    fn query_key(&self, key: &str) -> Option<StoredRow> {
-        self.query_first_at_or_after(key, &Filter::All)
-            .filter(|stored| stored.row.key == key)
-    }
 }
 
 /// Convenience helpers shared by every [`ChainTable`].
 pub trait ChainTableExt: ChainTable {
-    /// Executes a single operation (a one-element batch).
+    /// Executes a single owned operation ([`ChainTable::execute_one`]).
     ///
     /// # Errors
     ///
     /// Returns the operation's error.
     fn execute(&mut self, op: TableOperation) -> Result<OpResult, TableError> {
-        let mut results = self.execute_batch(std::slice::from_ref(&op))?;
-        Ok(results.remove(0))
+        self.execute_one(&op)
     }
 
-    /// Reads one row by key. It allocates only the row it returns.
+    /// Reads one row by key. It allocates nothing: the row is shared.
     fn read(&self, key: &str) -> Option<StoredRow> {
-        self.query_key(key)
+        self.query_first_at_or_after(key, &Filter::All)
+            .filter(|stored| &*stored.row.key == key)
     }
 }
 
@@ -256,7 +317,7 @@ impl<T: ChainTable + ?Sized> ChainTableExt for T {}
 /// The in-memory reference implementation of [`ChainTable`].
 #[derive(Debug, Clone, Default)]
 pub struct InMemoryTable {
-    rows: BTreeMap<String, (Row, ETag)>,
+    rows: BTreeMap<Key, StoredRow>,
     next_etag: u64,
 }
 
@@ -287,22 +348,22 @@ impl InMemoryTable {
         self.rows.is_empty()
     }
 
-    /// The row stored under `key` and its ETag, borrowed.
-    pub(crate) fn get(&self, key: &str) -> Option<(&Row, ETag)> {
-        self.rows.get(key).map(|(row, etag)| (row, *etag))
+    /// The entry stored under `key`, borrowed.
+    pub(crate) fn get(&self, key: &str) -> Option<&StoredRow> {
+        self.rows.get(key)
     }
 
-    /// The first row (by key order) with key `>= start` that satisfies
-    /// `matches`, borrowed.
+    /// The first entry (by key order) with key `>= start` whose row
+    /// satisfies `matches`, borrowed.
     pub(crate) fn find_from(
         &self,
         start: &str,
         matches: impl Fn(&Row) -> bool,
-    ) -> Option<(&Row, ETag)> {
+    ) -> Option<&StoredRow> {
         self.rows
             .range::<str, _>((Bound::Included(start), Bound::Unbounded))
-            .map(|(_, (row, etag))| (row, *etag))
-            .find(|(row, _)| matches(row))
+            .map(|(_, stored)| stored)
+            .find(|stored| matches(&stored.row))
     }
 
     fn allocate_etag(&mut self) -> ETag {
@@ -310,13 +371,13 @@ impl InMemoryTable {
         ETag(self.next_etag)
     }
 
-    fn check(&self, key: &str, condition: ETagMatch) -> Result<(), TableError> {
+    fn check(&self, key: &Key, condition: ETagMatch) -> Result<(), TableError> {
         match self.rows.get(key) {
-            None => Err(TableError::NotFound(key.to_string())),
-            Some((_, stored_etag)) => match condition {
+            None => Err(TableError::NotFound(key.clone())),
+            Some(stored) => match condition {
                 ETagMatch::Any => Ok(()),
-                ETagMatch::Exact(expected) if expected == *stored_etag => Ok(()),
-                ETagMatch::Exact(_) => Err(TableError::ConditionFailed(key.to_string())),
+                ETagMatch::Exact(expected) if expected == stored.etag => Ok(()),
+                ETagMatch::Exact(_) => Err(TableError::ConditionFailed(key.clone())),
             },
         }
     }
@@ -337,123 +398,75 @@ impl InMemoryTable {
             TableOperation::Delete(key, condition) => self.check(key, *condition),
         }
     }
-
-    /// Stores `row` under a fresh ETag, reusing the key of an existing entry,
-    /// and returns the entry it overwrote.
-    fn put(&mut self, row: &Row) -> (ETag, Option<(Row, ETag)>) {
-        let etag = self.allocate_etag();
-        let previous = match self.rows.get_mut(&row.key) {
-            Some(slot) => Some(std::mem::replace(slot, (row.clone(), etag))),
-            None => {
-                self.rows.insert(row.key.clone(), (row.clone(), etag));
-                None
-            }
-        };
-        (etag, previous)
-    }
-
-    /// Applies a validated operation and returns its result plus how to undo
-    /// it (built only when `keep_undo`: the last operation of a batch can no
-    /// longer be rolled back by a later failure).
-    fn apply<'op>(
-        &mut self,
-        op: &'op TableOperation,
-        keep_undo: bool,
-    ) -> (OpResult, Option<Undo<'op>>) {
-        let (key, etag, undo) = match op {
-            TableOperation::Insert(row)
-            | TableOperation::InsertOrReplace(row)
-            | TableOperation::Replace(row, _) => {
-                let (etag, previous) = self.put(row);
-                let undo = match previous {
-                    Some(entry) => Undo::Overwrote(&row.key, entry),
-                    None => Undo::Inserted(&row.key),
-                };
-                (&row.key, Some(etag), keep_undo.then_some(undo))
-            }
-            TableOperation::Merge(row, _) => {
-                let etag = self.allocate_etag();
-                let entry = self
-                    .rows
-                    .get_mut(&row.key)
-                    .expect("validated: row exists for merge");
-                let undo = keep_undo.then(|| Undo::Overwrote(&row.key, entry.clone()));
-                for (name, value) in &row.properties {
-                    entry.0.properties.insert(name.clone(), value.clone());
-                }
-                entry.1 = etag;
-                (&row.key, Some(etag), undo)
-            }
-            TableOperation::Delete(key, _) => {
-                let (stored_key, entry) = self
-                    .rows
-                    .remove_entry(key.as_str())
-                    .expect("validated: row exists for delete");
-                (
-                    key,
-                    None,
-                    keep_undo.then_some(Undo::Deleted(stored_key, entry)),
-                )
-            }
-        };
-        let result = OpResult {
-            key: key.clone(),
-            etag,
-        };
-        (result, undo)
-    }
-
-    /// Reverts one applied operation; undone newest first, the table returns
-    /// to its state before the batch.
-    fn undo(&mut self, undo: Undo<'_>) {
-        match undo {
-            Undo::Inserted(key) => {
-                self.rows.remove(key);
-            }
-            Undo::Overwrote(key, entry) => {
-                *self
-                    .rows
-                    .get_mut(key)
-                    .expect("undo: overwritten row exists") = entry;
-            }
-            Undo::Deleted(key, entry) => {
-                self.rows.insert(key, entry);
-            }
-        }
-    }
-}
-
-/// What one applied batch operation replaced, kept until the batch commits.
-enum Undo<'op> {
-    /// The key was absent before the operation.
-    Inserted(&'op str),
-    /// The key held this row and ETag before the operation.
-    Overwrote(&'op str, (Row, ETag)),
-    /// The operation removed this entry (its key string included).
-    Deleted(String, (Row, ETag)),
 }
 
 impl ChainTable for InMemoryTable {
+    fn execute_one(&mut self, op: &TableOperation) -> Result<OpResult, TableError> {
+        // Validation reads only, so a failing operation changes nothing, the
+        // ETag counter included.
+        self.validate(op)?;
+        let etag = match op {
+            TableOperation::Insert(row)
+            | TableOperation::InsertOrReplace(row)
+            | TableOperation::Replace(row, _) => {
+                let etag = self.allocate_etag();
+                let stored = StoredRow {
+                    row: row.clone(),
+                    etag,
+                };
+                self.rows.insert(row.key.clone(), stored);
+                Some(etag)
+            }
+            TableOperation::Merge(row, _) => {
+                let etag = self.allocate_etag();
+                let stored = self
+                    .rows
+                    .get_mut(&row.key)
+                    .expect("validated: row exists for merge");
+                // Copy on write: the merged bag is new, and whoever holds the
+                // old row keeps the old bag.
+                stored.row.properties = stored.row.properties.merged(&row.properties);
+                stored.etag = etag;
+                Some(etag)
+            }
+            TableOperation::Delete(key, _) => {
+                self.rows.remove(key);
+                None
+            }
+        };
+        Ok(OpResult {
+            key: op.key().clone(),
+            etag,
+        })
+    }
+
     fn execute_batch(&mut self, ops: &[TableOperation]) -> Result<Vec<OpResult>, TableError> {
-        // Each operation is validated against the state its predecessors
-        // left and applied in place. When one fails, the applied prefix is
-        // undone newest first and the ETag counter rewound, so a failed batch
-        // leaves the table exactly as it found it. A one-operation batch
-        // validates before it touches anything and keeps no undo record.
+        // Each operation runs through `execute_one` against the state its
+        // predecessors left. Before it does, the entry it addresses is
+        // remembered (shared, so this copies nothing); when one fails, the
+        // remembered entries go back newest first and the ETag counter is
+        // rewound, so a failed batch leaves the table exactly as it found it.
+        // The last operation needs no record: if it fails it changed nothing.
         let etag_before = self.next_etag;
         let mut results = Vec::with_capacity(ops.len());
-        let mut undo = Vec::new();
+        let mut replaced: Vec<(&Key, Option<StoredRow>)> = Vec::new();
         for (i, op) in ops.iter().enumerate() {
-            if let Err(err) = self.validate(op) {
-                while let Some(step) = undo.pop() {
-                    self.undo(step);
-                }
-                self.next_etag = etag_before;
-                return Err(err);
+            if i + 1 < ops.len() {
+                replaced.push((op.key(), self.rows.get(op.key()).cloned()));
             }
-            let (result, step) = self.apply(op, i + 1 < ops.len());
-            results.push(result);
-            undo.extend(step);
+            match self.execute_one(op) {
+                Ok(result) => results.push(result),
+                Err(err) => {
+                    while let Some((key, entry)) = replaced.pop() {
+                        match entry {
+                            Some(stored) => self.rows.insert(key.clone(), stored),
+                            None => self.rows.remove(key),
+                        };
+                    }
+                    self.next_etag = etag_before;
+                    return Err(err);
+                }
+            }
         }
         Ok(results)
     }
@@ -461,81 +474,142 @@ impl ChainTable for InMemoryTable {
     fn query_atomic(&self, filter: &Filter) -> Vec<StoredRow> {
         self.rows
             .values()
-            .filter(|(row, _)| filter.matches(row))
-            .map(|(row, etag)| StoredRow {
-                row: row.clone(),
-                etag: *etag,
-            })
+            .filter(|stored| filter.matches(&stored.row))
+            .cloned()
             .collect()
     }
 
     fn query_first_at_or_after(&self, start: &str, filter: &Filter) -> Option<StoredRow> {
-        self.find_from(start, |row| filter.matches(row))
-            .map(StoredRow::copied)
-    }
-
-    fn query_key(&self, key: &str) -> Option<StoredRow> {
-        self.get(key).map(StoredRow::copied)
+        self.find_from(start, |row| filter.matches(row)).cloned()
     }
 }
 
-/// The clone-then-swap batch the in-place undo replaced: validate and apply
-/// every operation on a scratch copy of the whole table, then swap it in.
-/// Kept only so the differential test below can require the production batch
-/// to agree with it.
+/// The table as it was before rows were shared: every row owns its key and a
+/// `String`-keyed property map, and a batch validates and applies every
+/// operation on a scratch copy of the whole table, then swaps it in. Kept
+/// only so the differential test below can require the shared-row table to
+/// agree with it.
 #[cfg(test)]
 mod reference {
     use super::*;
 
-    fn apply(table: &mut InMemoryTable, op: &TableOperation) -> OpResult {
-        match op {
-            TableOperation::Insert(row)
-            | TableOperation::InsertOrReplace(row)
-            | TableOperation::Replace(row, _) => {
-                let etag = table.allocate_etag();
-                table.rows.insert(row.key.clone(), (row.clone(), etag));
-                OpResult {
-                    key: row.key.clone(),
-                    etag: Some(etag),
-                }
-            }
-            TableOperation::Merge(row, _) => {
-                let etag = table.allocate_etag();
-                let entry = table
-                    .rows
-                    .get_mut(&row.key)
-                    .expect("validated: row exists for merge");
-                for (name, value) in &row.properties {
-                    entry.0.properties.insert(name.clone(), value.clone());
-                }
-                entry.1 = etag;
-                OpResult {
-                    key: row.key.clone(),
-                    etag: Some(etag),
-                }
-            }
-            TableOperation::Delete(key, _) => {
-                table.rows.remove(key);
-                OpResult {
-                    key: key.clone(),
-                    etag: None,
-                }
+    /// A row that owns its key and its property map.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub(super) struct OwnedRow {
+        key: String,
+        properties: BTreeMap<String, Value>,
+    }
+
+    impl From<&Row> for OwnedRow {
+        fn from(row: &Row) -> Self {
+            OwnedRow {
+                key: row.key.to_string(),
+                properties: row
+                    .properties
+                    .iter()
+                    .map(|(name, value)| (name.to_string(), value.clone()))
+                    .collect(),
             }
         }
     }
 
-    pub(super) fn execute_batch(
-        table: &mut InMemoryTable,
-        ops: &[TableOperation],
-    ) -> Result<Vec<OpResult>, TableError> {
-        let mut scratch = table.clone();
-        let mut results = Vec::with_capacity(ops.len());
-        for op in ops {
-            scratch.validate(op)?;
-            results.push(apply(&mut scratch, op));
+    #[derive(Debug, Clone)]
+    pub(super) struct Table {
+        rows: BTreeMap<String, (OwnedRow, ETag)>,
+        next_etag: u64,
+    }
+
+    impl Table {
+        pub(super) fn with_etag_base(base: u64) -> Self {
+            Table {
+                rows: BTreeMap::new(),
+                next_etag: base,
+            }
         }
-        *table = scratch;
-        Ok(results)
+
+        /// Every stored row and its ETag, by key, and the ETag counter.
+        pub(super) fn contents(&self) -> (Vec<(OwnedRow, ETag)>, u64) {
+            (self.rows.values().cloned().collect(), self.next_etag)
+        }
+
+        fn validate(&self, op: &TableOperation) -> Result<(), TableError> {
+            let key = op.key();
+            let stored = self.rows.get(&**key);
+            let condition = match op {
+                TableOperation::Insert(_) if stored.is_some() => {
+                    return Err(TableError::AlreadyExists(key.clone()))
+                }
+                TableOperation::Insert(_) | TableOperation::InsertOrReplace(_) => return Ok(()),
+                TableOperation::Replace(_, condition)
+                | TableOperation::Merge(_, condition)
+                | TableOperation::Delete(_, condition) => *condition,
+            };
+            match (stored, condition) {
+                (None, _) => Err(TableError::NotFound(key.clone())),
+                (Some(_), ETagMatch::Any) => Ok(()),
+                (Some((_, etag)), ETagMatch::Exact(expected)) if expected == *etag => Ok(()),
+                (Some(_), ETagMatch::Exact(_)) => Err(TableError::ConditionFailed(key.clone())),
+            }
+        }
+
+        fn apply(&mut self, op: &TableOperation) -> OpResult {
+            let etag = match op {
+                TableOperation::Insert(row)
+                | TableOperation::InsertOrReplace(row)
+                | TableOperation::Replace(row, _) => {
+                    self.next_etag += 1;
+                    let etag = ETag(self.next_etag);
+                    let row = OwnedRow::from(row);
+                    self.rows.insert(row.key.clone(), (row, etag));
+                    Some(etag)
+                }
+                TableOperation::Merge(row, _) => {
+                    self.next_etag += 1;
+                    let etag = ETag(self.next_etag);
+                    let entry = self
+                        .rows
+                        .get_mut(&*row.key)
+                        .expect("validated: row exists for merge");
+                    for (name, value) in row.properties.iter() {
+                        entry.0.properties.insert(name.to_string(), value.clone());
+                    }
+                    entry.1 = etag;
+                    Some(etag)
+                }
+                TableOperation::Delete(key, _) => {
+                    self.rows.remove(&**key);
+                    None
+                }
+            };
+            OpResult {
+                key: op.key().clone(),
+                etag,
+            }
+        }
+
+        pub(super) fn execute_batch(
+            &mut self,
+            ops: &[TableOperation],
+        ) -> Result<Vec<OpResult>, TableError> {
+            let mut scratch = self.clone();
+            let mut results = Vec::with_capacity(ops.len());
+            for op in ops {
+                scratch.validate(op)?;
+                results.push(scratch.apply(op));
+            }
+            *self = scratch;
+            Ok(results)
+        }
+    }
+
+    /// The shared-row table's contents in the owned form.
+    pub(super) fn contents_of(table: &InMemoryTable) -> (Vec<(OwnedRow, ETag)>, u64) {
+        let rows = table
+            .query_atomic(&Filter::All)
+            .iter()
+            .map(|stored| (OwnedRow::from(&stored.row), stored.etag))
+            .collect();
+        (rows, table.next_etag)
     }
 }
 
@@ -553,7 +627,7 @@ mod tests {
     fn insert_then_read_round_trips() {
         let mut t = InMemoryTable::new();
         let result = t.execute(TableOperation::Insert(row("a", 1))).unwrap();
-        assert_eq!(result.key, "a");
+        assert_eq!(&*result.key, "a");
         let stored = t.read("a").expect("row exists");
         assert_eq!(stored.row, row("a", 1));
         assert_eq!(Some(stored.etag), result.etag);
@@ -565,7 +639,7 @@ mod tests {
         t.execute(TableOperation::Insert(row("a", 1))).unwrap();
         assert_eq!(
             t.execute(TableOperation::Insert(row("a", 2))),
-            Err(TableError::AlreadyExists("a".to_string()))
+            Err(TableError::AlreadyExists("a".into()))
         );
     }
 
@@ -585,7 +659,7 @@ mod tests {
                 row("a", 3),
                 ETagMatch::Exact(stale)
             )),
-            Err(TableError::ConditionFailed("a".to_string()))
+            Err(TableError::ConditionFailed("a".into()))
         );
         assert_eq!(t.read("a").unwrap().row, row("a", 2));
     }
@@ -595,7 +669,7 @@ mod tests {
         let mut t = InMemoryTable::new();
         assert_eq!(
             t.execute(TableOperation::Replace(row("a", 1), ETagMatch::Any)),
-            Err(TableError::NotFound("a".to_string()))
+            Err(TableError::NotFound("a".into()))
         );
     }
 
@@ -622,13 +696,13 @@ mod tests {
         t.execute(TableOperation::Insert(row("a", 1))).unwrap();
         assert_eq!(
             t.execute(TableOperation::Delete(
-                "a".to_string(),
+                "a".into(),
                 ETagMatch::Exact(ETag(999))
             )),
-            Err(TableError::ConditionFailed("a".to_string()))
+            Err(TableError::ConditionFailed("a".into()))
         );
         assert!(t.read("a").is_some());
-        t.execute(TableOperation::Delete("a".to_string(), ETagMatch::Any))
+        t.execute(TableOperation::Delete("a".into(), ETagMatch::Any))
             .unwrap();
         assert!(t.read("a").is_none());
     }
@@ -665,21 +739,21 @@ mod tests {
             t.execute(TableOperation::Insert(row(k, v))).unwrap();
         }
         let all = t.query_atomic(&Filter::All);
-        let keys: Vec<&str> = all.iter().map(|s| s.row.key.as_str()).collect();
+        let keys: Vec<&str> = all.iter().map(|s| &*s.row.key).collect();
         assert_eq!(keys, vec!["a", "b", "c"]);
 
         let range = t.query_atomic(&Filter::KeyRange {
-            from: "a".to_string(),
-            to: "b".to_string(),
+            from: "a".into(),
+            to: "b".into(),
         });
         assert_eq!(range.len(), 2);
 
         let by_value = t.query_atomic(&Filter::PropertyEquals {
-            name: "v".to_string(),
+            name: "v",
             value: Value::Int(3),
         });
         assert_eq!(by_value.len(), 1);
-        assert_eq!(by_value[0].row.key, "c");
+        assert_eq!(&*by_value[0].row.key, "c");
     }
 
     #[test]
@@ -689,18 +763,18 @@ mod tests {
             t.execute(TableOperation::Insert(row(k, v))).unwrap();
         }
         assert_eq!(
-            t.query_first_at_or_after("b", &Filter::All)
+            &*t.query_first_at_or_after("b", &Filter::All)
                 .unwrap()
                 .row
                 .key,
             "b"
         );
         let filter = Filter::PropertyEquals {
-            name: "v".to_string(),
+            name: "v",
             value: Value::Int(1),
         };
         assert_eq!(
-            t.query_first_at_or_after("b", &filter).unwrap().row.key,
+            &*t.query_first_at_or_after("b", &filter).unwrap().row.key,
             "c"
         );
         assert!(t.query_first_at_or_after("d", &Filter::All).is_none());
@@ -712,13 +786,13 @@ mod tests {
         t.execute(TableOperation::Insert(row("a", 1))).unwrap();
         let batch = [
             TableOperation::Merge(row("a", 2), ETagMatch::Any),
-            TableOperation::Delete("a".to_string(), ETagMatch::Any),
+            TableOperation::Delete("a".into(), ETagMatch::Any),
             TableOperation::Insert(row("b", 3)),
             TableOperation::Replace(row("c", 4), ETagMatch::Any), // fails: missing
         ];
         assert_eq!(
             t.execute_batch(&batch),
-            Err(TableError::NotFound("c".to_string()))
+            Err(TableError::NotFound("c".into()))
         );
         assert_eq!(t.read("a").unwrap().row, row("a", 1));
         assert_eq!(t.read("a").unwrap().etag, ETag(11));
@@ -728,7 +802,7 @@ mod tests {
     }
 
     fn random_op(rng: &mut SplitMix64, etags: &[ETag]) -> TableOperation {
-        let key = format!("k{}", rng.next_below(4));
+        let key = Key::from(format!("k{}", rng.next_below(4)));
         let row = Row::with_int(
             key.clone(),
             ["v", "w"][rng.next_below(2)],
@@ -748,44 +822,44 @@ mod tests {
         }
     }
 
-    fn contents(t: &InMemoryTable) -> (Vec<StoredRow>, u64) {
-        (t.query_atomic(&Filter::All), t.next_etag)
-    }
-
-    /// The in-place batch with undo agrees with the clone-then-swap reference
-    /// on results, errors, rows, ETags and the ETag counter after every batch
-    /// of 1–4 operations, and a failed batch changes nothing, also when it
-    /// fails part-way.
+    /// The shared-row batch agrees with the owned-row, clone-then-swap
+    /// reference on results, errors, rows, ETags and the ETag counter after
+    /// every batch of 1–4 operations, and a failed batch changes nothing,
+    /// also when it fails part-way.
     #[test]
     fn in_place_batch_matches_clone_then_swap_reference() {
         let (mut failed, mut part_way) = (0, 0);
         for case in 0..200u64 {
             let mut rng = SplitMix64::new(0xBA7C4 ^ case);
             let mut table = InMemoryTable::with_etag_base(case);
-            let mut reference = table.clone();
+            let mut reference = reference::Table::with_etag_base(case);
             let mut etags = Vec::new();
             for batch_no in 0..30 {
                 let len = 1 + rng.next_below(4);
                 let ops: Vec<TableOperation> =
                     (0..len).map(|_| random_op(&mut rng, &etags)).collect();
-                let before = contents(&table);
+                let before = reference::contents_of(&table);
                 let mut probe = table.clone();
                 let applies = ops
                     .iter()
-                    .take_while(|op| probe.execute(TableOperation::clone(op)).is_ok())
+                    .take_while(|op| probe.execute_one(op).is_ok())
                     .count();
                 let actual = table.execute_batch(&ops);
-                let expected = reference::execute_batch(&mut reference, &ops);
+                let expected = reference.execute_batch(&ops);
                 assert_eq!(actual, expected, "case {case} batch {batch_no}: {ops:?}");
                 assert_eq!(
-                    contents(&table),
-                    contents(&reference),
+                    reference::contents_of(&table),
+                    reference.contents(),
                     "case {case} batch {batch_no}: {ops:?}"
                 );
                 match actual {
                     Ok(results) => etags.extend(results.iter().filter_map(|r| r.etag)),
                     Err(_) => {
-                        assert_eq!(contents(&table), before, "case {case} batch {batch_no}");
+                        assert_eq!(
+                            reference::contents_of(&table),
+                            before,
+                            "case {case} batch {batch_no}"
+                        );
                         failed += 1;
                         part_way += usize::from(applies > 0);
                     }
@@ -799,6 +873,17 @@ mod tests {
             committed > 500 && part_way > 1_000,
             "{committed} committed, {part_way} of {failed} failures part-way"
         );
+    }
+
+    #[test]
+    fn merge_copies_the_bag_on_write() {
+        let base = Properties::one("x", Value::Int(1));
+        let merged = base.merged(&Properties::one("y", Value::Int(2)).with("x", Value::Int(3)));
+        assert_eq!(format!("{base:?}"), r#"{"x": Int(1)}"#);
+        assert_eq!(format!("{merged:?}"), r#"{"x": Int(3), "y": Int(2)}"#);
+        assert_eq!(merged.get("y"), Some(&Value::Int(2)));
+        assert_eq!(merged.get("z"), None);
+        assert_eq!(format!("{:?}", Properties::empty()), "{}");
     }
 
     #[test]

@@ -11,12 +11,14 @@ use std::collections::BTreeMap;
 use psharp::rng::SplitMix64;
 
 use chaintable::migrate::{ChainBugs, MigratingStore, Phase};
+use chaintable::spec::SpecModel;
 use chaintable::table::{
-    ChainTable, ChainTableExt, ETagMatch, Filter, InMemoryTable, Row, TableOperation,
+    ChainTable, ChainTableExt, ETag, ETagMatch, Filter, InMemoryTable, Key, Row, TableOperation,
+    Value,
 };
 
-fn gen_key(rng: &mut SplitMix64) -> String {
-    format!("k{}", rng.next_below(6))
+fn gen_key(rng: &mut SplitMix64) -> Key {
+    Key::from(format!("k{}", rng.next_below(6)))
 }
 
 fn gen_row(rng: &mut SplitMix64) -> Row {
@@ -44,25 +46,25 @@ fn gen_ops(rng: &mut SplitMix64, max: usize) -> Vec<TableOperation> {
 /// A trivial model of a table: key → value of the "v" property.
 fn apply_to_model(model: &mut BTreeMap<String, i64>, op: &TableOperation) {
     let value_of = |row: &Row| match row.properties.get("v") {
-        Some(chaintable::table::Value::Int(v)) => *v,
+        Some(Value::Int(v)) => *v,
         _ => 0,
     };
     match op {
         TableOperation::Insert(row) => {
             model
-                .entry(row.key.clone())
+                .entry(row.key.to_string())
                 .or_insert_with(|| value_of(row));
         }
         TableOperation::Replace(row, _) | TableOperation::Merge(row, _) => {
-            if model.contains_key(&row.key) {
-                model.insert(row.key.clone(), value_of(row));
+            if model.contains_key(&*row.key) {
+                model.insert(row.key.to_string(), value_of(row));
             }
         }
         TableOperation::InsertOrReplace(row) => {
-            model.insert(row.key.clone(), value_of(row));
+            model.insert(row.key.to_string(), value_of(row));
         }
         TableOperation::Delete(key, _) => {
-            model.remove(key);
+            model.remove(&**key);
         }
     }
 }
@@ -83,9 +85,9 @@ fn in_memory_table_matches_map_model() {
         let rows = table.query_atomic(&Filter::All);
         assert_eq!(rows.len(), model.len(), "case {case}");
         for stored in rows {
-            let expected = model.get(&stored.row.key).copied();
+            let expected = model.get(&*stored.row.key).copied();
             let actual = match stored.row.properties.get("v") {
-                Some(chaintable::table::Value::Int(v)) => Some(*v),
+                Some(Value::Int(v)) => Some(*v),
                 _ => Some(0),
             };
             assert_eq!(actual, expected, "case {case}");
@@ -107,8 +109,8 @@ fn queries_are_sorted_and_filtered() {
         let b = rng.next_below(6) as u8;
         let (from, to) = (a.min(b), a.max(b));
         let filter = Filter::KeyRange {
-            from: format!("k{from}"),
-            to: format!("k{to}"),
+            from: format!("k{from}").into(),
+            to: format!("k{to}").into(),
         };
         let rows = table.query_atomic(&filter);
         for pair in rows.windows(2) {
@@ -190,4 +192,123 @@ fn stale_etags_are_rejected_in_every_phase() {
             assert_eq!(Some(visible.etag), current.etag, "case {case}");
         }
     }
+}
+
+/// A row's key and properties as owned strings, taken when a shared row is
+/// first held, to check it against later.
+type OwnedRow = (String, Vec<(String, Value)>);
+
+fn owned(row: &Row) -> OwnedRow {
+    let properties = row
+        .properties
+        .iter()
+        .map(|(name, value)| (name.to_string(), value.clone()))
+        .collect();
+    (row.key.to_string(), properties)
+}
+
+/// One row somebody holds: where it came from, the shared row, its ETag
+/// (`None` for the spec model's copy) and its contents when it was taken.
+struct Held {
+    source: &'static str,
+    row: Row,
+    etag: Option<ETag>,
+    taken: (OwnedRow, Option<ETag>),
+}
+
+impl Held {
+    fn new(source: &'static str, row: Row, etag: Option<ETag>) -> Self {
+        let taken = (owned(&row), etag);
+        Held {
+            source,
+            row,
+            etag,
+            taken,
+        }
+    }
+}
+
+/// A write of `key`: a `Merge` (of a second property, so the merged bag
+/// differs from every held one), a `Replace`, an `InsertOrReplace` or a
+/// `Delete`, unconditional so the spec model expects what the table does.
+fn gen_write(rng: &mut SplitMix64, key: Key) -> TableOperation {
+    let v = rng.next_below(5) as i64;
+    match rng.next_below(4) {
+        0 => TableOperation::Merge(Row::with_int(key, "w", v), ETagMatch::Any),
+        1 => TableOperation::Replace(Row::with_int(key, "v", v), ETagMatch::Any),
+        2 => TableOperation::InsertOrReplace(Row::with_int(key, "v", v)),
+        _ => TableOperation::Delete(key, ETagMatch::Any),
+    }
+}
+
+/// Rows are shared values, not views of the table: a row held from
+/// `read`, `query_first_at_or_after`, `query_atomic` or the spec model keeps
+/// its key, properties and ETag after later writes of the same key, and
+/// after a failed batch that undid its applied prefix.
+#[test]
+fn held_rows_keep_their_values_across_later_writes() {
+    let (mut merges, mut undone) = (0, 0);
+    for case in 0..64u64 {
+        let mut rng = SplitMix64::new(0x5AA7ED ^ case);
+        let mut table = InMemoryTable::new();
+        let mut model = SpecModel::new();
+        let mut held: Vec<Held> = Vec::new();
+        for step in 0..40 {
+            let key = gen_key(&mut rng);
+            if let Some(stored) = table.read(&key) {
+                held.push(Held::new("read", stored.row, Some(stored.etag)));
+            }
+            if let Some(stored) = table.query_first_at_or_after(&key, &Filter::All) {
+                held.push(Held::new("query_first", stored.row, Some(stored.etag)));
+            }
+            if let Some(stored) = table.query_atomic(&Filter::All).into_iter().next() {
+                held.push(Held::new("query_atomic", stored.row, Some(stored.etag)));
+            }
+            if let Some(row) = model.row(&key) {
+                held.push(Held::new("spec model", row.clone(), None));
+            }
+
+            if rng.next_below(4) == 0 {
+                // A batch whose last operation fails: the prefix is applied
+                // and then undone.
+                let mut ops: Vec<TableOperation> = (0..1 + rng.next_below(3))
+                    .map(|_| gen_write(&mut rng, key.clone()))
+                    .collect();
+                ops.push(TableOperation::Replace(
+                    Row::with_int("absent", "v", 0),
+                    ETagMatch::Any,
+                ));
+                let before = table.query_atomic(&Filter::All);
+                let mut probe = table.clone();
+                let prefix_applies = ops[..ops.len() - 1]
+                    .iter()
+                    .all(|op| probe.execute_one(op).is_ok());
+                assert!(
+                    table.execute_batch(&ops).is_err(),
+                    "case {case} step {step}"
+                );
+                assert_eq!(table.query_atomic(&Filter::All), before, "case {case}");
+                undone += usize::from(prefix_applies);
+            } else {
+                let op = gen_write(&mut rng, key.clone());
+                merges += usize::from(matches!(op, TableOperation::Merge(..)));
+                let outcome = table.execute_one(&op);
+                let violation = model.record_write(&op, &outcome);
+                assert_eq!(violation, None, "case {case} step {step}: {op:?}");
+            }
+
+            for h in &held {
+                assert_eq!(
+                    (owned(&h.row), h.etag),
+                    h.taken,
+                    "case {case} step {step}: a row held from {} changed",
+                    h.source
+                );
+            }
+        }
+    }
+    assert!(
+        merges > 200 && undone > 100,
+        "{merges} merges, {undone} undone prefixes"
+    );
 }

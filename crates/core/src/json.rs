@@ -7,11 +7,18 @@
 //! parser, and pretty/compact writers. It supports the full JSON grammar with
 //! one deliberate refinement: integers that fit `u64`/`i64` are kept exact
 //! rather than routed through `f64`, because traces store 64-bit seeds whose
-//! round trip must be lossless.
+//! round trip must be lossless. The parser recurses once per nesting level,
+//! so it refuses documents nested deeper than [`MAX_DEPTH`] with an error
+//! instead of overflowing the stack.
 
 use std::collections::BTreeMap;
 use std::error::Error;
 use std::fmt;
+
+/// The deepest nesting of arrays and objects [`Json::parse`] accepts. Traces
+/// and reports nest a handful of levels; the bound keeps the recursive
+/// descent far inside a 2 MiB thread stack, in debug builds too.
+pub const MAX_DEPTH: usize = 128;
 
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -165,11 +172,14 @@ impl Json {
     ///
     /// # Errors
     ///
-    /// Returns a [`JsonError`] describing the first syntax error.
+    /// Returns a [`JsonError`] describing the first syntax error, or naming
+    /// the byte offset where arrays and objects nest deeper than
+    /// [`MAX_DEPTH`].
     pub fn parse(text: &str) -> Result<Json, JsonError> {
         let mut parser = Parser {
             bytes: text.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         parser.skip_whitespace();
         let value = parser.parse_value()?;
@@ -282,6 +292,8 @@ fn write_escaped(out: &mut String, s: &str) {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open at `pos`.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -314,8 +326,8 @@ impl Parser<'_> {
     fn parse_value(&mut self) -> Result<Json, JsonError> {
         self.skip_whitespace();
         match self.peek() {
-            Some(b'{') => self.parse_object(),
-            Some(b'[') => self.parse_array(),
+            Some(b'{') => self.nested(Self::parse_object),
+            Some(b'[') => self.nested(Self::parse_array),
             Some(b'"') => Ok(Json::Str(self.parse_string()?)),
             Some(b't') => self.parse_literal("true", Json::Bool(true)),
             Some(b'f') => self.parse_literal("false", Json::Bool(false)),
@@ -326,6 +338,24 @@ impl Parser<'_> {
                 self.pos
             ))),
         }
+    }
+
+    /// Parses one array or object a level deeper, refusing to go past
+    /// [`MAX_DEPTH`].
+    fn nested(
+        &mut self,
+        parse: fn(&mut Self) -> Result<Json, JsonError>,
+    ) -> Result<Json, JsonError> {
+        if self.depth == MAX_DEPTH {
+            return Err(JsonError::new(format!(
+                "nesting deeper than {MAX_DEPTH} levels at byte {}",
+                self.pos
+            )));
+        }
+        self.depth += 1;
+        let value = parse(self);
+        self.depth -= 1;
+        value
     }
 
     fn parse_literal(&mut self, literal: &str, value: Json) -> Result<Json, JsonError> {
@@ -609,6 +639,35 @@ mod tests {
         for bad in ["", "{", "[1,", "\"unterminated", "nul", "1 2", "{\"a\" 1}"] {
             assert!(Json::parse(bad).is_err(), "should reject {bad:?}");
         }
+    }
+
+    /// Parsing `depth` nested copies of `open` on a thread with the 2 MiB
+    /// stack a test gets, returning the parser's verdict.
+    fn parse_nested(open: &'static str, depth: usize) -> Result<Json, JsonError> {
+        std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(move || Json::parse(&open.repeat(depth)))
+            .expect("spawn")
+            .join()
+            .expect("the parser must not overflow its stack")
+    }
+
+    #[test]
+    fn deep_nesting_is_an_error_not_a_stack_overflow() {
+        for open in ["[", "{\"a\":"] {
+            let err = parse_nested(open, 100_000).unwrap_err();
+            let offset = MAX_DEPTH * open.len();
+            assert_eq!(
+                err.message,
+                format!("nesting deeper than {MAX_DEPTH} levels at byte {offset}"),
+                "{open:?}"
+            );
+        }
+        // At the bound a document still parses.
+        let deepest = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(Json::parse(&deepest).is_ok());
+        let too_deep = format!("[{deepest}]");
+        assert!(Json::parse(&too_deep).is_err());
     }
 
     #[test]

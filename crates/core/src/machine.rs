@@ -145,10 +145,17 @@ pub trait Machine: AsAny + Send + Sync + 'static {
     /// engine falls back to straight-line execution. Machines whose state is
     /// `Clone` opt in with a one-liner:
     ///
-    /// ```ignore
+    /// ```
+    /// # use psharp::prelude::*;
+    /// # #[derive(Clone)]
+    /// # struct Worker;
+    /// # impl Machine for Worker {
+    /// #     fn handle(&mut self, _ctx: &mut Context<'_>, _event: Event) {}
     /// fn clone_state(&self) -> Option<Box<dyn Machine>> {
     ///     Some(Box::new(self.clone()))
     /// }
+    /// # }
+    /// # assert!(Worker.clone_state().is_some());
     /// ```
     fn clone_state(&self) -> Option<Box<dyn Machine>> {
         None
@@ -181,11 +188,20 @@ pub trait Machine: AsAny + Send + Sync + 'static {
 /// Implements [`Machine::clone_state`] and [`Machine::clone_state_into`] for
 /// a `Clone` machine type. Expands *inside* an `impl Machine for T` block:
 ///
-/// ```ignore
+/// ```
+/// # use psharp::prelude::*;
+/// # #[derive(Clone)]
+/// # struct Worker {
+/// #     handled: u32,
+/// # }
 /// impl Machine for Worker {
 ///     fn handle(&mut self, ctx: &mut Context<'_>, event: Event) { /* … */ }
 ///     psharp::impl_machine_snapshot!();
 /// }
+/// # let worker = Worker { handled: 1 };
+/// # let mut recycled: Box<dyn Machine> = Box::new(Worker { handled: 0 });
+/// # assert!(worker.clone_state_into(&mut recycled));
+/// # assert!(worker.clone_state().is_some());
 /// ```
 ///
 /// The generated `clone_state_into` downcasts the recycled box and
