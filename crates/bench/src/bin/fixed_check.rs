@@ -20,7 +20,7 @@
 //! loss for replsim, crash+restart for MigratingTable), verifying the *fault
 //! tolerance* of the fixed systems, while an explicit plan applies globally.
 
-use bench::{parse_scheduler, usage_error, verify_fixed_config, EngineArgs, FaultArg};
+use bench::{fixed_cases, parse_scheduler, usage_error, EngineArgs, FaultArg};
 use psharp::prelude::*;
 
 fn main() {
@@ -51,50 +51,6 @@ fn main() {
     } = args;
     let iterations = base.iterations;
 
-    type Build = Box<dyn Fn(&mut psharp::runtime::Runtime) + Send + Sync>;
-    let checks: Vec<(&str, Build, usize, FaultPlan)> = vec![
-        (
-            "replsim (fixed server)",
-            Box::new(|rt: &mut psharp::runtime::Runtime| {
-                replsim::build_harness(rt, &replsim::ReplConfig::default());
-            }),
-            2_500,
-            replsim::ReplConfig::default().fault_plan(),
-        ),
-        (
-            "vNext extent manager (fixed)",
-            Box::new(|rt: &mut psharp::runtime::Runtime| {
-                vnext::build_harness(rt, &vnext::VnextConfig::default());
-            }),
-            3_000,
-            vnext::VnextConfig::default().fault_plan(),
-        ),
-        (
-            "MigratingTable (fixed)",
-            Box::new(|rt: &mut psharp::runtime::Runtime| {
-                chaintable::build_harness(rt, &chaintable::ChainConfig::fixed());
-            }),
-            10_000,
-            chaintable::ChainConfig::fixed().fault_plan(),
-        ),
-        (
-            "Fabric failover (fixed)",
-            Box::new(|rt: &mut psharp::runtime::Runtime| {
-                fabric::build_harness(rt, &fabric::FabricConfig::default());
-            }),
-            5_000,
-            fabric::FabricConfig::default().fault_plan(),
-        ),
-        (
-            "megakv sharded store (fixed)",
-            Box::new(|rt: &mut psharp::runtime::Runtime| {
-                megakv::build_harness(rt, &megakv::MegaKvConfig::default());
-            }),
-            4_000,
-            megakv::MegaKvConfig::default().fault_plan(),
-        ),
-    ];
-
     let mode = if base.portfolio.is_some() {
         "portfolio".to_string()
     } else {
@@ -110,24 +66,25 @@ fn main() {
         base.workers
     );
     let mut clean = true;
-    for (name, build, max_steps, harness_faults) in checks {
+    for case in fixed_cases() {
         let start = std::time::Instant::now();
         let config = base
             .clone()
-            .with_max_steps(max_steps)
+            .with_max_steps(case.max_steps)
             .with_faults(match faults {
                 None => FaultPlan::none(),
-                Some(FaultArg::PerHarness) => harness_faults,
+                Some(FaultArg::PerHarness) => case.faults,
                 Some(FaultArg::Global(plan)) => plan,
             });
-        match verify_fixed_config(|rt| build(rt), config) {
+        let name = case.name;
+        match TestEngine::new(config).run(&case.build).bug {
             None => println!(
                 "  {name:<32} clean ({iterations} executions, {}s)",
                 bench::seconds(start.elapsed())
             ),
-            Some(bug) => {
+            Some(found) => {
                 clean = false;
-                println!("  {name:<32} VIOLATION: {bug}");
+                println!("  {name:<32} VIOLATION: {}", found.bug);
             }
         }
     }

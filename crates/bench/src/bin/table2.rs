@@ -36,7 +36,7 @@
 //!
 //! `--prefix-share` makes every run fork its iterations from a post-setup
 //! snapshot of the harness instead of rebuilding it, when the harness
-//! supports state cloning (all four case studies do); results are identical,
+//! supports state cloning (all five case studies do); results are identical,
 //! iterations are cheaper.
 //!
 //! `--portfolio` replaces the per-scheduler columns with one run per bug

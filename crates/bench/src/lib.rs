@@ -1,151 +1,54 @@
 //! Shared experiment-runner utilities used by the table-regeneration binaries
-//! (`table1`, `table2`), `fixed_check` and the `por_soundness` suite.
+//! (`table1`, `table2`), `fixed_check` and the suites: the case-study
+//! registry ([`bug_cases`], [`fixed_cases`]), the hunt that fills one
+//! Table 2 row, and the command-line parsing both binaries share.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 use std::time::Duration;
 
+use psharp::case::Case;
 use psharp::json::{Json, ToJson};
 use psharp::prelude::*;
 
-/// One named, re-introducible bug together with the harness that exposes it.
-pub struct BugCase {
-    /// The case-study index used by the paper's Table 2 ("1" = vNext,
-    /// "2" = MigratingTable, "3" = Fabric; "0" = the §2 example replication
-    /// system, "4" = the mega-scale sharded KV store).
-    pub case_study: u8,
-    /// The paper's bug identifier.
-    pub name: &'static str,
-    /// Builds the harness with the bug re-introduced.
-    pub build: Box<dyn Fn(&mut Runtime) + Send + Sync>,
-    /// Per-execution step bound appropriate for the harness.
-    pub max_steps: usize,
-    /// The fault budget the bug needs ([`FaultPlan::none`] for bugs
-    /// reachable on a reliable network without crashes). Applied by
-    /// [`hunt_with_fault_override`] unless the caller passes a plan of its
-    /// own.
-    pub faults: FaultPlan,
+/// The 20 registered seeded bugs: each case study's `bugs()`, in
+/// case-study order (0 to 4). `table2` prints its rows in this order.
+pub fn bug_cases() -> Vec<Case> {
+    [
+        replsim::bugs(),
+        vnext::bugs(),
+        chaintable::bugs(),
+        fabric::bugs(),
+        megakv::bugs(),
+    ]
+    .into_iter()
+    .flatten()
+    .collect()
 }
 
-/// The full list of re-introducible bugs across the case studies, in the
-/// order of the paper's Table 2, plus the Fabric bugs reported in §5 and the
-/// fault-induced bugs of the PR 5 fault-injection refactor (one per
-/// case-study crate; each needs its [`BugCase::faults`] budget to be
-/// reachable).
-pub fn bug_cases() -> Vec<BugCase> {
-    let mut cases: Vec<BugCase> = Vec::new();
+/// The registered fixed system of every case study, in case-study order:
+/// each crate's `fixed()`.
+pub fn fixed_cases() -> Vec<Case> {
+    vec![
+        replsim::fixed(),
+        vnext::fixed(),
+        chaintable::fixed(),
+        fabric::fixed(),
+        megakv::fixed(),
+    ]
+}
 
-    // The §2 example replication system: the fault-induced missing
-    // retransmission bug (needs message loss on the lossy storage channel).
-    cases.push(BugCase {
-        case_study: 0,
-        name: "ReplReqLostNoRetransmit",
-        build: Box::new(|rt| {
-            replsim::build_harness(rt, &replsim::ReplConfig::with_lost_replication_bug());
-        }),
-        max_steps: 2_500,
-        faults: replsim::ReplConfig::with_lost_replication_bug().fault_plan(),
-    });
-
-    // Case study 1: Azure Storage vNext. The §3.6 liveness bug is
-    // fault-induced: it needs a scheduler-injected EN crash.
-    cases.push(BugCase {
-        case_study: 1,
-        name: "ExtentNodeLivenessViolation",
-        build: Box::new(|rt| {
-            vnext::build_harness(rt, &vnext::VnextConfig::with_liveness_bug());
-        }),
-        max_steps: 3_000,
-        faults: vnext::VnextConfig::with_liveness_bug().fault_plan(),
-    });
-
-    // Case study 2: MigratingTable (the eleven named bugs of Table 2).
-    for (name, config) in chaintable::named_bugs() {
-        cases.push(BugCase {
-            case_study: 2,
-            name,
-            build: Box::new(move |rt| {
-                chaintable::build_harness(rt, &config);
-            }),
-            max_steps: 10_000,
-            faults: FaultPlan::none(),
-        });
-    }
-    // ... plus the fault-induced migrator-recovery bug (needs a
-    // crash+restart of the migrator).
-    cases.push(BugCase {
-        case_study: 2,
-        name: "MigratorRestartSkipsStep",
-        build: Box::new(|rt| {
-            chaintable::build_harness(rt, &chaintable::ChainConfig::with_restart_bug());
-        }),
-        max_steps: 10_000,
-        faults: chaintable::ChainConfig::with_restart_bug().fault_plan(),
-    });
-
-    // Case study 3: Fabric (reported in §5, not part of Table 2). The
-    // promotion bug is fault-induced: it needs a primary crash.
-    cases.push(BugCase {
-        case_study: 3,
-        name: "FabricPromotePendingCopy",
-        build: Box::new(|rt| {
-            fabric::build_harness(rt, &fabric::FabricConfig::with_promotion_bug());
-        }),
-        max_steps: 5_000,
-        faults: fabric::FabricConfig::with_promotion_bug().fault_plan(),
-    });
-    cases.push(BugCase {
-        case_study: 3,
-        name: "CScaleUninitializedConfig",
-        build: Box::new(|rt| {
-            fabric::build_harness(rt, &fabric::FabricConfig::with_pipeline_bug());
-        }),
-        max_steps: 2_000,
-        faults: FaultPlan::none(),
-    });
-
-    // Case study 4: the mega-scale sharded KV store. Three bugs reachable on
-    // a reliable network (the shard-aliasing bug only exists beyond 256
-    // shards) plus the fault-induced promotion bug (needs a primary crash).
-    cases.push(BugCase {
-        case_study: 4,
-        name: "MegaKvShardAliasing",
-        build: Box::new(|rt| {
-            megakv::build_harness(rt, &megakv::MegaKvConfig::with_shard_aliasing_bug());
-        }),
-        max_steps: 6_000,
-        faults: FaultPlan::none(),
-    });
-    cases.push(BugCase {
-        case_study: 4,
-        name: "MegaKvSplitForgottenPrimary",
-        build: Box::new(|rt| {
-            megakv::build_harness(rt, &megakv::MegaKvConfig::with_split_bug());
-        }),
-        max_steps: 1_500,
-        faults: FaultPlan::none(),
-    });
-    cases.push(BugCase {
-        case_study: 4,
-        name: "MegaKvRebalanceLostWrite",
-        build: Box::new(|rt| {
-            megakv::build_harness(rt, &megakv::MegaKvConfig::with_rebalance_bug());
-        }),
-        max_steps: 2_000,
-        faults: FaultPlan::none(),
-    });
-    cases.push(BugCase {
-        case_study: 4,
-        name: "MegaKvPromoteLostWrite",
-        build: Box::new(|rt| {
-            megakv::build_harness(rt, &megakv::MegaKvConfig::with_promote_lost_write_bug());
-        }),
-        max_steps: 2_500,
-        faults: megakv::MegaKvConfig::with_promote_lost_write_bug().fault_plan(),
-    });
-
-    cases
+/// The registered seeded bug named `name`.
+///
+/// # Panics
+///
+/// Panics when no registered bug has that name.
+pub fn bug_case(name: &str) -> Case {
+    bug_cases()
+        .into_iter()
+        .find(|case| case.name == name)
+        .unwrap_or_else(|| panic!("no registered bug is named {name:?}"))
 }
 
 /// The outcome of hunting one bug with one scheduler (one cell group of
@@ -158,6 +61,9 @@ pub struct BugHuntResult {
     pub bug: String,
     /// The scheduler label ("random", "pct", ...).
     pub scheduler: String,
+    /// The fault budget the hunt ran with: the case's own, or the global
+    /// override.
+    pub faults: FaultPlan,
     /// Whether the bug was found within the execution budget.
     pub found: bool,
     /// The winning iteration index (when found) — deterministic at any
@@ -202,6 +108,7 @@ impl ToJson for BugHuntResult {
             ("case_study", Json::UInt(self.case_study as u64)),
             ("bug", Json::Str(self.bug.clone())),
             ("scheduler", Json::Str(self.scheduler.clone())),
+            ("faults", Json::Str(self.faults.to_string())),
             ("found", Json::Bool(self.found)),
             (
                 "iteration",
@@ -450,11 +357,12 @@ pub fn usage_error(message: &str) -> ! {
 /// disables fault injection, the distinction an all-zero plan on the config
 /// could not express.
 pub fn hunt_with_fault_override(
-    case: &BugCase,
+    case: &Case,
     config: TestConfig,
     fault_override: Option<FaultPlan>,
 ) -> BugHuntResult {
-    let config = config.with_faults(fault_override.unwrap_or(case.faults));
+    let faults = fault_override.unwrap_or(case.faults);
+    let config = config.with_faults(faults);
     let engine = TestEngine::new(config.with_max_steps(case.max_steps));
     let build = &case.build;
     let report = engine.run(|rt| build(rt));
@@ -463,6 +371,7 @@ pub fn hunt_with_fault_override(
         case_study: case.case_study,
         bug: case.name.to_string(),
         scheduler: report.scheduler.to_string(),
+        faults,
         found: report.found_bug(),
         iteration: report.bug.as_ref().map(|b| b.iteration),
         seed: report.bug.as_ref().map(|b| b.trace.seed),
@@ -482,16 +391,6 @@ pub fn hunt_with_fault_override(
     }
 }
 
-/// Verifies that a fixed (bug-free) harness stays clean under an arbitrary
-/// configuration (scheduler, portfolio, worker count); returns the violation
-/// if one is found.
-pub fn verify_fixed_config<F>(build: F, config: TestConfig) -> Option<Bug>
-where
-    F: Fn(&mut Runtime) + Send + Sync,
-{
-    TestEngine::new(config).run(build).bug.map(|b| b.bug)
-}
-
 /// Formats a [`Duration`] in seconds with two decimals.
 pub fn seconds(duration: Duration) -> String {
     format!("{:.2}", duration.as_secs_f64())
@@ -502,42 +401,21 @@ mod tests {
     use super::*;
 
     #[test]
-    fn bug_case_list_covers_all_case_studies() {
-        let cases = bug_cases();
-        assert_eq!(cases.len(), 20);
-        assert_eq!(cases.iter().filter(|c| c.case_study == 0).count(), 1);
-        assert_eq!(cases.iter().filter(|c| c.case_study == 1).count(), 1);
-        assert_eq!(cases.iter().filter(|c| c.case_study == 2).count(), 12);
-        assert_eq!(cases.iter().filter(|c| c.case_study == 3).count(), 2);
-        assert_eq!(cases.iter().filter(|c| c.case_study == 4).count(), 4);
-        // Exactly one fault-induced bug per case-study crate.
-        assert_eq!(cases.iter().filter(|c| !c.faults.is_none()).count(), 5);
-    }
-
-    #[test]
     fn fault_induced_bug_cases_are_found_with_their_budgets() {
         // One representative: the replsim lost-replication bug needs its
         // drop budget (no override: the case's own plan applies).
-        let cases = bug_cases();
-        let case = cases
-            .iter()
-            .find(|c| c.name == "ReplReqLostNoRetransmit")
-            .expect("known case");
+        let case = bug_case("ReplReqLostNoRetransmit");
         let config = TestConfig::new().with_iterations(800).with_seed(21);
-        let result = hunt_with_fault_override(case, config, None);
+        let result = hunt_with_fault_override(&case, config, None);
         assert!(result.found, "the fault-induced bug must be reachable");
         assert!(result.fault_decisions.unwrap_or(0) >= 1);
     }
 
     #[test]
     fn hunting_an_easy_bug_finds_it_quickly() {
-        let cases = bug_cases();
-        let delete_primary_key = cases
-            .iter()
-            .find(|c| c.name == "DeletePrimaryKey")
-            .expect("known case");
+        let delete_primary_key = bug_case("DeletePrimaryKey");
         let config = TestConfig::new().with_iterations(500).with_seed(11);
-        let result = hunt_with_fault_override(delete_primary_key, config, None);
+        let result = hunt_with_fault_override(&delete_primary_key, config, None);
         assert!(result.found);
         assert!(result.ndc.unwrap_or(0) > 0);
         assert!(result.table_row().contains("DeletePrimaryKey"));
@@ -637,17 +515,13 @@ mod tests {
 
     #[test]
     fn portfolio_bug_hunt_is_worker_count_independent() {
-        let cases = bug_cases();
-        let case = cases
-            .iter()
-            .find(|c| c.name == "DeletePrimaryKey")
-            .expect("known case");
+        let case = bug_case("DeletePrimaryKey");
         let portfolio = TestConfig::new()
             .with_iterations(400)
             .with_seed(11)
             .with_default_portfolio();
-        let one = hunt_with_fault_override(case, portfolio.clone().with_workers(1), None);
-        let four = hunt_with_fault_override(case, portfolio.with_workers(4), None);
+        let one = hunt_with_fault_override(&case, portfolio.clone().with_workers(1), None);
+        let four = hunt_with_fault_override(&case, portfolio.with_workers(4), None);
         assert!(one.found && four.found);
         assert_eq!(one.iteration, four.iteration, "same winning iteration");
         assert_eq!(one.seed, four.seed, "same winning seed");
@@ -657,16 +531,17 @@ mod tests {
 
     #[test]
     fn fixed_replsim_harness_verifies_clean() {
-        let bug = verify_fixed_config(
-            |rt| {
-                replsim::build_harness(rt, &replsim::ReplConfig::default());
-            },
-            TestConfig::new()
-                .with_iterations(25)
-                .with_max_steps(2_500)
-                .with_seed(7),
+        let replsim = &fixed_cases()[0];
+        let config = TestConfig::new()
+            .with_iterations(25)
+            .with_max_steps(replsim.max_steps)
+            .with_seed(7);
+        let report = TestEngine::new(config).run(&replsim.build);
+        assert!(
+            report.bug.is_none(),
+            "unexpected violation: {:?}",
+            report.bug
         );
-        assert!(bug.is_none(), "unexpected violation: {bug:?}");
     }
 
     #[test]
@@ -676,6 +551,7 @@ mod tests {
             case_study: 2,
             bug: "QueryStreamedLock".to_string(),
             scheduler: "random".to_string(),
+            faults: FaultPlan::none(),
             found: false,
             iteration: None,
             seed: None,

@@ -13,7 +13,8 @@
 //!   harness is an implementation detail: the (iteration, seed, decisions,
 //!   bug) outcome must stay byte-identical at any worker count.
 
-use bench::{bug_cases, hunt_with_fault_override, BugCase};
+use bench::{bug_case, bug_cases, fixed_cases, hunt_with_fault_override};
+use psharp::case::Case;
 use psharp::prelude::*;
 use psharp::runtime::{Runtime, RuntimeConfig};
 use psharp::scheduler::RandomScheduler;
@@ -34,20 +35,19 @@ const LIVENESS_BUGS: [&str; 3] = [
 /// The seeded bugs minus [`LIVENESS_BUGS`], after checking that the constant
 /// names exactly the bugs random scheduling (which is fair) reports as
 /// liveness violations — so no row is left out silently.
-fn safety_bug_cases() -> Vec<BugCase> {
-    let (liveness, safety): (Vec<BugCase>, Vec<BugCase>) =
-        bug_cases().into_iter().partition(|case| {
-            let config = TestConfig::new()
-                .with_iterations(BUDGET)
-                .with_max_steps(case.max_steps)
-                .with_seed(2016)
-                .with_faults(case.faults);
-            let report = TestEngine::new(config).run(|rt| (case.build)(rt));
-            let found = report
-                .bug
-                .unwrap_or_else(|| panic!("random scheduling missed {}", case.name));
-            found.bug.kind == BugKind::LivenessViolation
-        });
+fn safety_bug_cases() -> Vec<Case> {
+    let (liveness, safety): (Vec<Case>, Vec<Case>) = bug_cases().into_iter().partition(|case| {
+        let config = TestConfig::new()
+            .with_iterations(BUDGET)
+            .with_max_steps(case.max_steps)
+            .with_seed(2016)
+            .with_faults(case.faults);
+        let report = TestEngine::new(config).run(|rt| (case.build)(rt));
+        let found = report
+            .bug
+            .unwrap_or_else(|| panic!("random scheduling missed {}", case.name));
+        found.bug.kind == BugKind::LivenessViolation
+    });
     let names: Vec<&str> = liveness.iter().map(|case| case.name).collect();
     assert_eq!(names, LIVENESS_BUGS);
     safety
@@ -103,147 +103,78 @@ const FIXED_BUDGET: u64 = 800;
 /// verdict, and the fixed systems must come out clean under both.
 #[test]
 fn dpor_keeps_fixed_systems_clean() {
-    type Build = Box<dyn Fn(&mut Runtime) + Send + Sync>;
-    let systems: Vec<(&str, Build, usize)> = vec![
-        (
-            "replsim",
-            Box::new(|rt: &mut Runtime| {
-                replsim::build_harness(rt, &replsim::ReplConfig::default());
-            }),
-            2_500,
-        ),
-        (
-            "vnext",
-            Box::new(|rt: &mut Runtime| {
-                vnext::build_harness(rt, &vnext::VnextConfig::default());
-            }),
-            3_000,
-        ),
-        (
-            "chaintable",
-            Box::new(|rt: &mut Runtime| {
-                chaintable::build_harness(rt, &chaintable::ChainConfig::fixed());
-            }),
-            10_000,
-        ),
-        (
-            "fabric",
-            Box::new(|rt: &mut Runtime| {
-                fabric::build_harness(rt, &fabric::FabricConfig::default());
-            }),
-            5_000,
-        ),
-        (
-            "megakv",
-            Box::new(|rt: &mut Runtime| {
-                megakv::build_harness(rt, &megakv::MegaKvConfig::default());
-            }),
-            4_000,
-        ),
-    ];
-    let check = |name: &str, build: &Build, config: TestConfig| {
+    let check = |case: &Case, config: TestConfig| {
         let scheduler = config.scheduler;
-        let bug = bench::verify_fixed_config(build, config);
+        let report = TestEngine::new(config).run(&case.build);
         assert!(
-            bug.is_none(),
-            "{scheduler:?} reported a spurious violation on the fixed {name} system: {}",
-            bug.unwrap()
+            report.bug.is_none(),
+            "{scheduler:?} reported a spurious violation on {}: {}",
+            case.name,
+            report.bug.unwrap().bug
         );
     };
-    for (name, build, max_steps) in &systems {
+    let systems = fixed_cases();
+    for case in &systems {
         for scheduler in [SchedulerKind::SleepSet, SchedulerKind::Dpor] {
             let config = TestConfig::new()
                 .with_iterations(FIXED_BUDGET)
-                .with_max_steps(*max_steps)
+                .with_max_steps(case.max_steps)
                 .with_seed(99)
                 .with_scheduler(scheduler);
-            check(name, build, config);
+            check(case, config);
         }
     }
     // The benchmark's `clean_sweep` cell that was red at `--seed 6`: the
     // fixed replsim under sleep-set with its own fault budget, which
     // reported a liveness violation at iteration 77.
-    let (name, build, max_steps) = &systems[0];
+    let replsim = &systems[0];
     let config = TestConfig::new()
         .with_iterations(100)
-        .with_max_steps(*max_steps)
+        .with_max_steps(replsim.max_steps)
         .with_seed(9_327_108_117_671_039_267)
         .with_scheduler(SchedulerKind::SleepSet)
-        .with_faults(replsim::ReplConfig::default().fault_plan());
-    check(name, build, config);
+        .with_faults(replsim.faults);
+    check(replsim, config);
 }
 
-/// Every case-study harness supports post-setup snapshots: all machines and
-/// monitors implement `clone_state` and every event queued during setup is
-/// replicable. If one regresses, prefix sharing silently degrades to
+/// Every registered harness (the 20 seeded bugs and the 5 fixed systems)
+/// supports post-setup snapshots: all machines and monitors implement
+/// `clone_state` and every event queued during setup is replicable. If one regresses, prefix sharing silently degrades to
 /// straight-line execution — results stay correct but the speedup vanishes,
 /// so this is the test that notices.
 #[test]
 fn every_case_study_harness_supports_post_setup_snapshots() {
-    type Build = Box<dyn Fn(&mut Runtime)>;
-    let harnesses: Vec<(&str, Build)> = vec![
-        (
-            "replsim",
-            Box::new(|rt: &mut Runtime| {
-                replsim::build_harness(rt, &replsim::ReplConfig::with_lost_replication_bug());
-            }),
-        ),
-        (
-            "vnext",
-            Box::new(|rt: &mut Runtime| {
-                vnext::build_harness(rt, &vnext::VnextConfig::with_liveness_bug());
-            }),
-        ),
-        (
-            "chaintable",
-            Box::new(|rt: &mut Runtime| {
-                chaintable::build_harness(rt, &chaintable::ChainConfig::fixed());
-            }),
-        ),
-        (
-            "fabric",
-            Box::new(|rt: &mut Runtime| {
-                fabric::build_harness(rt, &fabric::FabricConfig::with_promotion_bug());
-            }),
-        ),
-        (
-            "megakv",
-            Box::new(|rt: &mut Runtime| {
-                megakv::build_harness(rt, &megakv::MegaKvConfig::with_promote_lost_write_bug());
-            }),
-        ),
-    ];
-    for (name, build) in harnesses {
+    let harnesses: Vec<Case> = bug_cases().into_iter().chain(fixed_cases()).collect();
+    assert_eq!(harnesses.len(), 25);
+    for case in harnesses {
         let mut rt = Runtime::new(
             Box::new(RandomScheduler::new(1)),
             RuntimeConfig::default(),
             1,
         );
-        build(&mut rt);
+        (case.build)(&mut rt);
         assert!(
             rt.snapshot().is_some(),
-            "the {name} harness is no longer snapshotable after setup"
+            "the {} harness is no longer snapshotable after setup",
+            case.name
         );
     }
 }
 
-fn build_replsim_bug(rt: &mut Runtime) {
-    replsim::build_harness(rt, &replsim::ReplConfig::with_lost_replication_bug());
-}
-
 #[test]
 fn prefix_shared_reports_are_byte_identical_at_any_worker_count() {
+    let case = bug_case("ReplReqLostNoRetransmit");
     let base = TestConfig::new()
         .with_iterations(200)
-        .with_max_steps(2_500)
+        .with_max_steps(case.max_steps)
         .with_seed(2016)
-        .with_faults(replsim::ReplConfig::with_lost_replication_bug().fault_plan());
-    let reference = TestEngine::new(base.clone()).run(build_replsim_bug);
+        .with_faults(case.faults);
+    let reference = TestEngine::new(base.clone()).run(&case.build);
     let reference_bug = reference.bug.expect("the seeded replsim bug");
 
     for workers in [1, 2, 4, 8] {
         let report = TestEngine::new(base.clone().with_prefix_sharing(true).with_workers(workers))
-            .run(build_replsim_bug);
+            .run(&case.build);
         let bug = report
             .bug
             .unwrap_or_else(|| panic!("prefix sharing at {workers} workers lost the bug"));
@@ -260,23 +191,20 @@ fn prefix_shared_reports_are_byte_identical_at_any_worker_count() {
     }
 }
 
-fn build_fabric_bug(rt: &mut Runtime) {
-    fabric::build_harness(rt, &fabric::FabricConfig::with_promotion_bug());
-}
-
 /// Hunts Fabric's fault-induced promote-pending-copy safety bug under
 /// `scheduler` straight-line and with prefix sharing, and asserts both runs
 /// report the same thing, bit for bit.
 fn assert_prefix_sharing_matches_straight_line(scheduler: SchedulerKind) {
+    let case = bug_case("FabricPromotePendingCopy");
     let base = TestConfig::new()
         .with_iterations(200)
-        .with_max_steps(5_000)
+        .with_max_steps(case.max_steps)
         .with_seed(2016)
         .with_scheduler(scheduler)
-        .with_faults(fabric::FabricConfig::with_promotion_bug().fault_plan());
+        .with_faults(case.faults);
 
-    let straight = TestEngine::new(base.clone()).run(build_fabric_bug);
-    let shared = TestEngine::new(base.with_prefix_sharing(true)).run(build_fabric_bug);
+    let straight = TestEngine::new(base.clone()).run(&case.build);
+    let shared = TestEngine::new(base.with_prefix_sharing(true)).run(&case.build);
 
     let a = straight
         .bug
@@ -332,9 +260,10 @@ fn report_key(report: &TestReport) -> (u64, u64, String, Vec<String>) {
 /// and 8 workers, and so is a flat run's on the same harness and portfolio.
 #[test]
 fn tree_and_flat_reports_are_byte_identical_at_any_worker_count() {
-    let build = |rt: &mut Runtime| {
-        chaintable::build_harness(rt, &chaintable::ChainConfig::fixed());
-    };
+    let chaintable = fixed_cases().swap_remove(2);
+    assert_eq!(chaintable.case_study, 2);
+    let build = &chaintable.build;
+    // This test's own step bound, not the registered 10,000.
     let base = TestConfig::new()
         .with_iterations(48)
         .with_max_steps(2_000)

@@ -2,6 +2,7 @@
 //! Table 2, and the builder that wires services, migrator, tables and the
 //! spec-compliance monitor together (Figure 12 of the paper).
 
+use psharp::case::Case;
 use psharp::prelude::*;
 
 use crate::machines::{
@@ -202,6 +203,43 @@ pub fn build_harness(rt: &mut Runtime, config: &ChainConfig) -> ChainHarness {
         tables,
         migrator,
         services,
+    }
+}
+
+/// The registered seeded bugs of this case study (case study 2): the eleven
+/// [`named_bugs`] of Table 2, reachable without faults, then the
+/// fault-induced `MigratorRestartSkipsStep`, which needs its crash+restart
+/// budget.
+pub fn bugs() -> Vec<Case> {
+    let mut cases: Vec<Case> = named_bugs()
+        .into_iter()
+        .map(|(name, config)| case(name, 10_000, FaultPlan::none(), config))
+        .collect();
+    let restart = ChainConfig::with_restart_bug();
+    let plan = restart.fault_plan();
+    cases.push(case("MigratorRestartSkipsStep", 10_000, plan, restart));
+    cases
+}
+
+/// The fixed MigratingTable, with [`ChainConfig::fault_plan`] as its
+/// designed fault budget.
+pub fn fixed() -> Case {
+    let config = ChainConfig::fixed();
+    let plan = config.fault_plan();
+    case("MigratingTable (fixed)", 10_000, plan, config)
+}
+
+/// A registered case: [`build_harness`] over `config`, run under
+/// `max_steps` and `faults`.
+fn case(name: &'static str, max_steps: usize, faults: FaultPlan, config: ChainConfig) -> Case {
+    Case {
+        case_study: 2,
+        name,
+        max_steps,
+        faults,
+        build: Box::new(move |rt| {
+            build_harness(rt, &config);
+        }),
     }
 }
 

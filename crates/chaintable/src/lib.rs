@@ -34,5 +34,5 @@ pub mod migrate;
 pub mod spec;
 pub mod table;
 
-pub use harness::{build_harness, model_stats, named_bugs, ChainConfig, ChainHarness};
+pub use harness::{bugs, build_harness, fixed, model_stats, named_bugs, ChainConfig, ChainHarness};
 pub use migrate::{ChainBugs, Phase};

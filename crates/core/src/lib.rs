@@ -85,6 +85,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod case;
 pub mod enabled;
 pub mod engine;
 pub mod error;

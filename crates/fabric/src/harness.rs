@@ -1,5 +1,6 @@
 //! The Fabric test harness: scenarios, configuration and the builder.
 
+use psharp::case::Case;
 use psharp::prelude::*;
 
 use crate::cluster::{ClusterManagerMachine, ConsistencyMonitor, FabricBugs, FabricClient};
@@ -116,6 +117,42 @@ pub fn build_harness(rt: &mut Runtime, config: &FabricConfig) -> FabricHarness {
                 stage_two: Some(stage_two),
             }
         }
+    }
+}
+
+/// The registered seeded bugs of this case study (case study 3, reported in
+/// §5 rather than Table 2): the fault-induced `FabricPromotePendingCopy`,
+/// which needs its primary-crash budget, and `CScaleUninitializedConfig`.
+pub fn bugs() -> Vec<Case> {
+    let promotion = FabricConfig::with_promotion_bug();
+    let plan = promotion.fault_plan();
+    let pipeline = FabricConfig::with_pipeline_bug();
+    let none = FaultPlan::none();
+    vec![
+        case("FabricPromotePendingCopy", 5_000, plan, promotion),
+        case("CScaleUninitializedConfig", 2_000, none, pipeline),
+    ]
+}
+
+/// The fixed failover scenario, with [`FabricConfig::fault_plan`] as its
+/// designed fault budget.
+pub fn fixed() -> Case {
+    let config = FabricConfig::default();
+    let plan = config.fault_plan();
+    case("Fabric failover (fixed)", 5_000, plan, config)
+}
+
+/// A registered case: [`build_harness`] over `config`, run under
+/// `max_steps` and `faults`.
+fn case(name: &'static str, max_steps: usize, faults: FaultPlan, config: FabricConfig) -> Case {
+    Case {
+        case_study: 3,
+        name,
+        max_steps,
+        faults,
+        build: Box::new(move |rt| {
+            build_harness(rt, &config);
+        }),
     }
 }
 

@@ -29,4 +29,6 @@ pub mod pipeline;
 pub mod service;
 
 pub use cluster::FabricBugs;
-pub use harness::{build_harness, model_stats, FabricConfig, FabricHarness, FabricScenario};
+pub use harness::{
+    bugs, build_harness, fixed, model_stats, FabricConfig, FabricHarness, FabricScenario,
+};

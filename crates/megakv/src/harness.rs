@@ -6,6 +6,7 @@
 //! constructor per seeded bug plus a [`MegaKvConfig::scale`] constructor
 //! used by the scaling benchmark and the allocation-budget tests.
 
+use psharp::case::Case;
 use psharp::prelude::*;
 
 use crate::client::Client;
@@ -323,6 +324,47 @@ pub fn build_harness(rt: &mut Runtime, config: &MegaKvConfig) -> MegaKvHarness {
         primaries,
         backups,
         clients,
+    }
+}
+
+/// The registered seeded bugs of this case study (case study 4): three
+/// reachable on a reliable network (the shard-aliasing bug only beyond 256
+/// shards), then the fault-induced `MegaKvPromoteLostWrite`, which needs its
+/// primary-crash budget.
+pub fn bugs() -> Vec<Case> {
+    let none = FaultPlan::none();
+    let aliasing = MegaKvConfig::with_shard_aliasing_bug();
+    let split = MegaKvConfig::with_split_bug();
+    let rebalance = MegaKvConfig::with_rebalance_bug();
+    let promote = MegaKvConfig::with_promote_lost_write_bug();
+    let plan = promote.fault_plan();
+    vec![
+        case("MegaKvShardAliasing", 6_000, none, aliasing),
+        case("MegaKvSplitForgottenPrimary", 1_500, none, split),
+        case("MegaKvRebalanceLostWrite", 2_000, none, rebalance),
+        case("MegaKvPromoteLostWrite", 2_500, plan, promote),
+    ]
+}
+
+/// The fixed sharded store, with [`MegaKvConfig::fault_plan`] as its designed
+/// fault budget.
+pub fn fixed() -> Case {
+    let config = MegaKvConfig::default();
+    let plan = config.fault_plan();
+    case("megakv sharded store (fixed)", 4_000, plan, config)
+}
+
+/// A registered case: [`build_harness`] over `config`, run under
+/// `max_steps` and `faults`.
+fn case(name: &'static str, max_steps: usize, faults: FaultPlan, config: MegaKvConfig) -> Case {
+    Case {
+        case_study: 4,
+        name,
+        max_steps,
+        faults,
+        build: Box::new(move |rt| {
+            build_harness(rt, &config);
+        }),
     }
 }
 

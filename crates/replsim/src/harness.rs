@@ -4,6 +4,7 @@
 //! modeled client, the modeled storage nodes, one modeled timer per storage
 //! node, and the safety and liveness monitors.
 
+use psharp::case::Case;
 use psharp::prelude::*;
 use psharp::timer::Timer;
 
@@ -153,6 +154,39 @@ pub fn build_harness(rt: &mut Runtime, config: &ReplConfig) -> ReplHarness {
         client,
         storage_nodes,
         timers,
+    }
+}
+
+/// The registered seeded bugs of this case study (case study 0): the
+/// fault-induced `ReplReqLostNoRetransmit`, which needs its message-loss
+/// budget. The two §2 bugs ([`ReplConfig::with_duplicate_counting_bug`],
+/// [`ReplConfig::with_missing_reset_bug`]) are not part of Table 2 and are
+/// not registered.
+pub fn bugs() -> Vec<Case> {
+    let config = ReplConfig::with_lost_replication_bug();
+    let plan = config.fault_plan();
+    vec![case("ReplReqLostNoRetransmit", 2_500, plan, config)]
+}
+
+/// The fixed replication system, with [`ReplConfig::fault_plan`] as its
+/// designed fault budget.
+pub fn fixed() -> Case {
+    let config = ReplConfig::default();
+    let plan = config.fault_plan();
+    case("replsim (fixed server)", 2_500, plan, config)
+}
+
+/// A registered case: [`build_harness`] over `config`, run under
+/// `max_steps` and `faults`.
+fn case(name: &'static str, max_steps: usize, faults: FaultPlan, config: ReplConfig) -> Case {
+    Case {
+        case_study: 0,
+        name,
+        max_steps,
+        faults,
+        build: Box::new(move |rt| {
+            build_harness(rt, &config);
+        }),
     }
 }
 

@@ -32,4 +32,4 @@ pub mod monitors;
 pub mod server;
 pub mod storage_node;
 
-pub use harness::{build_harness, model_stats, ReplBugs, ReplConfig};
+pub use harness::{bugs, build_harness, fixed, model_stats, ReplBugs, ReplConfig};

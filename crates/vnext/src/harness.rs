@@ -2,6 +2,7 @@
 //! and the builder that wires the real Extent Manager to its modeled
 //! environment.
 
+use psharp::case::Case;
 use psharp::prelude::*;
 use psharp::timer::Timer;
 
@@ -165,6 +166,36 @@ pub fn build_harness(rt: &mut Runtime, config: &VnextConfig) -> VnextHarness {
         driver,
         extent_nodes,
         timers,
+    }
+}
+
+/// The registered seeded bugs of this case study (case study 1): the §3.6
+/// `ExtentNodeLivenessViolation`, which needs its EN-crash budget.
+pub fn bugs() -> Vec<Case> {
+    let config = VnextConfig::with_liveness_bug();
+    let plan = config.fault_plan();
+    vec![case("ExtentNodeLivenessViolation", 3_000, plan, config)]
+}
+
+/// The fixed Extent Manager in the fail-and-repair scenario, with
+/// [`VnextConfig::fault_plan`] as its designed fault budget.
+pub fn fixed() -> Case {
+    let config = VnextConfig::default();
+    let plan = config.fault_plan();
+    case("vNext extent manager (fixed)", 3_000, plan, config)
+}
+
+/// A registered case: [`build_harness`] over `config`, run under
+/// `max_steps` and `faults`.
+fn case(name: &'static str, max_steps: usize, faults: FaultPlan, config: VnextConfig) -> Case {
+    Case {
+        case_study: 1,
+        name,
+        max_steps,
+        faults,
+        build: Box::new(move |rt| {
+            build_harness(rt, &config);
+        }),
     }
 }
 

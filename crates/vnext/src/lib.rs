@@ -34,4 +34,4 @@ pub mod machines;
 pub mod monitor;
 pub mod types;
 
-pub use harness::{build_harness, model_stats, Scenario, VnextConfig, VnextHarness};
+pub use harness::{bugs, build_harness, fixed, model_stats, Scenario, VnextConfig, VnextHarness};

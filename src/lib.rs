@@ -1,20 +1,15 @@
 //! Workspace root crate of the P# FAST'16 reproduction.
 //!
-//! This crate only hosts the runnable examples (`examples/`) and the
-//! cross-crate integration tests (`tests/`); the implementation lives in the
-//! workspace member crates, re-exported here for convenience:
+//! This crate only hosts the runnable examples (`examples/`), their shared
+//! command-line options ([`cli`]) and the cross-crate integration tests
+//! (`tests/`). The implementation lives in the workspace member crates:
 //!
-//! * [`psharp`] — the systematic testing runtime (the paper's contribution).
-//! * [`replsim`] — the §2 example replication system.
-//! * [`vnext`] — the Azure Storage vNext extent-management case study (§3).
-//! * [`chaintable`] — the Live Table Migration case study (§4).
-//! * [`fabric`] — the Azure Service Fabric case study (§5).
-
-pub use chaintable;
-pub use fabric;
-pub use psharp;
-pub use replsim;
-pub use vnext;
+//! * `psharp` — the systematic testing runtime (the paper's contribution).
+//! * `replsim` — the §2 example replication system.
+//! * `vnext` — the Azure Storage vNext extent-management case study (§3).
+//! * `chaintable` — the Live Table Migration case study (§4).
+//! * `fabric` — the Azure Service Fabric case study (§5).
+//! * `megakv` — the mega-scale sharded key-value store case study.
 
 /// Debug-workflow options shared by the case-study examples: every example
 /// accepts `--shrink` (delta-debug a found bug's schedule down to a minimal

@@ -9,87 +9,55 @@
 //! explored without their annotated schedule — against the winning iteration
 //! recorded directly under `TraceMode::Full`.
 
+use bench::bug_case;
+use psharp::case::Case;
 use psharp::prelude::*;
 use psharp::scheduler::ReplayScheduler;
 use psharp::shrink::same_bug;
 
-struct Case {
-    name: &'static str,
-    max_steps: usize,
+/// A harness with the engine budget and seed this suite hunts it with.
+struct Hunt {
+    case: Case,
     iterations: u64,
     seed: u64,
-    faults: FaultPlan,
-    build: fn(&mut Runtime),
 }
 
-fn cases() -> Vec<Case> {
+/// One seeded bug per case-study crate. The registered bugs come from the
+/// registry; replsim's is the §2 example's duplicate-counting bug, which is
+/// not registered.
+fn cases() -> Vec<Hunt> {
+    let hunt = |case, iterations, seed| Hunt {
+        case,
+        iterations,
+        seed,
+    };
+    let duplicate_counting = Case {
+        case_study: 0,
+        name: "replsim/duplicate-counting (safety)",
+        max_steps: 2_000,
+        faults: FaultPlan::none(),
+        build: Box::new(|rt| {
+            replsim::build_harness(rt, &replsim::ReplConfig::with_duplicate_counting_bug());
+        }),
+    };
     vec![
-        Case {
-            name: "replsim/duplicate-counting (safety)",
-            max_steps: 2_000,
-            iterations: 3_000,
-            seed: 1,
-            faults: FaultPlan::none(),
-            build: |rt| {
-                replsim::build_harness(rt, &replsim::ReplConfig::with_duplicate_counting_bug());
-            },
-        },
-        Case {
-            name: "vnext/extent-node-liveness",
-            max_steps: 3_000,
-            iterations: 200,
-            seed: 2016,
-            // Fault-induced: the bug needs a scheduler-injected EN crash.
-            faults: vnext::VnextConfig::with_liveness_bug().fault_plan(),
-            build: |rt| {
-                vnext::build_harness(rt, &vnext::VnextConfig::with_liveness_bug());
-            },
-        },
-        Case {
-            name: "chaintable/delete-primary-key (safety)",
-            max_steps: 10_000,
-            iterations: 500,
-            seed: 11,
-            faults: FaultPlan::none(),
-            build: |rt| {
-                let (_, config) = chaintable::named_bugs()
-                    .into_iter()
-                    .find(|(name, _)| *name == "DeletePrimaryKey")
-                    .expect("known seeded bug");
-                chaintable::build_harness(rt, &config);
-            },
-        },
-        Case {
-            name: "fabric/promote-pending-copy (safety)",
-            max_steps: 5_000,
-            iterations: 2_000,
-            seed: 2016,
-            // Fault-induced: the bug needs a scheduler-injected primary crash.
-            faults: fabric::FabricConfig::with_promotion_bug().fault_plan(),
-            build: |rt| {
-                fabric::build_harness(rt, &fabric::FabricConfig::with_promotion_bug());
-            },
-        },
-        Case {
-            name: "megakv/rebalance-lost-write (safety)",
-            max_steps: 2_000,
-            iterations: 2_000,
-            seed: 7,
-            faults: FaultPlan::none(),
-            build: |rt| {
-                megakv::build_harness(rt, &megakv::MegaKvConfig::with_rebalance_bug());
-            },
-        },
+        hunt(duplicate_counting, 3_000, 1),
+        // Fault-induced: the registered plan holds the EN crash it needs.
+        hunt(bug_case("ExtentNodeLivenessViolation"), 200, 2016),
+        hunt(bug_case("DeletePrimaryKey"), 500, 11),
+        // Fault-induced: the registered plan holds the primary crash.
+        hunt(bug_case("FabricPromotePendingCopy"), 2_000, 2016),
+        hunt(bug_case("MegaKvRebalanceLostWrite"), 2_000, 7),
     ]
 }
 
-fn config_for(case: &Case) -> TestConfig {
+fn config_for(hunt: &Hunt) -> TestConfig {
     TestConfig::new()
-        .with_iterations(case.iterations)
-        .with_max_steps(case.max_steps)
-        .with_seed(case.seed)
+        .with_iterations(hunt.iterations)
+        .with_max_steps(hunt.case.max_steps)
+        .with_seed(hunt.seed)
         .with_shrink(true)
-        .with_faults(case.faults)
+        .with_faults(hunt.case.faults)
         // Keep the test budget moderate: even a partial pass must strictly
         // reduce these seeded bugs' traces.
         .with_shrink_budget(300)
@@ -97,9 +65,10 @@ fn config_for(case: &Case) -> TestConfig {
 
 #[test]
 fn every_case_study_bug_shrinks_to_a_replayable_smaller_trace() {
-    for case in cases() {
-        let engine = TestEngine::new(config_for(&case));
-        let report = engine.run(case.build);
+    for hunt in cases() {
+        let case = &hunt.case;
+        let engine = TestEngine::new(config_for(&hunt));
+        let report = engine.run(&case.build);
         let bug_report = report
             .bug
             .unwrap_or_else(|| panic!("{}: seeded bug not found", case.name));
@@ -118,7 +87,7 @@ fn every_case_study_bug_shrinks_to_a_replayable_smaller_trace() {
 
         // (a) the minimized trace replays to the same bug.
         let replayed = engine
-            .replay(&shrink.minimized, case.build)
+            .replay(&shrink.minimized, &case.build)
             .unwrap_or_else(|| panic!("{}: minimized trace does not replay", case.name));
         assert_eq!(replayed.kind, bug_report.bug.kind, "{}", case.name);
         assert_eq!(replayed.message, bug_report.bug.message, "{}", case.name);
@@ -130,8 +99,8 @@ fn shrink_output_is_byte_identical_across_worker_counts() {
     // One representative case (the fastest seeded bug) across the serial
     // engine and several parallel worker counts: the whole (bug, iteration,
     // minimized trace) tuple must be reproducible byte for byte.
-    let case = &cases()[0];
-    let serial = TestEngine::new(config_for(case)).run(case.build);
+    let hunt = &cases()[0];
+    let serial = TestEngine::new(config_for(hunt)).run(&hunt.case.build);
     let reference = serial.bug.expect("serial engine finds the bug");
     let reference_json = reference
         .shrink
@@ -142,7 +111,8 @@ fn shrink_output_is_byte_identical_across_worker_counts() {
         .expect("serialize");
 
     for workers in [2usize, 4] {
-        let parallel = TestEngine::new(config_for(case).with_workers(workers)).run(case.build);
+        let parallel =
+            TestEngine::new(config_for(hunt).with_workers(workers)).run(&hunt.case.build);
         let found = parallel.bug.expect("parallel engine finds the bug");
         assert_eq!(found.iteration, reference.iteration);
         let json = found
@@ -297,14 +267,13 @@ fn production_shrink_matches_the_run_to_completion_reference_on_every_seeded_bug
 /// the bound many times over.
 #[test]
 fn candidate_steps_stay_under_candidates_times_original_decisions() {
+    let case = bug_case("MegaKvShardAliasing");
     let config = TestConfig::new()
         .with_iterations(2_000)
-        .with_max_steps(6_000)
+        .with_max_steps(case.max_steps)
         .with_seed(2016)
         .with_default_portfolio();
-    let build = |rt: &mut Runtime| {
-        megakv::build_harness(rt, &megakv::MegaKvConfig::with_shard_aliasing_bug());
-    };
+    let build = &case.build;
     let found = TestEngine::new(config.clone())
         .run(build)
         .bug
